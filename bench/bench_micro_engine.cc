@@ -8,7 +8,7 @@
 // can report heap allocations per element event. With the interning + arena
 // hot path, steady-state passes (evaluator and parser reused across
 // documents) should amortize to ~0 allocations per event: matching
-// structures come from the engine's pool arena, attribute views alias the
+// structures come from the evaluator's pool arena, attribute views alias the
 // parser buffer, and candidate lookup is an integer-indexed table.
 
 #include <atomic>

@@ -242,6 +242,10 @@ int main(int argc, char** argv) {
         ->Increment(evaluator.engines_skipped());
     evaluator.ExportMetrics(&registry);
   }
+  // Bounded by the subscriptions' vocabulary plus the reserved unknown-name
+  // symbol, however many distinct names the documents carried.
+  registry.GetGauge("xaos_symbols_interned")
+      ->Set(static_cast<int64_t>(xaos::util::SymbolTable::Global().size()));
 
   // The parser reports projection activity to the process-wide default
   // registry; fold those counters into the router's dump.

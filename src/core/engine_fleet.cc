@@ -1,33 +1,12 @@
 #include "core/engine_fleet.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "core/shared_index.h"
 #include "obs/metrics.h"
 
 namespace xaos::core {
-namespace {
-
-// Folds the growth of the global symbol table since the last fold into the
-// process-wide registry. The table is process-global while registries can
-// be many, so the counter lives in the default registry and the baseline is
-// shared: each fold publishes only the delta it won via CAS (no double
-// counting across concurrent fleets).
-void FoldSymbolsInterned(obs::MetricsRegistry* registry) {
-  static std::atomic<uint64_t> folded{0};
-  uint64_t now = util::SymbolTable::Global().size();
-  uint64_t prev = folded.load(std::memory_order_relaxed);
-  while (prev < now) {
-    if (folded.compare_exchange_weak(prev, now, std::memory_order_relaxed)) {
-      registry->GetCounter("xaos_symbols_interned")->Increment(now - prev);
-      break;
-    }
-  }
-}
-
-}  // namespace
 
 void EngineFleet::AddEngine(XaosEngine* engine) {
   engines_.push_back(engine);
@@ -71,7 +50,7 @@ void EngineFleet::AddSymbolTargets(util::Symbol symbol,
                                    std::string_view name) {
   util::Symbol s = symbol;
   if (s == util::kInvalidSymbol) {
-    // Event source without interning (replay paths). A name the table has
+    // Event source without symbols (replay paths). A name the table has
     // never seen cannot be mentioned by any engine.
     s = util::SymbolTable::Global().Lookup(name);
   }
@@ -197,7 +176,7 @@ void EngineFleet::ReplayRun(const xml::EventBatch& batch, size_t begin,
                 batch.text_slice(attr.name_offset, attr.name_size));
           }
           // Attribute names can widen the candidate set, so only
-          // attribute-free elements with an interned symbol are memoizable.
+          // attribute-free elements with a resolved symbol are memoizable.
           if (event.attr_count == 0 && event.symbol != util::kInvalidSymbol) {
             memo_valid_ = true;
             memo_symbol_ = event.symbol;
@@ -304,7 +283,10 @@ void EngineFleet::EndDocument() {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
     registry.GetCounter("xaos_dispatch_engines_skipped_total")
         ->Increment(engines_skipped_document_);
-    FoldSymbolsInterned(&registry);
+    // Bounded by the compiled vocabulary plus kUnknownSymbol: the parser
+    // only resolves names, so documents never grow the table.
+    registry.GetGauge("xaos_symbols_interned")
+        ->Set(static_cast<int64_t>(util::SymbolTable::Global().size()));
   }
 }
 

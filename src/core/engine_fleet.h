@@ -140,7 +140,7 @@ class EngineFleet {
 
   // --- batched-dispatch run memo ---
   // One-entry memo over the last start-element's candidate set: consecutive
-  // attribute-free elements with the same interned symbol resolve to the
+  // attribute-free elements with the same resolved symbol resolve to the
   // same engines, so the label-index walk is skipped for the whole run.
   // Inertness is monotone within a document, so the memoized set is
   // re-filtered by inert() on reuse instead of being re-derived.

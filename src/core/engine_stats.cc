@@ -18,10 +18,12 @@ void EngineStats::ToMetrics(obs::MetricsRegistry* registry,
   registry->GetCounter(prefix + "candidates_emitted_early_total")
       ->Increment(candidates_emitted_early);
   // Exact names from the observability contract (no prefix): total bytes
-  // the matching arenas served in place of heap allocations, and structures
-  // eagerly reclaimed by earliest answering.
+  // the matching arenas served in place of heap allocations, the slab bytes
+  // they hold, and structures eagerly reclaimed by earliest answering.
   registry->GetCounter("xaos_arena_bytes_allocated")
       ->Increment(arena_bytes_allocated);
+  registry->GetGauge("xaos_arena_bytes_reserved")
+      ->Set(static_cast<int64_t>(arena_bytes_reserved));
   registry->GetCounter("xaos_candidates_reclaimed_total")
       ->Increment(candidates_reclaimed);
   registry->GetGauge(prefix + "structures_live")

@@ -42,10 +42,14 @@ struct EngineStats {
   uint64_t propagations = 0;
   uint64_t optimistic_propagations = 0;
 
-  // Allocation traffic served by the engine's pool arena this document
-  // (bytes handed out by Allocate, recycled blocks counted every time) —
-  // the heap traffic the arena absorbed. Set at EndDocument.
+  // Allocation traffic served by the matching arena this document (bytes
+  // handed out by Allocate, recycled blocks counted every time) — the heap
+  // traffic the arena absorbed — and the heap bytes the arena holds in
+  // slabs (its real footprint). Evaluators report their one shared arena
+  // in AggregateStats(); a per-engine figure is only kept by an engine
+  // constructed on its own, with a private arena (set at EndDocument).
   uint64_t arena_bytes_allocated = 0;
+  uint64_t arena_bytes_reserved = 0;
 
   // Earliest answering: output items emitted before EndDocument (their
   // membership in the final result was proven mid-stream), and structures

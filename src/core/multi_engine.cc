@@ -83,10 +83,14 @@ Status FirstError(const std::vector<std::unique_ptr<XaosEngine>>& engines) {
 // Sums per-engine statistics. Per-document event counts are identical
 // across engines (the fleet back-fills filtered elements as discarded);
 // report them once. An element counts as discarded if every engine
-// discarded it — approximated by the minimum. Structure counts and arena
-// traffic accumulate.
-EngineStats SumStats(const std::vector<std::unique_ptr<XaosEngine>>& engines) {
+// discarded it — approximated by the minimum. Structure counts accumulate.
+// The arena figures come from the evaluator's shared `arena`: its traffic
+// since `arena_baseline` and its slab footprint.
+EngineStats SumStats(const std::vector<std::unique_ptr<XaosEngine>>& engines,
+                     const util::PoolArena& arena, uint64_t arena_baseline) {
   EngineStats total;
+  total.arena_bytes_allocated = arena.bytes_allocated() - arena_baseline;
+  total.arena_bytes_reserved = arena.bytes_reserved();
   bool first = true;
   for (const auto& engine : engines) {
     const EngineStats& s = engine->stats();
@@ -103,7 +107,6 @@ EngineStats SumStats(const std::vector<std::unique_ptr<XaosEngine>>& engines) {
     total.structure_memory.peak_bytes += s.structure_memory.peak_bytes;
     total.propagations += s.propagations;
     total.optimistic_propagations += s.optimistic_propagations;
-    total.arena_bytes_allocated += s.arena_bytes_allocated;
     total.candidates_emitted_early += s.candidates_emitted_early;
     total.candidates_reclaimed += s.candidates_reclaimed;
   }
@@ -193,7 +196,7 @@ StreamingEvaluator::StreamingEvaluator(const Query& query,
                     : &obs::MetricsRegistry::Default()) {
   engines_.reserve(trees_->size());
   for (const query::XTree& tree : *trees_) {
-    engines_.push_back(std::make_unique<XaosEngine>(&tree, options));
+    engines_.push_back(std::make_unique<XaosEngine>(&tree, options, &arena_));
     fleet_.AddEngine(engines_.back().get());
   }
   if (obs::Enabled()) {
@@ -214,6 +217,9 @@ void StreamingEvaluator::StartDocument() {
     ++doc_ordinal_;
     doc_begin_ns_ = obs::NowNs();
   }
+  // Before the engines reset: their Root structures count as this
+  // document's traffic.
+  arena_baseline_ = arena_.bytes_allocated();
   fleet_.StartDocument();
 }
 
@@ -274,7 +280,7 @@ QueryResult StreamingEvaluator::Result() const {
 }
 
 EngineStats StreamingEvaluator::AggregateStats() const {
-  return SumStats(engines_);
+  return SumStats(engines_, arena_, arena_baseline_);
 }
 
 void StreamingEvaluator::ExportMetrics(obs::MetricsRegistry* registry) const {
@@ -333,7 +339,8 @@ size_t MultiQueryEvaluator::AddQuery(const Query& query,
   }
 
   for (const query::XTree& tree : *slot.trees) {
-    engines_.push_back(std::make_unique<XaosEngine>(&tree, options_));
+    engines_.push_back(
+        std::make_unique<XaosEngine>(&tree, options_, &arena_));
     fleet_.AddEngine(engines_.back().get());
   }
   slot.end = engines_.size();
@@ -358,6 +365,7 @@ void MultiQueryEvaluator::StartDocument() {
     doc_begin_ns_ = obs::NowNs();
   }
   EnsureSharedIndex();
+  arena_baseline_ = arena_.bytes_allocated();
   fleet_.StartDocument();
 }
 
@@ -567,7 +575,7 @@ QueryResult MultiQueryEvaluator::Result(size_t q) const {
 }
 
 EngineStats MultiQueryEvaluator::AggregateStats() const {
-  return SumStats(engines_);
+  return SumStats(engines_, arena_, arena_baseline_);
 }
 
 void MultiQueryEvaluator::ExportMetrics(obs::MetricsRegistry* registry) const {

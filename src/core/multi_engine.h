@@ -21,6 +21,7 @@
 #include "obs/timer.h"
 #include "query/projection.h"
 #include "query/xtree.h"
+#include "util/pool_arena.h"
 #include "util/statusor.h"
 #include "xml/sax_event.h"
 
@@ -106,7 +107,8 @@ class StreamingEvaluator : public xml::ContentHandler {
   // Union of the disjuncts' results (document order, deduplicated). Valid
   // after EndDocument.
   QueryResult Result() const;
-  // Sum of the per-engine statistics.
+  // Sum of the per-engine statistics; the arena figures are the
+  // evaluator's shared arena (this document's traffic, its footprint).
   EngineStats AggregateStats() const;
   // Folds AggregateStats() into `registry` (see EngineStats::ToMetrics).
   void ExportMetrics(obs::MetricsRegistry* registry) const;
@@ -132,6 +134,10 @@ class StreamingEvaluator : public xml::ContentHandler {
   }
 
   std::shared_ptr<const std::vector<query::XTree>> trees_;
+  // The one matching arena every engine allocates from; declared before
+  // engines_ so it outlives them.
+  util::PoolArena arena_;
+  uint64_t arena_baseline_ = 0;  // arena_.bytes_allocated() at StartDocument
   std::vector<std::unique_ptr<XaosEngine>> engines_;
   EngineFleet fleet_;
   query::ProjectionGate gate_;
@@ -216,7 +222,8 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   // Query `q`'s result, disjuncts unioned. Valid after EndDocument.
   QueryResult Result(size_t q) const;
 
-  // Sum of all engines' statistics.
+  // Sum of all engines' statistics; the arena figures are the evaluator's
+  // shared arena (this document's traffic, its footprint).
   EngineStats AggregateStats() const;
   void ExportMetrics(obs::MetricsRegistry* registry) const;
   uint64_t engines_skipped() const { return fleet_.engines_skipped(); }
@@ -284,6 +291,11 @@ class MultiQueryEvaluator : public xml::ContentHandler {
 
   EngineOptions options_;
   std::vector<QuerySlot> queries_;
+  // The one matching arena every per-engine subscription allocates from,
+  // confined to this evaluator's thread (a ParallelFleet shard owns its
+  // own); declared before engines_ so it outlives them.
+  util::PoolArena arena_;
+  uint64_t arena_baseline_ = 0;  // arena_.bytes_allocated() at StartDocument
   std::vector<std::unique_ptr<XaosEngine>> engines_;
   EngineFleet fleet_;
   // Shared-prefix backend: the builder accumulates shareable subscriptions

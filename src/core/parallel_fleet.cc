@@ -463,8 +463,8 @@ std::vector<size_t> ParallelFleet::MatchedQueries() const {
 
 EngineStats ParallelFleet::AggregateStats() const {
   // Every shard replays the whole document, so per-document event counts
-  // are uniform across shards (keep the first); structure and arena
-  // traffic accumulate, matching MultiQueryEvaluator's aggregation.
+  // are uniform across shards (keep the first); structure counts, arena
+  // traffic and arena footprints (one arena per shard) accumulate.
   EngineStats total;
   bool first = true;
   for (const Worker& worker : workers_) {
@@ -485,6 +485,7 @@ EngineStats ParallelFleet::AggregateStats() const {
     total.propagations += s.propagations;
     total.optimistic_propagations += s.optimistic_propagations;
     total.arena_bytes_allocated += s.arena_bytes_allocated;
+    total.arena_bytes_reserved += s.arena_bytes_reserved;
     total.candidates_emitted_early += s.candidates_emitted_early;
     total.candidates_reclaimed += s.candidates_reclaimed;
   }
@@ -513,6 +514,8 @@ void ParallelFleet::ExportMetrics(obs::MetricsRegistry* registry) const {
       ->Set(static_cast<int64_t>(batch_policy_.current));
   registry->GetGauge("xaos_parallel_documents_aborted")
       ->Set(static_cast<int64_t>(documents_aborted_));
+  registry->GetGauge("xaos_arena_bytes_reserved")
+      ->Set(static_cast<int64_t>(AggregateStats().arena_bytes_reserved));
   for (size_t s = 0; s < workers_.size(); ++s) {
     const ParallelShardStats& stats = workers_[s].stats;
     std::string label = "{shard=\"" + std::to_string(s) + "\"}";

@@ -10,10 +10,10 @@
 //
 // One SAX parse (the caller's thread — ParallelFleet is a ContentHandler)
 // captures the event stream into EventBatches (xml/event_batch.h): events
-// carry interned Symbols and slices of a batch-owned text arena, so a
+// carry resolved Symbols and slices of a batch-owned text arena, so a
 // sealed batch is immutable and safely shared. Each worker owns a disjoint
 // shard of the subscriptions — a full MultiQueryEvaluator with its own
-// EngineFleet, DocumentCursor and per-engine arenas — and consumes every
+// EngineFleet, DocumentCursor and matching arena — and consumes every
 // batch through a bounded lock-free SPSC ring (util/spsc_ring.h), so no
 // engine state is ever touched by two threads. Because every shard replays
 // the entire event stream, each shard's DocumentCursor assigns the same

@@ -402,7 +402,7 @@ void SharedMatcher::StartElement(util::Symbol symbol, std::string_view name,
 
   util::Symbol s = symbol;
   if (s == util::kInvalidSymbol) {
-    // Replay paths without interning; an unseen name has no named edges,
+    // Replay paths without symbols; an unseen name has no named edges,
     // but wildcard transitions still apply.
     s = util::SymbolTable::Global().Lookup(name);
   }

@@ -16,8 +16,14 @@ using query::NodeTestSpec;
 using query::XNodeId;
 using xpath::Axis;
 
-XaosEngine::XaosEngine(const query::XTree* tree, EngineOptions options)
-    : tree_(tree), xdag_(*tree), options_(options) {
+XaosEngine::XaosEngine(const query::XTree* tree, EngineOptions options,
+                       util::PoolArena* arena)
+    : tree_(tree),
+      xdag_(*tree),
+      options_(options),
+      own_arena_(arena == nullptr ? std::make_unique<util::PoolArena>()
+                                  : nullptr),
+      arena_(arena == nullptr ? own_arena_.get() : arena) {
   XAOS_CHECK(tree_->node(kRootXNode).test.kind == NodeTestSpec::Kind::kRoot)
       << "x-tree node 0 must test for the virtual root";
 
@@ -187,7 +193,14 @@ void XaosEngine::ResetDocumentState() {
   // Releasing the previous document's structures above returned their
   // blocks to the arena's free lists; from here on the delta of
   // bytes_allocated() is this document's allocation traffic.
-  arena_baseline_ = arena_.bytes_allocated();
+  if (own_arena_ != nullptr) arena_baseline_ = own_arena_->bytes_allocated();
+}
+
+void XaosEngine::AccountPrivateArena() {
+  if (own_arena_ == nullptr) return;
+  stats_.arena_bytes_allocated =
+      own_arena_->bytes_allocated() - arena_baseline_;
+  stats_.arena_bytes_reserved = own_arena_->bytes_reserved();
 }
 
 void XaosEngine::FailWith(Status status) {
@@ -369,8 +382,8 @@ void XaosEngine::ProcessStart(DocNodeKind kind, std::string_view name,
     // allocate_shared puts object and control block in the arena while
     // keeping shared/weak_ptr semantics and destructor timing.
     auto structure = std::allocate_shared<MatchingStructure>(
-        util::PoolAllocator<MatchingStructure>(&arena_), v, frame.info,
-        static_cast<int>(tree_->node(v).children.size()), &stats_, &arena_);
+        util::PoolAllocator<MatchingStructure>(arena_), v, frame.info,
+        static_cast<int>(tree_->node(v).children.size()), &stats_, arena_);
     frame.xnodes.push_back(v);
     frame.structures.push_back(std::move(structure));
   }
@@ -887,7 +900,7 @@ void XaosEngine::MaybeReclaim(MatchingStructure* m) {
   ++stats_.candidates_reclaimed;
   util::ArenaVector<MatchingStructure::BackRef> detached(
       m->backrefs().get_allocator());
-  m->ReleaseStorage(&arena_, &detached);
+  m->ReleaseStorage(arena_, &detached);
   // Detach from parents. Lock every parent first: removing `m` from a slot
   // can drop the last strong reference and destroy it mid-loop, so after
   // the first removal only the raw pointer *value* may be used.
@@ -925,7 +938,7 @@ void XaosEngine::StartElement(const xml::QName& name,
   if (!external_cursor_) own_cursor_.StartElement(attributes.size());
   const DocumentCursor::Node& node = cursor_->top();
   // Replay paths (DOM replayer, recorded events, hand-fed tests) deliver
-  // names without interned symbols; resolve against the global table. A
+  // names without symbols; resolve against the global table. A
   // name the table has never seen cannot match any query name test.
   util::Symbol symbol = name.symbol;
   if (symbol == util::kInvalidSymbol) {
@@ -953,8 +966,8 @@ void XaosEngine::StartElement(const xml::QName& name,
       }
     }
     if (output_match) {
-      CapturePtr capture(new (arena_.Allocate(sizeof(Capture))) Capture,
-                         CaptureDeleter{&arena_});
+      CapturePtr capture(new (arena_->Allocate(sizeof(Capture))) Capture,
+                         CaptureDeleter{arena_});
       capture->element_id = top.info.id;
       capture->writer.StartElement(name.text);
       for (const xml::AttributeView& attr : attributes) {
@@ -1023,7 +1036,7 @@ void XaosEngine::EndElement(std::string_view /*name*/) {
 void XaosEngine::EndDocument() {
   if (!error_.ok()) return;
   if (inert_) {
-    stats_.arena_bytes_allocated = arena_.bytes_allocated() - arena_baseline_;
+    AccountPrivateArena();
     // Early-terminated filtering mode: the match is guaranteed; per-item
     // results were not tracked past the confirmation point.
     result_ = QueryResult{};
@@ -1035,7 +1048,7 @@ void XaosEngine::EndDocument() {
   const MatchingPtr* root = FindMatch(stack_[0], kRootXNode);
   root_structure_ = (root != nullptr) ? *root : nullptr;
   ProcessEnd();
-  stats_.arena_bytes_allocated = arena_.bytes_allocated() - arena_baseline_;
+  AccountPrivateArena();
   BuildResult(root_structure_);
   done_ = true;
   // A match that was never confirmed early becomes certain here.

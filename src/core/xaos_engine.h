@@ -152,8 +152,13 @@ struct LookingForEntry {
 class XaosEngine : public xml::ContentHandler {
  public:
   // `tree` must outlive the engine. Node 0 of the tree must test for the
-  // virtual root (which every tree built by BuildXTree does).
-  explicit XaosEngine(const query::XTree* tree, EngineOptions options = {});
+  // virtual root (which every tree built by BuildXTree does). `arena`
+  // backs the engine's matching structures, their slot/backref vectors and
+  // its captures, and must outlive the engine; evaluators pass the one
+  // arena all of their engines share. Null gives the engine a private
+  // arena.
+  explicit XaosEngine(const query::XTree* tree, EngineOptions options = {},
+                      util::PoolArena* arena = nullptr);
 
   // ContentHandler interface. StartDocument resets per-document state, so
   // one engine can process a sequence of documents.
@@ -368,6 +373,9 @@ class XaosEngine : public xml::ContentHandler {
 
   void BuildResult(const MatchingPtr& root_structure);
   void ResetDocumentState();
+  // Sets the per-document arena figures in stats_ — private arena only;
+  // an evaluator reports its shared arena itself.
+  void AccountPrivateArena();
   void FailWith(Status status);
 
   const query::XTree* tree_;
@@ -375,11 +383,14 @@ class XaosEngine : public xml::ContentHandler {
   EngineOptions options_;
 
   // Backing store for all matching structures, their internal vectors and
-  // captures. Declared before every member that can hold a MatchingPtr
-  // (stack_, open_by_xnode_, active_captures_, root_structure_) so it is
-  // destroyed after them. Freed blocks recycle through size-classed free
-  // lists, so steady-state per-event allocation never reaches the heap.
-  util::PoolArena arena_;
+  // captures: the owning evaluator's arena, or own_arena_ for an engine
+  // constructed on its own. own_arena_ is declared before every member that
+  // can hold a MatchingPtr (stack_, open_by_xnode_, active_captures_,
+  // root_structure_) so it is destroyed after them. Freed blocks recycle
+  // through size-classed free lists, so steady-state per-event allocation
+  // never reaches the heap.
+  std::unique_ptr<util::PoolArena> own_arena_;
+  util::PoolArena* arena_;
 
   // --- immutable query-derived tables ---
   // Candidate x-node ids indexed by interned element tag / attribute name
@@ -436,7 +447,7 @@ class XaosEngine : public xml::ContentHandler {
   DocumentCursor own_cursor_;
   const DocumentCursor* cursor_ = &own_cursor_;
   bool external_cursor_ = false;
-  // arena_.bytes_allocated() at the start of the current document.
+  // own_arena_->bytes_allocated() at the start of the current document.
   uint64_t arena_baseline_ = 0;
   // Items emitted before EndDocument (proof order) and the ids already
   // emitted — BuildResult merges these with the residual traversal and

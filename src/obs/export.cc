@@ -89,7 +89,14 @@ std::string_view MetricHelpText(std::string_view base) {
       {"xaos_engine_propagations_total", "Slot propagation steps."},
       {"xaos_engine_optimistic_propagations_total",
        "Propagations performed before backward constraints resolved."},
-      {"xaos_engine_arena_bytes_total", "Bytes allocated from pool arenas."},
+      {"xaos_arena_bytes_allocated",
+       "Bytes served by matching arenas in place of heap allocations."},
+      {"xaos_arena_bytes_reserved",
+       "Heap bytes the matching arenas hold in slabs (one arena per "
+       "evaluator)."},
+      {"xaos_symbols_interned",
+       "Names in the global symbol table; bounded by the compiled query "
+       "vocabulary plus one reserved unknown-name symbol."},
       {"xaos_sub_match_latency_ns",
        "Per-subscription match latency: document start to EndDocument, "
        "nanoseconds, recorded once per matching document."},

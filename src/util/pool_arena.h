@@ -4,7 +4,10 @@
 // captures) reaches a steady state with zero heap traffic — freed blocks
 // are recycled, slabs are kept for the arena's lifetime.
 //
-// Not thread-safe: each engine owns its arena and runs single-threaded.
+// Not thread-safe: each evaluator owns one arena shared by all of its
+// engines (core/multi_engine.h) and confined to the evaluator's thread; an
+// engine constructed on its own keeps a private one. Parallel-fleet shards
+// are separate evaluators, so no two threads ever share an arena.
 // PoolAllocator adapts the arena to the std allocator interface so it can
 // back std::vector and std::allocate_shared (which preserves shared_ptr /
 // weak_ptr semantics and destructor timing — the engine's undo machinery
@@ -83,7 +86,9 @@ class PoolArena {
 
   void NewSlab(size_t at_least) {
     size_t size = slab_bytes_ > at_least ? slab_bytes_ : at_least;
-    slabs_.push_back(std::make_unique<char[]>(size));
+    // Raw storage: every block is constructed before use, so skip the
+    // zero-fill make_unique<char[]> would do.
+    slabs_.push_back(std::make_unique_for_overwrite<char[]>(size));
     bump_ = slabs_.back().get();
     bump_left_ = size;
     bytes_reserved_ += size;

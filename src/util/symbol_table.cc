@@ -105,7 +105,11 @@ Symbol SymbolTable::Intern(std::string_view name) {
 }
 
 SymbolTable& SymbolTable::Global() {
-  static SymbolTable* table = new SymbolTable();
+  static SymbolTable* table = [] {
+    auto* t = new SymbolTable();
+    XAOS_CHECK(t->Intern(kUnknownName) == kUnknownSymbol);
+    return t;
+  }();
   return *table;
 }
 

@@ -3,20 +3,23 @@
 // and flat-array lookups instead of per-event string hashing (the technique
 // fast XPath engines use to turn label tests into symbol-space arithmetic).
 //
-// The table only ever grows; Symbols are stable for the process lifetime
-// and identical names always intern to the same Symbol, so ids are
-// comparable across parsers, compiled queries and engines. Producers (the
-// SAX parser, the x-tree compiler) call Intern() once per name occurrence
-// they own; consumers on hot paths use the Symbol and fall back to the
-// read-only Lookup() when an event source did not supply one.
+// Only query compilation interns: the x-tree compiler, engine construction
+// and the shared index Intern() the names a query mentions. Event sources
+// (the SAX parser) resolve document names with the read-only Lookup() and
+// give every name no query mentions the one reserved kUnknownSymbol. The
+// global table is therefore bounded by the compiled vocabulary plus that
+// symbol, however many distinct names the documents carry. Symbols are
+// stable for the process lifetime and identical names always intern to the
+// same Symbol, so ids are comparable across parsers, compiled queries and
+// engines.
 //
 // Concurrency: inserts serialize on a mutex; readers (Lookup, Name, size)
 // are lock-free. The bucket array is an insert-only chained hash table
 // published through an atomic pointer — links are immutable once visible,
 // and a resize builds a fresh generation of link cells over the same nodes,
 // retiring (not freeing) the old one so in-flight readers stay valid. This
-// is what lets one parse thread intern while N match threads resolve names,
-// the contention shape of the parallel fleet (core/parallel_fleet.h).
+// is what lets a query compile on one thread while parse and match threads
+// (core/parallel_fleet.h) resolve names.
 
 #ifndef XAOS_UTIL_SYMBOL_TABLE_H_
 #define XAOS_UTIL_SYMBOL_TABLE_H_
@@ -36,6 +39,15 @@ namespace xaos::util {
 // 0 in interning order, so they index flat vectors directly.
 using Symbol = int32_t;
 inline constexpr Symbol kInvalidSymbol = -1;
+
+// The symbol event sources give a name no compiled query interned.
+// Global() interns kUnknownName before anything else, so it is Symbol 0
+// there. The spelling is not a legal XML Name, so no query can mention it:
+// every symbol-indexed table (engine candidates, dispatch index, shared
+// automaton, projection) finds nothing for it without special-casing.
+// Consumers that need the spelling read it from the event's name text.
+inline constexpr Symbol kUnknownSymbol = 0;
+inline constexpr std::string_view kUnknownName = "#unknown";
 
 class SymbolTable {
  public:
@@ -62,7 +74,8 @@ class SymbolTable {
   // Number of interned names (== the smallest invalid Symbol). Lock-free.
   size_t size() const { return size_.load(std::memory_order_acquire); }
 
-  // The process-wide table shared by parsers, compilers and engines.
+  // The process-wide table shared by parsers, compilers and engines; its
+  // Symbol 0 is the reserved kUnknownSymbol.
   static SymbolTable& Global();
 
  private:

@@ -5,7 +5,7 @@
 // returns. To ship events to matcher threads (core/parallel_fleet.h) they
 // are captured into an EventBatch: one flat `std::string` text arena owns
 // every byte the batch references, events and attributes are fixed-size
-// records holding (offset, size) slices into that arena plus the interned
+// records holding (offset, size) slices into that arena plus the resolved
 // name Symbol the producer already paid for. A batch is therefore
 // self-contained and position-independent: once sealed it can be replayed
 // concurrently by any number of threads (Replay is const; per-consumer

@@ -6,9 +6,10 @@
 // consumed by ContentHandler implementations (core::XaosEngine,
 // dom::DomBuilder, ...).
 //
-// Names travel as views paired with interned Symbols (util/symbol_table.h):
-// the parser interns each element/attribute name once per event, and
-// consumers that index by name (the engine's candidate tables, the
+// Names travel as views paired with Symbols (util/symbol_table.h): the
+// parser resolves each element/attribute name against the compiled query
+// vocabulary once per event (names no query mentions get kUnknownSymbol),
+// and consumers that index by name (the engine's candidate tables, the
 // multi-query dispatcher) use the integer id instead of hashing the string
 // again. Producers that cannot cheaply supply a Symbol pass kInvalidSymbol;
 // consumers fall back to SymbolTable::Global().Lookup().
@@ -25,9 +26,9 @@
 
 namespace xaos::xml {
 
-// An element or attribute name: the spelling plus (optionally) its interned
-// Symbol. Implicitly convertible from and to string_view so handler code
-// that only cares about the text keeps reading naturally.
+// An element or attribute name: the spelling plus (optionally) its
+// resolved Symbol. Implicitly convertible from and to string_view so
+// handler code that only cares about the text keeps reading naturally.
 struct QName {
   std::string_view text;
   util::Symbol symbol = util::kInvalidSymbol;
@@ -46,7 +47,7 @@ struct QName {
 struct AttributeView {
   std::string_view name;
   std::string_view value;
-  util::Symbol symbol = util::kInvalidSymbol;  // interned `name`, if known
+  util::Symbol symbol = util::kInvalidSymbol;  // resolved `name`, if known
 };
 
 using AttributeSpan = std::span<const AttributeView>;

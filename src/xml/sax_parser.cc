@@ -120,7 +120,13 @@ bool SaxParser::IsNameChar(unsigned char c) {
   return kNameChars.part[c];
 }
 
-util::Symbol SaxParser::InternName(std::string_view name) {
+util::Symbol SaxParser::ResolveName(std::string_view name) {
+  // Names no compiled query interned all share kUnknownSymbol; the parser
+  // never interns, so the global table stays bounded by the vocabulary.
+  auto resolve = [](std::string_view n) {
+    const util::Symbol s = util::SymbolTable::Global().Lookup(n);
+    return s == util::kInvalidSymbol ? util::kUnknownSymbol : s;
+  };
   if (name.size() <= sizeof(NameCacheSlot::bytes)) {
     NameCacheSlot& slot =
         name_cache_[(name.size() * 131 +
@@ -132,13 +138,13 @@ util::Symbol SaxParser::InternName(std::string_view name) {
         std::memcmp(slot.bytes, name.data(), slot.len) == 0) {
       return slot.symbol;
     }
-    const util::Symbol symbol = util::SymbolTable::Global().Intern(name);
+    const util::Symbol symbol = resolve(name);
     slot.len = static_cast<uint8_t>(name.size());
     std::memcpy(slot.bytes, name.data(), name.size());
     slot.symbol = symbol;
     return symbol;
   }
-  return util::SymbolTable::Global().Intern(name);
+  return resolve(name);
 }
 
 size_t SaxParser::ScanName(std::string_view s, size_t i) {
@@ -703,11 +709,13 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
       slot.assign(*value);
       value_view = slot;
     }
-    util::Symbol attr_symbol = InternName(attr_name);
-    // Interned ids make uniqueness an integer compare (names are equal iff
-    // their Symbols are).
+    util::Symbol attr_symbol = ResolveName(attr_name);
+    // Resolved ids make uniqueness an integer compare (vocabulary names are
+    // equal iff their Symbols are); names outside the vocabulary all share
+    // kUnknownSymbol and fall back to comparing bytes.
     for (const AttributeView& existing : attributes_) {
-      if (existing.symbol == attr_symbol) {
+      if (existing.symbol == attr_symbol &&
+          (attr_symbol != util::kUnknownSymbol || existing.name == attr_name)) {
         return Fail("duplicate attribute '" + std::string(attr_name) + "'");
       }
     }
@@ -716,7 +724,7 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
   }
 
   EmitPendingText();
-  handler_->StartElement(QName(name, InternName(name)),
+  handler_->StartElement(QName(name, ResolveName(name)),
                          AttributeSpan(attributes_));
   ++element_count_;
   if (self_closing) {

@@ -256,8 +256,11 @@ class SaxParser {
 
   // Parser-local front for SymbolTable::Global(): element and attribute
   // names repeat heavily within one document, so a tiny direct-mapped
-  // cache turns most Intern calls (hash + atomic probe + chain walk) into
-  // one memcmp against a cached spelling.
+  // cache turns most lookups (hash + atomic probe + chain walk) into one
+  // memcmp against a cached spelling. Names outside the query vocabulary
+  // are cached too, as kUnknownSymbol. The cache lives as long as the
+  // parser — one document — so no entry outlives a subscription added
+  // between documents.
   struct NameCacheSlot {
     uint8_t len = 0;  // 0 = empty
     char bytes[23];
@@ -265,7 +268,8 @@ class SaxParser {
   };
   static constexpr size_t kNameCacheSlots = 64;  // power of two
   NameCacheSlot name_cache_[kNameCacheSlots];
-  util::Symbol InternName(std::string_view name);
+  // The Symbol a query vocabulary gives `name`, else kUnknownSymbol.
+  util::Symbol ResolveName(std::string_view name);
 
   // Document projection. Null unless options_.projection_filter is set and
   // compatible with the event options (see ParserOptions).

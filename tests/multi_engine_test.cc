@@ -9,11 +9,13 @@
 #include <vector>
 
 #include "baseline/compare.h"
+#include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
 #include "gen/random_workload.h"
 #include "gtest/gtest.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "util/symbol_table.h"
 #include "xml/sax_parser.h"
 
 namespace xaos {
@@ -125,6 +127,81 @@ TEST(MultiQueryEvaluatorTest, ReuseAcrossDocuments) {
   EXPECT_FALSE(multi.Matched(q));
 }
 
+// --- names outside the query vocabulary ------------------------------------
+
+// Runs `expressions` through one MultiQueryEvaluator on the batched path
+// (per-engine or shared backend) over `document`; returns every query's
+// item names.
+std::vector<std::vector<std::string>> RouteItemNames(
+    const std::vector<std::string>& expressions, const std::string& document,
+    bool shared_index) {
+  core::EngineOptions options;
+  options.enable_shared_index = shared_index;
+  core::MultiQueryEvaluator multi(options);
+  for (const std::string& expression : expressions) {
+    StatusOr<core::Query> query = core::Query::Compile(expression);
+    EXPECT_TRUE(query.ok()) << expression;
+    if (query.ok()) multi.AddQuery(*query);
+  }
+  core::BatchedDispatcher dispatcher(&multi);
+  EXPECT_TRUE(xml::ParseString(document, &dispatcher).ok()) << document;
+  std::vector<std::vector<std::string>> names;
+  for (size_t q = 0; q < multi.query_count(); ++q) {
+    names.push_back(multi.Result(q).ItemNames());
+  }
+  return names;
+}
+
+TEST(UnknownNameTest, WildcardItemsCarryTheSpelling) {
+  const std::string doc =
+      "<wild_root wild_a=\"1\"><wild_child wild_b=\"2\"/></wild_root>";
+  for (bool shared : {false, true}) {
+    auto names = RouteItemNames({"//*", "//*/@*"}, doc, shared);
+    ASSERT_EQ(names.size(), 2u);
+    EXPECT_EQ(names[0], (std::vector<std::string>{"wild_root", "wild_child"}))
+        << "shared=" << shared;
+    EXPECT_EQ(names[1], (std::vector<std::string>{"wild_a", "wild_b"}))
+        << "shared=" << shared;
+  }
+  EXPECT_EQ(util::SymbolTable::Global().Lookup("wild_child"),
+            util::kInvalidSymbol);
+}
+
+// A name no query mentions while document 1 is parsed resolves to the
+// unknown symbol; a subscription added before document 2 interns it, and
+// document 2 resolves it afresh — no cached unknown entry survives.
+TEST(UnknownNameTest, SubscriptionAddedBetweenDocumentsMatches) {
+  for (bool shared : {false, true}) {
+    const std::string s = shared ? "_s" : "_e";
+    const std::string doc = "<late_root" + s + "><late_elem" + s +
+                            " late_attr" + s + "=\"1\"/></late_root" + s +
+                            ">";
+    core::EngineOptions options;
+    options.enable_shared_index = shared;
+    core::MultiQueryEvaluator multi(options);
+    core::BatchedDispatcher dispatcher(&multi);
+    StatusOr<core::Query> root = core::Query::Compile("//late_root" + s);
+    ASSERT_TRUE(root.ok());
+    multi.AddQuery(*root);
+    ASSERT_TRUE(xml::ParseString(doc, &dispatcher).ok());
+    EXPECT_TRUE(multi.Matched(0));
+    EXPECT_EQ(util::SymbolTable::Global().Lookup("late_elem" + s),
+              util::kInvalidSymbol);
+
+    StatusOr<core::Query> child =
+        core::Query::Compile("//late_root" + s + "/late_elem" + s);
+    StatusOr<core::Query> attr =
+        core::Query::Compile("//late_elem" + s + "[@late_attr" + s + "]");
+    ASSERT_TRUE(child.ok() && attr.ok());
+    size_t q_child = multi.AddQuery(*child);
+    size_t q_attr = multi.AddQuery(*attr);
+    ASSERT_TRUE(xml::ParseString(doc, &dispatcher).ok());
+    EXPECT_TRUE(multi.Matched(0)) << "shared=" << shared;
+    EXPECT_TRUE(multi.Matched(q_child)) << "shared=" << shared;
+    EXPECT_TRUE(multi.Matched(q_attr)) << "shared=" << shared;
+  }
+}
+
 // --- observability counters -------------------------------------------------
 
 TEST(HotPathCountersTest, ArenaBytesExported) {
@@ -133,17 +210,33 @@ TEST(HotPathCountersTest, ArenaBytesExported) {
   core::StreamingEvaluator evaluator(*query);
   ASSERT_TRUE(xml::ParseString("<a><b><c/></b><c/></a>", &evaluator).ok());
   ASSERT_TRUE(evaluator.status().ok());
-  EXPECT_GT(evaluator.AggregateStats().arena_bytes_allocated, 0u);
+  const core::EngineStats first = evaluator.AggregateStats();
+  EXPECT_GT(first.arena_bytes_allocated, 0u);
+  // The arena's footprint: at least one slab, and at least what this
+  // document drew from fresh slab space.
+  EXPECT_GT(first.arena_bytes_reserved, 0u);
 
   obs::MetricsRegistry registry;
   evaluator.ExportMetrics(&registry);
   obs::MetricsSnapshot snapshot = registry.Snapshot();
   ASSERT_EQ(snapshot.counters.count("xaos_arena_bytes_allocated"), 1u);
   EXPECT_GT(snapshot.counters.at("xaos_arena_bytes_allocated"), 0u);
-  EXPECT_NE(obs::ToJson(snapshot).find("xaos_arena_bytes_allocated"),
-            std::string::npos);
-  EXPECT_NE(obs::ToPrometheusText(snapshot).find("xaos_arena_bytes_allocated"),
-            std::string::npos);
+  ASSERT_EQ(snapshot.gauges.count("xaos_arena_bytes_reserved"), 1u);
+  EXPECT_EQ(snapshot.gauges.at("xaos_arena_bytes_reserved"),
+            static_cast<int64_t>(first.arena_bytes_reserved));
+  for (const char* name :
+       {"xaos_arena_bytes_allocated", "xaos_arena_bytes_reserved"}) {
+    EXPECT_NE(obs::ToJson(snapshot).find(name), std::string::npos) << name;
+    EXPECT_NE(obs::ToPrometheusText(snapshot).find(name), std::string::npos)
+        << name;
+  }
+
+  // The traffic figure is per document and the footprint does not grow
+  // once the arena's free lists recycle the first document's blocks.
+  ASSERT_TRUE(xml::ParseString("<a><b><c/></b><c/></a>", &evaluator).ok());
+  const core::EngineStats second = evaluator.AggregateStats();
+  EXPECT_EQ(second.arena_bytes_allocated, first.arena_bytes_allocated);
+  EXPECT_EQ(second.arena_bytes_reserved, first.arena_bytes_reserved);
 }
 
 TEST(HotPathCountersTest, DispatchAndInterningCountersInDefaultRegistry) {
@@ -168,9 +261,14 @@ TEST(HotPathCountersTest, DispatchAndInterningCountersInDefaultRegistry) {
   ASSERT_EQ(snapshot.counters.count("xaos_dispatch_engines_skipped_total"),
             1u);
   EXPECT_GT(snapshot.counters.at("xaos_dispatch_engines_skipped_total"), 0u);
-  ASSERT_EQ(snapshot.counters.count("xaos_symbols_interned"), 1u);
-  // The parser interned at least the element names of this document.
-  EXPECT_GT(snapshot.counters.at("xaos_symbols_interned"), 0u);
+  // A gauge of the global table's size: the compiled vocabulary plus the
+  // reserved unknown-name symbol. The parser resolves names without
+  // interning, so the document's own names never reach the table.
+  ASSERT_EQ(snapshot.gauges.count("xaos_symbols_interned"), 1u);
+  EXPECT_EQ(snapshot.gauges.at("xaos_symbols_interned"),
+            static_cast<int64_t>(util::SymbolTable::Global().size()));
+  // At least the reserved symbol plus b, c, never_present and x.
+  EXPECT_GE(snapshot.gauges.at("xaos_symbols_interned"), 5);
 
   std::string prometheus = obs::ToPrometheusText(snapshot);
   EXPECT_NE(prometheus.find("xaos_dispatch_engines_skipped_total"),

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "util/symbol_table.h"
 #include "xml/sax_event.h"
 #include "xml/sax_parser.h"
 
@@ -196,6 +197,55 @@ TEST(SaxParserErrorTest, UnquotedAttribute) {
 TEST(SaxParserErrorTest, DuplicateAttribute) {
   Status s = ParseError_("<a x=\"1\" x=\"2\"/>");
   EXPECT_NE(s.message().find("duplicate attribute"), std::string::npos);
+}
+
+// Names no compiled query mentions all resolve to kUnknownSymbol, so
+// attribute uniqueness among them falls back to comparing bytes — for
+// names the parser's name cache holds and for ones too long for it.
+TEST(SaxParserErrorTest, DuplicateUnknownAttribute) {
+  ASSERT_EQ(util::SymbolTable::Global().Lookup("u1"), util::kInvalidSymbol);
+  Status s = ParseError_("<a u1=\"1\" u1=\"2\"/>");
+  EXPECT_NE(s.message().find("duplicate attribute 'u1'"), std::string::npos)
+      << s;
+  const std::string long_name(40, 'u');
+  s = ParseError_("<a " + long_name + "=\"1\" " + long_name + "=\"2\"/>");
+  EXPECT_NE(s.message().find("duplicate attribute"), std::string::npos) << s;
+}
+
+TEST(SaxParserTest, DistinctUnknownAttributesAccepted) {
+  EXPECT_EQ(Parse("<a u1=\"1\" u2=\"2\"/>"),
+            (std::vector<std::string>{"<doc>", "<a u1=\"1\" u2=\"2\">",
+                                      "</a>", "</doc>"}));
+  const std::string prefix(40, 'u');
+  EXPECT_TRUE(ParseError_("<a " + prefix + "1=\"1\" " + prefix + "2=\"2\"/>")
+                  .ok());
+}
+
+// Records the symbols the parser resolved for each element and attribute.
+class SymbolRecorder : public ContentHandler {
+ public:
+  void StartElement(const QName& name, AttributeSpan attributes) override {
+    symbols.push_back(name.symbol);
+    for (const AttributeView& attr : attributes) symbols.push_back(attr.symbol);
+  }
+  std::vector<util::Symbol> symbols;
+};
+
+TEST(SaxParserTest, ResolvesNamesWithoutInterning) {
+  util::SymbolTable& table = util::SymbolTable::Global();
+  const util::Symbol known = table.Intern("known_elem");
+  const size_t size_before = table.size();
+  SymbolRecorder recorder;
+  ASSERT_TRUE(ParseString("<known_elem fresh_attr=\"1\"><fresh_elem "
+                          "known_elem=\"2\"/></known_elem>",
+                          &recorder)
+                  .ok());
+  EXPECT_EQ(recorder.symbols,
+            (std::vector<util::Symbol>{known, util::kUnknownSymbol,
+                                       util::kUnknownSymbol, known}));
+  EXPECT_EQ(table.size(), size_before);
+  EXPECT_EQ(table.Lookup("fresh_elem"), util::kInvalidSymbol);
+  EXPECT_EQ(table.Name(util::kUnknownSymbol), util::kUnknownName);
 }
 
 TEST(SaxParserErrorTest, BadEntity) {

@@ -133,7 +133,8 @@ TEST(ScannerDifferential, RandomWorkloadDocuments) {
 }
 
 TEST(ScannerDifferential, QuoteAndBoundaryShapes) {
-  const std::string_view docs[] = {
+  // Owning strings: two shapes are built from temporaries.
+  const std::string docs[] = {
       // '>' and '<' inside quoted values, both quote kinds.
       R"(<a x="v>1" y='v<2' z="a'b" w='c"d'><b/></a>)",
       // Tag body straddling a 64-byte block boundary.
@@ -149,7 +150,7 @@ TEST(ScannerDifferential, QuoteAndBoundaryShapes) {
       "<a> &#x20;\t\r\n <b>&amp;&lt;&gt;&quot;&apos;&#65;</b> </a>",
   };
   int i = 0;
-  for (std::string_view doc : docs) {
+  for (const std::string& doc : docs) {
     ExpectParseAgreement(doc, {}, "shape " + std::to_string(i++));
   }
 }
