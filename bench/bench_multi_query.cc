@@ -58,9 +58,8 @@ std::vector<std::string> MakeExpressions(int count) {
 }
 
 // Captures a whole document's event stream into owned batches, so the
-// dispatch-rate rows can replay the identical events repeatedly without
-// re-tokenizing: per-event virtual delivery (EventBatch::Replay) vs the
-// devirtualized batch loop (MultiQueryEvaluator::ReplayBatch).
+// dispatch-rate row can replay the identical events repeatedly through
+// MultiQueryEvaluator::ReplayBatch without re-tokenizing.
 struct StoreSink : xml::EventBatcher::Sink {
   std::vector<std::unique_ptr<xml::EventBatch>> batches;
   xml::EventBatch* AcquireBatch() override {
@@ -400,9 +399,9 @@ int main(int argc, char** argv) {
       }));
     }
 
-    // The same shared-backend pool fed through batched dispatch: flat
-    // transition tables + step cache only engage on this path, so this row
-    // against zipf-shared is the tentpole's headline comparison.
+    // The same shared-backend pool fed through batched dispatch: both rows
+    // run the same fleet and stepping code, so this row against zipf-shared
+    // prices capture + replay against per-event feeding.
     core::MultiQueryEvaluator batched_shared;
     for (const core::Query& query : queries) batched_shared.AddQuery(query);
     core::BatchedDispatcher zipf_dispatcher(&batched_shared);
@@ -493,11 +492,10 @@ int main(int argc, char** argv) {
     std::printf("  batched dispatch: %.2fx over the per-event shared path\n",
                 batched_speedup);
 
-    // Dispatch-rate rows: tokenization excluded. The document's events are
+    // Dispatch-rate row: tokenization excluded. The document's events are
     // captured once (lean, as BatchedDispatcher would for this pool), then
-    // the identical stream drives the same evaluator configuration through
-    // one virtual callback per event vs the devirtualized batch loop —
-    // the isolated cost of the match path the tentpole restructures.
+    // the identical stream replays through the batch loop — the isolated
+    // cost of the match path.
     {
       core::MultiQueryEvaluator dispatch_eval;
       for (const core::Query& query : queries) dispatch_eval.AddQuery(query);
@@ -507,13 +505,8 @@ int main(int argc, char** argv) {
       if (!xml::ParseString(doc, &capture).ok()) std::abort();
       std::vector<xml::AttributeView> scratch;
 
-      std::vector<double> per_event_times, batched_dispatch_times;
+      std::vector<double> batched_dispatch_times;
       for (int rep = 0; rep < repetitions; ++rep) {
-        per_event_times.push_back(bench::TimeSeconds([&] {
-          for (const auto& b : store.batches) {
-            b->Replay(&dispatch_eval, &scratch);
-          }
-        }));
         batched_dispatch_times.push_back(bench::TimeSeconds([&] {
           for (const auto& b : store.batches) {
             dispatch_eval.ReplayBatch(*b, &scratch);
@@ -530,26 +523,13 @@ int main(int argc, char** argv) {
           return 1;
         }
       }
-      bench::Series pe_series = bench::Summarize(per_event_times);
       bench::Series bd_series = bench::Summarize(batched_dispatch_times);
-      double dispatch_speedup =
-          bd_series.mean > 0 ? pe_series.mean / bd_series.mean : 0.0;
-      std::snprintf(label, sizeof(label), "zipf-dispatch-pe/subs=%d", subs);
-      std::printf("%-20s %-10.4f %-10.2f %-10s %-14s %-10s\n", label,
-                  pe_series.mean, megabytes / pe_series.mean, "-", "-", "-");
-      reporter.AddResult(label, pe_series, megabytes);
-      reporter.AddResultMetric("subscriptions", subs);
       std::snprintf(label, sizeof(label), "zipf-dispatch-batched/subs=%d",
                     subs);
-      std::printf("%-20s %-10.4f %-10.2f %-10s %-14s %-10.2f\n", label,
-                  bd_series.mean, megabytes / bd_series.mean, "-", "-",
-                  dispatch_speedup);
+      std::printf("%-20s %-10.4f %-10.2f %-10s %-14s %-10s\n", label,
+                  bd_series.mean, megabytes / bd_series.mean, "-", "-", "-");
       reporter.AddResult(label, bd_series, megabytes);
       reporter.AddResultMetric("subscriptions", subs);
-      reporter.AddResultMetric("dispatch_speedup_vs_per_event",
-                               dispatch_speedup);
-      std::printf("  dispatch rate (parse excluded): %.2fx over per-event "
-                  "delivery\n", dispatch_speedup);
     }
 
     if (threads > 0) {

@@ -147,14 +147,11 @@ int main(int argc, char** argv) {
     subscriptions.push_back(std::move(sub));
   }
   // Sequential mode feeds the evaluator through batched dispatch (the
-  // fleet coalesces its own ring publishes); routing is byte-identical
-  // to per-event delivery either way.
+  // fleet coalesces its own ring publishes).
   xaos::core::BatchedDispatcher dispatcher(&evaluator);
   xaos::xml::ContentHandler* handler =
       fleet ? static_cast<xaos::xml::ContentHandler*>(fleet.get())
-      : engine_options.enable_batched_dispatch
-          ? static_cast<xaos::xml::ContentHandler*>(&dispatcher)
-          : &evaluator;
+            : &dispatcher;
   if (fleet) {
     fleet->Finalize();
     std::cout << "routing with " << fleet->worker_count()
@@ -195,10 +192,8 @@ int main(int argc, char** argv) {
       // for the rest of the stream.
       if (fleet) {
         fleet->AbortDocument(status);
-      } else if (handler == &dispatcher) {
-        dispatcher.AbortDocument(status);
       } else {
-        evaluator.AbortDocument(status);
+        dispatcher.AbortDocument(status);
       }
       documents_rejected->Increment();
       std::cerr << "document " << i + 1 << " rejected: " << status << "\n";
@@ -206,7 +201,7 @@ int main(int argc, char** argv) {
     }
     xaos::Status eval_status = fleet ? fleet->status() : evaluator.status();
     if (!eval_status.ok()) {
-      std::cerr << "document " << i << ": " << eval_status << "\n";
+      std::cerr << "document " << i + 1 << ": " << eval_status << "\n";
       return 1;
     }
     documents_total->Increment();

@@ -1,6 +1,6 @@
 // libFuzzer entry point: "<batch byte><xpath>;...\n<xml>" multi-query
-// pools checked batched-dispatch replay vs per-event delivery for
-// identical outcomes, verdicts, confirmations and items.
+// pools fed through batched-dispatch replay, checked against the
+// brute-force matcher for verdicts, confirmations and items.
 
 #include "targets.h"
 

@@ -59,11 +59,12 @@ int RunSharedIndexDiffInput(const uint8_t* data, size_t size);
 // Batched-dispatch differential. Input layout:
 // "<batch byte><xpath>;<xpath>;...\n<xml document>" — the first byte picks
 // the EventBatch size budget (1..64 events), the rest is a multi-query pool
-// plus a document. The pool is evaluated once through BatchedDispatcher
-// (pooled EventBatch replay, flat matcher stepping) and once per-event; any
-// divergence in parse outcome, per-query verdicts, mid-stream confirmations
-// or result items traps. A failed parse additionally drives the
-// dispatcher's AbortDocument path, which must leave the pool consistent.
+// plus a document. The pool is evaluated through BatchedDispatcher (pooled
+// EventBatch replay, shared-automaton stepping) and every query's verdict,
+// confirmation and items must equal the brute-force matcher on the DOM
+// (queries too expensive to enumerate are skipped, as in
+// RunDifferentialInput). A failed parse drives the dispatcher's
+// AbortDocument path instead, after which the pool must stay reusable.
 int RunBatchedDispatchDiffInput(const uint8_t* data, size_t size);
 
 }  // namespace xaos::fuzz

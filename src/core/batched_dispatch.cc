@@ -39,14 +39,6 @@ bool BatchedDispatcher::EvaluatorWantsText() {
                            : streaming_->wants_text_events();
 }
 
-void BatchedDispatcher::Replay(xml::EventBatch* batch) {
-  if (multi_ != nullptr) {
-    multi_->ReplayBatch(*batch, &attr_scratch_);
-  } else {
-    streaming_->ReplayBatch(*batch, &attr_scratch_);
-  }
-}
-
 void BatchedDispatcher::PublishBatch(xml::EventBatch* batch) {
   if (batch->aborts_document()) {
     // Partial capture of an abandoned document: never replay it. The
@@ -55,7 +47,11 @@ void BatchedDispatcher::PublishBatch(xml::EventBatch* batch) {
     return;
   }
   batch->set_sequence(++sequence_);
-  Replay(batch);
+  if (multi_ != nullptr) {
+    multi_->ReplayBatch(*batch, &attr_scratch_);
+  } else {
+    streaming_->ReplayBatch(*batch, &attr_scratch_);
+  }
   ++batches_replayed_;
   ReleaseToPool(batch);
 }

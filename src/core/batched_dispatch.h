@@ -1,19 +1,16 @@
 // Sequential batched dispatch: the driver between a SAX producer and an
-// evaluator's devirtualized batch loop.
+// evaluator's batch loop, used by every sequential production path
+// (EvaluateStreaming, xaos_grep, pubsub_router).
 //
-// The per-event match path pays one virtual ContentHandler hop per SAX
-// event before any matching work starts. BatchedDispatcher interposes an
-// EventBatcher: parser callbacks append fixed-size records into a pooled
-// EventBatch, and each full batch is replayed in one call through
-// MultiQueryEvaluator/StreamingEvaluator::ReplayBatch — a single tight loop
-// with the cursor, depth stack and candidate lookups hoisted out of the
-// per-event path (EngineFleet::ReplayRun), and the shared matcher stepping
-// through its flattened transition tables. Results are byte-identical to
-// feeding the evaluator directly (the per-event path stays available behind
-// EngineOptions::enable_batched_dispatch=false as the differential oracle);
-// only the instant at which buffered events reach the evaluator shifts — by
-// at most one batch, and Flush() hands over the buffer on demand when a
-// caller wants a mid-stream verdict at an exact event boundary.
+// BatchedDispatcher interposes an EventBatcher: parser callbacks append
+// fixed-size records into a pooled EventBatch, and each full batch is
+// replayed in one call through MultiQueryEvaluator/StreamingEvaluator::
+// ReplayBatch, whose EngineFleet::ReplayRun decodes the records into the
+// same fleet members an evaluator fed event by event runs. Results are
+// therefore identical to feeding the evaluator directly; only the instant
+// at which buffered events reach the evaluator shifts — by at most one
+// batch, and Flush() hands over the buffer on demand when a caller wants a
+// mid-stream verdict at an exact event boundary.
 //
 // Batches come from a small internal free pool and return to it after
 // replay, so steady-state dispatch performs no heap allocation. An aborting
@@ -93,7 +90,6 @@ class BatchedDispatcher : public xml::ContentHandler,
   void PublishBatch(xml::EventBatch* batch) override;
 
   void ReleaseToPool(xml::EventBatch* batch);
-  void Replay(xml::EventBatch* batch);
   bool EvaluatorWantsText();
 
   MultiQueryEvaluator* multi_ = nullptr;

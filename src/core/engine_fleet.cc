@@ -78,16 +78,40 @@ void EngineFleet::StartElement(const xml::QName& name,
     matcher_->StartElement(name.symbol, name.text, cursor_.top());
   }
 
-  if (++stamp_ == 0) {
-    // Stamp wrap: invalidate all marks and restart.
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    stamp_ = 1;
-  }
-  delivered_scratch_.clear();
-  for (int idx : always_dispatch_) Deliver(idx);
-  AddSymbolTargets(name.symbol, name.text);
-  for (const xml::AttributeView& attr : attributes) {
-    AddSymbolTargets(attr.symbol, attr.name);
+  // Attribute names can widen the candidate set, so only attribute-free
+  // elements with a resolved symbol are memoizable.
+  const bool memoizable =
+      attributes.empty() && name.symbol != util::kInvalidSymbol;
+  if (memoizable && memo_valid_ && name.symbol == memo_symbol_) {
+    // Same candidate set as the previous start-element: re-filter the
+    // memoized set by inert() (inertness is monotone within a document, so
+    // this equals a fresh index walk) and skip the walk.
+    ++run_length_;
+    delivered_scratch_.clear();
+    for (int idx : memo_delivered_) {
+      if (!engines_[static_cast<size_t>(idx)]->inert()) {
+        delivered_scratch_.push_back(idx);
+      }
+    }
+  } else {
+    BreakRun();
+    run_length_ = 1;
+    if (++stamp_ == 0) {
+      // Stamp wrap: invalidate all marks and restart.
+      std::fill(stamps_.begin(), stamps_.end(), 0);
+      stamp_ = 1;
+    }
+    delivered_scratch_.clear();
+    for (int idx : always_dispatch_) Deliver(idx);
+    AddSymbolTargets(name.symbol, name.text);
+    for (const xml::AttributeView& attr : attributes) {
+      AddSymbolTargets(attr.symbol, attr.name);
+    }
+    memo_valid_ = memoizable;
+    if (memoizable) {
+      memo_symbol_ = name.symbol;
+      memo_delivered_ = delivered_scratch_;  // reuses capacity
+    }
   }
 
   uint64_t skipped = engines_.size() - delivered_scratch_.size();
@@ -130,118 +154,44 @@ void EngineFleet::BreakRun() {
   run_length_ = 0;
 }
 
-void EngineFleet::ReplayRun(const xml::EventBatch& batch, size_t begin,
-                            size_t end,
-                            std::vector<xml::AttributeView>* attr_scratch) {
+// `flatten` inlines the per-event members into the decode loop: without it
+// every start-element pays an out-of-line call, measurably slower replay.
+__attribute__((flatten)) void EngineFleet::ReplayRun(
+    const xml::EventBatch& batch, size_t begin, size_t end,
+    std::vector<xml::AttributeView>* attr_scratch) {
   const std::vector<xml::BatchedEvent>& events = batch.events();
   for (size_t e = begin; e < end; ++e) {
     const xml::BatchedEvent& event = events[e];
     switch (event.kind) {
       case xml::BatchedEvent::Kind::kStartElement: {
-        cursor_.StartElement(event.attr_count);
-        const std::string_view name =
-            batch.text_slice(event.text_offset, event.text_size);
-        if (matcher_ != nullptr) {
-          matcher_->StartElementFlat(event.symbol, name, cursor_.top());
+        attr_scratch->clear();
+        for (uint32_t a = 0; a < event.attr_count; ++a) {
+          const xml::BatchedAttribute& attr =
+              batch.attribute(event.attr_begin + a);
+          attr_scratch->push_back(xml::AttributeView{
+              batch.text_slice(attr.name_offset, attr.name_size),
+              batch.text_slice(attr.value_offset, attr.value_size),
+              attr.symbol});
         }
-        const bool memo_hit = memo_valid_ && event.attr_count == 0 &&
-                              event.symbol != util::kInvalidSymbol &&
-                              event.symbol == memo_symbol_;
-        if (memo_hit) {
-          // Same candidate set as the previous start-element: re-filter the
-          // memoized set by inert() (inertness is monotone within a
-          // document, so this equals a fresh index walk) and skip the walk.
-          ++run_length_;
-          delivered_scratch_.clear();
-          for (int idx : memo_delivered_) {
-            if (!engines_[static_cast<size_t>(idx)]->inert()) {
-              delivered_scratch_.push_back(idx);
-            }
-          }
-        } else {
-          BreakRun();
-          run_length_ = 1;
-          if (++stamp_ == 0) {
-            std::fill(stamps_.begin(), stamps_.end(), 0);
-            stamp_ = 1;
-          }
-          delivered_scratch_.clear();
-          for (int idx : always_dispatch_) Deliver(idx);
-          AddSymbolTargets(event.symbol, name);
-          for (uint32_t a = 0; a < event.attr_count; ++a) {
-            const xml::BatchedAttribute& attr =
-                batch.attribute(event.attr_begin + a);
-            AddSymbolTargets(
-                attr.symbol,
-                batch.text_slice(attr.name_offset, attr.name_size));
-          }
-          // Attribute names can widen the candidate set, so only
-          // attribute-free elements with a resolved symbol are memoizable.
-          if (event.attr_count == 0 && event.symbol != util::kInvalidSymbol) {
-            memo_valid_ = true;
-            memo_symbol_ = event.symbol;
-            memo_delivered_ = delivered_scratch_;  // reuses capacity
-          } else {
-            memo_valid_ = false;
-          }
-        }
-
-        const uint64_t skipped = engines_.size() - delivered_scratch_.size();
-        engines_skipped_ += skipped;
-        engines_skipped_document_ += skipped;
-
-        if (!delivered_scratch_.empty()) {
-          attr_scratch->clear();
-          for (uint32_t a = 0; a < event.attr_count; ++a) {
-            const xml::BatchedAttribute& attr =
-                batch.attribute(event.attr_begin + a);
-            attr_scratch->push_back(xml::AttributeView{
-                batch.text_slice(attr.name_offset, attr.name_size),
-                batch.text_slice(attr.value_offset, attr.value_size),
-                attr.symbol});
-          }
-          const xml::QName qname(name, event.symbol);
-          const xml::AttributeSpan attrs(*attr_scratch);
-          for (int idx : delivered_scratch_) {
-            engines_[static_cast<size_t>(idx)]->StartElement(qname, attrs);
-          }
-        }
-
-        if (depth_ == delivered_stack_.size()) delivered_stack_.emplace_back();
-        delivered_stack_[depth_] = delivered_scratch_;  // reuses capacity
-        ++depth_;
+        StartElement(
+            xml::QName(batch.text_slice(event.text_offset, event.text_size),
+                       event.symbol),
+            xml::AttributeSpan(*attr_scratch));
         break;
       }
-      case xml::BatchedEvent::Kind::kEndElement: {
-        XAOS_CHECK(depth_ > 0) << "unbalanced events";
-        --depth_;
-        const std::string_view name =
-            batch.text_slice(event.text_offset, event.text_size);
-        for (int idx : delivered_stack_[depth_]) {
-          engines_[static_cast<size_t>(idx)]->EndElement(name);
-        }
-        if (matcher_ != nullptr) matcher_->EndElementFlat();
-        cursor_.EndElement();
+      case xml::BatchedEvent::Kind::kEndElement:
+        EndElement(batch.text_slice(event.text_offset, event.text_size));
         break;
-      }
-      case xml::BatchedEvent::Kind::kCharacters: {
-        cursor_.Characters();
-        if (!text_engines_.empty()) {
-          const std::string_view text =
-              batch.text_slice(event.text_offset, event.text_size);
-          for (int idx : text_engines_) {
-            engines_[static_cast<size_t>(idx)]->Characters(text);
-          }
-        }
+      case xml::BatchedEvent::Kind::kCharacters:
+        Characters(batch.text_slice(event.text_offset, event.text_size));
         break;
-      }
       case xml::BatchedEvent::Kind::kSkipSubtree: {
         xml::SkipReport report;
         std::memcpy(
             &report,
             batch.text_slice(event.text_offset, event.text_size).data(),
             sizeof(report));
-        cursor_.SkipSubtree(report.node_ids, report.elements);
+        SkipSubtree(report);
         break;
       }
       default:

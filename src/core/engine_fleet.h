@@ -67,14 +67,11 @@ class EngineFleet {
     cursor_.SkipSubtree(report.node_ids, report.elements);
   }
 
-  // Batched dispatch: replays batch events [begin, end) — which must not
-  // contain document-boundary events — through one devirtualized loop.
-  // Consecutive start-elements resolving to the same candidate-engine set
-  // reuse a one-entry (symbol, attr-free) memo instead of re-walking the
-  // label index; the shared matcher steps through its flat transition
-  // tables. Results are byte-identical to feeding the same events through
-  // the per-event interface. `attr_scratch` is per-caller reusable storage
-  // for attribute views, as in EventBatch::Replay.
+  // Batched dispatch: decodes batch events [begin, end) — which must not
+  // contain document-boundary events — and feeds each through the same
+  // StartElement/EndElement/Characters/SkipSubtree members the per-event
+  // interface uses, so both entries share one dispatch implementation.
+  // `attr_scratch` is per-caller reusable storage for attribute views.
   void ReplayRun(const xml::EventBatch& batch, size_t begin, size_t end,
                  std::vector<xml::AttributeView>* attr_scratch);
 
@@ -138,7 +135,7 @@ class EngineFleet {
   uint64_t engines_skipped_ = 0;
   uint64_t engines_skipped_document_ = 0;
 
-  // --- batched-dispatch run memo ---
+  // --- start-element run memo ---
   // One-entry memo over the last start-element's candidate set: consecutive
   // attribute-free elements with the same resolved symbol resolve to the
   // same engines, so the label-index walk is skipped for the whole run.

@@ -115,10 +115,10 @@ EngineStats SumStats(const std::vector<std::unique_ptr<XaosEngine>>& engines,
 
 // Replays `batch` through `fleet`: document-boundary events go through the
 // evaluator's virtual handlers (they carry per-document setup/teardown);
-// maximal interior runs go through the devirtualized ReplayRun loop. One
+// maximal interior runs go through the non-virtual ReplayRun loop. One
 // kReplay flight span covers the whole batch, and the batch counts into
-// xaos_dispatch_batches_total. Per-event cost sampling (TimedDispatch) is
-// intentionally absent here — the per-event path remains the sampled oracle.
+// xaos_dispatch_batches_total. Per-event cost sampling (TimedDispatch) only
+// covers events fed one at a time through the ContentHandler interface.
 template <typename Evaluator>
 void ReplayBatchImpl(Evaluator* evaluator, EngineFleet* fleet,
                      const xml::EventBatch& batch,
@@ -588,12 +588,8 @@ StatusOr<QueryResult> EvaluateStreaming(std::string_view xpath,
                                         EngineOptions options) {
   XAOS_ASSIGN_OR_RETURN(Query query, Query::Compile(xpath));
   StreamingEvaluator evaluator(query, options);
-  if (options.enable_batched_dispatch) {
-    BatchedDispatcher dispatcher(&evaluator);
-    XAOS_RETURN_IF_ERROR(xml::ParseString(xml_text, &dispatcher));
-  } else {
-    XAOS_RETURN_IF_ERROR(xml::ParseString(xml_text, &evaluator));
-  }
+  BatchedDispatcher dispatcher(&evaluator);
+  XAOS_RETURN_IF_ERROR(xml::ParseString(xml_text, &dispatcher));
   XAOS_RETURN_IF_ERROR(evaluator.status());
   return evaluator.Result();
 }

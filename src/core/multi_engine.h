@@ -70,11 +70,11 @@ class StreamingEvaluator : public xml::ContentHandler {
   void Characters(std::string_view text) override;
   void SkippedSubtree(const xml::SkipReport& report) override;
 
-  // Batched dispatch: replays a whole captured EventBatch through the
-  // fleet's devirtualized run loop (EngineFleet::ReplayRun), handling any
-  // document-boundary events the batch contains. Byte-identical to feeding
-  // the same events through the per-event ContentHandler interface.
-  // `attr_scratch` is per-caller reusable attribute-view storage.
+  // Batched dispatch: replays a whole captured EventBatch, handling any
+  // document-boundary events the batch contains; interior runs go through
+  // EngineFleet::ReplayRun, which decodes records into the same fleet
+  // members the ContentHandler callbacks use. `attr_scratch` is per-caller
+  // reusable attribute-view storage.
   void ReplayBatch(const xml::EventBatch& batch,
                    std::vector<xml::AttributeView>* attr_scratch);
 
@@ -190,8 +190,8 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   void Characters(std::string_view text) override;
   void SkippedSubtree(const xml::SkipReport& report) override;
 
-  // Batched dispatch: replays a whole captured EventBatch through the
-  // fleet's devirtualized run loop; see StreamingEvaluator::ReplayBatch.
+  // Batched dispatch: replays a whole captured EventBatch; see
+  // StreamingEvaluator::ReplayBatch.
   void ReplayBatch(const xml::EventBatch& batch,
                    std::vector<xml::AttributeView>* attr_scratch);
 
@@ -241,7 +241,7 @@ class MultiQueryEvaluator : public xml::ContentHandler {
     return shared_index_ != nullptr ? shared_index_->state_count() : 0;
   }
   // The shared matcher (null until the first StartDocument builds it);
-  // tests use it to pin flat-stepping limits and read step-cache counters.
+  // tests use it to pin the set-interner limit and read its counters.
   SharedMatcher* shared_matcher_for_test() { return shared_matcher_.get(); }
 
  private:

@@ -404,20 +404,8 @@ void ParallelFleet::WorkerLoop(Worker* worker) {
         obs::flight::SetCurrentThreadName("worker/" +
                                           std::to_string(worker->index));
       }
-      if (options_.engine_options.enable_batched_dispatch) {
-        // Devirtualized batch loop; ReplayBatch emits the kReplay span.
-        worker->evaluator->ReplayBatch(batch->batch, &worker->attr_scratch);
-      } else {
-        obs::flight::ScopedSpan replay_span(obs::flight::SpanKind::kReplay);
-        if (replay_span.active()) {
-          replay_span.span()->batch = batch->batch.sequence();
-          replay_span.span()->shard = worker->index;
-          replay_span.span()->doc = worker->docs_completed + 1;
-          replay_span.span()->value =
-              static_cast<int64_t>(batch->batch.event_count());
-        }
-        batch->batch.Replay(worker->evaluator.get(), &worker->attr_scratch);
-      }
+      // ReplayBatch emits the kReplay span.
+      worker->evaluator->ReplayBatch(batch->batch, &worker->attr_scratch);
       worker->stats.batches_consumed += 1;
       worker->stats.events_processed += batch->batch.event_count();
     }

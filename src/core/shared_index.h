@@ -21,10 +21,15 @@
 //
 // The runtime (SharedMatcher) is an NFA simulation with the classic
 // fresh/carry split: child transitions fire only from the states entered at
-// the parent element ("fresh" set of the parent depth), while descendant
-// transitions fire from a persistent "carry" stack of armed states — a
+// the parent element (the "fresh" set of the parent depth), while
+// descendant transitions fire from the "carry" set of armed states — a
 // state with descendant out-edges is armed when entered and stays armed
 // until the element that entered it closes, covering its whole subtree.
+// Both sets are hash-consed into one flat pool of interned state sets, so
+// an open element's configuration is a pair of set ids and a step is
+// (fresh, carry, symbol) -> (fresh', carry'), memoized in a direct-mapped
+// step cache. The pool is bounded: when it fills, the matcher re-interns
+// just the open elements' configurations into an empty pool and carries on.
 //
 // Queries the merger cannot share (backward or sibling axes, predicates,
 // attribute/text tests, value constraints) stay on the per-engine path,
@@ -141,10 +146,10 @@ class SharedIndexBuilder {
   bool root_portal_ = false;
 };
 
-// The immutable runtime form: per-state transition tables as flat sorted
-// arrays (binary-searched by symbol), wildcard targets, and acceptance
-// slices. Read-only after construction, so fleet workers can share one
-// index across threads.
+// The immutable runtime form: one open-addressed step table resolving both
+// named targets of (state, symbol) in a single probe, per-state wildcard
+// targets, and acceptance slices. Read-only after construction, so fleet
+// workers can share one index across threads.
 class SharedIndex {
  public:
   struct BuildStats {
@@ -167,28 +172,8 @@ class SharedIndex {
                                 stats_.chain_nodes);
   }
 
-  // Child transition of `state` on `symbol` (named then wildcard target);
-  // calls fn(target) for each, at most twice.
-  template <typename Fn>
-  void ForEachChildTarget(int32_t state, util::Symbol symbol, Fn&& fn) const {
-    const StateMeta& m = states_[static_cast<size_t>(state)];
-    int32_t named = FindNamed(m.child_begin, m.child_end, symbol);
-    if (named >= 0) fn(named);
-    if (m.child_wild >= 0) fn(m.child_wild);
-  }
-  template <typename Fn>
-  void ForEachDescTarget(int32_t state, util::Symbol symbol, Fn&& fn) const {
-    const StateMeta& m = states_[static_cast<size_t>(state)];
-    int32_t named = FindNamed(m.desc_begin, m.desc_end, symbol);
-    if (named >= 0) fn(named);
-    if (m.desc_wild >= 0) fn(m.desc_wild);
-  }
-
-  // --- flat transition table (batched stepping) ---
-  // One open-addressed first-fit probe resolves both named targets of
-  // (state, symbol); the sorted per-state binary search above stays as the
-  // independent per-event oracle. Entries exist only for keys with at least
-  // one named edge.
+  // Named transitions of (state, symbol). Entries exist only for keys with
+  // at least one named edge; a missing target is -1.
   struct StepEntry {
     int32_t state = -1;  // -1 marks an empty slot
     util::Symbol symbol = util::kInvalidSymbol;
@@ -227,19 +212,11 @@ class SharedIndex {
   friend class SharedIndexBuilder;
 
   struct StateMeta {
-    uint32_t child_begin = 0, child_end = 0;  // into named_edges_
-    uint32_t desc_begin = 0, desc_end = 0;    // into named_edges_
     int32_t child_wild = -1;
     int32_t desc_wild = -1;
     uint32_t accept_begin = 0, accept_end = 0;
     bool has_desc_out = false;
   };
-  struct NamedEdge {
-    util::Symbol symbol;
-    int32_t target;
-  };
-
-  int32_t FindNamed(uint32_t begin, uint32_t end, util::Symbol symbol) const;
 
   static size_t StepHash(int32_t state, util::Symbol symbol) {
     uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(state)) << 32) |
@@ -253,10 +230,12 @@ class SharedIndex {
     key ^= key >> 31;
     return static_cast<size_t>(key);
   }
-  void BuildStepTable();
+  // Inserts or extends the entry of (state, symbol); capacity is sized by
+  // the builder before the first call.
+  void AddNamedEdge(int32_t state, util::Symbol symbol, bool desc,
+                    int32_t target);
 
   std::vector<StateMeta> states_;
-  std::vector<NamedEdge> named_edges_;  // child slice then desc slice, sorted
   std::vector<uint32_t> accepts_;
   std::vector<StepEntry> step_table_;   // open-addressed, power-of-two size
   size_t step_mask_ = 0;                // table size - 1; 0 = no named edges
@@ -270,6 +249,16 @@ class SharedIndex {
 // Result are valid after EndDocument, an aborted document reports
 // Matched() == false while the confirmation flag persists until the next
 // StartDocument.
+//
+// Each open element holds one configuration: an interned fresh set (states
+// entered at it) and an interned carry set (states armed at it or above).
+// Interned sets and cached steps are document-independent and persist
+// across documents. When a step could push the interner past
+// set_flat_set_limit_for_test sets (64k by default), the open elements'
+// configurations — at most 2 * (depth + 1) sets, and ParserLimits::max_depth
+// bounds depth — are re-interned into an emptied pool first. The pool
+// therefore never exceeds limit + 2 * (depth + 1) sets: pathological tag
+// diversity costs a reset, never unbounded memory.
 class SharedMatcher {
  public:
   // `index` must outlive the matcher. `bool_only` mirrors
@@ -287,24 +276,13 @@ class SharedMatcher {
   void EndDocument();
   void AbortDocument();
 
-  // Batched stepping (EngineFleet::ReplayRun): observable behavior is
-  // byte-identical to StartElement/EndElement, but an element is stepped as
-  // one interned (fresh-set, carry-set) configuration through the index's
-  // flat transition table, with a direct-mapped (config, symbol) step cache
-  // short-circuiting repeated tags to two id pushes and the accept scan.
-  // Interned configurations are document-independent and persist across
-  // documents; if the interner saturates (set_flat_set_limit_for_test, or
-  // pathological tag diversity), the current depth stack is materialized
-  // back into the per-event structures and the document finishes on the
-  // legacy path — the next StartDocument re-learns from an empty interner.
-  // A document must be stepped through exactly one of the two paths.
-  void StartElementFlat(util::Symbol symbol, std::string_view name,
-                        const DocumentCursor::Node& node);
-  void EndElementFlat();
-
-  // --- flat-path introspection (tests, benches) ---
+  // --- interner introspection (tests, benches) ---
+  // Takes effect at the next step that would intern a new set.
   void set_flat_set_limit_for_test(size_t limit) { flat_set_limit_ = limit; }
-  bool flat_fallback_active() const { return !flat_ok_; }
+  // Interned sets, the empty and root sets included.
+  size_t interned_set_count() const { return sets_.size(); }
+  // Times the interner hit its limit and re-interned the open elements.
+  uint64_t universe_resets() const { return universe_resets_; }
   uint64_t flat_cache_hits() const { return flat_cache_hits_; }
   uint64_t flat_cache_misses() const { return flat_cache_misses_; }
 
@@ -335,41 +313,44 @@ class SharedMatcher {
     std::vector<OutputItem> items;
   };
 
-  void Enter(int32_t state, size_t depth, const DocumentCursor::Node& node,
-             std::string_view name);
+  // Active-state sets interned into one flat pool: sets_[id] spans
+  // set_pool_. Id 0 is always the empty set, id 1 the root-state set.
+  struct SetSpan {
+    uint32_t begin = 0;
+    uint32_t size = 0;
+  };
+  static constexpr uint32_t kEmptySetId = 0;
+  static constexpr uint32_t kRootSetId = 1;
+  static constexpr size_t kDefaultFlatSetLimit = 1 << 16;
+  static constexpr size_t kStepCacheSize = 4096;  // direct-mapped, power of 2
+
+  struct StepSlot {
+    uint32_t fresh = UINT32_MAX;  // UINT32_MAX = never filled
+    uint32_t carry = 0;
+    util::Symbol symbol = util::kInvalidSymbol;
+    uint32_t fresh_child = 0;
+    uint32_t carry_child = 0;
+  };
+
   void Fire(uint32_t sub, const DocumentCursor::Node& node,
             std::string_view name);
-
-  // --- flat stepping internals ---
-  // Interns the state list [data, data+size) and returns its id; sets *ok
-  // to false (id unusable) when the interner is at flat_set_limit_.
-  uint32_t InternSet(const int32_t* data, uint32_t size, bool* ok);
+  // Interns the state list [data, data+size) and returns its id.
+  uint32_t InternSet(const int32_t* data, uint32_t size);
   // Computes the child configuration of (fresh, carry) on `symbol` through
-  // the flat table. False = interner saturated, nothing was pushed.
-  bool ComputeStep(uint32_t fresh, uint32_t carry, util::Symbol symbol,
+  // the index's step table, interning at most two new sets.
+  void ComputeStep(uint32_t fresh, uint32_t carry, util::Symbol symbol,
                    uint32_t* fresh_child, uint32_t* carry_child);
-  // Materializes fresh_/carry_/in_carry_/carry_added_ from the flat depth
-  // stacks [0, depth_] and routes the rest of the document to the legacy
-  // per-event path.
-  void FlatFallback();
   // Drops every interned set and cached step (set ids are invalidated
-  // together, so the step cache can never serve a stale id).
+  // together, so the step cache can never serve a stale id), then interns
+  // the empty and root sets.
   void ResetFlatUniverse();
+  // ResetFlatUniverse, keeping the configurations of depths [0, top]: their
+  // member lists are copied out first and re-interned into the new pool.
+  void RebaseFlatUniverse(size_t top);
 
   const SharedIndex* index_;
   bool bool_only_;
-
-  // fresh_[d]: states entered at the open element of depth d (document
-  // element at 1; fresh_[0] holds the root state). Vectors are reused
-  // across elements at the same depth, allocation-free in steady state.
-  std::vector<std::vector<int32_t>> fresh_;
-  // Armed states with descendant out-edges, in arming order (a stack:
-  // deeper arms are popped before shallower ones). carry_added_[d] entries
-  // were armed at depth d.
-  std::vector<int32_t> carry_;
-  std::vector<uint32_t> carry_added_;
-  std::vector<uint8_t> in_carry_;  // per state
-  size_t depth_ = 0;
+  size_t depth_ = 0;  // open elements; the document root is depth 0
   bool end_seen_ = false;
 
   std::vector<SubState> subs_;
@@ -384,28 +365,6 @@ class SharedMatcher {
   uint64_t elements_document_ = 0;
   uint64_t states_entered_document_ = 0;
 
-  // --- flat stepping state (batched dispatch) ---
-  // Active-state sets interned into one flat pool: sets_[id] spans pool_.
-  // Id 0 is always the empty set. Configurations (fresh id, carry id) per
-  // depth replace the per-event vectors; a carry set is always a prefix
-  // extension of its parent depth's carry set, which is what FlatFallback
-  // relies on to rebuild the legacy armed stack.
-  struct SetSpan {
-    uint32_t begin = 0;
-    uint32_t size = 0;
-  };
-  static constexpr uint32_t kEmptySetId = 0;
-  static constexpr size_t kDefaultFlatSetLimit = 1 << 16;
-  static constexpr size_t kStepCacheSize = 4096;  // direct-mapped, power of 2
-
-  struct StepSlot {
-    uint32_t fresh = UINT32_MAX;  // UINT32_MAX = never filled
-    uint32_t carry = 0;
-    util::Symbol symbol = util::kInvalidSymbol;
-    uint32_t fresh_child = 0;
-    uint32_t carry_child = 0;
-  };
-
   std::vector<int32_t> set_pool_;
   std::vector<SetSpan> sets_;
   // Per-set accept lists, concatenated in member-state order at intern
@@ -416,13 +375,15 @@ class SharedMatcher {
   std::vector<uint32_t> set_table_;  // open-addressed: id + 1, 0 = empty
   size_t set_mask_ = 0;
   std::vector<StepSlot> step_cache_;
-  std::vector<uint32_t> flat_fresh_stack_;  // config ids, indexed by depth
-  std::vector<uint32_t> flat_carry_stack_;
-  std::vector<int32_t> flat_entered_scratch_;
-  std::vector<int32_t> flat_carry_scratch_;
+  // Configuration of each open element, indexed by depth.
+  std::vector<uint32_t> fresh_stack_;
+  std::vector<uint32_t> carry_stack_;
+  std::vector<int32_t> entered_scratch_;
+  std::vector<int32_t> carry_scratch_;
+  std::vector<int32_t> rebase_states_;   // RebaseFlatUniverse copy-out
+  std::vector<uint32_t> rebase_sizes_;
   size_t flat_set_limit_ = kDefaultFlatSetLimit;
-  bool flat_ok_ = true;      // false: fell back to the legacy path mid-doc
-  bool flat_active_ = false; // this document is being stepped flat
+  uint64_t universe_resets_ = 0;
   uint64_t flat_cache_hits_ = 0;
   uint64_t flat_cache_misses_ = 0;
 };

@@ -100,17 +100,6 @@ struct EngineOptions {
   // parallel-fleet shards) keep those series in their own registry.
   obs::MetricsRegistry* metrics_registry = nullptr;
 
-  // Batched match loop: drivers that hold whole EventBatches
-  // (core/batched_dispatch.h sequentially, ParallelFleet workers) replay
-  // them through the evaluators' devirtualized batch loop — one tight
-  // switch per batch with the cursor, depth stack and candidate lookups
-  // hoisted out of the per-event path, and the shared automaton stepping
-  // through its flat transition table + step cache. Results are
-  // byte-identical either way; disabling selects the per-event virtual
-  // ContentHandler path everywhere, which the differential tests and
-  // fuzz_batched_dispatch_diff use as the oracle.
-  bool enable_batched_dispatch = true;
-
   // Earliest answering ("Earliest query answering over streamed trees"):
   // emit each output item at the earliest event where its membership in the
   // final result is provable — when its structure is *anchored*, i.e.

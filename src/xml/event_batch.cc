@@ -1,6 +1,5 @@
 #include "xml/event_batch.h"
 
-#include <cstring>
 
 namespace xaos::xml {
 
@@ -53,47 +52,6 @@ void EventBatch::AddSkipSubtree(const SkipReport& report) {
       reinterpret_cast<const char*>(&report), sizeof(report)));
   event.text_size = static_cast<uint32_t>(sizeof(report));
   events_.push_back(event);
-}
-
-void EventBatch::Replay(ContentHandler* handler,
-                        std::vector<AttributeView>* attr_scratch) const {
-  for (const BatchedEvent& event : events_) {
-    switch (event.kind) {
-      case BatchedEvent::Kind::kStartDocument:
-        handler->StartDocument();
-        break;
-      case BatchedEvent::Kind::kEndDocument:
-        handler->EndDocument();
-        break;
-      case BatchedEvent::Kind::kStartElement: {
-        attr_scratch->clear();
-        for (uint32_t i = 0; i < event.attr_count; ++i) {
-          const BatchedAttribute& record = attributes_[event.attr_begin + i];
-          attr_scratch->push_back(
-              AttributeView{Slice(record.name_offset, record.name_size),
-                            Slice(record.value_offset, record.value_size),
-                            record.symbol});
-        }
-        handler->StartElement(
-            QName(Slice(event.text_offset, event.text_size), event.symbol),
-            AttributeSpan(*attr_scratch));
-        break;
-      }
-      case BatchedEvent::Kind::kEndElement:
-        handler->EndElement(Slice(event.text_offset, event.text_size));
-        break;
-      case BatchedEvent::Kind::kCharacters:
-        handler->Characters(Slice(event.text_offset, event.text_size));
-        break;
-      case BatchedEvent::Kind::kSkipSubtree: {
-        SkipReport report;
-        std::memcpy(&report, text_.data() + event.text_offset,
-                    sizeof(report));
-        handler->SkippedSubtree(report);
-        break;
-      }
-    }
-  }
 }
 
 void EventBatcher::StartDocument() {

@@ -8,7 +8,7 @@
 // records holding (offset, size) slices into that arena plus the resolved
 // name Symbol the producer already paid for. A batch is therefore
 // self-contained and position-independent: once sealed it can be replayed
-// concurrently by any number of threads (Replay is const; per-consumer
+// concurrently by any number of threads (reads are const; per-consumer
 // scratch is caller-provided), and reused via Clear() without releasing its
 // arena capacity — steady-state capture does no heap allocation.
 //
@@ -37,7 +37,7 @@ struct BatchedEvent {
     kEndElement,
     kCharacters,
     // A projection skip (xml/skip_scanner.h): the text slice holds the
-    // raw SkipReport bytes; Replay re-emits SkippedSubtree().
+    // raw SkipReport bytes.
     kSkipSubtree,
   };
 
@@ -103,18 +103,9 @@ class EventBatch {
   void AddSkipSubtree(const SkipReport& report);
 
   // --- replay side (any number of concurrent consumers) ---
-  // Re-emits the captured events into `handler` in order. `attr_scratch` is
-  // per-consumer reusable storage for the AttributeView span each
-  // StartElement exposes; the views (and the name/text views) point into
-  // this batch and are valid for the duration of each callback, matching
-  // the live-parse contract.
-  void Replay(ContentHandler* handler,
-              std::vector<AttributeView>* attr_scratch) const;
-
-  // Raw read access for devirtualized batch loops (EngineFleet::ReplayRun):
-  // consumers walk the records directly instead of paying one virtual
-  // callback per event. Views point into this batch's arena and stay valid
-  // until Clear().
+  // Raw read access for batch loops (EngineFleet::ReplayRun): consumers walk
+  // the records directly instead of paying one virtual callback per event.
+  // Views point into this batch's arena and stay valid until Clear().
   const std::vector<BatchedEvent>& events() const { return events_; }
   const BatchedAttribute& attribute(size_t i) const { return attributes_[i]; }
   std::string_view text_slice(uint32_t offset, uint32_t size) const {

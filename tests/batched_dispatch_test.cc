@@ -1,22 +1,28 @@
-// Batched dispatch differential tests: the devirtualized batch loop
-// (BatchedDispatcher -> ReplayBatch -> EngineFleet::ReplayRun, with the
-// shared matcher stepping through its flattened transition tables) must be
-// byte-identical to the per-event ContentHandler path — verdicts,
-// document-order items, captures, and the order early items reach the
-// earliest-emission sink — over the axis corpus, random workloads, chunked
-// feeds, and ParallelFleet shardings. Plus the pool-return double-release
-// regression for mid-batch aborts, and the flat-interner saturation
-// fallback.
+// Batched dispatch tests. Verdicts and document-order items of both
+// feeding routes — BatchedDispatcher -> ReplayBatch -> EngineFleet::ReplayRun,
+// and per-event ContentHandler delivery — are checked against the
+// brute-force matcher over the DOM, an independent algorithm, across the
+// axis corpus, chunked feeds, single-event batches, random workloads and
+// ParallelFleet shardings. The two routes are compared with each other only
+// where brute force has no answer: captured XML bytes and the order early
+// items reach the earliest-emission sink. Plus the pool-return
+// double-release regression for mid-batch aborts, and the shared matcher's
+// set-interner reset.
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "baseline/brute_force_matcher.h"
 #include "baseline/compare.h"
 #include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
 #include "core/parallel_fleet.h"
 #include "core/shared_index.h"
+#include "dom/dom_builder.h"
 #include "gen/random_workload.h"
 #include "gtest/gtest.h"
 #include "xml/sax_parser.h"
@@ -61,98 +67,134 @@ void ParseInto(const std::string& xml, xml::ContentHandler* handler,
   ASSERT_TRUE(parser.Finish().ok());
 }
 
-// Runs `expressions` over `xml` through (a) a BatchedDispatcher in front of
-// a MultiQueryEvaluator and (b) the per-event oracle path, and requires
-// identical verdicts, confirmations and canonical result items per query.
-// `batch_events` shrinks the batch budget so documents span many batches;
-// `chunk` feeds the parser in chunk-byte slices (0 = one shot).
-void ExpectBatchedTransparent(const std::vector<std::string>& expressions,
-                              const std::string& xml, size_t chunk = 0,
-                              size_t batch_events = 8,
-                              core::EngineOptions base_options = {}) {
+std::vector<core::Query> CompileAll(
+    const std::vector<std::string>& expressions) {
   std::vector<core::Query> queries;
   for (const std::string& expression : expressions) {
     StatusOr<core::Query> query = core::Query::Compile(expression);
-    ASSERT_TRUE(query.ok()) << expression << ": " << query.status();
-    queries.push_back(std::move(*query));
+    EXPECT_TRUE(query.ok()) << expression << ": " << query.status();
+    if (query.ok()) queries.push_back(std::move(*query));
   }
+  return queries;
+}
 
-  core::EngineOptions batched_options = base_options;
-  batched_options.enable_batched_dispatch = true;
-  core::MultiQueryEvaluator batched(batched_options);
-  core::EngineOptions oracle_options = base_options;
-  oracle_options.enable_batched_dispatch = false;
-  core::MultiQueryEvaluator oracle(oracle_options);
+// The brute-force matcher's answer for one query: disjuncts unioned.
+struct Expected {
+  bool matched = false;
+  std::vector<baseline::CanonicalItem> items;
+};
+
+std::vector<Expected> BruteForce(const std::vector<core::Query>& queries,
+                                 const std::string& xml) {
+  std::vector<Expected> expected(queries.size());
+  StatusOr<dom::Document> doc = dom::ParseToDocument(xml);
+  EXPECT_TRUE(doc.ok()) << doc.status();
+  if (!doc.ok()) return expected;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    std::set<baseline::CanonicalItem> items;
+    for (const query::XTree& tree : queries[q].trees()) {
+      baseline::BruteForceOutcome outcome = baseline::BruteForceMatch(
+          *doc, tree, /*max_explored=*/20'000'000);
+      EXPECT_TRUE(outcome.complete) << queries[q].expression();
+      expected[q].matched = expected[q].matched || outcome.matched;
+      items.insert(outcome.items.begin(), outcome.items.end());
+    }
+    expected[q].items.assign(items.begin(), items.end());
+  }
+  return expected;
+}
+
+// Requires `evaluator`'s verdicts and canonical items to equal the
+// brute-force answers.
+template <typename Evaluator>
+void ExpectEqualsBruteForce(const Evaluator& evaluator,
+                            const std::vector<core::Query>& queries,
+                            const std::vector<Expected>& expected,
+                            const std::string& route) {
+  ASSERT_TRUE(evaluator.status().ok()) << route << ": " << evaluator.status();
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(expected[q].matched, evaluator.Matched(q))
+        << route << " verdict for " << queries[q].expression();
+    EXPECT_EQ(baseline::CanonicalFromResult(evaluator.Result(q)),
+              expected[q].items)
+        << route << " items for " << queries[q].expression();
+  }
+}
+
+// Runs `expressions` over `xml` through a BatchedDispatcher in front of a
+// MultiQueryEvaluator and through per-event delivery into another, and
+// requires both to equal brute force. `batch_events` shrinks the batch
+// budget so documents span many batches; `chunk` feeds the parser in
+// chunk-byte slices (0 = one shot).
+void ExpectBothRoutesMatchBruteForce(
+    const std::vector<std::string>& expressions, const std::string& xml,
+    size_t chunk = 0, size_t batch_events = 8) {
+  std::vector<core::Query> queries = CompileAll(expressions);
+  ASSERT_EQ(queries.size(), expressions.size());
+  core::MultiQueryEvaluator batched;
+  core::MultiQueryEvaluator per_event;
   for (const core::Query& query : queries) {
     batched.AddQuery(query);
-    oracle.AddQuery(query);
+    per_event.AddQuery(query);
   }
 
   core::BatchedDispatchOptions dispatch_options;
   dispatch_options.max_batch_events = batch_events;
   core::BatchedDispatcher dispatcher(&batched, dispatch_options);
   ParseInto(xml, &dispatcher, chunk);
-  ParseInto(xml, &oracle, chunk);
-  ASSERT_TRUE(batched.status().ok()) << batched.status();
-  ASSERT_TRUE(oracle.status().ok()) << oracle.status();
+  ParseInto(xml, &per_event, chunk);
   EXPECT_GT(dispatcher.batches_replayed(), 0u);
 
+  const std::vector<Expected> expected = BruteForce(queries, xml);
+  ExpectEqualsBruteForce(batched, queries, expected, "batched");
+  ExpectEqualsBruteForce(per_event, queries, expected, "per-event");
   for (size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_EQ(oracle.Matched(q), batched.Matched(q))
-        << "verdict mismatch for " << expressions[q];
-    EXPECT_EQ(oracle.MatchConfirmed(q), batched.MatchConfirmed(q))
-        << "confirmation mismatch for " << expressions[q];
-    EXPECT_EQ(baseline::CanonicalFromResult(oracle.Result(q)),
-              baseline::CanonicalFromResult(batched.Result(q)))
-        << "result mismatch for " << expressions[q];
+    // Confirmation is monotone and complete by document end.
+    EXPECT_EQ(batched.Matched(q), batched.MatchConfirmed(q))
+        << expressions[q];
   }
 }
 
 TEST(BatchedDifferentialTest, AxisCorpus) {
-  ExpectBatchedTransparent(AxisExpressions(), kAxisDoc);
+  ExpectBothRoutesMatchBruteForce(AxisExpressions(), kAxisDoc);
 }
 
 TEST(BatchedDifferentialTest, ChunkedFeeds) {
   // Chunked feeds shift where batch publishes land relative to element
   // boundaries; results must not care.
   for (size_t chunk : {1u, 7u, 64u}) {
-    ExpectBatchedTransparent(AxisExpressions(), kAxisDoc, chunk);
+    ExpectBothRoutesMatchBruteForce(AxisExpressions(), kAxisDoc, chunk);
   }
 }
 
 TEST(BatchedDifferentialTest, SingleEventBatches) {
   // Degenerate budget: one event per batch maximizes boundary crossings.
-  ExpectBatchedTransparent(AxisExpressions(), kAxisDoc, /*chunk=*/0,
-                           /*batch_events=*/1);
+  ExpectBothRoutesMatchBruteForce(AxisExpressions(), kAxisDoc, /*chunk=*/0,
+                                  /*batch_events=*/1);
 }
 
 TEST(BatchedDifferentialTest, CapturesAreByteIdentical) {
   // Subtree capture disables the shared backend and keeps engines in the
-  // always-dispatch set; captured XML must match byte-for-byte.
+  // always-dispatch set; captured XML must match byte-for-byte (brute force
+  // yields no captures, so the per-event route is the reference here).
   std::vector<std::string> expressions = {"//b/c", "//e", "/a/b"};
-  std::vector<core::Query> queries;
-  for (const std::string& expression : expressions) {
-    StatusOr<core::Query> query = core::Query::Compile(expression);
-    ASSERT_TRUE(query.ok());
-    queries.push_back(std::move(*query));
-  }
+  std::vector<core::Query> queries = CompileAll(expressions);
+  ASSERT_EQ(queries.size(), expressions.size());
   core::EngineOptions options;
   options.capture_output_subtrees = true;
-  options.enable_batched_dispatch = true;
   core::MultiQueryEvaluator batched(options);
-  options.enable_batched_dispatch = false;
-  core::MultiQueryEvaluator oracle(options);
+  core::MultiQueryEvaluator per_event(options);
   for (const core::Query& query : queries) {
     batched.AddQuery(query);
-    oracle.AddQuery(query);
+    per_event.AddQuery(query);
   }
   core::BatchedDispatchOptions dispatch_options;
   dispatch_options.max_batch_events = 4;
   core::BatchedDispatcher dispatcher(&batched, dispatch_options);
   ParseInto(kAxisDoc, &dispatcher, 0);
-  ParseInto(kAxisDoc, &oracle, 0);
+  ParseInto(kAxisDoc, &per_event, 0);
   for (size_t q = 0; q < queries.size(); ++q) {
-    core::QueryResult expected = oracle.Result(q);
+    core::QueryResult expected = per_event.Result(q);
     core::QueryResult actual = batched.Result(q);
     ASSERT_EQ(expected.items.size(), actual.items.size()) << expressions[q];
     for (size_t i = 0; i < expected.items.size(); ++i) {
@@ -164,15 +206,14 @@ TEST(BatchedDifferentialTest, CapturesAreByteIdentical) {
 }
 
 TEST(BatchedDifferentialTest, EarliestEmissionOrderMatches) {
-  // Early items reach the sink in the same order on both paths (the batch
-  // loop only changes when buffered events are handed over, not their
-  // sequence).
+  // Early items reach the sink in the same order on both routes (batching
+  // only changes when buffered events are handed over, not their
+  // sequence); brute force has no notion of emission order.
   StatusOr<core::Query> query = core::Query::Compile("//b | //c");
   ASSERT_TRUE(query.ok());
   auto run = [&](bool batched_path) {
     std::vector<core::ElementId> emitted;
     core::EngineOptions options;
-    options.enable_batched_dispatch = batched_path;
     options.enable_shared_index = false;  // the sink is an engine feature
     options.early_item_sink = [&](const core::OutputItem& item) {
       emitted.push_back(item.info.id);
@@ -189,10 +230,10 @@ TEST(BatchedDifferentialTest, EarliestEmissionOrderMatches) {
     }
     return emitted;
   };
-  std::vector<core::ElementId> oracle = run(false);
+  std::vector<core::ElementId> per_event = run(false);
   std::vector<core::ElementId> batched = run(true);
-  EXPECT_FALSE(oracle.empty());
-  EXPECT_EQ(oracle, batched);
+  EXPECT_FALSE(per_event.empty());
+  EXPECT_EQ(per_event, batched);
 }
 
 TEST(BatchedDifferentialTest, FlushExposesMidStreamVerdicts) {
@@ -217,7 +258,7 @@ TEST(BatchedDifferentialTest, FlushExposesMidStreamVerdicts) {
 class BatchedRandomDifferentialTest
     : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(BatchedRandomDifferentialTest, MatchesOracle) {
+TEST_P(BatchedRandomDifferentialTest, MatchesBruteForce) {
   uint64_t seed = GetParam();
   gen::RandomQueryOptions query_options;
   gen::RandomDocOptions doc_options;
@@ -236,8 +277,8 @@ TEST_P(BatchedRandomDifferentialTest, MatchesOracle) {
     documents.push_back(workload->document);
   }
   for (const std::string& document : documents) {
-    ExpectBatchedTransparent(expressions, document, /*chunk=*/0,
-                             /*batch_events=*/64);
+    ExpectBothRoutesMatchBruteForce(expressions, document, /*chunk=*/0,
+                                    /*batch_events=*/64);
   }
 }
 
@@ -246,41 +287,25 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchedRandomDifferentialTest,
 
 // --- ParallelFleet ----------------------------------------------------------
 
-TEST(BatchedParallelTest, WorkersAgreeWithPerEventOracle) {
+TEST(BatchedParallelTest, WorkersMatchBruteForce) {
   std::vector<std::string> expressions = AxisExpressions();
   for (int i = 0; i < 8; ++i) {
     expressions.push_back("//b/absent_" + std::to_string(i));
     expressions.push_back("/a/b/c");
   }
-  std::vector<core::Query> queries;
-  for (const std::string& expression : expressions) {
-    StatusOr<core::Query> query = core::Query::Compile(expression);
-    ASSERT_TRUE(query.ok()) << expression << ": " << query.status();
-    queries.push_back(std::move(*query));
-  }
-
-  core::EngineOptions oracle_options;
-  oracle_options.enable_batched_dispatch = false;
-  core::MultiQueryEvaluator oracle(oracle_options);
-  for (const core::Query& query : queries) oracle.AddQuery(query);
-  ASSERT_TRUE(xml::ParseString(kAxisDoc, &oracle).ok());
+  std::vector<core::Query> queries = CompileAll(expressions);
+  ASSERT_EQ(queries.size(), expressions.size());
+  const std::vector<Expected> expected = BruteForce(queries, kAxisDoc);
 
   for (int workers : {1, 2, 4}) {
     core::ParallelFleetOptions options;
     options.num_workers = workers;
     options.max_batch_events = 4;  // force many batches per document
-    options.engine_options.enable_batched_dispatch = true;
     core::ParallelFleet fleet(options);
     for (const core::Query& query : queries) fleet.AddQuery(query);
     ASSERT_TRUE(xml::ParseString(kAxisDoc, &fleet).ok());
-    ASSERT_TRUE(fleet.status().ok()) << fleet.status();
-    for (size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_EQ(oracle.Matched(q), fleet.Matched(q))
-          << "workers=" << workers << " query " << expressions[q];
-      EXPECT_EQ(baseline::CanonicalFromResult(oracle.Result(q)),
-                baseline::CanonicalFromResult(fleet.Result(q)))
-          << "workers=" << workers << " query " << expressions[q];
-    }
+    ExpectEqualsBruteForce(fleet, queries, expected,
+                           "workers=" + std::to_string(workers));
   }
 }
 
@@ -320,6 +345,9 @@ TEST(BatchedParallelTest, AdaptiveCoalescingUnderBackPressure) {
   options.max_batch_events = 2;
   options.ring_capacity = 2;
   options.max_batch_events_cap = 256;
+  // No decay within the stream: whether the rings drain before the last
+  // publish is scheduler timing, and decay has its own test above.
+  options.adaptive_decay_publishes = SIZE_MAX;
   core::ParallelFleet fleet(options);
   for (const core::Query& query : queries) fleet.AddQuery(query);
   ASSERT_TRUE(xml::ParseString(doc, &fleet).ok());
@@ -397,49 +425,170 @@ TEST(BatchedAbortTest, ReentrantAbortDoesNotDoubleReleaseBatch) {
   }
 }
 
-// --- flat-interner saturation fallback --------------------------------------
+// --- set-interner reset ----------------------------------------------------
 
-TEST(BatchedFlatFallbackTest, SaturationFallsBackMidDocument) {
-  std::vector<std::string> expressions = {"/a/b/c", "//a//c", "/a/*/c",
-                                          "//c",    "//b/a",  "//d"};
-  std::vector<core::Query> queries;
-  for (const std::string& expression : expressions) {
-    StatusOr<core::Query> query = core::Query::Compile(expression);
-    ASSERT_TRUE(query.ok());
-    queries.push_back(std::move(*query));
+// Shareable chains only: every query runs on the shared automaton.
+const char* const kSharedCorpus[] = {"/a/b/c", "//a//c", "/a/*/c", "//c",
+                                     "//b/a",  "//d",    "//a/b//d", "//*/c"};
+
+// A single path `depth` elements deep whose tags cycle a, b, c, d, e; each
+// level moves the matcher to a configuration the level above has not seen.
+std::string DeepDocument(int depth) {
+  static const char* const kTags[] = {"a", "b", "c", "d", "e"};
+  std::string open;
+  std::string close;
+  for (int i = 0; i < depth; ++i) {
+    const std::string tag = kTags[i % 5];
+    open += "<" + tag + ">";
+    close = "</" + tag + ">" + close;
   }
-  core::MultiQueryEvaluator batched;
-  core::EngineOptions oracle_options;
-  oracle_options.enable_batched_dispatch = false;
-  core::MultiQueryEvaluator oracle(oracle_options);
-  for (const core::Query& query : queries) {
-    batched.AddQuery(query);
-    oracle.AddQuery(query);
+  return open + close;
+}
+
+// Forwards events to `next` and checks the interner bound after every
+// start-element, so mid-document peaks are caught, not just end states.
+class BoundCheckingHandler : public xml::ContentHandler {
+ public:
+  BoundCheckingHandler(xml::ContentHandler* next,
+                       core::MultiQueryEvaluator* evaluator, size_t limit)
+      : next_(next), evaluator_(evaluator), limit_(limit) {}
+
+  void StartDocument() override {
+    depth_ = 0;
+    next_->StartDocument();
+  }
+  void EndDocument() override { next_->EndDocument(); }
+  void StartElement(const xml::QName& name,
+                    xml::AttributeSpan attributes) override {
+    next_->StartElement(name, attributes);
+    max_depth_ = std::max(max_depth_, ++depth_);
+    const core::SharedMatcher* matcher = evaluator_->shared_matcher_for_test();
+    EXPECT_LE(matcher->interned_set_count(), limit_ + 2 * (max_depth_ + 1));
+  }
+  void EndElement(std::string_view name) override {
+    --depth_;
+    next_->EndElement(name);
+  }
+  void Characters(std::string_view text) override { next_->Characters(text); }
+  void SkippedSubtree(const xml::SkipReport& report) override {
+    next_->SkippedSubtree(report);
   }
 
-  // A minimal first document builds the matcher (so the test can pin its
-  // interner limit) without pre-interning the sets kAxisDoc needs — the
-  // limit only bites when a *new* set must be interned.
-  core::BatchedDispatcher warmup(&batched);
-  ParseInto("<zzz/>", &warmup, 0);
-  core::SharedMatcher* matcher = batched.shared_matcher_for_test();
-  ASSERT_NE(matcher, nullptr);
-  matcher->set_flat_set_limit_for_test(2);  // empty set + root set only
+  size_t max_depth() const { return max_depth_; }
 
-  core::BatchedDispatcher dispatcher(&batched);
-  ParseInto(kAxisDoc, &dispatcher, 0);
-  EXPECT_TRUE(matcher->flat_fallback_active());
+ private:
+  xml::ContentHandler* next_;
+  core::MultiQueryEvaluator* evaluator_;
+  size_t limit_;
+  size_t depth_ = 0;
+  size_t max_depth_ = 0;
+};
 
-  ParseInto(kAxisDoc, &oracle, 0);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_EQ(oracle.Matched(q), batched.Matched(q)) << expressions[q];
-    EXPECT_EQ(baseline::CanonicalFromResult(oracle.Result(q)),
-              baseline::CanonicalFromResult(batched.Result(q)))
-        << expressions[q];
+TEST(SharedMatcherResetTest, ResetMidDocumentMatchesBruteForce) {
+  constexpr size_t kLimit = 6;
+  constexpr int kDepth = 24;  // deeper than the limit: resets mid-document
+  const std::vector<core::Query> queries = CompileAll(std::vector<std::string>(
+      kSharedCorpus, kSharedCorpus + std::size(kSharedCorpus)));
+  const std::string doc = DeepDocument(kDepth);
+  const std::vector<Expected> expected = BruteForce(queries, doc);
+
+  for (const bool batched : {true, false}) {
+    const std::string route = batched ? "batched" : "per-event";
+    core::MultiQueryEvaluator evaluator;
+    for (const core::Query& query : queries) evaluator.AddQuery(query);
+    ASSERT_EQ(evaluator.shared_subscription_count(), queries.size());
+    core::BatchedDispatchOptions dispatch_options;
+    dispatch_options.max_batch_events = 1;  // bound checked per event
+    core::BatchedDispatcher dispatcher(&evaluator, dispatch_options);
+    xml::ContentHandler* entry =
+        batched ? static_cast<xml::ContentHandler*>(&dispatcher) : &evaluator;
+
+    // A minimal first document builds the matcher so its limit can be
+    // pinned before the deep document arrives.
+    ParseInto("<zzz/>", entry, 0);
+    core::SharedMatcher* matcher = evaluator.shared_matcher_for_test();
+    ASSERT_NE(matcher, nullptr);
+    matcher->set_flat_set_limit_for_test(kLimit);
+
+    BoundCheckingHandler checked(entry, &evaluator, kLimit);
+    // Twice: the second document starts from the rebased universe.
+    for (int round = 0; round < 2; ++round) {
+      ParseInto(doc, &checked, 0);
+      ExpectEqualsBruteForce(evaluator, queries, expected,
+                             route + " round " + std::to_string(round));
+    }
+    EXPECT_GT(matcher->universe_resets(), 0u) << route;
+    EXPECT_EQ(checked.max_depth(), static_cast<size_t>(kDepth));
   }
 }
 
-TEST(BatchedFlatFallbackTest, StepCacheHitsAccumulate) {
+TEST(SharedMatcherResetTest, InternedSetsStayBoundedAcrossDocuments) {
+  constexpr size_t kLimit = 64;
+  constexpr int kDocuments = 1000;
+  std::mt19937 rng(7);
+  auto tag = [&](int alphabet) {
+    return "t" + std::to_string(std::uniform_int_distribution<int>(
+                     0, alphabet - 1)(rng));
+  };
+  // 48 shareable chains over t0..t23; documents also draw from t24..t39,
+  // names no query mentions.
+  std::vector<std::string> expressions;
+  for (int i = 0; i < 48; ++i) {
+    switch (i % 4) {
+      case 0: expressions.push_back("//" + tag(24) + "//" + tag(24)); break;
+      case 1: expressions.push_back("/" + tag(24) + "/*/" + tag(24)); break;
+      case 2: expressions.push_back("//" + tag(24) + "/" + tag(24)); break;
+      default:
+        expressions.push_back("//*/" + tag(24) + "//" + tag(24) + "/*");
+    }
+  }
+  const std::vector<core::Query> queries = CompileAll(expressions);
+  core::MultiQueryEvaluator evaluator;
+  for (const core::Query& query : queries) evaluator.AddQuery(query);
+  ASSERT_EQ(evaluator.shared_subscription_count(), queries.size());
+  core::BatchedDispatchOptions dispatch_options;
+  dispatch_options.max_batch_events = 1;
+  core::BatchedDispatcher dispatcher(&evaluator, dispatch_options);
+  ParseInto("<zzz/>", &dispatcher, 0);
+  core::SharedMatcher* matcher = evaluator.shared_matcher_for_test();
+  ASSERT_NE(matcher, nullptr);
+  matcher->set_flat_set_limit_for_test(kLimit);
+
+  BoundCheckingHandler checked(&dispatcher, &evaluator, kLimit);
+  // Random trees of ~40 elements, up to 10 deep.
+  auto random_document = [&] {
+    std::string doc;
+    std::vector<std::string> open;
+    for (int n = 0; n < 40; ++n) {
+      while (!open.empty() &&
+             (open.size() >= 10 || rng() % 3 == 0)) {
+        doc += "</" + open.back() + ">";
+        open.pop_back();
+      }
+      if (open.empty() && n > 0) break;  // one document element
+      open.push_back(tag(40));
+      doc += "<" + open.back() + ">";
+    }
+    while (!open.empty()) {
+      doc += "</" + open.back() + ">";
+      open.pop_back();
+    }
+    return doc;
+  };
+  for (int d = 0; d < kDocuments; ++d) {
+    const std::string doc = random_document();
+    ParseInto(doc, &checked, 0);
+    if (d % 50 == 0) {
+      ExpectEqualsBruteForce(evaluator, queries, BruteForce(queries, doc),
+                             "document " + std::to_string(d));
+    }
+  }
+  EXPECT_GT(matcher->universe_resets(), 0u);
+  EXPECT_LE(matcher->interned_set_count(),
+            kLimit + 2 * (checked.max_depth() + 1));
+}
+
+TEST(SharedMatcherResetTest, StepCacheHitsAccumulate) {
   std::vector<std::string> expressions = {"/a/b/c", "//b", "//c"};
   core::MultiQueryEvaluator batched;
   for (const std::string& expression : expressions) {
@@ -454,7 +603,7 @@ TEST(BatchedFlatFallbackTest, StepCacheHitsAccumulate) {
   ParseInto(doc, &dispatcher, 0);
   core::SharedMatcher* matcher = batched.shared_matcher_for_test();
   ASSERT_NE(matcher, nullptr);
-  EXPECT_FALSE(matcher->flat_fallback_active());
+  EXPECT_EQ(matcher->universe_resets(), 0u);
   // A repetitive document steps through a handful of distinct
   // (state-set, symbol) configurations: hits dominate misses.
   EXPECT_GT(matcher->flat_cache_hits(), matcher->flat_cache_misses());

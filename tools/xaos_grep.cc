@@ -332,14 +332,7 @@ int main(int argc, char** argv) {
   engine_options.capture_output_subtrees = options.capture;
   engine_options.stop_after_confirmed_match = options.match_only;
   xaos::core::StreamingEvaluator evaluator(*query, engine_options);
-  // Events reach the evaluator through batched dispatch (results are
-  // byte-identical to per-event delivery; EngineOptions keeps the
-  // per-event path available as the differential oracle).
   xaos::core::BatchedDispatcher dispatcher(&evaluator);
-  xaos::xml::ContentHandler* sink =
-      engine_options.enable_batched_dispatch
-          ? static_cast<xaos::xml::ContentHandler*>(&dispatcher)
-          : &evaluator;
   if (!options.no_projection) {
     parser_options.projection_filter = evaluator.projection_filter();
   }
@@ -349,17 +342,13 @@ int main(int argc, char** argv) {
   bool any_error = false;
   for (const std::string& path : options.files) {
     xaos::Status status =
-        xaos::xml::ParseFile(path, sink, 1 << 16, parser_options);
+        xaos::xml::ParseFile(path, &dispatcher, 1 << 16, parser_options);
     if (!status.ok()) {
       // Close out the abandoned document so the evaluator is clean for the
       // remaining files; one bad input must not mask the others.
       std::fprintf(stderr, "%s: %s\n", path.c_str(),
                    status.ToString().c_str());
-      if (sink == &dispatcher) {
-        dispatcher.AbortDocument(status);
-      } else {
-        evaluator.AbortDocument(status);
-      }
+      dispatcher.AbortDocument(status);
       any_error = true;
       continue;
     }
