@@ -5,12 +5,12 @@
 // BatchedDispatcher interposes an EventBatcher: parser callbacks append
 // fixed-size records into a pooled EventBatch, and each full batch is
 // replayed in one call through MultiQueryEvaluator/StreamingEvaluator::
-// ReplayBatch, whose EngineFleet::ReplayRun decodes the records into the
-// same fleet members an evaluator fed event by event runs. Results are
-// therefore identical to feeding the evaluator directly; only the instant
-// at which buffered events reach the evaluator shifts — by at most one
-// batch, and Flush() hands over the buffer on demand when a caller wants a
-// mid-stream verdict at an exact event boundary.
+// ReplayBatch into EngineFleet::ReplayRun — the same two-pass replay an
+// evaluator fed event by event runs on one-event runs. Results are therefore
+// identical to feeding the evaluator directly; only the instant at which
+// buffered events reach the evaluator shifts — by at most one batch, and
+// Flush() hands over the buffer on demand when a caller wants a mid-stream
+// verdict at an exact event boundary.
 //
 // Batches come from a small internal free pool and return to it after
 // replay, so steady-state dispatch performs no heap allocation. An aborting

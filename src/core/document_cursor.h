@@ -1,17 +1,16 @@
-// A shared document cursor: uniform node-id, level and ordinal assignment
-// for a fleet of engines fed from one event stream.
+// A document cursor: uniform node-id, level and ordinal assignment for
+// consumers fed from one event stream.
 //
-// Historically each XaosEngine numbered document nodes with its own private
-// counter, advanced only by the events it chose to receive (attributes and
-// text were numbered only when the query mentioned them). With label-indexed
-// dispatch an engine no longer sees every event, so ids must come from a
-// source that does: the fleet advances one DocumentCursor per event and
-// every engine reads ids from it. The numbering is uniform — every element,
-// every attribute and every text run gets an id whether or not any engine
-// cares — so ids are identical across engines and monotone in document
-// order (the property the engine's ancestor/ordering checks rely on).
+// With label-indexed dispatch an engine no longer sees every event, so ids
+// must come from a source that does: the fleet advances one DocumentCursor
+// per event and hands each delivered node's NodePosition to the engines it
+// delivers to (a stand-alone XaosEngine advances a private cursor the same
+// way). The numbering is uniform — every element, every attribute and every
+// text run gets an id whether or not any engine cares — so ids are
+// identical across engines and monotone in document order (the property the
+// engine's ancestor/ordering checks rely on).
 //
-// An engine attached to a cursor keeps only a *sparse* stack (frames for
+// An engine fed a filtered stream keeps only a *sparse* stack (frames for
 // elements it was shown); parent-id guards in its matching logic treat
 // skipped ancestors as empty frames.
 
@@ -28,13 +27,7 @@ namespace xaos::core {
 
 class DocumentCursor {
  public:
-  struct Node {
-    ElementId id = 0;         // this element's id (virtual root: 0)
-    ElementId parent_id = 0;
-    ElementId attr_base = 0;  // id of this element's first attribute
-    uint32_t level = 0;       // virtual root: 0, document element: 1
-    uint64_t ordinal = 0;     // 1-based start-element ordinal; root: 0
-  };
+  using Node = NodePosition;
 
   DocumentCursor() { Reset(); }
 
@@ -52,11 +45,10 @@ class DocumentCursor {
   void StartElement(size_t attr_count) {
     Node node;
     node.parent_id = spine_.back().id;
-    node.id = next_id_++;
-    node.attr_base = next_id_;
-    next_id_ += static_cast<ElementId>(attr_count);
+    node.id = next_id_;
+    next_id_ += 1 + static_cast<ElementId>(attr_count);
     node.level = static_cast<uint32_t>(spine_.size());
-    node.ordinal = ++elements_total_;
+    node.ordinal = static_cast<uint32_t>(++elements_total_);
     spine_.push_back(node);
   }
 
@@ -81,12 +73,12 @@ class DocumentCursor {
   // Depth of the spine including the virtual root (== top().level + 1).
   size_t depth() const { return spine_.size(); }
 
-  // Id of attribute `k` (0-based) of the innermost open element.
-  ElementId attribute_id(size_t k) const {
-    return spine_.back().attr_base + static_cast<ElementId>(k);
+  // Position of the text run most recently announced via Characters(): a
+  // child of the innermost open element.
+  Node text_node() const {
+    const Node& parent = spine_.back();
+    return Node{text_id_, parent.id, parent.level + 1, parent.ordinal};
   }
-  // Id of the text run most recently announced via Characters().
-  ElementId text_id() const { return text_id_; }
 
   // Total start-elements seen this document.
   uint64_t elements_total() const { return elements_total_; }

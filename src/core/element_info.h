@@ -18,6 +18,17 @@ namespace xaos::core {
 // id(·) function (Section 2.1).
 using ElementId = uint32_t;
 
+// Document-position identity of one node, as a DocumentCursor assigns it:
+// what an event source hands an engine along with the node itself. The
+// attributes of an element take the ids right after it (attribute k of
+// element `id` is `id + 1 + k`).
+struct NodePosition {
+  ElementId id = 0;         // this node's id (virtual root: 0)
+  ElementId parent_id = 0;
+  uint32_t level = 0;       // virtual root: 0, document element: 1
+  uint32_t ordinal = 0;     // 1-based start-element ordinal; root: 0
+};
+
 struct ElementInfo {
   ElementId id = 0;
   // Event id of the parent node (0 for the virtual root itself).

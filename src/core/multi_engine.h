@@ -72,9 +72,9 @@ class StreamingEvaluator : public xml::ContentHandler {
 
   // Batched dispatch: replays a whole captured EventBatch, handling any
   // document-boundary events the batch contains; interior runs go through
-  // EngineFleet::ReplayRun, which decodes records into the same fleet
-  // members the ContentHandler callbacks use. `attr_scratch` is per-caller
-  // reusable attribute-view storage.
+  // EngineFleet::ReplayRun, the replay the ContentHandler callbacks run as
+  // one-event runs. `attr_scratch` is per-caller reusable attribute-view
+  // storage.
   void ReplayBatch(const xml::EventBatch& batch,
                    std::vector<xml::AttributeView>* attr_scratch);
 
@@ -228,6 +228,8 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   void ExportMetrics(obs::MetricsRegistry* registry) const;
   uint64_t engines_skipped() const { return fleet_.engines_skipped(); }
   size_t engine_count() const { return engines_.size(); }
+  // The per-engine dispatch fleet (introspection: tests, benches).
+  const EngineFleet& fleet() const { return fleet_; }
 
   // --- shared-backend introspection (tests, benches, obs) ---
   // Subscriptions routed through the shared automaton (aliases of shared

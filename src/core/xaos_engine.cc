@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/timer.h"
+#include "query/xdag.h"
 
 namespace xaos::core {
 
@@ -19,7 +20,6 @@ using xpath::Axis;
 XaosEngine::XaosEngine(const query::XTree* tree, EngineOptions options,
                        util::PoolArena* arena)
     : tree_(tree),
-      xdag_(*tree),
       options_(options),
       own_arena_(arena == nullptr ? std::make_unique<util::PoolArena>()
                                   : nullptr),
@@ -27,12 +27,48 @@ XaosEngine::XaosEngine(const query::XTree* tree, EngineOptions options,
   XAOS_CHECK(tree_->node(kRootXNode).test.kind == NodeTestSpec::Kind::kRoot)
       << "x-tree node 0 must test for the virtual root";
 
-  int n = tree_->size();
-  slot_in_parent_.assign(static_cast<size_t>(n), -1);
-  is_output_.assign(static_cast<size_t>(n), false);
-  // Name tests are interned once here (the x-tree compiler usually already
-  // did — name_symbol — so this is a no-op hash at most once per x-node);
-  // at event time candidate lookup is a flat index by the event's Symbol.
+  // The x-dag is only needed to derive the tables below.
+  const query::XDag xdag(*tree_);
+  const int n = tree_->size();
+  rows_.resize(static_cast<size_t>(n));
+  for (XNodeId v = 0; v < n; ++v) {
+    const query::XNode& node = tree_->node(v);
+    XNodeRow& r = rows_[static_cast<size_t>(v)];
+    r.parent = node.parent;
+    r.incoming_axis = node.incoming_axis;
+    r.depth = static_cast<int16_t>(node.depth);
+    if (node.is_output) r.flags |= kOutput;
+    // MatchesSpec constrains the string value of attribute and text tests
+    // only.
+    if (node.test.value.has_value() &&
+        (node.test.kind == NodeTestSpec::Kind::kAttribute ||
+         node.test.kind == NodeTestSpec::Kind::kAnyAttribute ||
+         node.test.kind == NodeTestSpec::Kind::kText)) {
+      r.flags |= kValueTest;
+    }
+    r.children_begin = static_cast<uint32_t>(child_ids_.size());
+    for (size_t i = 0; i < node.children.size(); ++i) {
+      rows_[static_cast<size_t>(node.children[i])].slot = static_cast<int>(i);
+      child_ids_.push_back(node.children[i]);
+    }
+    r.children_end = static_cast<uint32_t>(child_ids_.size());
+    r.in_edges_begin = static_cast<uint32_t>(in_edges_.size());
+    for (const query::XDagEdge& edge : xdag.incoming(v)) {
+      in_edges_.push_back(InEdge{edge.from, edge.axis});
+    }
+    r.in_edges_end = static_cast<uint32_t>(in_edges_.size());
+  }
+
+  // Candidate lists by node kind. Name tests are interned once here (the
+  // x-tree compiler usually already did — name_symbol — so this is a no-op
+  // hash at most once per x-node); at event time candidate lookup is a flat
+  // index by the event's Symbol.
+  std::vector<std::vector<XNodeId>> named_elements;
+  std::vector<std::vector<XNodeId>> named_attributes;
+  std::vector<XNodeId> any_element;
+  std::vector<XNodeId> any_attribute;
+  std::vector<XNodeId> text;
+  std::vector<XNodeId> root;
   auto add_named = [this](std::vector<std::vector<XNodeId>>* table,
                           const NodeTestSpec& spec, XNodeId v) {
     util::Symbol s = spec.name_symbol != util::kInvalidSymbol
@@ -45,32 +81,27 @@ XaosEngine::XaosEngine(const query::XTree* tree, EngineOptions options,
     mentioned_symbols_.push_back(s);
   };
   for (XNodeId v = 0; v < n; ++v) {
-    const query::XNode& node = tree_->node(v);
-    is_output_[static_cast<size_t>(v)] = node.is_output;
-    for (size_t i = 0; i < node.children.size(); ++i) {
-      slot_in_parent_[static_cast<size_t>(node.children[i])] =
-          static_cast<int>(i);
-    }
-    switch (node.test.kind) {
+    const NodeTestSpec& test = tree_->node(v).test;
+    switch (test.kind) {
       case NodeTestSpec::Kind::kRoot:
-        root_candidates_.push_back(v);
+        root.push_back(v);
         break;
       case NodeTestSpec::Kind::kElement:
-        add_named(&element_candidates_, node.test, v);
+        add_named(&named_elements, test, v);
         break;
       case NodeTestSpec::Kind::kAnyElement:
-        any_element_candidates_.push_back(v);
+        any_element.push_back(v);
         break;
       case NodeTestSpec::Kind::kAttribute:
-        add_named(&attribute_candidates_, node.test, v);
+        add_named(&named_attributes, test, v);
         wants_attributes_ = true;
         break;
       case NodeTestSpec::Kind::kAnyAttribute:
-        any_attribute_candidates_.push_back(v);
+        any_attribute.push_back(v);
         wants_attributes_ = true;
         break;
       case NodeTestSpec::Kind::kText:
-        text_candidates_.push_back(v);
+        text.push_back(v);
         wants_text_ = true;
         break;
     }
@@ -79,64 +110,78 @@ XaosEngine::XaosEngine(const query::XTree* tree, EngineOptions options,
   mentioned_symbols_.erase(
       std::unique(mentioned_symbols_.begin(), mentioned_symbols_.end()),
       mentioned_symbols_.end());
-  // Pre-sort every candidate list by topological rank so that self-edges
-  // are resolved in order within a single event.
-  auto by_rank = [this](XNodeId a, XNodeId b) {
-    return xdag_.TopologicalRank(a) < xdag_.TopologicalRank(b);
+  mentioned_symbols_.shrink_to_fit();
+  // Every list is sorted by topological rank so that self-edges are
+  // resolved in order within a single event; each named list is merged with
+  // its kind's wildcards here, once, instead of at every event.
+  auto append = [this, &xdag](std::vector<XNodeId> list) {
+    std::sort(list.begin(), list.end(), [&xdag](XNodeId a, XNodeId b) {
+      return xdag.TopologicalRank(a) < xdag.TopologicalRank(b);
+    });
+    CandidateSpan span;
+    span.begin = static_cast<uint32_t>(candidates_.size());
+    candidates_.insert(candidates_.end(), list.begin(), list.end());
+    span.end = static_cast<uint32_t>(candidates_.size());
+    return span;
   };
-  std::sort(root_candidates_.begin(), root_candidates_.end(), by_rank);
-  std::sort(any_element_candidates_.begin(), any_element_candidates_.end(),
-            by_rank);
-  std::sort(any_attribute_candidates_.begin(), any_attribute_candidates_.end(),
-            by_rank);
-  std::sort(text_candidates_.begin(), text_candidates_.end(), by_rank);
-  for (auto& list : element_candidates_) {
-    std::sort(list.begin(), list.end(), by_rank);
-  }
-  for (auto& list : attribute_candidates_) {
-    std::sort(list.begin(), list.end(), by_rank);
-  }
+  root_ = append(root);
+  text_ = append(text);
+  any_element_ = append(any_element);
+  any_attribute_ = append(any_attribute);
+  auto build_spans = [&append](
+                         const std::vector<std::vector<XNodeId>>& named,
+                         const std::vector<XNodeId>& wildcards,
+                         CandidateSpan wildcard_span,
+                         std::vector<CandidateSpan>* spans) {
+    spans->assign(named.size(), wildcard_span);
+    for (size_t s = 0; s < named.size(); ++s) {
+      if (named[s].empty()) continue;
+      std::vector<XNodeId> merged = named[s];
+      merged.insert(merged.end(), wildcards.begin(), wildcards.end());
+      (*spans)[s] = append(std::move(merged));
+    }
+  };
+  build_spans(named_elements, any_element, any_element_, &element_spans_);
+  build_spans(named_attributes, any_attribute, any_attribute_,
+              &attribute_spans_);
   open_by_xnode_.resize(static_cast<size_t>(n));
 
   // Boolean submatchings (Section 5.1): an x-node whose subtree contains no
   // output node never needs its matchings enumerated — confirmed ones are
   // counted and released.
-  counted_subtree_.assign(static_cast<size_t>(n), false);
   if (options_.enable_boolean_submatchings) {
     // Post-order: a subtree is output-free if the node itself is not an
     // output and all child subtrees are output-free. Children have larger
     // ids than their parents (builder order), so a reverse scan works.
-    for (XNodeId v = n - 1; v >= 0; --v) {
-      bool output_free = !tree_->node(v).is_output;
-      for (XNodeId w : tree_->node(v).children) {
-        output_free = output_free && counted_subtree_[static_cast<size_t>(w)];
+    for (XNodeId v = n - 1; v > kRootXNode; --v) {
+      bool output_free = !HasFlag(v, kOutput);
+      for (XNodeId w : Children(v)) {
+        output_free = output_free && HasFlag(w, kCounted);
       }
-      counted_subtree_[static_cast<size_t>(v)] = output_free;
+      if (output_free) rows_[static_cast<size_t>(v)].flags |= kCounted;
     }
-    counted_subtree_[kRootXNode] = false;
   }
 
   // Sibling support tables: a closed child structure must stay reachable
   // from its parent frame when its x-node (a) supports following-sibling
   // relevance, (b) is a preceding-sibling pull source, or (c) is the target
   // of deferred following-sibling propagation.
-  sibling_listed_.assign(static_cast<size_t>(n), false);
   for (XNodeId v = 0; v < n; ++v) {
-    for (const query::XDagEdge& edge : xdag_.outgoing(v)) {
+    for (const query::XDagEdge& edge : xdag.outgoing(v)) {
       if (edge.axis == Axis::kFollowingSibling) {
-        sibling_listed_[static_cast<size_t>(v)] = true;  // (a)
+        rows_[static_cast<size_t>(v)].flags |= kSiblingListed;  // (a)
         wants_siblings_ = true;
       }
     }
     if (v != kRootXNode) {
-      Axis incoming = tree_->node(v).incoming_axis;
+      Axis incoming = row(v).incoming_axis;
       if (incoming == Axis::kPrecedingSibling) {
-        sibling_listed_[static_cast<size_t>(v)] = true;  // (b)
+        rows_[static_cast<size_t>(v)].flags |= kSiblingListed;  // (b)
         wants_siblings_ = true;
       }
       if (incoming == Axis::kFollowingSibling) {
-        sibling_listed_[static_cast<size_t>(tree_->node(v).parent)] =
-            true;  // (c)
+        rows_[static_cast<size_t>(row(v).parent)].flags |=
+            kSiblingListed;  // (c)
         wants_siblings_ = true;
       }
     }
@@ -152,37 +197,42 @@ XaosEngine::XaosEngine(const query::XTree* tree, EngineOptions options,
   earliest_ = options_.enable_earliest_emission;
   int output_count = 0;
   for (XNodeId v = 0; v < n; ++v) {
-    if (is_output_[static_cast<size_t>(v)]) ++output_count;
+    if (HasFlag(v, kOutput)) ++output_count;
   }
   reclaim_enabled_ = earliest_ && output_count == 1;
-  reclaim_blocked_.assign(static_cast<size_t>(n), false);
   for (XNodeId v = 0; v < n; ++v) {
-    if (sibling_listed_[static_cast<size_t>(v)]) {
-      reclaim_blocked_[static_cast<size_t>(v)] = true;
+    bool blocked = HasFlag(v, kSiblingListed);
+    for (XNodeId w : Children(v)) {
+      if (row(w).incoming_axis == Axis::kFollowingSibling) blocked = true;
     }
-    for (XNodeId w : tree_->node(v).children) {
-      if (tree_->node(w).incoming_axis == Axis::kFollowingSibling) {
-        reclaim_blocked_[static_cast<size_t>(v)] = true;
-      }
-    }
+    if (blocked) rows_[static_cast<size_t>(v)].flags |= kReclaimBlocked;
   }
 }
 
-void XaosEngine::ResetDocumentState() {
-  for (Frame& frame : stack_) {
+void XaosEngine::ClearMatchingState() {
+  // Frames past stack_dirty_ were cleared by an earlier reset and not
+  // touched since, so the sweep is bounded by this document's depth, not by
+  // the deepest document the engine has ever seen.
+  for (size_t i = 0; i < stack_dirty_; ++i) {
+    Frame& frame = stack_[i];
     frame.xnodes.clear();
     frame.structures.clear();
     for (auto& list : frame.closed_by_xnode) list.clear();
     frame.capture_index = -1;
   }
+  stack_dirty_ = 0;
   depth_ = 0;
   for (std::vector<MatchingPtr>& open : open_by_xnode_) open.clear();
   active_captures_.clear();
-  captured_.clear();
   root_structure_.reset();
   live_root_ = nullptr;
   early_items_.clear();
   emitted_ids_.clear();
+}
+
+void XaosEngine::ResetDocumentState() {
+  ClearMatchingState();
+  captured_.clear();
   done_ = false;
   early_match_ = false;
   confirm_ns_ = 0;
@@ -205,19 +255,7 @@ void XaosEngine::AccountPrivateArena() {
 
 void XaosEngine::FailWith(Status status) {
   error_ = std::move(status);
-  for (Frame& frame : stack_) {
-    frame.xnodes.clear();
-    frame.structures.clear();
-    for (auto& list : frame.closed_by_xnode) list.clear();
-    frame.capture_index = -1;
-  }
-  depth_ = 0;
-  for (std::vector<MatchingPtr>& open : open_by_xnode_) open.clear();
-  active_captures_.clear();
-  root_structure_.reset();
-  live_root_ = nullptr;
-  early_items_.clear();
-  emitted_ids_.clear();
+  ClearMatchingState();
 }
 
 const MatchingPtr* XaosEngine::FindMatch(const Frame& frame, XNodeId xnode) {
@@ -227,51 +265,40 @@ const MatchingPtr* XaosEngine::FindMatch(const Frame& frame, XNodeId xnode) {
   return nullptr;
 }
 
-void XaosEngine::CollectCandidates(DocNodeKind kind, util::Symbol symbol,
-                                   std::vector<XNodeId>* out) const {
-  out->clear();
-  auto append = [out](const std::vector<XNodeId>& list) {
-    out->insert(out->end(), list.begin(), list.end());
-  };
+std::span<const XNodeId> XaosEngine::CollectCandidates(
+    DocNodeKind kind, util::Symbol symbol) const {
   // A symbol outside the table (or never interned at all) cannot equal any
-  // interned query name — no candidates by name.
-  auto named = [](const std::vector<std::vector<XNodeId>>& table,
-                  util::Symbol s) -> const std::vector<XNodeId>* {
-    if (s < 0 || static_cast<size_t>(s) >= table.size()) return nullptr;
-    const std::vector<XNodeId>& list = table[static_cast<size_t>(s)];
-    return list.empty() ? nullptr : &list;
+  // interned query name — only the kind's wildcards remain.
+  auto named = [symbol](const std::vector<CandidateSpan>& spans,
+                        CandidateSpan wildcards) {
+    if (symbol < 0 || static_cast<size_t>(symbol) >= spans.size()) {
+      return wildcards;
+    }
+    return spans[static_cast<size_t>(symbol)];
   };
+  CandidateSpan span;
   switch (kind) {
     case DocNodeKind::kRoot:
-      append(root_candidates_);
+      span = root_;
       break;
-    case DocNodeKind::kElement: {
-      if (const auto* list = named(element_candidates_, symbol)) append(*list);
-      append(any_element_candidates_);
+    case DocNodeKind::kElement:
+      span = named(element_spans_, any_element_);
       break;
-    }
-    case DocNodeKind::kAttribute: {
-      if (const auto* list = named(attribute_candidates_, symbol)) {
-        append(*list);
-      }
-      append(any_attribute_candidates_);
+    case DocNodeKind::kAttribute:
+      span = named(attribute_spans_, any_attribute_);
       break;
-    }
     case DocNodeKind::kText:
-      append(text_candidates_);
+      span = text_;
       break;
   }
-  // The per-kind lists are pre-sorted by topological rank; a merge is only
-  // needed when two lists actually contributed.
-  if (out->size() > 1) {
-    std::sort(out->begin(), out->end(), [this](XNodeId a, XNodeId b) {
-      return xdag_.TopologicalRank(a) < xdag_.TopologicalRank(b);
-    });
-  }
+  return std::span<const XNodeId>(candidates_.data() + span.begin,
+                                  span.end - span.begin);
 }
 
 bool XaosEngine::IsRelevant(XNodeId v, const Frame& frame) const {
-  for (const query::XDagEdge& edge : xdag_.incoming(v)) {
+  const XNodeRow& r = row(v);
+  for (uint32_t e = r.in_edges_begin; e < r.in_edges_end; ++e) {
+    const InEdge& edge = in_edges_[e];
     XNodeId u = edge.from;
     switch (edge.axis) {
       case Axis::kChild:
@@ -335,12 +362,14 @@ bool XaosEngine::IsRelevant(XNodeId v, const Frame& frame) const {
 }
 
 void XaosEngine::ProcessStart(DocNodeKind kind, std::string_view name,
-                              util::Symbol symbol, std::string_view value,
+                              std::span<const XNodeId> candidates,
+                              std::string_view value,
                               const NodePosition& position) {
   // Acquire (or reuse) the frame at the current depth; it is only made
   // visible (depth_ incremented) after matching, so relevance checks still
   // see the previous top as the parent.
   if (depth_ == stack_.size()) stack_.emplace_back();
+  if (depth_ == stack_dirty_) ++stack_dirty_;
   Frame& frame = stack_[depth_];
   frame.xnodes.clear();
   frame.structures.clear();
@@ -353,26 +382,30 @@ void XaosEngine::ProcessStart(DocNodeKind kind, std::string_view name,
     }
   }
 
-  // Identity comes from the document cursor, not from this engine's view of
-  // the stream: ids/levels/ordinals are uniform across a fleet of engines
-  // even when dispatch filtering gives each a different event subset, and
-  // remain monotone in document order.
+  // Identity comes from the caller's document cursor, not from this
+  // engine's view of the stream: ids/levels/ordinals are uniform across a
+  // fleet of engines even when dispatch filtering gives each a different
+  // event subset, and remain monotone in document order.
   frame.info.id = position.id;
   frame.info.parent_id = position.parent_id;
-  frame.info.level = position.level;
+  frame.info.level = static_cast<int>(position.level);
   frame.info.ordinal = position.ordinal;
   frame.info.kind = kind;
   if (kind == DocNodeKind::kElement) ++stats_.elements_total;
 
-  CollectCandidates(kind, symbol, &candidate_scratch_);
+  // Candidates already passed their name test (the symbol index implies
+  // it); only attribute / text value constraints remain to check.
   bool info_filled = false;
-  for (XNodeId v : candidate_scratch_) {
-    const NodeTestSpec& spec = tree_->node(v).test;
-    if (!query::MatchesSpec(spec, kind, name, value)) continue;
+  for (XNodeId v : candidates) {
+    const XNodeRow& r = row(v);
+    if ((r.flags & kValueTest) != 0 && value != *tree_->node(v).test.value) {
+      continue;
+    }
     if (options_.enable_relevance_filter && !IsRelevant(v, frame)) continue;
-    if (!info_filled) {
-      // Node names/values are only retained for nodes that match — the
-      // storage frugality the paper's Table 3 measures.
+    if (!info_filled && (r.flags & kOutput) != 0) {
+      // Node names/values are only retained for output matches — the ones
+      // that become result items; the storage frugality the paper's
+      // Table 3 measures.
       frame.info.name.assign(name);
       frame.info.value.assign(value);
       info_filled = true;
@@ -383,7 +416,7 @@ void XaosEngine::ProcessStart(DocNodeKind kind, std::string_view name,
     // keeping shared/weak_ptr semantics and destructor timing.
     auto structure = std::allocate_shared<MatchingStructure>(
         util::PoolAllocator<MatchingStructure>(arena_), v, frame.info,
-        static_cast<int>(tree_->node(v).children.size()), &stats_, arena_);
+        static_cast<int>(r.children_end - r.children_begin), &stats_, arena_);
     frame.xnodes.push_back(v);
     frame.structures.push_back(std::move(structure));
   }
@@ -437,8 +470,8 @@ void XaosEngine::LinkChild(const MatchingPtr& parent, int slot,
 
 bool XaosEngine::SlotRefillable(const MatchingStructure& parent,
                                 int slot) const {
-  XNodeId w = tree_->node(parent.xnode()).children[static_cast<size_t>(slot)];
-  if (tree_->node(w).incoming_axis != Axis::kFollowingSibling) return false;
+  XNodeId w = Children(parent.xnode())[static_cast<size_t>(slot)];
+  if (row(w).incoming_axis != Axis::kFollowingSibling) return false;
   // Following-sibling entries can still arrive while the element's parent
   // is open (later siblings have not been seen yet).
   int level = parent.element().level;
@@ -520,9 +553,10 @@ void XaosEngine::PropagateUp(const MatchingPtr& m) {
   XNodeId v = m->xnode();
   const ElementId element_id = m->element().id;
   if (v != kRootXNode) {
-    XNodeId parent_xnode = tree_->node(v).parent;
-    int slot = slot_in_parent_[static_cast<size_t>(v)];
-    switch (tree_->node(v).incoming_axis) {
+    const XNodeRow& r = row(v);
+    XNodeId parent_xnode = r.parent;
+    int slot = r.slot;
+    switch (r.incoming_axis) {
       case Axis::kChild:
       case Axis::kAttribute: {
         // stack_[depth_ - 2] is the document parent only if dispatch did
@@ -621,8 +655,7 @@ void XaosEngine::ProcessEnd() {
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   if (order.size() > 1) {
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return tree_->node(frame.xnodes[a]).depth >
-             tree_->node(frame.xnodes[b]).depth;
+      return row(frame.xnodes[a]).depth > row(frame.xnodes[b]).depth;
     });
   }
 
@@ -637,10 +670,10 @@ void XaosEngine::ProcessEnd() {
     // later if they fail (Section 4.3): backward axes map to open
     // ancestors, preceding-sibling to closed earlier siblings, self /
     // descendant-or-self's self part to this very element.
-    const std::vector<XNodeId>& children = tree_->node(v).children;
+    const std::span<const XNodeId> children = Children(v);
     for (size_t slot = 0; slot < children.size(); ++slot) {
       XNodeId w = children[slot];
-      switch (tree_->node(w).incoming_axis) {
+      switch (row(w).incoming_axis) {
         case Axis::kParent: {
           // Sparse-stack guard: stack_[depth_ - 2] must be the document
           // parent (skipped ancestors matched nothing).
@@ -710,8 +743,7 @@ void XaosEngine::ProcessEnd() {
       if (pending) {
         for (size_t slot = 0; slot < children.size(); ++slot) {
           if (!m->SlotEmpty(static_cast<int>(slot))) continue;
-          if (tree_->node(children[slot]).incoming_axis !=
-              Axis::kFollowingSibling) {
+          if (row(children[slot]).incoming_axis != Axis::kFollowingSibling) {
             pending = false;
             break;
           }
@@ -729,7 +761,7 @@ void XaosEngine::ProcessEnd() {
     // capture is complete now, so a deferred emission can go out, and its
     // slots may already have drained to confirmed counts.
     if (earliest_ && m->anchored()) {
-      if (is_output_[static_cast<size_t>(v)]) EmitEarly(m.get());
+      if (HasFlag(v, kOutput)) EmitEarly(m.get());
       MaybeReclaim(m.get());
     }
   }
@@ -768,7 +800,7 @@ void XaosEngine::ProcessEnd() {
     Frame& parent_frame = stack_[depth_ - 2];
     for (size_t i = 0; i < frame.xnodes.size(); ++i) {
       XNodeId v = frame.xnodes[i];
-      if (sibling_listed_[static_cast<size_t>(v)] &&
+      if (HasFlag(v, kSiblingListed) &&
           !frame.structures[i]->dead()) {
         parent_frame.closed_by_xnode[static_cast<size_t>(v)].push_back(
             frame.structures[i]);
@@ -834,7 +866,7 @@ void XaosEngine::Anchor(MatchingStructure* m) {
     return;
   }
   m->set_anchored();
-  if (is_output_[static_cast<size_t>(m->xnode())] &&
+  if (HasFlag(m->xnode(), kOutput) &&
       (m->closed() || !options_.capture_output_subtrees)) {
     // An anchored output structure is provably in the final result. With
     // subtree capture the serialized XML only exists once the element
@@ -847,7 +879,7 @@ void XaosEngine::Anchor(MatchingStructure* m) {
   // Two-phase: anchoring a child can reclaim it, which erases it from the
   // slot vector being iterated, so collect strong references first.
   std::vector<MatchingPtr> to_anchor;
-  const std::vector<XNodeId>& children = tree_->node(m->xnode()).children;
+  const std::span<const XNodeId> children = Children(m->xnode());
   for (size_t slot = 0; slot < children.size(); ++slot) {
     if (IsCountedXNode(children[slot])) continue;
     for (const MatchingPtr& child : m->slot(static_cast<int>(slot))) {
@@ -872,14 +904,20 @@ void XaosEngine::EmitEarly(MatchingStructure* m) {
     captured_.erase(it);
   }
   ++stats_.candidates_emitted_early;
-  if (options_.early_item_sink) options_.early_item_sink(item);
+  if (options_.early_item_sink) {
+    if (early_item_buffer_ != nullptr) {
+      early_item_buffer_->push_back(item);
+    } else {
+      options_.early_item_sink(item);
+    }
+  }
   early_items_.push_back(std::move(item));
 }
 
 void XaosEngine::MaybeReclaim(MatchingStructure* m) {
   if (!reclaim_enabled_ || m->reclaimed() || !m->anchored() || m->dead() ||
       !m->closed() || m->xnode() == kRootXNode ||
-      reclaim_blocked_[static_cast<size_t>(m->xnode())]) {
+      HasFlag(m->xnode(), kReclaimBlocked)) {
     return;
   }
   // Reclaim only once every non-counted slot has drained to its confirmed
@@ -889,7 +927,7 @@ void XaosEngine::MaybeReclaim(MatchingStructure* m) {
   // Counted slots never store confirmed entries (TryConfirm migrates them
   // to counts); their remaining stored entries are unconfirmed, output-free
   // candidates whose loss is harmless (expired backrefs are skipped).
-  const std::vector<XNodeId>& children = tree_->node(m->xnode()).children;
+  const std::span<const XNodeId> children = Children(m->xnode());
   for (size_t slot = 0; slot < children.size(); ++slot) {
     if (!IsCountedXNode(children[slot]) &&
         !m->slot(static_cast<int>(slot)).empty()) {
@@ -925,18 +963,34 @@ void XaosEngine::MaybeReclaim(MatchingStructure* m) {
 
 void XaosEngine::StartDocument() {
   ResetDocumentState();
-  if (!external_cursor_) own_cursor_.Reset();
-  ProcessStart(DocNodeKind::kRoot, "", util::kInvalidSymbol, "",
-               NodePosition{});
+  own_cursor_.Reset();
+  ProcessStart(DocNodeKind::kRoot, "", CollectCandidates(DocNodeKind::kRoot,
+                                                         util::kInvalidSymbol),
+               "", NodePosition{});
   const MatchingPtr* root = FindMatch(stack_[0], kRootXNode);
   live_root_ = (root != nullptr) ? root->get() : nullptr;
 }
 
 void XaosEngine::StartElement(const xml::QName& name,
                               xml::AttributeSpan attributes) {
+  own_cursor_.StartElement(attributes.size());
+  DeliverStartElement(name, attributes, own_cursor_.top());
+}
+
+void XaosEngine::Characters(std::string_view text) {
+  own_cursor_.Characters();
+  DeliverCharacters(text, own_cursor_.text_node());
+}
+
+void XaosEngine::EndElement(std::string_view /*name*/) {
+  DeliverEndElement();
+  own_cursor_.EndElement();
+}
+
+void XaosEngine::DeliverStartElement(const xml::QName& name,
+                                     xml::AttributeSpan attributes,
+                                     const NodePosition& node) {
   if (!error_.ok() || inert_) return;
-  if (!external_cursor_) own_cursor_.StartElement(attributes.size());
-  const DocumentCursor::Node& node = cursor_->top();
   // Replay paths (DOM replayer, recorded events, hand-fed tests) deliver
   // names without symbols; resolve against the global table. A
   // name the table has never seen cannot match any query name test.
@@ -944,10 +998,8 @@ void XaosEngine::StartElement(const xml::QName& name,
   if (symbol == util::kInvalidSymbol) {
     symbol = util::SymbolTable::Global().Lookup(name.text);
   }
-  ProcessStart(DocNodeKind::kElement, name.text, symbol, "",
-               NodePosition{node.id, node.parent_id,
-                            static_cast<int>(node.level),
-                            static_cast<uint32_t>(node.ordinal)});
+  ProcessStart(DocNodeKind::kElement, name.text,
+               CollectCandidates(DocNodeKind::kElement, symbol), "", node);
   if (!error_.ok()) return;
 
   if (options_.capture_output_subtrees) {
@@ -960,7 +1012,7 @@ void XaosEngine::StartElement(const xml::QName& name,
     Frame& top = stack_[depth_ - 1];
     bool output_match = false;
     for (XNodeId v : top.xnodes) {
-      if (is_output_[static_cast<size_t>(v)]) {
+      if (HasFlag(v, kOutput)) {
         output_match = true;
         break;
       }
@@ -985,36 +1037,35 @@ void XaosEngine::StartElement(const xml::QName& name,
       if (attr_symbol == util::kInvalidSymbol) {
         attr_symbol = util::SymbolTable::Global().Lookup(attr.name);
       }
-      ProcessStart(DocNodeKind::kAttribute, attr.name, attr_symbol, attr.value,
-                   NodePosition{cursor_->attribute_id(k), node.id,
-                                static_cast<int>(node.level) + 1,
-                                static_cast<uint32_t>(node.ordinal)});
+      ProcessStart(
+          DocNodeKind::kAttribute, attr.name,
+          CollectCandidates(DocNodeKind::kAttribute, attr_symbol), attr.value,
+          NodePosition{node.id + 1 + static_cast<ElementId>(k), node.id,
+                       node.level + 1, node.ordinal});
       if (!error_.ok()) return;
       ProcessEnd();
     }
   }
 }
 
-void XaosEngine::Characters(std::string_view text) {
+void XaosEngine::DeliverCharacters(std::string_view text,
+                                   const NodePosition& text_node) {
   if (!error_.ok() || inert_ || depth_ == 0) return;
-  if (!external_cursor_) own_cursor_.Characters();
   if (options_.capture_output_subtrees) {
     for (const CapturePtr& capture : active_captures_) {
       capture->writer.WriteText(text);
     }
   }
   if (wants_text_) {
-    const DocumentCursor::Node& node = cursor_->top();
-    ProcessStart(DocNodeKind::kText, "", util::kInvalidSymbol, text,
-                 NodePosition{cursor_->text_id(), node.id,
-                              static_cast<int>(node.level) + 1,
-                              static_cast<uint32_t>(node.ordinal)});
+    ProcessStart(DocNodeKind::kText, "",
+                 CollectCandidates(DocNodeKind::kText, util::kInvalidSymbol),
+                 text, text_node);
     if (!error_.ok()) return;
     ProcessEnd();
   }
 }
 
-void XaosEngine::EndElement(std::string_view /*name*/) {
+void XaosEngine::DeliverEndElement() {
   if (!error_.ok() || inert_) return;
   if (options_.capture_output_subtrees) {
     for (const CapturePtr& capture : active_captures_) {
@@ -1030,7 +1081,6 @@ void XaosEngine::EndElement(std::string_view /*name*/) {
     }
   }
   ProcessEnd();
-  if (!external_cursor_) own_cursor_.EndElement();
 }
 
 void XaosEngine::EndDocument() {
@@ -1086,7 +1136,7 @@ void XaosEngine::BuildResult(const MatchingPtr& root_structure) {
   while (!pending.empty()) {
     const MatchingStructure* m = pending.back();
     pending.pop_back();
-    if (is_output_[static_cast<size_t>(m->xnode())] &&
+    if (HasFlag(m->xnode(), kOutput) &&
         emitted.insert(m->element().id).second) {
       OutputItem item;
       item.info = m->element();
@@ -1129,7 +1179,7 @@ TupleEnumeration XaosEngine::OutputTuples(size_t max_tuples) const {
   }
   std::vector<XNodeId> out_nodes;
   for (XNodeId v = 0; v < tree_->size(); ++v) {
-    if (is_output_[static_cast<size_t>(v)]) out_nodes.push_back(v);
+    if (HasFlag(v, kOutput)) out_nodes.push_back(v);
   }
 
   std::vector<const ElementInfo*> assignment(
@@ -1177,8 +1227,7 @@ TupleEnumeration XaosEngine::OutputTuples(size_t max_tuples) const {
     }
     // Boolean submatchings: output-free slots contribute nothing to the
     // projection; their (released) entries need not be enumerated.
-    XNodeId slot_child =
-        tree_->node(m->xnode()).children[static_cast<size_t>(slot)];
+    XNodeId slot_child = Children(m->xnode())[static_cast<size_t>(slot)];
     if (IsCountedXNode(slot_child)) {
       work.back().second = slot + 1;
       bool keep_going = run(work);
@@ -1217,10 +1266,11 @@ std::vector<LookingForEntry> XaosEngine::DebugLookingForSet() const {
   int top_level = stack_[depth_ - 1].info.level;
   std::vector<int> lf(static_cast<size_t>(tree_->size()), kAbsent);
 
-  for (XNodeId v : xdag_.TopologicalOrder()) {
+  const query::XDag xdag(*tree_);
+  for (XNodeId v : xdag.TopologicalOrder()) {
     if (v == kRootXNode) continue;  // the root is already matched, not sought
     int combined = kAny;
-    for (const query::XDagEdge& edge : xdag_.incoming(v)) {
+    for (const query::XDagEdge& edge : xdag.incoming(v)) {
       XNodeId u = edge.from;
       int constraint = kAbsent;
       bool top_has_u = FindMatch(stack_[depth_ - 1], u) != nullptr;

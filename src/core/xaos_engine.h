@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -43,7 +44,6 @@
 #include "core/engine_stats.h"
 #include "core/matching_structure.h"
 #include "core/result.h"
-#include "query/xdag.h"
 #include "query/xtree.h"
 #include "util/pool_arena.h"
 #include "util/statusor.h"
@@ -118,6 +118,10 @@ struct EngineOptions {
   // Emission order follows proof order, which can differ from document
   // order (an ancestor output may be proven only when an inner descendant
   // confirms); the final QueryResult is still sorted into document order.
+  // Under an EngineFleet the calls follow per-event order across engines —
+  // by event, then by the engine's rank in that event's delivery — however
+  // the fleet schedules its engines; a batch replay releases them when its
+  // run (at most one batch) has been replayed.
   std::function<void(const OutputItem&)> early_item_sink;
 };
 
@@ -159,15 +163,34 @@ class XaosEngine : public xml::ContentHandler {
   void Characters(std::string_view text) override;
 
   // --- multi-query dispatch support (EngineFleet) ---
-  // Reads document-node ids/levels/ordinals from `cursor` instead of the
-  // engine's private one. The caller then owns event numbering: it must
-  // advance the cursor for *every* document event (including events it does
-  // not deliver to this engine) before delivering the ones it does. Must be
-  // called before StartDocument; the cursor must outlive the engine's use.
-  void AttachCursor(const DocumentCursor* cursor) {
-    cursor_ = cursor;
-    external_cursor_ = (cursor != nullptr);
-    if (!external_cursor_) cursor_ = &own_cursor_;
+  // Event entry points that take the node's identity from the caller
+  // instead of the engine's private cursor. The caller owns event
+  // numbering: it numbers *every* document event (including events it does
+  // not deliver to this engine), so ids stay uniform across engines fed
+  // different subsets of one stream. `node` is the element's position;
+  // `text_node` the text run's (a child of the innermost open element).
+  void DeliverStartElement(const xml::QName& name,
+                           xml::AttributeSpan attributes,
+                           const NodePosition& node);
+  void DeliverEndElement();
+  void DeliverCharacters(std::string_view text,
+                         const NodePosition& text_node);
+  // True if DeliverStartElement reads its attribute views (attribute node
+  // tests or subtree capture); otherwise an empty span may be passed.
+  bool reads_attributes() const {
+    return wants_attributes_ || options_.capture_output_subtrees;
+  }
+  // Redirects early items (EngineOptions::early_item_sink) into `buffer`
+  // instead of the sink, or back to the sink when null. The fleet uses it
+  // to restore per-event emission order after an engine-at-a-time replay.
+  void set_early_item_buffer(std::vector<OutputItem>* buffer) {
+    early_item_buffer_ = buffer;
+  }
+  bool has_early_item_sink() const {
+    return static_cast<bool>(options_.early_item_sink);
+  }
+  void SendToEarlyItemSink(const OutputItem& item) const {
+    options_.early_item_sink(item);
   }
   // Folds `n` elements this engine never saw (filtered out by dispatch)
   // into its per-document stats as discarded, so elements_total still
@@ -182,11 +205,9 @@ class XaosEngine : public xml::ContentHandler {
     return mentioned_symbols_;
   }
   // True if the engine must see every element regardless of its name.
-  bool has_any_element_candidates() const {
-    return !any_element_candidates_.empty();
-  }
+  bool has_any_element_candidates() const { return !any_element_.empty(); }
   bool has_any_attribute_candidates() const {
-    return !any_attribute_candidates_.empty();
+    return !any_attribute_.empty();
   }
   bool wants_attributes() const { return wants_attributes_; }
   bool wants_text() const { return wants_text_; }
@@ -194,7 +215,6 @@ class XaosEngine : public xml::ContentHandler {
   bool captures_subtrees() const { return options_.capture_output_subtrees; }
 
   const query::XTree& tree() const { return *tree_; }
-  const query::XDag& xdag() const { return xdag_; }
   const EngineStats& stats() const { return stats_; }
 
   // Non-OK if processing hit a configured limit; the engine then ignores
@@ -270,22 +290,66 @@ class XaosEngine : public xml::ContentHandler {
   };
   using CapturePtr = std::unique_ptr<Capture, CaptureDeleter>;
 
-  // Document-position identity of the node being started, read off the
-  // cursor by the event handlers.
-  struct NodePosition {
-    ElementId id = 0;
-    ElementId parent_id = 0;
-    int level = 0;
-    uint32_t ordinal = 0;
+  // One row per x-node: everything the per-event hot path reads about the
+  // x-tree and x-dag, packed so that an engine's query tables span a few
+  // cache lines (a fleet feeds hundreds of engines; each starts cold).
+  struct XNodeRow {
+    query::XNodeId parent = query::kInvalidXNode;
+    int32_t slot = -1;              // index among the parent's children
+    uint32_t children_begin = 0;    // [begin, end) of child_ids_
+    uint32_t children_end = 0;
+    uint32_t in_edges_begin = 0;    // [begin, end) of in_edges_
+    uint32_t in_edges_end = 0;
+    xpath::Axis incoming_axis = xpath::Axis::kChild;
+    int16_t depth = 0;              // distance from the x-tree root
+    uint8_t flags = 0;              // XNodeFlag bits
+  };
+  enum XNodeFlag : uint8_t {
+    kOutput = 1 << 0,
+    // The node test constrains the string value (attribute / text).
+    kValueTest = 1 << 1,
+    // The subtree contains no output node: structures matched here are
+    // counted, not stored, once confirmed (boolean submatchings).
+    kCounted = 1 << 2,
+    // Closed structures must stay reachable from the parent frame for
+    // sibling-axis processing.
+    kSiblingListed = 1 << 3,
+    // Structures must never be reclaimed early: sibling-listed nodes (their
+    // closed structures stay reachable from the parent frame) and nodes
+    // with a following-sibling child slot (late entries arrive through
+    // links that reclaim would sever).
+    kReclaimBlocked = 1 << 4,
+  };
+  // A forward x-dag edge into a row's x-node.
+  struct InEdge {
+    query::XNodeId from;
+    xpath::Axis axis;
+  };
+  // A [begin, end) range of candidates_.
+  struct CandidateSpan {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+    bool empty() const { return begin == end; }
   };
 
+  const XNodeRow& row(query::XNodeId v) const {
+    return rows_[static_cast<size_t>(v)];
+  }
+  bool HasFlag(query::XNodeId v, uint8_t flag) const {
+    return (row(v).flags & flag) != 0;
+  }
+  std::span<const query::XNodeId> Children(query::XNodeId v) const {
+    const XNodeRow& r = row(v);
+    return std::span<const query::XNodeId>(child_ids_.data() + r.children_begin,
+                                           r.children_end - r.children_begin);
+  }
+
   // Creates the frame for a new document node, matching it against
-  // candidate x-nodes, and pushes it onto the stack. `symbol` is the
-  // interned name if the event source supplied one (kInvalidSymbol
-  // otherwise — resolved via SymbolTable::Lookup).
+  // `candidates` (x-nodes whose name test the node passes, in x-dag
+  // topological order), and pushes it onto the stack.
   void ProcessStart(query::DocNodeKind kind, std::string_view name,
-                    util::Symbol symbol, std::string_view value,
-                    const NodePosition& position);
+                    std::span<const query::XNodeId> candidates,
+                    std::string_view value, const NodePosition& position);
   // Closes the top frame: optimistic pulls, satisfaction checks,
   // propagation/undo, and stack maintenance (Section 4.3).
   void ProcessEnd();
@@ -294,12 +358,13 @@ class XaosEngine : public xml::ContentHandler {
   // not-yet-pushed `frame`.
   bool IsRelevant(query::XNodeId v, const Frame& frame) const;
 
-  // Collects x-nodes whose tests could match a node of the given kind and
-  // interned name, sorted by x-dag topological rank (so self-edges see
+  // The x-nodes whose tests a node of the given kind and interned name
+  // passes by name, sorted by x-dag topological rank (so self-edges see
   // their sources first). Name tests resolve through the symbol-indexed
-  // candidate tables — integer index, no hashing.
-  void CollectCandidates(query::DocNodeKind kind, util::Symbol symbol,
-                         std::vector<query::XNodeId>* out) const;
+  // span tables — integer index, no hashing, no merge: named lists already
+  // include the kind's wildcard x-nodes.
+  std::span<const query::XNodeId> CollectCandidates(query::DocNodeKind kind,
+                                                    util::Symbol symbol) const;
 
   // Recursively retracts a structure that cannot be part of a total
   // matching (the undo of Section 4.3 / Table 2 step 23).
@@ -330,7 +395,7 @@ class XaosEngine : public xml::ContentHandler {
   // True if entries of this x-node are counted rather than stored once
   // confirmed (its subtree contains no output node).
   bool IsCountedXNode(query::XNodeId xnode) const {
-    return counted_subtree_[static_cast<size_t>(xnode)];
+    return HasFlag(xnode, kCounted);
   }
 
   // Marks `m` confirmed if it provably represents a total matching, and
@@ -362,13 +427,15 @@ class XaosEngine : public xml::ContentHandler {
 
   void BuildResult(const MatchingPtr& root_structure);
   void ResetDocumentState();
+  // Drops the per-document matching state: the frames this document used,
+  // the open-structure registry, captures and early items.
+  void ClearMatchingState();
   // Sets the per-document arena figures in stats_ — private arena only;
   // an evaluator reports its shared arena itself.
   void AccountPrivateArena();
   void FailWith(Status status);
 
   const query::XTree* tree_;
-  query::XDag xdag_;
   EngineOptions options_;
 
   // Backing store for all matching structures, their internal vectors and
@@ -382,29 +449,21 @@ class XaosEngine : public xml::ContentHandler {
   util::PoolArena* arena_;
 
   // --- immutable query-derived tables ---
-  // Candidate x-node ids indexed by interned element tag / attribute name
-  // Symbol (empty slot = no candidates), plus wildcard and kind lists; all
-  // pre-sorted by topological rank.
-  std::vector<std::vector<query::XNodeId>> element_candidates_;
-  std::vector<std::vector<query::XNodeId>> attribute_candidates_;
+  std::vector<XNodeRow> rows_;            // by x-node id
+  std::vector<query::XNodeId> child_ids_;  // rows' children, concatenated
+  std::vector<InEdge> in_edges_;           // rows' x-dag in-edges
+  // Every candidate list, concatenated. Element / attribute name tests are
+  // indexed by interned Symbol (a symbol past the table or without named
+  // x-nodes gets the kind's wildcard list); each named list is merged with
+  // its kind's wildcard x-nodes at construction.
+  std::vector<query::XNodeId> candidates_;
+  std::vector<CandidateSpan> element_spans_;
+  std::vector<CandidateSpan> attribute_spans_;
+  CandidateSpan any_element_;
+  CandidateSpan any_attribute_;
+  CandidateSpan text_;
+  CandidateSpan root_;
   std::vector<util::Symbol> mentioned_symbols_;
-  std::vector<query::XNodeId> any_element_candidates_;
-  std::vector<query::XNodeId> any_attribute_candidates_;
-  std::vector<query::XNodeId> text_candidates_;
-  std::vector<query::XNodeId> root_candidates_;
-  std::vector<int> slot_in_parent_;  // x-node id -> slot index in its parent
-  std::vector<bool> is_output_;
-  // X-nodes whose closed structures must stay reachable from the parent
-  // frame for sibling-axis processing.
-  std::vector<bool> sibling_listed_;
-  // X-nodes whose subtree contains no output node: structures matched to
-  // them are counted, not stored, once confirmed (boolean submatchings).
-  std::vector<bool> counted_subtree_;
-  // X-nodes whose structures must never be reclaimed early: sibling-listed
-  // nodes (their closed structures stay reachable from the parent frame)
-  // and nodes with a following-sibling child slot (late entries arrive
-  // through links that reclaim would sever).
-  std::vector<bool> reclaim_blocked_;
   bool wants_attributes_ = false;
   bool wants_text_ = false;
   bool wants_siblings_ = false;
@@ -417,9 +476,13 @@ class XaosEngine : public xml::ContentHandler {
   // --- per-document state ---
   // Frame stack. `stack_` is used as an arena indexed by `depth_` so that
   // frame vectors keep their capacity across elements (allocation-free in
-  // steady state). Frames at index >= depth_ are spent and empty.
+  // steady state). Frames at index >= depth_ are spent and empty, except
+  // for the closed-sibling lists of frames below `stack_dirty_`: the
+  // number of frames this document has used, which bounds the per-document
+  // reset.
   std::vector<Frame> stack_;
   size_t depth_ = 0;
+  size_t stack_dirty_ = 0;
   // Structures of currently open document nodes, per x-node (stack
   // discipline: the newest open match is at the back).
   std::vector<std::vector<MatchingPtr>> open_by_xnode_;
@@ -429,13 +492,9 @@ class XaosEngine : public xml::ContentHandler {
   // The Root structure of the document in progress (owned by stack_[0]);
   // used to detect early match confirmation.
   MatchingStructure* live_root_ = nullptr;
-  // Node numbering: by default the engine advances its own cursor on every
-  // event it receives; under a fleet (AttachCursor) the shared cursor is
-  // advanced by the fleet for every event of the document, so ids stay
-  // uniform across engines even though each sees only a filtered stream.
+  // Node numbering for the ContentHandler entry points; the Deliver*
+  // entry points take positions from the caller instead.
   DocumentCursor own_cursor_;
-  const DocumentCursor* cursor_ = &own_cursor_;
-  bool external_cursor_ = false;
   // own_arena_->bytes_allocated() at the start of the current document.
   uint64_t arena_baseline_ = 0;
   // Items emitted before EndDocument (proof order) and the ids already
@@ -451,7 +510,8 @@ class XaosEngine : public xml::ContentHandler {
   EngineStats stats_;
   QueryResult result_;
 
-  mutable std::vector<query::XNodeId> candidate_scratch_;
+  // Non-null while a fleet collects early items (set_early_item_buffer).
+  std::vector<OutputItem>* early_item_buffer_ = nullptr;
   std::vector<size_t> order_scratch_;
 };
 

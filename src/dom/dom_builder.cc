@@ -35,7 +35,7 @@ StatusOr<Document> ParseToDocument(std::string_view xml_text,
   Document document;
   DomBuilder builder(&document);
   XAOS_RETURN_IF_ERROR(xml::ParseString(xml_text, &builder, options));
-  return std::move(document);
+  return document;
 }
 
 }  // namespace xaos::dom

@@ -326,6 +326,12 @@ class FragmentBuilder {
         case Axis::kAttribute:
           // Not produced by the generator; ignore defensively.
           break;
+        case Axis::kFollowing:
+        case Axis::kPreceding:
+          // The x-tree builder rewrites these into sibling and
+          // ancestor/descendant steps; a witness cannot place them.
+          XAOS_CHECK(false) << "desugared axis";
+          break;
       }
     }
     return frag;

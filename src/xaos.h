@@ -42,6 +42,7 @@
 #include "obs/timer.h"                      // IWYU pragma: export
 #include "query/projection.h"               // IWYU pragma: export
 #include "query/reroot.h"                   // IWYU pragma: export
+#include "query/xdag.h"                     // IWYU pragma: export
 #include "query/xtree_builder.h"            // IWYU pragma: export
 #include "util/pool_arena.h"                // IWYU pragma: export
 #include "util/status.h"                    // IWYU pragma: export

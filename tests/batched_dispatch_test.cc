@@ -206,12 +206,14 @@ TEST(BatchedDifferentialTest, CapturesAreByteIdentical) {
 }
 
 TEST(BatchedDifferentialTest, EarliestEmissionOrderMatches) {
-  // Early items reach the sink in the same order on both routes (batching
-  // only changes when buffered events are handed over, not their
-  // sequence); brute force has no notion of emission order.
+  // Early items reach the sink in the same order on both routes: batched
+  // replay feeds engines one at a time, but buffers their early items and
+  // releases them in per-event order. Brute force has no notion of
+  // emission order.
   StatusOr<core::Query> query = core::Query::Compile("//b | //c");
   ASSERT_TRUE(query.ok());
-  auto run = [&](bool batched_path) {
+  auto run = [&](const std::string& xml, bool batched_path,
+                 size_t batch_events) {
     std::vector<core::ElementId> emitted;
     core::EngineOptions options;
     options.enable_shared_index = false;  // the sink is an engine feature
@@ -222,18 +224,101 @@ TEST(BatchedDifferentialTest, EarliestEmissionOrderMatches) {
     evaluator.AddQuery(*query);
     if (batched_path) {
       core::BatchedDispatchOptions dispatch_options;
-      dispatch_options.max_batch_events = 4;
+      dispatch_options.max_batch_events = batch_events;
       core::BatchedDispatcher dispatcher(&evaluator, dispatch_options);
-      ParseInto(kAxisDoc, &dispatcher, 0);
+      ParseInto(xml, &dispatcher, 0);
     } else {
-      ParseInto(kAxisDoc, &evaluator, 0);
+      ParseInto(xml, &evaluator, 0);
     }
     return emitted;
   };
-  std::vector<core::ElementId> per_event = run(false);
-  std::vector<core::ElementId> batched = run(true);
+  std::vector<core::ElementId> per_event = run(kAxisDoc, false, 0);
   EXPECT_FALSE(per_event.empty());
-  EXPECT_EQ(per_event, batched);
+  EXPECT_EQ(per_event, run(kAxisDoc, true, 4));
+
+  // Both disjunct engines emit within one batch; the //b engine comes
+  // first in the fleet, yet the //c item of the earlier event goes first.
+  const std::string interleaved = "<r><c/><b/><c/></r>";
+  const std::vector<core::ElementId> expected = {2, 3, 4};
+  EXPECT_EQ(run(interleaved, false, 0), expected);
+  EXPECT_EQ(run(interleaved, true, 256), expected);
+}
+
+TEST(BatchedDifferentialTest, StopAfterConfirmedMatchSkipsAlike) {
+  // Engines that turn inert mid-run (stop_after_confirmed_match) have
+  // their remaining starts counted as skipped, exactly as per-event
+  // delivery skips them.
+  std::vector<std::string> expressions = AxisExpressions();
+  std::string doc = "<a>";
+  for (int i = 0; i < 40; ++i) {
+    doc += "<b x=\"y\"><c/><a><c/></a><e>text</e></b><d/>";
+  }
+  doc += "</a>";
+  std::vector<core::Query> queries = CompileAll(expressions);
+  ASSERT_EQ(queries.size(), expressions.size());
+  const std::vector<Expected> expected = BruteForce(queries, doc);
+  for (size_t batch_events : {1u, 8u, 256u}) {
+    core::EngineOptions options;
+    options.enable_shared_index = false;
+    options.stop_after_confirmed_match = true;
+    core::MultiQueryEvaluator batched(options);
+    core::MultiQueryEvaluator per_event(options);
+    for (const core::Query& query : queries) {
+      batched.AddQuery(query);
+      per_event.AddQuery(query);
+    }
+    core::BatchedDispatchOptions dispatch_options;
+    dispatch_options.max_batch_events = batch_events;
+    core::BatchedDispatcher dispatcher(&batched, dispatch_options);
+    // Two documents: inertness must reset between them.
+    for (int round = 0; round < 2; ++round) {
+      ParseInto(doc, &dispatcher, 0);
+      ParseInto(doc, &per_event, 0);
+      for (size_t q = 0; q < queries.size(); ++q) {
+        EXPECT_EQ(expected[q].matched, batched.Matched(q))
+            << expressions[q] << " batch_events=" << batch_events;
+        EXPECT_EQ(expected[q].matched, per_event.Matched(q))
+            << expressions[q];
+      }
+      EXPECT_GT(per_event.engines_skipped(), 0u);
+      EXPECT_EQ(per_event.engines_skipped(), batched.engines_skipped())
+          << "batch_events=" << batch_events << " round " << round;
+    }
+  }
+}
+
+TEST(BatchedDifferentialTest, ReplayScratchStaysUnderCap) {
+  // 300 engines all mentioning <b>: a 256-event batch would record ~75k
+  // deliveries in one run; the run is split at the cap instead.
+  core::EngineOptions options;
+  options.enable_shared_index = false;
+  core::MultiQueryEvaluator batched(options);
+  core::MultiQueryEvaluator per_event(options);
+  for (int i = 0; i < 300; ++i) {
+    StatusOr<core::Query> query =
+        core::Query::Compile("//b/c" + std::to_string(i));
+    ASSERT_TRUE(query.ok());
+    batched.AddQuery(*query);
+    per_event.AddQuery(*query);
+  }
+  std::string doc = "<r>";
+  for (int i = 0; i < 300; ++i) {
+    doc += i % 7 == 0 ? "<b><c" + std::to_string(i) + "/></b>" : "<b/>";
+  }
+  doc += "</r>";
+  core::BatchedDispatchOptions dispatch_options;
+  dispatch_options.max_batch_events = 256;
+  core::BatchedDispatcher dispatcher(&batched, dispatch_options);
+  ParseInto(doc, &dispatcher, 0);
+  ParseInto(doc, &per_event, 0);
+  const size_t peak = batched.fleet().run_deliveries_peak();
+  EXPECT_GT(peak, 0u);
+  EXPECT_LE(peak, core::EngineFleet::kMaxRunDeliveries);
+  for (size_t q = 0; q < 300; ++q) {
+    EXPECT_EQ(q % 7 == 0, batched.Matched(q)) << q;
+    EXPECT_EQ(q % 7 == 0, per_event.Matched(q)) << q;
+  }
+  EXPECT_EQ(per_event.engines_skipped(), batched.engines_skipped());
 }
 
 TEST(BatchedDifferentialTest, FlushExposesMidStreamVerdicts) {

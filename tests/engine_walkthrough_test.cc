@@ -10,6 +10,7 @@
 
 #include "core/xaos_engine.h"
 #include "gtest/gtest.h"
+#include "query/xdag.h"
 #include "query/xtree_builder.h"
 #include "test_util.h"
 #include "xml/sax_event.h"
