@@ -149,15 +149,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
       json_out = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--scanner=", 10) == 0) {
-      xaos::StatusOr<xaos::xml::ScannerBackend> backend =
-          xaos::xml::ResolveScannerBackend(argv[i] + 10);
-      if (!backend.ok()) {
-        std::fprintf(stderr, "--scanner: %s\n",
-                     std::string(backend.status().message()).c_str());
-        return 2;
-      }
-      xaos::xml::SetDefaultScannerBackend(*backend);
     } else {
       remaining.push_back(argv[i]);
     }

@@ -200,18 +200,7 @@ int main(int argc, char** argv) {
   int repetitions = flags.GetInt("repetitions", 3);
   int max_subs = flags.GetInt("max-subs", 1000);
   std::string json_out = flags.GetString("json-out", "");
-  std::string scanner = flags.GetString("scanner", "");
   flags.FailOnUnknown();
-  if (!scanner.empty()) {
-    StatusOr<xml::ScannerBackend> backend =
-        xml::ResolveScannerBackend(scanner);
-    if (!backend.ok()) {
-      std::fprintf(stderr, "--scanner: %s\n",
-                   std::string(backend.status().message()).c_str());
-      return 2;
-    }
-    xml::SetDefaultScannerBackend(*backend);
-  }
 
   bench::BenchReporter reporter("projection");
   reporter.SetParam("scale", scale);

@@ -188,7 +188,8 @@ class BenchReporter {
     // Hardware/backend provenance, recorded into every BENCH_*.json so the
     // regression gate (tools/check_bench_regression.py) can tell when a
     // baseline and a candidate ran with different vector capabilities or a
-    // pinned scanner kernel — those comparisons warn instead of failing.
+    // different compiled scanner kernel — those comparisons warn instead of
+    // failing.
     SetParam("cpu_features", util::CpuFeatureSummary());
     SetParam("hardware_concurrency",
              static_cast<double>(util::DetectCpuFeatures().hardware_concurrency));

@@ -22,7 +22,9 @@
 // with --threads=N the trace shows each batch's dispatch on the parse
 // track flowing into the per-worker replay spans.
 
-#include <cstdlib>
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -39,6 +41,14 @@ struct Subscription {
   size_t query_index = 0;  // index inside the shared MultiQueryEvaluator
   xaos::obs::Counter* deliveries = nullptr;
 };
+
+// Parses `text`, which must be all decimal digits, into *value; false on an
+// empty value, a sign, a stray character, an overflow or a value above `max`.
+bool ParseCount(const char* text, uint64_t max, uint64_t* value) {
+  const char* last = text + std::strlen(text);
+  const std::from_chars_result result = std::from_chars(text, last, *value);
+  return result.ec == std::errc() && result.ptr == last && *value <= max;
+}
 
 }  // namespace
 
@@ -60,32 +70,25 @@ int main(int argc, char** argv) {
   std::string flight_trace_path;
   xaos::xml::ParserOptions parser_options;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--max-depth=", 12) == 0) {
-      parser_options.limits.max_depth = std::atoi(argv[i] + 12);
-    } else if (std::strncmp(argv[i], "--max-total-bytes=", 18) == 0) {
-      parser_options.limits.max_total_bytes =
-          static_cast<uint64_t>(std::atoll(argv[i] + 18));
+    // A malformed number falls through to the usage error.
+    uint64_t value = 0;
+    if (std::strncmp(argv[i], "--threads=", 10) == 0 &&
+        ParseCount(argv[i] + 10, INT_MAX, &value)) {
+      threads = static_cast<int>(value);
+    } else if (std::strncmp(argv[i], "--max-depth=", 12) == 0 &&
+               ParseCount(argv[i] + 12, INT_MAX, &value)) {
+      parser_options.limits.max_depth = static_cast<int>(value);
+    } else if (std::strncmp(argv[i], "--max-total-bytes=", 18) == 0 &&
+               ParseCount(argv[i] + 18, UINT64_MAX, &value)) {
+      parser_options.limits.max_total_bytes = value;
     } else if (std::strcmp(argv[i], "--no-projection") == 0) {
       no_projection = true;
     } else if (std::strncmp(argv[i], "--flight-trace=", 15) == 0) {
       flight_trace_path = argv[i] + 15;
-    } else if (std::strncmp(argv[i], "--scanner=", 10) == 0) {
-      // Pin the structural-scanner kernel (scalar/swar/sse2/avx2/auto);
-      // results are identical across backends, only throughput differs.
-      xaos::StatusOr<xaos::xml::ScannerBackend> backend =
-          xaos::xml::ResolveScannerBackend(argv[i] + 10);
-      if (!backend.ok()) {
-        std::cerr << "--scanner: " << backend.status().message() << "\n";
-        return 2;
-      }
-      xaos::xml::SetDefaultScannerBackend(*backend);
     } else {
       std::cerr << "usage: " << argv[0]
                 << " [--threads=N] [--max-depth=N] [--max-total-bytes=N]"
-                << " [--no-projection] [--flight-trace=FILE]"
-                << " [--scanner=BACKEND]\n";
+                << " [--no-projection] [--flight-trace=FILE]\n";
       return 2;
     }
   }

@@ -1,5 +1,5 @@
-// libFuzzer entry point: XML documents checked for byte-identical kernel
-// masks and parse event streams across every structural-scanner backend.
+// libFuzzer entry point: XML documents checked for compiled-vs-scalar kernel
+// masks and for chunked-vs-one-shot parse event streams.
 
 #include "targets.h"
 

@@ -200,86 +200,51 @@ int RunScannerDiffInput(const uint8_t* data, size_t size) {
   if (size > (1u << 20)) return 0;
   std::string_view doc(reinterpret_cast<const char*>(data), size);
 
-  constexpr xml::ScannerBackend kBackends[] = {
-      xml::ScannerBackend::kScalar, xml::ScannerBackend::kSwar,
-      xml::ScannerBackend::kSse2, xml::ScannerBackend::kAvx2};
-
-  // Level 1: raw kernels. Every available kernel must reproduce the scalar
+  // Level 1: raw kernel. The compiled kernel must reproduce the scalar
   // kernel's masks bit-for-bit on every block, partial tail included
   // (staged zero-padded exactly as StructuralScanner stages it).
-  xml::ClassifyBlockFn scalar =
-      xml::ScannerKernelForTest(xml::ScannerBackend::kScalar);
   for (size_t off = 0; off < size; off += xml::kScannerBlockBytes) {
     char staged[xml::kScannerBlockBytes] = {};
     size_t len = size - off;
     if (len > xml::kScannerBlockBytes) len = xml::kScannerBlockBytes;
     for (size_t i = 0; i < len; ++i) staged[i] = doc[off + i];
     xml::BlockMasks want;
-    scalar(staged, &want);
-    for (xml::ScannerBackend backend : kBackends) {
-      xml::ClassifyBlockFn kernel = xml::ScannerKernelForTest(backend);
-      if (kernel == nullptr || kernel == scalar) continue;
-      xml::BlockMasks got;
-      kernel(staged, &got);
-      if (got.lt != want.lt || got.gt != want.gt ||
-          got.dquote != want.dquote || got.squote != want.squote ||
-          got.amp != want.amp || got.rbracket != want.rbracket ||
-          got.newline != want.newline || got.ws != want.ws ||
-          got.ctl != want.ctl) {
-        __builtin_trap();
-      }
+    xml::ClassifyBlockScalar(staged, &want);
+    xml::BlockMasks got;
+    xml::ClassifyBlock(staged, &got);
+    if (got.lt != want.lt || got.gt != want.gt || got.dquote != want.dquote ||
+        got.squote != want.squote || got.amp != want.amp ||
+        got.rbracket != want.rbracket || got.newline != want.newline ||
+        got.ws != want.ws || got.ctl != want.ctl) {
+      __builtin_trap();
     }
   }
 
-  // Level 2: full parses. Backends may only differ in how fast they
-  // classify, so the event stream, the outcome and the error text (which
-  // embeds the line/column position) must all match scalar's — one-shot
-  // and under a chunk schedule that splits tags and quoted values.
+  // Level 2: full parses. Chunk boundaries may only change how much input
+  // each Feed() sees, so the event stream, the outcome and the error text
+  // (which embeds the line/column position) of a parse under a schedule
+  // that splits tags and quoted values must match the one-shot parse's.
   xml::ParserOptions options = FuzzParserOptions();
+  xml::EventRecorder one_shot;
+  Status status = xml::ParseString(doc, &one_shot, options);
+
   static constexpr size_t kSchedule[] = {1, 63, 2, 64, 7, 129, 3};
-  xml::EventRecorder want_one_shot;
-  Status want_status;
-  xml::EventRecorder want_chunked;
-  Status want_chunked_status;
-  bool have_oracle = false;
-  for (xml::ScannerBackend backend : kBackends) {
-    if (!xml::ScannerBackendAvailable(backend)) continue;
-    options.scanner_backend = backend;
+  xml::EventRecorder chunked;
+  xml::SaxParser parser(&chunked, options);
+  std::string_view rest = doc;
+  Status chunked_status;
+  for (size_t step = size; !rest.empty() && chunked_status.ok(); ++step) {
+    size_t n = kSchedule[step % (sizeof(kSchedule) / sizeof(kSchedule[0]))];
+    if (n > rest.size()) n = rest.size();
+    chunked_status = parser.Feed(rest.substr(0, n));
+    rest.remove_prefix(n);
+  }
+  if (chunked_status.ok()) chunked_status = parser.Finish();
 
-    xml::EventRecorder one_shot;
-    Status status = xml::ParseString(doc, &one_shot, options);
-
-    xml::EventRecorder chunked;
-    xml::SaxParser parser(&chunked, options);
-    std::string_view rest = doc;
-    Status chunked_status;
-    for (size_t step = size; !rest.empty() && chunked_status.ok(); ++step) {
-      size_t n = kSchedule[step % (sizeof(kSchedule) / sizeof(kSchedule[0]))];
-      if (n > rest.size()) n = rest.size();
-      chunked_status = parser.Feed(rest.substr(0, n));
-      rest.remove_prefix(n);
-    }
-    if (chunked_status.ok()) chunked_status = parser.Finish();
-
-    if (!have_oracle) {
-      // kScalar is first in kBackends and always available.
-      want_one_shot = std::move(one_shot);
-      want_status = status;
-      want_chunked = std::move(chunked);
-      want_chunked_status = chunked_status;
-      have_oracle = true;
-      continue;
-    }
-    if (status.code() != want_status.code() ||
-        status.message() != want_status.message() ||
-        !(one_shot.events() == want_one_shot.events())) {
-      __builtin_trap();
-    }
-    if (chunked_status.code() != want_chunked_status.code() ||
-        chunked_status.message() != want_chunked_status.message() ||
-        !(chunked.events() == want_chunked.events())) {
-      __builtin_trap();
-    }
+  if (chunked_status.code() != status.code() ||
+      chunked_status.message() != status.message() ||
+      !(chunked.events() == one_shot.events())) {
+    __builtin_trap();
   }
   return 0;
 }

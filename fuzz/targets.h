@@ -41,12 +41,11 @@ int RunDifferentialInput(const uint8_t* data, size_t size);
 int RunProjectionDifferentialInput(const uint8_t* data, size_t size);
 
 // Structural-scanner differential. Treats `data` as an XML document and
-// checks the tentpole invariant of xml/structural_scanner.h at two levels:
-// every available classify kernel must produce the scalar kernel's exact
-// BlockMasks for every 64-byte block of the input, and a full parse under
-// every available backend — one-shot and through an adversarial chunk
-// schedule — must yield the scalar backend's byte-identical event stream,
-// outcome and error position.
+// checks the invariants of xml/structural_scanner.h at two levels: the
+// compiled classify kernel must produce the scalar kernel's exact
+// BlockMasks for every 64-byte block of the input, and a full parse through
+// an adversarial chunk schedule must yield the one-shot parse's
+// byte-identical event stream, outcome and error position.
 int RunScannerDiffInput(const uint8_t* data, size_t size);
 
 // Shared-index differential. Input layout:

@@ -1,10 +1,11 @@
-// Runtime CPU feature detection for the vectorized hot paths.
+// CPU feature detection, for benchmark provenance only.
 //
-// The structural scanner (xml/structural_scanner.h) picks its kernel from a
-// function-pointer table at startup; this module answers "what can this
-// machine actually run" via cpuid, independently of what the compiler was
-// allowed to emit. AVX2 additionally requires the OS to save the YMM state
-// (xgetbv), so a hypervisor that masks OSXSAVE correctly demotes us to SSE2.
+// Nothing on the hot path consults this module: the structural scanner's
+// kernel is fixed at compile time (xml/structural_scanner.h). The benches
+// stamp the detected SIMD tiers and core count into every BENCH_*.json so
+// the regression gate can tell when a baseline and a candidate ran on
+// different machines. AVX counts only when the OS also saves the YMM state
+// (xgetbv), so a hypervisor that masks OSXSAVE reports it as absent.
 
 #ifndef XAOS_UTIL_CPU_FEATURES_H_
 #define XAOS_UTIL_CPU_FEATURES_H_

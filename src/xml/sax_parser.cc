@@ -84,10 +84,6 @@ constexpr NameCharTable kNameChars = MakeNameCharTable();
 
 SaxParser::SaxParser(ContentHandler* handler, ParserOptions options)
     : handler_(handler), options_(options) {
-  if (options_.scanner_backend.has_value()) {
-    scanner_.SetBackend(*options_.scanner_backend);
-  }
-  skip_scanner_.SetScannerBackend(scanner_.backend());
   if (options_.phase_timers != nullptr) {
     timing_wrapper_ =
         std::make_unique<MatchTimingHandler>(handler, options_.phase_timers);
@@ -354,7 +350,7 @@ Status SaxParser::Finish() {
                     skip_scanner_.TakeScannerBytes());
     registry
         .GetGauge(std::string("xaos_scanner_backend{backend=\"") +
-                  ScannerBackendName(scanner_.backend()) + "\"}")
+                  ScannerBackendName(DefaultScannerBackend()) + "\"}")
         ->Set(1);
   }
   return Status::Ok();

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,12 +88,6 @@ struct ParserOptions {
   // assignment would become chunk-dependent) or reported comments/PIs
   // (their events would be lost inside skips). Must outlive the parser.
   ProjectionFilter* projection_filter = nullptr;
-  // Structural-scanner kernel for this parser (and its skip scanner). Unset
-  // (the default) uses the process-wide DefaultScannerBackend(), i.e. the
-  // XAOS_SCANNER override or the best the CPU supports. Every backend
-  // produces byte-identical events and error positions; this exists for
-  // benchmarking, CI pinning and differential tests.
-  std::optional<ScannerBackend> scanner_backend;
 };
 
 // Incremental push parser. Typical use:
@@ -251,7 +244,7 @@ class SaxParser {
   std::deque<std::string> attr_decode_slots_;
 
   // Vectorized structural front-end shared by every hot loop below; the
-  // skip scanner owns a sibling instance pinned to the same backend.
+  // skip scanner owns a sibling instance with its own mask cache.
   StructuralScanner scanner_;
 
   // Parser-local front for SymbolTable::Global(): element and attribute

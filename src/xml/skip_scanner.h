@@ -80,12 +80,6 @@ class SkipScanner {
   // so pairing quotes counts attributes exactly.
   static uint64_t CountQuotedValues(std::string_view tag_body);
 
-  // Pins the structural-scanner backend (the parser forwards its own choice
-  // so skipped and parsed regions classify identically).
-  void SetScannerBackend(ScannerBackend backend) {
-    scanner_.SetBackend(backend);
-  }
-
   // Bytes this scanner's structural kernel classified since the last call;
   // the parser folds them into xaos_scanner_bytes_classified_total.
   uint64_t TakeScannerBytes() { return scanner_.TakeBytesClassified(); }

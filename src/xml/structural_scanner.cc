@@ -1,16 +1,10 @@
 #include "xml/structural_scanner.h"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string>
-
-#include "util/cpu_features.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
-#define XAOS_SCANNER_X86_64 1
-#include <immintrin.h>
+#define XAOS_HAVE_SSE2 1
+#include <emmintrin.h>
 #endif
 
 namespace xaos::xml {
@@ -21,8 +15,8 @@ constexpr size_t kBlock = kScannerBlockBytes;
 
 // ---------------------------------------------------------------------------
 // Scalar kernel: the oracle. One class-bit table lookup per byte, scattered
-// into the nine masks. Deliberately simple — every other kernel must match
-// its output bit-for-bit on every possible byte.
+// into the nine masks. Deliberately simple — the SSE2 kernel must match its
+// output bit-for-bit on every possible byte.
 
 enum : uint16_t {
   kClassLt = 1u << 0,
@@ -64,7 +58,9 @@ constexpr ClassTable MakeClassTable() {
 
 constexpr ClassTable kClassTable = MakeClassTable();
 
-void ClassifyScalar(const char* p, BlockMasks* out) {
+}  // namespace
+
+void ClassifyBlockScalar(const char* p, BlockMasks* out) {
   BlockMasks m{};
   for (size_t i = 0; i < kBlock; ++i) {
     const uint64_t cls =
@@ -72,7 +68,7 @@ void ClassifyScalar(const char* p, BlockMasks* out) {
     // Most bytes (name and text characters) are class 0 — one predictable
     // branch skips them. Classed bytes update all nine masks branchlessly:
     // a chain of data-dependent `if`s here mispredicts on every structural
-    // byte, which the other kernels never pay.
+    // byte, which the SSE2 kernel never pays.
     if (cls == 0) continue;
     const uint64_t bit = 1ull << i;
     m.lt |= bit * (cls & 1);
@@ -89,80 +85,12 @@ void ClassifyScalar(const char* p, BlockMasks* out) {
 }
 
 // ---------------------------------------------------------------------------
-// SWAR kernel: 8 bytes per step with broadcast-compare tricks, no
-// intrinsics. Each 8-byte word yields 0x80-flagged match bytes per class
-// (Mycroft has-zero on w ^ broadcast), collapsed to an 8-bit mask with the
-// multiply-gather trick, then OR'd into the 64-bit block mask at 8*k.
-
-constexpr uint64_t kOnes = 0x0101010101010101ull;
-constexpr uint64_t kHighs = 0x8080808080808080ull;
-
-inline uint64_t LoadWordLe(const char* p) {
-  uint64_t w;
-  std::memcpy(&w, p, sizeof(w));
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-  w = __builtin_bswap64(w);
-#endif
-  return w;
-}
-
-// 0x80 in each byte of `x` that is zero, 0 elsewhere — EXACT positions.
-// (The classic Mycroft `(x - kOnes) & ~x & kHighs` form is boolean-exact
-// but positionally inexact: subtraction borrows can flag a 0x01 byte that
-// sits above a true zero. This carry-free form has no such false flags:
-// per byte, (b & 0x7F) + 0x7F sets bit 7 iff the low bits are nonzero, so
-// bit 7 of ~(y | x) is set iff the whole byte is zero.)
-inline uint64_t ZeroBytes(uint64_t x) {
-  const uint64_t k7f = 0x7F7F7F7F7F7F7F7Full;
-  const uint64_t y = (x & k7f) + k7f;
-  return ~(y | x) & kHighs;
-}
-
-// 0x80 in each byte of `w` equal to `c`, 0 elsewhere.
-inline uint64_t EqByte(uint64_t w, char c) {
-  return ZeroBytes(w ^ (kOnes * static_cast<unsigned char>(c)));
-}
-
-// 0x80 in each byte of `w` strictly below 0x20: top three bits all clear.
-inline uint64_t Below20(uint64_t w) {
-  return ZeroBytes(w & 0xE0E0E0E0E0E0E0E0ull);
-}
-
-// Collapses 0x80-flagged bytes into an 8-bit mask (bit k = byte k matched).
-inline uint64_t CollapseHighBits(uint64_t flags) {
-  return ((flags >> 7) * 0x0102040810204080ull) >> 56;
-}
-
-void ClassifySwar(const char* p, BlockMasks* out) {
-  BlockMasks m{};
-  for (size_t k = 0; k < kBlock / 8; ++k) {
-    const uint64_t w = LoadWordLe(p + 8 * k);
-    const unsigned shift = static_cast<unsigned>(8 * k);
-    const uint64_t tab = EqByte(w, '\t');
-    const uint64_t nl = EqByte(w, '\n');
-    const uint64_t cr = EqByte(w, '\r');
-    const uint64_t sp = EqByte(w, ' ');
-    m.lt |= CollapseHighBits(EqByte(w, '<')) << shift;
-    m.gt |= CollapseHighBits(EqByte(w, '>')) << shift;
-    m.dquote |= CollapseHighBits(EqByte(w, '"')) << shift;
-    m.squote |= CollapseHighBits(EqByte(w, '\'')) << shift;
-    m.amp |= CollapseHighBits(EqByte(w, '&')) << shift;
-    m.rbracket |= CollapseHighBits(EqByte(w, ']')) << shift;
-    m.newline |= CollapseHighBits(nl) << shift;
-    m.ws |= CollapseHighBits(tab | nl | cr | sp) << shift;
-    m.ctl |= CollapseHighBits(Below20(w) & ~(tab | nl | cr)) << shift;
-  }
-  *out = m;
-}
-
-// ---------------------------------------------------------------------------
 // SSE2 kernel: 4 x 16-byte compares + movemask. SSE2 is part of the x86-64
-// baseline, so on that architecture it always compiles; the runtime cpuid
-// check still gates selection for uniformity with AVX2.
+// baseline, so every x86-64 build compiles and runs it.
 
-#if defined(XAOS_SCANNER_X86_64)
+#if defined(XAOS_HAVE_SSE2)
 
-void ClassifySse2(const char* p, BlockMasks* out) {
+void ClassifyBlock(const char* p, BlockMasks* out) {
   BlockMasks m{};
   for (size_t k = 0; k < kBlock / 16; ++k) {
     const __m128i v =
@@ -193,190 +121,30 @@ void ClassifySse2(const char* p, BlockMasks* out) {
   *out = m;
 }
 
-// AVX2 kernel: 2 x 32-byte compares. Compiled with a function-level target
-// attribute so the translation unit (and the rest of the binary) does not
-// need -mavx2; entry is gated by the cpuid/xgetbv check in
-// util/cpu_features.cc.
+ScannerBackend DefaultScannerBackend() { return ScannerBackend::kSse2; }
 
-// gcc does not propagate the enclosing function's target attribute into
-// lambdas, so the per-class compare is a free helper function.
-__attribute__((target("avx2"))) inline uint64_t MaskEq256(__m256i v, char c) {
-  return static_cast<uint64_t>(static_cast<unsigned>(
-      _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, _mm256_set1_epi8(c)))));
-}
-
-__attribute__((target("avx2"))) void ClassifyAvx2(const char* p,
-                                                  BlockMasks* out) {
-  BlockMasks m{};
-  for (size_t k = 0; k < kBlock / 32; ++k) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 32 * k));
-    const unsigned shift = static_cast<unsigned>(32 * k);
-    const uint64_t tab = MaskEq256(v, '\t');
-    const uint64_t nl = MaskEq256(v, '\n');
-    const uint64_t cr = MaskEq256(v, '\r');
-    const uint64_t sp = MaskEq256(v, ' ');
-    const uint64_t below20 = static_cast<uint64_t>(
-        static_cast<unsigned>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(
-            _mm256_min_epu8(v, _mm256_set1_epi8(0x1F)), v))));
-    m.lt |= MaskEq256(v, '<') << shift;
-    m.gt |= MaskEq256(v, '>') << shift;
-    m.dquote |= MaskEq256(v, '"') << shift;
-    m.squote |= MaskEq256(v, '\'') << shift;
-    m.amp |= MaskEq256(v, '&') << shift;
-    m.rbracket |= MaskEq256(v, ']') << shift;
-    m.newline |= nl << shift;
-    m.ws |= (tab | nl | cr | sp) << shift;
-    m.ctl |= (below20 & ~(tab | nl | cr)) << shift;
-  }
-  *out = m;
-}
-
-#endif  // XAOS_SCANNER_X86_64
-
-// ---------------------------------------------------------------------------
-// Dispatch table and process-wide default.
-
-ClassifyBlockFn KernelFor(ScannerBackend backend) {
-  switch (backend) {
-    case ScannerBackend::kScalar:
-      return &ClassifyScalar;
-    case ScannerBackend::kSwar:
-      return &ClassifySwar;
-#if defined(XAOS_SCANNER_X86_64)
-    case ScannerBackend::kSse2:
-      return util::DetectCpuFeatures().sse2 ? &ClassifySse2 : nullptr;
-    case ScannerBackend::kAvx2:
-      return util::DetectCpuFeatures().avx2 ? &ClassifyAvx2 : nullptr;
 #else
-    case ScannerBackend::kSse2:
-    case ScannerBackend::kAvx2:
-      return nullptr;
-#endif
-  }
-  return nullptr;
+
+void ClassifyBlock(const char* p, BlockMasks* out) {
+  ClassifyBlockScalar(p, out);
 }
 
-std::string AvailableBackendList() {
-  std::string out;
-  for (ScannerBackend backend :
-       {ScannerBackend::kScalar, ScannerBackend::kSwar, ScannerBackend::kSse2,
-        ScannerBackend::kAvx2}) {
-    if (!ScannerBackendAvailable(backend)) continue;
-    if (!out.empty()) out += ", ";
-    out += ScannerBackendName(backend);
-  }
-  out += ", auto";
-  return out;
-}
+ScannerBackend DefaultScannerBackend() { return ScannerBackend::kScalar; }
 
-// kNotSelected until the first DefaultScannerBackend() call or an explicit
-// SetDefaultScannerBackend().
-constexpr int kNotSelected = -1;
-std::atomic<int> g_default_backend{kNotSelected};
-
-ScannerBackend InitDefaultBackend() {
-  const char* env = std::getenv("XAOS_SCANNER");
-  if (env != nullptr && env[0] != '\0') {
-    StatusOr<ScannerBackend> parsed = ResolveScannerBackend(env);
-    if (parsed.ok()) return *parsed;
-    std::fprintf(stderr, "warning: XAOS_SCANNER: %s\n",
-                 std::string(parsed.status().message()).c_str());
-  }
-  return BestScannerBackend();
-}
-
-}  // namespace
+#endif  // XAOS_HAVE_SSE2
 
 const char* ScannerBackendName(ScannerBackend backend) {
   switch (backend) {
     case ScannerBackend::kScalar:
       return "scalar";
-    case ScannerBackend::kSwar:
-      return "swar";
     case ScannerBackend::kSse2:
       return "sse2";
-    case ScannerBackend::kAvx2:
-      return "avx2";
   }
   return "unknown";
 }
 
-bool ScannerBackendAvailable(ScannerBackend backend) {
-  return KernelFor(backend) != nullptr;
-}
-
-ScannerBackend BestScannerBackend() {
-  if (ScannerBackendAvailable(ScannerBackend::kAvx2)) {
-    return ScannerBackend::kAvx2;
-  }
-  if (ScannerBackendAvailable(ScannerBackend::kSse2)) {
-    return ScannerBackend::kSse2;
-  }
-  return ScannerBackend::kSwar;
-}
-
-StatusOr<ScannerBackend> ResolveScannerBackend(std::string_view name) {
-  if (name == "auto") return BestScannerBackend();
-  for (ScannerBackend backend :
-       {ScannerBackend::kScalar, ScannerBackend::kSwar, ScannerBackend::kSse2,
-        ScannerBackend::kAvx2}) {
-    if (name != ScannerBackendName(backend)) continue;
-    if (!ScannerBackendAvailable(backend)) {
-      return InvalidArgumentError("scanner backend '" + std::string(name) +
-                                  "' is not supported on this CPU "
-                                  "(available: " +
-                                  AvailableBackendList() + ")");
-    }
-    return backend;
-  }
-  return InvalidArgumentError("unknown scanner backend '" + std::string(name) +
-                              "' (available: " + AvailableBackendList() + ")");
-}
-
-ScannerBackend DefaultScannerBackend() {
-  int current = g_default_backend.load(std::memory_order_relaxed);
-  if (current == kNotSelected) {
-    const ScannerBackend selected = InitDefaultBackend();
-    // A concurrent initializer picks the same value (env + cpuid are
-    // stable), so a plain race-free publish is enough.
-    g_default_backend.store(static_cast<int>(selected),
-                            std::memory_order_relaxed);
-    return selected;
-  }
-  return static_cast<ScannerBackend>(current);
-}
-
-void SetDefaultScannerBackend(ScannerBackend backend) {
-  if (!ScannerBackendAvailable(backend)) backend = BestScannerBackend();
-  g_default_backend.store(static_cast<int>(backend),
-                          std::memory_order_relaxed);
-}
-
-ClassifyBlockFn ScannerKernelForTest(ScannerBackend backend) {
-  return KernelFor(backend);
-}
-
 // ---------------------------------------------------------------------------
 // StructuralScanner drivers.
-
-StructuralScanner::StructuralScanner()
-    : StructuralScanner(DefaultScannerBackend()) {}
-
-StructuralScanner::StructuralScanner(ScannerBackend backend) {
-  SetBackend(backend);
-}
-
-void StructuralScanner::SetBackend(ScannerBackend backend) {
-  ClassifyBlockFn fn = KernelFor(backend);
-  if (fn == nullptr) {
-    backend = BestScannerBackend();
-    fn = KernelFor(backend);
-  }
-  backend_ = backend;
-  classify_ = fn;
-  InvalidateCache();
-}
 
 void StructuralScanner::InvalidateCache() {
   for (CacheSlot& slot : cache_) slot.valid = false;
@@ -397,7 +165,7 @@ void StructuralScanner::ClassifyTail(const char* p, size_t len,
                                      BlockMasks* out) const {
   alignas(kBlock) char staged[kBlock] = {};
   std::memcpy(staged, p, len);
-  classify_(staged, out);
+  ClassifyBlock(staged, out);
   bytes_classified_ += len;
   // Zero padding classifies as control bytes; trim every mask to length.
   const uint64_t keep = len == 0 ? 0 : (~0ull >> (kBlock - len));

@@ -14,21 +14,19 @@
 // jump from structural position to structural position with ctz/popcount
 // instead of inspecting every character.
 //
-// Three interchangeable kernels produce the masks:
-//   * scalar — portable table-driven byte loop; the oracle the others are
-//     differentially tested against.
-//   * swar   — 64-bit broadcast-compare tricks (Mycroft has-zero), no
-//     intrinsics, works on every platform.
-//   * sse2 / avx2 — x86 vector compares + movemask, selected at runtime
-//     behind a function-pointer table after a cpuid check
-//     (util/cpu_features.h). AVX2 code is compiled with a function-level
-//     target attribute so the rest of the binary needs no -mavx2.
+// One kernel per build produces the masks, chosen at compile time:
+//   * sse2   — x86 vector compares + movemask, 4 x 16 bytes per block. SSE2
+//     is part of the x86-64 baseline ISA, so x86-64 builds always use it
+//     and need no cpuid check.
+//   * scalar — portable table-driven byte loop, used on every other
+//     platform. It is also the oracle the SSE2 kernel is differentially
+//     tested against (ClassifyBlockScalar).
 //
-// Every kernel fills the same BlockMasks struct, and all higher-level logic
+// The kernel fills one BlockMasks struct, and all higher-level logic
 // (prefix masking at the first '<', quote-state tracking across blocks,
-// newline accounting) is backend-independent driver code in this module —
-// so backends can only disagree if a kernel mis-classifies a byte, which is
-// exactly what the differential tests and fuzz_scanner_diff check.
+// newline accounting) is kernel-independent driver code in this module —
+// so the two kernels can only disagree if one mis-classifies a byte, which
+// is exactly what the differential tests and fuzz_scanner_diff check.
 //
 // Chunk-boundary safety: the drivers are pure functions over the span they
 // are given; resumability (split quotes, CDATA sections, comments across
@@ -43,17 +41,13 @@
 #include <cstdint>
 #include <string_view>
 
-#include "util/statusor.h"
-
 namespace xaos::xml {
 
 inline constexpr size_t kScannerBlockBytes = 64;
 
 enum class ScannerBackend : uint8_t {
   kScalar = 0,
-  kSwar = 1,
-  kSse2 = 2,
-  kAvx2 = 3,
+  kSse2 = 1,
 };
 
 // One 64-byte block's classification. Bit i refers to byte i of the block;
@@ -70,10 +64,17 @@ struct BlockMasks {
   uint64_t ctl;       // C0 control other than tab/LF/CR (forbidden in Char)
 };
 
-// Kernel signature: classify exactly kScannerBlockBytes bytes at `p`.
+// The compiled kernel: classifies exactly kScannerBlockBytes bytes at `p`.
 // Sub-block tails are staged through a zero-padded buffer by the driver, so
-// kernels never read past their 64 bytes and never see a partial block.
-using ClassifyBlockFn = void (*)(const char* p, BlockMasks* out);
+// the kernel never reads past its 64 bytes and never sees a partial block.
+// Deliberately out of line: inlining it into the header fast paths below
+// measured slower end to end.
+void ClassifyBlock(const char* p, BlockMasks* out);
+
+// The scalar kernel. Production code calls ClassifyBlock; this is exposed
+// for the differential tests and fuzzers, which use it as the oracle. On
+// builds without SSE2 it is also what ClassifyBlock runs.
+void ClassifyBlockScalar(const char* p, BlockMasks* out);
 
 // Bit i of the result is the parity of bits [0, i] of x: simdjson's
 // carry-less-multiply quote trick in portable shift form. Applied to a
@@ -89,30 +90,14 @@ inline uint64_t ScannerPrefixXor(uint64_t x) {
   return x;
 }
 
-// --- Backend selection -----------------------------------------------------
+// --- Kernel identity -------------------------------------------------------
 
-// Canonical lowercase name ("scalar", "swar", "sse2", "avx2").
+// Canonical lowercase name ("scalar", "sse2").
 const char* ScannerBackendName(ScannerBackend backend);
 
-// Whether this process can run the backend: compiled in AND supported by
-// the CPU (cpuid + OS state for AVX2). kScalar and kSwar are always true.
-bool ScannerBackendAvailable(ScannerBackend backend);
-
-// Best available backend in order avx2 > sse2 > swar.
-ScannerBackend BestScannerBackend();
-
-// Parses "scalar" / "swar" / "sse2" / "avx2" / "auto". Unknown names and
-// backends this machine cannot run yield an InvalidArgument with the list
-// of valid choices, so tools can reject bad --scanner= / XAOS_SCANNER
-// values with a clear error.
-StatusOr<ScannerBackend> ResolveScannerBackend(std::string_view name);
-
-// Process-wide default, used by every parser whose ParserOptions does not
-// pin a backend. Lazily initialized on first use: the XAOS_SCANNER
-// environment variable if set and valid (an invalid value warns once on
-// stderr and falls back), else BestScannerBackend().
+// The kernel this build compiled in: kSse2 on x86-64, kScalar elsewhere.
+// Reported by the xaos_scanner_backend gauge and bench provenance.
 ScannerBackend DefaultScannerBackend();
-void SetDefaultScannerBackend(ScannerBackend backend);
 
 // --- Drivers ---------------------------------------------------------------
 
@@ -159,7 +144,7 @@ struct CDataFacts {
   bool all_ws;
 };
 
-// A configured classification front-end with a small block-mask cache.
+// A classification front-end with a small block-mask cache.
 //
 // All drivers address one shared buffer through (base, size, from): blocks
 // live on a 64-byte grid anchored at `base`, so consecutive scans over the
@@ -175,13 +160,6 @@ struct CDataFacts {
 // All offsets in the returned fact structs are relative to `from`.
 class StructuralScanner {
  public:
-  // Uses the process-wide default backend.
-  StructuralScanner();
-  explicit StructuralScanner(ScannerBackend backend);
-
-  void SetBackend(ScannerBackend backend);
-  ScannerBackend backend() const { return backend_; }
-
   // Drops all cached block masks. Call after the underlying buffer mutates.
   void InvalidateCache();
 
@@ -313,7 +291,7 @@ class StructuralScanner {
   // single register-resident block beats the shared cache. Both count
   // classified bytes like the drivers do.
   void ClassifyFullBlock(const char* p, BlockMasks* out) const {
-    classify_(p, out);
+    ClassifyBlock(p, out);
     bytes_classified_ += kScannerBlockBytes;
   }
   // Classifies the final `len` (< kScannerBlockBytes) bytes of a span by
@@ -349,7 +327,7 @@ class StructuralScanner {
   const BlockMasks& FullBlock(const char* base, size_t block_start) const {
     CacheSlot& slot = cache_[(block_start >> 6) & (kCacheSlots - 1)];
     if (!(slot.valid && slot.base == base && slot.block == block_start)) {
-      classify_(base + block_start, &slot.masks);
+      ClassifyBlock(base + block_start, &slot.masks);
       bytes_classified_ += kScannerBlockBytes;
       slot.base = base;
       slot.block = block_start;
@@ -366,15 +344,9 @@ class StructuralScanner {
   ValueFacts ScanValueGeneral(const char* base, size_t size, size_t from,
                               size_t len) const;
 
-  ClassifyBlockFn classify_;
-  ScannerBackend backend_;
   mutable CacheSlot cache_[kCacheSlots];
   mutable uint64_t bytes_classified_ = 0;
 };
-
-// Exposed for the differential tests: raw kernel lookup (nullptr when the
-// backend is unavailable) — drivers above are the supported interface.
-ClassifyBlockFn ScannerKernelForTest(ScannerBackend backend);
 
 }  // namespace xaos::xml
 

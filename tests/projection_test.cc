@@ -433,7 +433,9 @@ TEST(ProjectionAbortTest, TruncatedInsideSkipFailsAndEvaluatorRecovers) {
 TEST(ProjectionAbortTest, ParallelFleetAbortDuringSkipRecovers) {
   auto query = core::Query::Compile("/a/keep");
   ASSERT_TRUE(query.ok());
-  core::ParallelFleet fleet(core::ParallelFleetOptions{.num_workers = 2});
+  core::ParallelFleetOptions fleet_options;
+  fleet_options.num_workers = 2;
+  core::ParallelFleet fleet(fleet_options);
   fleet.AddQuery(*query);
   xml::ParserOptions options;
   options.projection_filter = fleet.projection_filter();

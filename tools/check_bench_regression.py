@@ -84,9 +84,11 @@ def best_throughput(row):
 
 # Provenance params BenchReporter stamps into every report (bench_util.h).
 # A mismatch means baseline and candidate ran with different hardware
-# capabilities or a pinned scanner kernel — the numbers are still compared
-# (with --normalize absorbing uniform drift), but the mismatch is called
-# out so a "regression" can be recognized as an environment change.
+# capabilities or were built with a different scanner kernel (one per build:
+# sse2 on x86-64, scalar elsewhere; reports recorded before that rule may
+# say swar or avx2) — the numbers are still compared (with --normalize
+# absorbing uniform drift), but the mismatch is called out so a
+# "regression" can be recognized as an environment change.
 ENVIRONMENT_PARAMS = ("cpu_features", "hardware_concurrency",
                       "scanner_backend")
 

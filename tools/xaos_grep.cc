@@ -33,15 +33,11 @@
 //                  skip-scans subtrees the query provably cannot touch
 //                  (query/projection.h); results are identical either way,
 //                  so this is a debugging/benchmarking switch
-//   --scanner=BACKEND
-//                  pin the structural-scanner kernel: scalar, swar, sse2,
-//                  avx2, or auto (the default: the XAOS_SCANNER environment
-//                  variable if set, else the best the CPU supports). Every
-//                  backend produces identical results; this is a
-//                  benchmarking/debugging switch
 //
 // Parser guardrails (see xml::ParserLimits; a file that exceeds a bound is
-// reported and skipped, exit code 2):
+// reported and skipped, exit code 2). N is a plain decimal integer; a sign,
+// an overflow or a value above the limit's type maximum (INT_MAX for
+// --max-depth) is a usage error (exit 2):
 //   --max-depth=N             element nesting depth
 //   --max-attrs=N             attributes per start tag
 //   --max-attr-value-bytes=N  decoded size of one attribute value
@@ -53,8 +49,10 @@
 // --count, --match, --xml and --tuples are mutually exclusive output modes;
 // combining them is an error (exit 2).
 
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -87,7 +85,7 @@ int Usage() {
       stderr,
       "usage: xaos_grep [--count|--match|--xml|--tuples] [--stats[=json]] "
       "[--explain] [--trace|--trace-json] [--metrics-json=FILE] "
-      "[--flight-trace=FILE] [--no-projection] [--scanner=BACKEND] "
+      "[--flight-trace=FILE] [--no-projection] "
       "[--max-depth=N] [--max-attrs=N] [--max-attr-value-bytes=N] "
       "[--max-name-bytes=N] [--max-token-bytes=N] [--max-entity-refs=N] "
       "[--max-total-bytes=N] '<xpath>' [file.xml ...]\n"
@@ -95,18 +93,22 @@ int Usage() {
   return 2;
 }
 
-// Matches "--NAME=N"; on a match parses N into *value (returning false and
-// diagnosing a malformed number). *consumed says whether the flag matched.
-bool MatchLimitFlag(const std::string& arg, const char* name, uint64_t* value,
-                    bool* consumed) {
+// Matches "--NAME=N"; on a match parses N into *value, returning false (after
+// diagnosing) unless N is all decimal digits and at most `max` — a sign, an
+// empty value or an overflow are all rejected. *consumed says whether the
+// flag matched.
+bool MatchLimitFlag(const std::string& arg, const char* name, uint64_t max,
+                    uint64_t* value, bool* consumed) {
   std::string prefix = std::string("--") + name + "=";
   if (arg.rfind(prefix, 0) != 0) return true;
   *consumed = true;
   const char* text = arg.c_str() + prefix.size();
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(text, &end, 10);
-  if (*text == '\0' || (end != nullptr && *end != '\0')) {
-    std::fprintf(stderr, "%s: expects a non-negative integer\n", arg.c_str());
+  const char* last = arg.c_str() + arg.size();
+  uint64_t parsed = 0;
+  const std::from_chars_result result = std::from_chars(text, last, parsed);
+  if (result.ec != std::errc() || result.ptr != last || parsed > max) {
+    std::fprintf(stderr, "%s: expects an integer from 0 to %llu\n",
+                 arg.c_str(), static_cast<unsigned long long>(max));
     return false;
   }
   *value = parsed;
@@ -120,7 +122,9 @@ bool MatchLimitsFlags(const std::string& arg, xaos::xml::ParserLimits* limits,
   *consumed = false;
   uint64_t depth = 0;
   bool depth_consumed = false;
-  if (!MatchLimitFlag(arg, "max-depth", &depth, &depth_consumed)) return false;
+  if (!MatchLimitFlag(arg, "max-depth", INT_MAX, &depth, &depth_consumed)) {
+    return false;
+  }
   if (depth_consumed) {
     limits->max_depth = static_cast<int>(depth);
     *consumed = true;
@@ -134,7 +138,9 @@ bool MatchLimitsFlags(const std::string& arg, xaos::xml::ParserLimits* limits,
       {"max-total-bytes", &limits->max_total_bytes},
   };
   for (auto& flag : flags) {
-    if (!MatchLimitFlag(arg, flag.name, flag.target, consumed)) return false;
+    if (!MatchLimitFlag(arg, flag.name, UINT64_MAX, flag.target, consumed)) {
+      return false;
+    }
     if (*consumed) return true;
   }
   struct {
@@ -148,7 +154,9 @@ bool MatchLimitsFlags(const std::string& arg, xaos::xml::ParserLimits* limits,
   };
   for (auto& flag : size_flags) {
     uint64_t value = 0;
-    if (!MatchLimitFlag(arg, flag.name, &value, consumed)) return false;
+    if (!MatchLimitFlag(arg, flag.name, SIZE_MAX, &value, consumed)) {
+      return false;
+    }
     if (*consumed) {
       *flag.target = static_cast<size_t>(value);
       return true;
@@ -228,16 +236,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--flight-trace needs a file path\n");
         return Usage();
       }
-    } else if (arg.rfind("--scanner=", 0) == 0) {
-      xaos::StatusOr<xaos::xml::ScannerBackend> backend =
-          xaos::xml::ResolveScannerBackend(
-              arg.substr(std::strlen("--scanner=")));
-      if (!backend.ok()) {
-        std::fprintf(stderr, "--scanner: %s\n",
-                     std::string(backend.status().message()).c_str());
-        return Usage();
-      }
-      xaos::xml::SetDefaultScannerBackend(*backend);
     } else if (arg.rfind("--", 0) == 0) {
       bool consumed = false;
       if (!MatchLimitsFlags(arg, &options.limits, &consumed)) return Usage();
