@@ -215,17 +215,18 @@ int main(int argc, char** argv) {
                 << (fleet ? fleet->query_count() : evaluator.query_count())
                 << " subscriptions\n";
     }
+    // Deliver to the matched subscriptions only, listed without a loop over
+    // every verdict. AddQuery numbers queries 0, 1, ... in order, so a query
+    // index is its subscription's position.
     std::cout << "document " << i + 1 << " -> ";
-    bool any = false;
-    for (Subscription& sub : subscriptions) {
-      if (fleet ? fleet->Matched(sub.query_index)
-                : evaluator.Matched(sub.query_index)) {
-        sub.deliveries->Increment();
-        std::cout << (any ? ", " : "") << sub.name;
-        any = true;
-      }
+    const std::vector<size_t> matched =
+        fleet ? fleet->MatchedQueries() : evaluator.MatchedQueries();
+    for (size_t k = 0; k < matched.size(); ++k) {
+      Subscription& sub = subscriptions[matched[k]];
+      sub.deliveries->Increment();
+      std::cout << (k > 0 ? ", " : "") << sub.name;
     }
-    std::cout << (any ? "" : "(no subscribers)") << "\n";
+    std::cout << (matched.empty() ? "(no subscribers)" : "") << "\n";
   }
 
   std::cout << "\nsubscriptions:\n";

@@ -288,8 +288,10 @@ int RunSharedIndexDiffInput(const uint8_t* data, size_t size) {
   if (shared.status().ok() != oracle.status().ok()) __builtin_trap();
   if (!shared.status().ok()) return 0;
 
+  std::vector<size_t> matched;
   for (size_t q = 0; q < queries.size(); ++q) {
     if (shared.Matched(q) != oracle.Matched(q)) __builtin_trap();
+    if (oracle.Matched(q)) matched.push_back(q);
     if (shared.MatchConfirmed(q) != oracle.MatchConfirmed(q)) {
       __builtin_trap();
     }
@@ -298,6 +300,9 @@ int RunSharedIndexDiffInput(const uint8_t* data, size_t size) {
       __builtin_trap();
     }
   }
+  // The delivery list is exactly the matched set on both backends.
+  if (shared.MatchedQueries() != matched) __builtin_trap();
+  if (oracle.MatchedQueries() != matched) __builtin_trap();
   return 0;
 }
 

@@ -10,6 +10,7 @@
 #include "obs/flight.h"
 #include "obs/json.h"
 #include "query/xtree_builder.h"
+#include "util/check.h"
 #include "xml/sax_parser.h"
 
 namespace xaos::core {
@@ -304,38 +305,39 @@ MultiQueryEvaluator::MultiQueryEvaluator(EngineOptions options)
 
 size_t MultiQueryEvaluator::AddQuery(const Query& query,
                                      std::string_view label) {
+  const uint32_t q = static_cast<uint32_t>(queries_.size());
+  XAOS_CHECK(q < kEngineRoute) << "too many queries for a route word";
   QuerySlot slot;
   slot.trees = query.trees_;
   slot.begin = engines_.size();
   slot.end = slot.begin;
-  slot.label = label.empty() ? "q" + std::to_string(queries_.size())
-                             : std::string(label);
+  slot.label = label.empty() ? "q" + std::to_string(q) : std::string(label);
 
   // Byte-identical repeat of an earlier expression: alias its verdicts, add
   // no matching state. Compositions without an expression (FromTrees) can
   // have distinct trees behind an empty string, so they never alias.
   if (!query.expression().empty()) {
-    auto [it, inserted] =
-        by_expression_.try_emplace(query.expression(), queries_.size());
+    auto [it, inserted] = by_expression_.try_emplace(query.expression(), q);
     if (!inserted) {
-      slot.backend = QuerySlot::Backend::kAlias;
-      slot.alias_of = it->second;
+      QuerySlot& canonical = queries_[it->second];
+      slot.next_alias = canonical.next_alias;
+      canonical.next_alias = q;
+      const uint32_t route = routes_[it->second];
       ++alias_subscriptions_;
-      const QuerySlot& canonical = queries_[slot.alias_of];
-      if (canonical.backend == QuerySlot::Backend::kShared) {
-        ++shared_subscriptions_;
-      }
+      if ((route & kEngineRoute) == 0) ++shared_subscriptions_;
       queries_.push_back(std::move(slot));
-      return queries_.size() - 1;
+      routes_.push_back(route);
+      return q;
     }
   }
 
   if (shared_enabled_ && SharedIndexBuilder::Shareable(*slot.trees)) {
-    slot.backend = QuerySlot::Backend::kShared;
-    slot.shared_id = shared_builder_.AddSubscription(*slot.trees);
+    const uint32_t shared_id = shared_builder_.AddSubscription(*slot.trees);
+    shared_queries_.push_back(q);
     ++shared_subscriptions_;
     queries_.push_back(std::move(slot));
-    return queries_.size() - 1;
+    routes_.push_back(shared_id);
+    return q;
   }
 
   for (const query::XTree& tree : *slot.trees) {
@@ -344,8 +346,10 @@ size_t MultiQueryEvaluator::AddQuery(const Query& query,
     fleet_.AddEngine(engines_.back().get());
   }
   slot.end = engines_.size();
+  engine_queries_.push_back(q);
   queries_.push_back(std::move(slot));
-  return queries_.size() - 1;
+  routes_.push_back(kEngineRoute | q);
+  return q;
 }
 
 void MultiQueryEvaluator::EnsureSharedIndex() {
@@ -365,6 +369,7 @@ void MultiQueryEvaluator::StartDocument() {
     doc_begin_ns_ = obs::NowNs();
   }
   EnsureSharedIndex();
+  live_queries_ = queries_.size();
   arena_baseline_ = arena_.bytes_allocated();
   fleet_.StartDocument();
 }
@@ -381,33 +386,26 @@ obs::MetricsRegistry& MultiQueryEvaluator::metrics_registry() const {
 }
 
 bool MultiQueryEvaluator::SlotMatched(size_t q, uint64_t* confirm_ns) const {
-  const QuerySlot& slot = queries_[q];
-  switch (slot.backend) {
-    case QuerySlot::Backend::kAlias:
-      return SlotMatched(slot.alias_of, confirm_ns);
-    case QuerySlot::Backend::kShared:
-      if (shared_matcher_ == nullptr || !shared_matcher_->Matched(slot.shared_id)) {
-        return false;
-      }
-      *confirm_ns = shared_matcher_->confirm_ns(slot.shared_id);
-      return true;
-    case QuerySlot::Backend::kEngine: {
-      // Earliest confirmation across the query's disjunct engines; a query
-      // matched if any healthy engine matched.
-      uint64_t confirm = 0;
-      bool matched = false;
-      for (size_t i = slot.begin; i < slot.end; ++i) {
-        const XaosEngine& engine = *engines_[i];
-        if (!engine.status().ok() || !engine.result().matched) continue;
-        matched = true;
-        uint64_t c = engine.match_confirm_ns();
-        if (c != 0 && (confirm == 0 || c < confirm)) confirm = c;
-      }
-      *confirm_ns = confirm;
-      return matched;
-    }
+  const uint32_t route = routes_[q];
+  if ((route & kEngineRoute) == 0) {
+    if (!shared_matcher_->Matched(route)) return false;
+    *confirm_ns = shared_matcher_->confirm_ns(route);
+    return true;
   }
-  return false;
+  // Earliest confirmation across the query's disjunct engines; a query
+  // matched if any healthy engine matched.
+  const QuerySlot& slot = queries_[route & ~kEngineRoute];
+  uint64_t confirm = 0;
+  bool matched = false;
+  for (size_t i = slot.begin; i < slot.end; ++i) {
+    const XaosEngine& engine = *engines_[i];
+    if (!engine.status().ok() || !engine.result().matched) continue;
+    matched = true;
+    uint64_t c = engine.match_confirm_ns();
+    if (c != 0 && (confirm == 0 || c < confirm)) confirm = c;
+  }
+  *confirm_ns = confirm;
+  return matched;
 }
 
 void MultiQueryEvaluator::ExportSharedMetrics(
@@ -441,11 +439,10 @@ void MultiQueryEvaluator::FinishDocumentObservability() {
   if (obs::Enabled()) {
     obs::MetricsRegistry& registry = metrics_registry();
     ExportSharedMetrics(&registry);
-    for (size_t q = 0; q < queries_.size(); ++q) {
+    for (const size_t q : MatchedQueries()) {
       QuerySlot& slot = queries_[q];
       uint64_t confirm = 0;
-      bool matched = SlotMatched(q, &confirm);
-      if (!matched) continue;
+      if (!SlotMatched(q, &confirm)) continue;
       if (slot.match_latency == nullptr) {
         std::string labels =
             "{subscription=\"" + obs::JsonEscape(slot.label) + "\"}";
@@ -510,10 +507,9 @@ xml::ProjectionFilter* MultiQueryEvaluator::projection_filter() {
       if (shared_builder_.subscription_count() > 0) {
         spec.UnionWith(shared_builder_.AnalyzeProjection());
       }
-      for (const QuerySlot& slot : queries_) {
+      for (const uint32_t q : engine_queries_) {
         if (spec.keep_all) break;
-        if (slot.backend != QuerySlot::Backend::kEngine) continue;
-        spec.UnionWith(query::ProjectionSpec::Analyze(*slot.trees));
+        spec.UnionWith(query::ProjectionSpec::Analyze(*queries_[q].trees));
       }
       gate_.SetSpec(std::move(spec));
     }
@@ -526,52 +522,63 @@ Status MultiQueryEvaluator::status() const {
   return FirstError(engines_);
 }
 
-bool MultiQueryEvaluator::Matched(size_t q) const {
-  const QuerySlot& slot = queries_[q];
-  switch (slot.backend) {
-    case QuerySlot::Backend::kAlias:
-      return Matched(slot.alias_of);
-    case QuerySlot::Backend::kShared:
-      return shared_matcher_ != nullptr &&
-             shared_matcher_->Matched(slot.shared_id);
-    case QuerySlot::Backend::kEngine:
-      for (size_t i = slot.begin; i < slot.end; ++i) {
-        if (engines_[i]->result().matched) return true;
-      }
-      return false;
+bool MultiQueryEvaluator::EngineMatched(size_t canonical) const {
+  const QuerySlot& slot = queries_[canonical];
+  for (size_t i = slot.begin; i < slot.end; ++i) {
+    if (engines_[i]->result().matched) return true;
   }
   return false;
 }
 
+bool MultiQueryEvaluator::Matched(size_t q) const {
+  if (q >= live_queries_) return false;
+  const uint32_t route = routes_[q];
+  if ((route & kEngineRoute) == 0) return shared_matcher_->Matched(route);
+  return EngineMatched(route & ~kEngineRoute);
+}
+
 bool MultiQueryEvaluator::MatchConfirmed(size_t q) const {
-  const QuerySlot& slot = queries_[q];
-  switch (slot.backend) {
-    case QuerySlot::Backend::kAlias:
-      return MatchConfirmed(slot.alias_of);
-    case QuerySlot::Backend::kShared:
-      return shared_matcher_ != nullptr &&
-             shared_matcher_->MatchConfirmed(slot.shared_id);
-    case QuerySlot::Backend::kEngine:
-      for (size_t i = slot.begin; i < slot.end; ++i) {
-        if (engines_[i]->match_confirmed()) return true;
-      }
-      return false;
+  if (q >= live_queries_) return false;
+  const uint32_t route = routes_[q];
+  if ((route & kEngineRoute) == 0) {
+    return shared_matcher_->MatchConfirmed(route);
+  }
+  const QuerySlot& slot = queries_[route & ~kEngineRoute];
+  for (size_t i = slot.begin; i < slot.end; ++i) {
+    if (engines_[i]->match_confirmed()) return true;
   }
   return false;
 }
 
 QueryResult MultiQueryEvaluator::Result(size_t q) const {
-  const QuerySlot& slot = queries_[q];
-  switch (slot.backend) {
-    case QuerySlot::Backend::kAlias:
-      return Result(slot.alias_of);
-    case QuerySlot::Backend::kShared:
-      return shared_matcher_ != nullptr ? shared_matcher_->Result(slot.shared_id)
-                                        : QueryResult{};
-    case QuerySlot::Backend::kEngine:
-      return MergeResults(engines_, slot.begin, slot.end);
+  if (q >= live_queries_) return QueryResult{};
+  const uint32_t route = routes_[q];
+  if ((route & kEngineRoute) == 0) return shared_matcher_->Result(route);
+  const QuerySlot& slot = queries_[route & ~kEngineRoute];
+  return MergeResults(engines_, slot.begin, slot.end);
+}
+
+void MultiQueryEvaluator::AppendWithAliases(uint32_t canonical,
+                                            std::vector<size_t>* out) const {
+  for (uint32_t q = canonical; q != kNoQuery; q = queries_[q].next_alias) {
+    if (q < live_queries_) out->push_back(q);
   }
-  return QueryResult{};
+}
+
+std::vector<size_t> MultiQueryEvaluator::MatchedQueries() const {
+  std::vector<size_t> matched;
+  if (shared_matcher_ != nullptr) {
+    for (const uint32_t sub : shared_matcher_->confirmed_subs()) {
+      if (shared_matcher_->Matched(sub)) {
+        AppendWithAliases(shared_queries_[sub], &matched);
+      }
+    }
+  }
+  for (const uint32_t q : engine_queries_) {
+    if (q < live_queries_ && EngineMatched(q)) AppendWithAliases(q, &matched);
+  }
+  std::sort(matched.begin(), matched.end());
+  return matched;
 }
 
 EngineStats MultiQueryEvaluator::AggregateStats() const {

@@ -7,6 +7,7 @@
 #ifndef XAOS_CORE_MULTI_ENGINE_H_
 #define XAOS_CORE_MULTI_ENGINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -170,8 +171,9 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   explicit MultiQueryEvaluator(EngineOptions options = {});
 
   // Registers a subscription and returns its index (stable; used to read
-  // per-query results). All queries must be added before StartDocument.
-  // `label` names the subscription in exported latency series
+  // per-query results). Queries join at the next StartDocument: one added
+  // since the last StartDocument reports not matched, not confirmed and an
+  // empty result. `label` names the subscription in exported latency series
   // (`xaos_sub_match_latency_ns{subscription="<label>"}`); empty derives
   // "q<index>".
   size_t AddQuery(const Query& query, std::string_view label = {});
@@ -221,6 +223,11 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   bool MatchConfirmed(size_t q) const;
   // Query `q`'s result, disjuncts unioned. Valid after EndDocument.
   QueryResult Result(size_t q) const;
+  // Indices of the queries that matched, ascending: {q : Matched(q)}.
+  // Valid after EndDocument. Built on demand from the shared matcher's
+  // confirmed list, the alias chains and the engine-backed queries, so it
+  // costs O(matched + engine-backed queries), not O(queries).
+  std::vector<size_t> MatchedQueries() const;
 
   // Sum of all engines' statistics; the arena figures are the evaluator's
   // shared arena (this document's traffic, its footprint).
@@ -247,16 +254,20 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   SharedMatcher* shared_matcher_for_test() { return shared_matcher_.get(); }
 
  private:
-  struct QuerySlot {
-    // Which matching structure answers for this subscription.
-    enum class Backend : uint8_t { kEngine, kShared, kAlias };
+  // Route word of a query: a shared-index subscription id, or kEngineRoute
+  // | the index of the canonical engine-backed query. An alias carries its
+  // canonical query's word.
+  static constexpr uint32_t kEngineRoute = 0x80000000u;
+  static constexpr uint32_t kNoQuery = UINT32_MAX;
 
+  // Cold per-query record; verdict reads go through routes_.
+  struct QuerySlot {
     std::shared_ptr<const std::vector<query::XTree>> trees;
-    Backend backend = Backend::kEngine;
-    size_t begin = 0;        // kEngine: engines occupy [begin, end)
+    size_t begin = 0;  // engine-backed: engines occupy [begin, end)
     size_t end = 0;
-    uint32_t shared_id = 0;  // kShared: subscription id in the shared index
-    size_t alias_of = 0;     // kAlias: canonical slot index
+    // Alias chain: a canonical query links its aliases, each alias the
+    // next one (the reverse map MatchedQueries fans verdicts out through).
+    uint32_t next_alias = kNoQuery;
     std::string label;
     // Per-subscription latency series, resolved lazily on first matching
     // document (pointers are stable for the registry's lifetime).
@@ -270,9 +281,15 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   // latency, time-to-first-match and buffered-candidate/arena high-water
   // marks, plus the flight recorder's document span.
   void FinishDocumentObservability();
-  // Whether slot `q` matched this document and when the match was first
-  // confirmed (0 = unknown), resolving aliases and backends.
+  // Whether live query `q` matched this document and when the match was
+  // first confirmed (0 = unknown). Unlike Matched, an engine-backed query
+  // whose engine failed does not count.
   bool SlotMatched(size_t q, uint64_t* confirm_ns) const;
+  // Whether any disjunct engine of engine-backed query `canonical` matched.
+  bool EngineMatched(size_t canonical) const;
+  // Appends `canonical` and its aliases that joined by the last
+  // StartDocument.
+  void AppendWithAliases(uint32_t canonical, std::vector<size_t>* out) const;
   // (Re)builds the shared index + matcher when subscriptions were added
   // since the last build; attaches the matcher to the fleet.
   void EnsureSharedIndex();
@@ -293,6 +310,14 @@ class MultiQueryEvaluator : public xml::ContentHandler {
 
   EngineOptions options_;
   std::vector<QuerySlot> queries_;
+  std::vector<uint32_t> routes_;  // route word per query
+  // queries_.size() at the last StartDocument: later queries have seen no
+  // document yet.
+  size_t live_queries_ = 0;
+  // Canonical query of each shared-index subscription id.
+  std::vector<uint32_t> shared_queries_;
+  // Canonical engine-backed queries, ascending.
+  std::vector<uint32_t> engine_queries_;
   // The one matching arena every per-engine subscription allocates from,
   // confined to this evaluator's thread (a ParallelFleet shard owns its
   // own); declared before engines_ so it outlives them.

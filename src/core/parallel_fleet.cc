@@ -139,6 +139,7 @@ void ParallelFleet::Finalize() {
     assignments_[q].shard = best;
     assignments_[q].local_index =
         shard.evaluator->AddQuery(queries_[q], labels_[q]);
+    shard.global_queries.push_back(q);
     const std::string& expr = queries_[q].expression();
     bool duplicate = !expr.empty() && !planned_expressions[best].insert(expr).second;
     if (shareable[q] && !duplicate) {
@@ -443,9 +444,13 @@ QueryResult ParallelFleet::Result(size_t q) const {
 
 std::vector<size_t> ParallelFleet::MatchedQueries() const {
   std::vector<size_t> matched;
-  for (size_t q = 0; q < assignments_.size(); ++q) {
-    if (Matched(q)) matched.push_back(q);
+  for (const Worker& worker : workers_) {
+    for (const size_t local : worker.evaluator->MatchedQueries()) {
+      matched.push_back(worker.global_queries[local]);
+    }
   }
+  // Shard-local indices follow the LPT assignment order, not the fleet's.
+  std::sort(matched.begin(), matched.end());
   return matched;
 }
 

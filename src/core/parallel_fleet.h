@@ -170,8 +170,8 @@ class ParallelFleet : public xml::ContentHandler,
   Status status() const;
   bool Matched(size_t q) const;
   QueryResult Result(size_t q) const;
-  // Indices of all matched queries, ascending — the per-document "merge"
-  // of the shard answers for routing consumers.
+  // Indices of all matched queries, ascending — the per-document merge of
+  // the shards' MatchedQueries lists for routing consumers.
   std::vector<size_t> MatchedQueries() const;
   EngineStats AggregateStats() const;
 
@@ -203,6 +203,8 @@ class ParallelFleet : public xml::ContentHandler,
 
     util::SpscRing<PooledBatch*> ring;
     std::unique_ptr<MultiQueryEvaluator> evaluator;
+    // Fleet-wide query index of each of the evaluator's local queries.
+    std::vector<size_t> global_queries;
     std::vector<xml::AttributeView> attr_scratch;
     ParallelShardStats stats;
     int index = -1;  // shard number, for span attribution

@@ -301,7 +301,9 @@ size_t ConfigHash(uint32_t fresh, uint32_t carry, util::Symbol symbol) {
 
 SharedMatcher::SharedMatcher(const SharedIndex* index, bool bool_only)
     : index_(index), bool_only_(bool_only) {
-  subs_.resize(index_->subscription_count());
+  confirmed_.resize(index_->subscription_count());
+  confirm_ns_.resize(index_->subscription_count());
+  if (!bool_only_) chains_.resize(index_->subscription_count());
   fresh_stack_.resize(1);
   carry_stack_.resize(1);
   ResetFlatUniverse();
@@ -313,37 +315,36 @@ void SharedMatcher::StartDocument() {
   fresh_stack_[0] = kRootSetId;
   carry_stack_[0] =
       index_->HasDescOut(SharedIndex::kRootState) ? kRootSetId : kEmptySetId;
-  for (SubState& sub : subs_) {
-    sub.confirmed = false;
-    sub.confirm_ns = 0;
-    sub.items.clear();
-  }
-  confirmed_subs_ = 0;
+  for (const uint32_t sub : confirmed_list_) confirmed_[sub] = 0;
+  confirmed_list_.clear();
+  items_.clear();
+  names_.clear();
   elements_document_ = 0;
   states_entered_document_ = 0;
 }
 
 void SharedMatcher::Fire(uint32_t sub, const DocumentCursor::Node& node,
-                         std::string_view name) {
-  SubState& state = subs_[sub];
-  if (!state.confirmed) {
-    state.confirmed = true;
-    ++confirmed_subs_;
-    if (obs::Enabled()) state.confirm_ns = obs::NowNs();
+                         uint32_t name_begin, uint32_t name_size) {
+  const bool first = confirmed_[sub] == 0;
+  if (first) {
+    confirmed_[sub] = 1;
+    confirmed_list_.push_back(sub);
+    confirm_ns_[sub] = obs::Enabled() ? obs::NowNs() : 0;
   }
   if (bool_only_) return;
-  // Several accepting states (disjunct chains) can select the same element;
-  // ids are strictly increasing across elements, so adjacent-id dedup keeps
-  // the item list sorted and duplicate-free.
-  if (!state.items.empty() && state.items.back().info.id == node.id) return;
-  OutputItem item;
-  item.info.id = node.id;
-  item.info.parent_id = node.parent_id;
-  item.info.ordinal = static_cast<uint32_t>(node.ordinal);
-  item.info.level = static_cast<int>(node.level);
-  item.info.kind = query::DocNodeKind::kElement;
-  item.info.name.assign(name);
-  state.items.push_back(std::move(item));
+  ItemChain& chain = chains_[sub];
+  const uint32_t item = static_cast<uint32_t>(items_.size());
+  if (first) {
+    chain.head = item;
+  } else {
+    // Several accepting states (disjunct chains) can select the same
+    // element; ids are strictly increasing across elements, so
+    // adjacent-id dedup keeps the chain sorted and duplicate-free.
+    if (items_[chain.tail].node.id == node.id) return;
+    items_[chain.tail].next = item;
+  }
+  chain.tail = item;
+  items_.push_back(LoggedItem{node, name_begin, name_size, kNoItem});
 }
 
 void SharedMatcher::StartElement(util::Symbol symbol, std::string_view name,
@@ -360,7 +361,7 @@ void SharedMatcher::StartElement(util::Symbol symbol, std::string_view name,
   // subscription is confirmed no transition can change any verdict — the
   // depth bookkeeping above keeps EndElement balanced and the automaton is
   // skipped for the rest of the document.
-  if (bool_only_ && confirmed_subs_ == subs_.size()) {
+  if (bool_only_ && confirmed_list_.size() == confirmed_.size()) {
     fresh_stack_[depth_] = kEmptySetId;
     carry_stack_[depth_] = kEmptySetId;
     return;
@@ -402,8 +403,13 @@ void SharedMatcher::StartElement(util::Symbol symbol, std::string_view name,
   states_entered_total_ += entered.size;
   states_entered_document_ += entered.size;
   const SetSpan accepts = set_accepts_[slot->fresh_child];
+  if (accepts.size == 0) return;
+  // One copy of the name serves every subscription the element fires.
+  const uint32_t name_begin = static_cast<uint32_t>(names_.size());
+  if (!bool_only_) names_.append(name);
   for (uint32_t i = 0; i < accepts.size; ++i) {
-    Fire(accept_pool_[accepts.begin + i], node, name);
+    Fire(accept_pool_[accepts.begin + i], node, name_begin,
+         static_cast<uint32_t>(name.size()));
   }
 }
 
@@ -560,7 +566,17 @@ void SharedMatcher::ComputeStep(uint32_t fresh, uint32_t carry,
 QueryResult SharedMatcher::Result(uint32_t sub) const {
   QueryResult result;
   result.matched = Matched(sub);
-  if (result.matched && !bool_only_) result.items = subs_[sub].items;
+  if (!result.matched || bool_only_) return result;
+  for (uint32_t i = chains_[sub].head; i != kNoItem; i = items_[i].next) {
+    const LoggedItem& logged = items_[i];
+    OutputItem& item = result.items.emplace_back();
+    item.info.id = logged.node.id;
+    item.info.parent_id = logged.node.parent_id;
+    item.info.ordinal = logged.node.ordinal;
+    item.info.level = static_cast<int>(logged.node.level);
+    item.info.kind = query::DocNodeKind::kElement;
+    item.info.name.assign(names_, logged.name_begin, logged.name_size);
+  }
   return result;
 }
 

@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -250,6 +251,13 @@ class SharedIndex {
 // Matched() == false while the confirmation flag persists until the next
 // StartDocument.
 //
+// Verdict state is sized by what confirmed, not by the subscription count:
+// one confirmation byte per subscription, a list of the subscriptions
+// confirmed this document (StartDocument clears only those bytes), and one
+// flat per-document item log that chains each subscription's items in
+// document order. An element's name is copied once into a per-document
+// byte buffer however many subscriptions select it.
+//
 // Each open element holds one configuration: an interned fresh set (states
 // entered at it) and an interned carry set (states armed at it or above).
 // Interned sets and cached steps are document-independent and persist
@@ -287,16 +295,21 @@ class SharedMatcher {
   uint64_t flat_cache_misses() const { return flat_cache_misses_; }
 
   // Valid after EndDocument (false mid-stream and after an abort).
-  bool Matched(uint32_t sub) const {
-    return end_seen_ && subs_[sub].confirmed;
-  }
+  bool Matched(uint32_t sub) const { return end_seen_ && confirmed_[sub] != 0; }
   // Monotone mid-stream confirmation, like XaosEngine::match_confirmed.
-  bool MatchConfirmed(uint32_t sub) const { return subs_[sub].confirmed; }
+  bool MatchConfirmed(uint32_t sub) const { return confirmed_[sub] != 0; }
   // obs::NowNs() of the confirmation transition; 0 unmatched / obs off.
-  uint64_t confirm_ns(uint32_t sub) const { return subs_[sub].confirm_ns; }
+  uint64_t confirm_ns(uint32_t sub) const {
+    return confirmed_[sub] != 0 ? confirm_ns_[sub] : 0;
+  }
   // The subscription's result; items in document order, deduplicated
   // (empty under bool_only, like stop_after_confirmed_match).
   QueryResult Result(uint32_t sub) const;
+  // Subscriptions confirmed this document, in confirmation order; an
+  // aborted document's list stands until the next StartDocument.
+  const std::vector<uint32_t>& confirmed_subs() const {
+    return confirmed_list_;
+  }
 
   // --- accounting (cumulative across documents) ---
   uint64_t elements_total() const { return elements_total_; }
@@ -307,10 +320,22 @@ class SharedMatcher {
   uint64_t states_entered_document() const { return states_entered_document_; }
 
  private:
-  struct SubState {
-    bool confirmed = false;
-    uint64_t confirm_ns = 0;
-    std::vector<OutputItem> items;
+  static constexpr uint32_t kNoItem = UINT32_MAX;
+
+  // One selected element in the per-document item log. A subscription's
+  // items chain through `next` in document order; the name is a slice of
+  // names_.
+  struct LoggedItem {
+    NodePosition node;
+    uint32_t name_begin = 0;
+    uint32_t name_size = 0;
+    uint32_t next = kNoItem;
+  };
+  // First and last log entry of one subscription's chain; read only while
+  // the subscription is confirmed, so it needs no per-document reset.
+  struct ItemChain {
+    uint32_t head = kNoItem;
+    uint32_t tail = kNoItem;
   };
 
   // Active-state sets interned into one flat pool: sets_[id] spans
@@ -332,8 +357,10 @@ class SharedMatcher {
     uint32_t carry_child = 0;
   };
 
+  // Confirms `sub` and, unless bool_only, logs `node` into its item chain;
+  // the element's name is names_[name_begin, name_begin + name_size).
   void Fire(uint32_t sub, const DocumentCursor::Node& node,
-            std::string_view name);
+            uint32_t name_begin, uint32_t name_size);
   // Interns the state list [data, data+size) and returns its id.
   uint32_t InternSet(const int32_t* data, uint32_t size);
   // Computes the child configuration of (fresh, carry) on `symbol` through
@@ -353,12 +380,20 @@ class SharedMatcher {
   size_t depth_ = 0;  // open elements; the document root is depth 0
   bool end_seen_ = false;
 
-  std::vector<SubState> subs_;
-  // Subscriptions confirmed this document. Under bool_only, once every
-  // subscription is confirmed no transition can change any verdict, so
-  // StartElement degrades to depth bookkeeping (earliest answering's inert
-  // mode for the shared acceptance path).
-  uint32_t confirmed_subs_ = 0;
+  // Per subscription: 1 once confirmed this document, and when.
+  std::vector<uint8_t> confirmed_;
+  std::vector<uint64_t> confirm_ns_;  // valid while confirmed
+  // Subscriptions confirmed this document; StartDocument resets exactly
+  // these. Under bool_only, once every subscription is confirmed no
+  // transition can change any verdict, so StartElement degrades to depth
+  // bookkeeping (earliest answering's inert mode for the shared acceptance
+  // path).
+  std::vector<uint32_t> confirmed_list_;
+  // This document's item log and the name bytes it slices (both empty under
+  // bool_only); chains_ is indexed by subscription.
+  std::vector<LoggedItem> items_;
+  std::string names_;
+  std::vector<ItemChain> chains_;
 
   uint64_t elements_total_ = 0;
   uint64_t states_entered_total_ = 0;

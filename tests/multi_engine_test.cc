@@ -281,5 +281,70 @@ TEST(HotPathCountersTest, DispatchAndInterningCountersInDefaultRegistry) {
   obs::SetEnabled(false);
 }
 
+// The per-subscription latency series fold over the matched set only. A
+// series exists exactly for the subscriptions that matched some document,
+// with one sample per matching document, whether the subscription is a
+// shared chain, an alias or a per-engine query.
+TEST(HotPathCountersTest, SubscriptionSeriesCoverExactlyTheMatchedSet) {
+  obs::SetEnabled(true);  // runtime default is off; no-op when compiled out
+  if (!obs::Enabled()) GTEST_SKIP() << "observability disabled at build time";
+  const std::vector<std::string> expressions = {
+      "/a/b/c",          "/a/b/c",          "//d",    "//c/ancestor::a",
+      "//c/ancestor::a", "//b[d]",          "//zzz",
+  };
+  obs::MetricsRegistry registry;
+  core::EngineOptions options;
+  options.metrics_registry = &registry;
+  core::MultiQueryEvaluator multi(options);
+  core::BatchedDispatcher dispatcher(&multi);
+  auto label = [](size_t q) {
+    std::string text = "s";
+    text += std::to_string(q);
+    return text;
+  };
+  for (size_t q = 0; q < expressions.size(); ++q) {
+    StatusOr<core::Query> query = core::Query::Compile(expressions[q]);
+    ASSERT_TRUE(query.ok()) << expressions[q];
+    multi.AddQuery(*query, label(q));
+  }
+  ASSERT_EQ(multi.alias_count(), 2u);
+
+  std::vector<uint64_t> matches(expressions.size(), 0);
+  for (const char* doc :
+       {"<a><b><c/></b></a>", "<a><b><d/></b></a>", "<x/>"}) {
+    ASSERT_TRUE(xml::ParseString(doc, &dispatcher).ok()) << doc;
+    size_t matched = 0;
+    for (size_t q = 0; q < expressions.size(); ++q) {
+      if (multi.Matched(q)) {
+        ++matches[q];
+        ++matched;
+      }
+    }
+    EXPECT_LT(matched, expressions.size()) << doc;  // a strict subset
+  }
+  EXPECT_EQ(matches, (std::vector<uint64_t>{1, 1, 1, 1, 1, 1, 0}));
+
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  for (size_t q = 0; q < expressions.size(); ++q) {
+    const std::string labels = "{subscription=\"" + label(q) + "\"}";
+    const auto latency =
+        snapshot.histograms.find("xaos_sub_match_latency_ns" + labels);
+    const auto first =
+        snapshot.histograms.find("xaos_sub_first_match_ns" + labels);
+    if (matches[q] == 0) {
+      EXPECT_EQ(latency, snapshot.histograms.end()) << expressions[q];
+      EXPECT_EQ(first, snapshot.histograms.end()) << expressions[q];
+      continue;
+    }
+    ASSERT_NE(latency, snapshot.histograms.end()) << expressions[q];
+    ASSERT_NE(first, snapshot.histograms.end()) << expressions[q];
+    EXPECT_EQ(latency->second.count, matches[q]) << expressions[q];
+    EXPECT_EQ(first->second.count, matches[q]) << expressions[q];
+    // The first match lands no later than the document's end.
+    EXPECT_LE(first->second.sum, latency->second.sum) << expressions[q];
+  }
+  obs::SetEnabled(false);
+}
+
 }  // namespace
 }  // namespace xaos

@@ -3,16 +3,22 @@
 // shareability classifier, byte-identical duplicate dedupe, and the
 // differential contract — the shared backend's verdicts and result items
 // must equal the per-engine MultiQueryEvaluator's over hand-picked axis
-// corpora, random workloads, chunked feeds, and ParallelFleet shardings.
+// corpora, random workloads, chunked feeds, and ParallelFleet shardings,
+// and the brute-force matcher's over a stream of documents through one
+// reused evaluator. Plus subscriptions added between documents.
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "baseline/brute_force_matcher.h"
 #include "baseline/compare.h"
+#include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
 #include "core/parallel_fleet.h"
 #include "core/shared_index.h"
+#include "dom/dom_builder.h"
 #include "gen/random_workload.h"
 #include "gtest/gtest.h"
 #include "query/xtree_builder.h"
@@ -307,6 +313,186 @@ TEST(SharedParallelTest, WorkersAgreeWithOracle) {
           << "workers=" << workers << " query " << expressions[q];
     }
   }
+}
+
+// --- subscriptions added between documents ---------------------------------
+
+TEST(SharedLateSubscriptionTest, AddedBetweenDocumentsReportsNoMatch) {
+  core::MultiQueryEvaluator multi;
+  StatusOr<core::Query> first = core::Query::Compile("/a/b/c");
+  ASSERT_TRUE(first.ok());
+  const size_t q0 = multi.AddQuery(*first);
+  ASSERT_TRUE(xml::ParseString("<a><b><c/></b></a>", &multi).ok());
+  ASSERT_TRUE(multi.Matched(q0));
+
+  // 64 distinct shareable subscriptions join after the document; the
+  // matcher was built for one. Several would match the finished document.
+  std::vector<size_t> late;
+  for (int i = 0; i < 64; ++i) {
+    // Even i: i wildcard steps above //c; odd i: a name no document has.
+    std::string expression;
+    if (i % 2 == 0) {
+      for (int k = 0; k < i; ++k) expression += "/*";
+      expression += "//c";
+    } else {
+      expression = "//zzz_";
+      expression += std::to_string(i);
+    }
+    StatusOr<core::Query> query = core::Query::Compile(expression);
+    ASSERT_TRUE(query.ok()) << expression << ": " << query.status();
+    late.push_back(multi.AddQuery(*query));
+  }
+  EXPECT_EQ(multi.alias_count(), 0u);
+  EXPECT_EQ(multi.shared_subscription_count(), 65u);
+
+  // Until the next StartDocument they have seen no document.
+  for (const size_t q : late) {
+    EXPECT_FALSE(multi.Matched(q)) << q;
+    EXPECT_FALSE(multi.MatchConfirmed(q)) << q;
+  }
+  const core::QueryResult result = multi.Result(late.back());
+  EXPECT_FALSE(result.matched);
+  EXPECT_TRUE(result.items.empty());
+  EXPECT_EQ(multi.MatchedQueries(), std::vector<size_t>{q0});
+
+  // The next document covers them.
+  ASSERT_TRUE(xml::ParseString("<a><b><c/></b></a>", &multi).ok());
+  EXPECT_TRUE(multi.Matched(q0));
+  EXPECT_TRUE(multi.Matched(late[0]));   // //c
+  EXPECT_TRUE(multi.Matched(late[2]));   // /*/*//c
+  EXPECT_FALSE(multi.Matched(late[1]));  // //zzz_1
+  EXPECT_EQ(multi.Result(late[0]).items.size(), 1u);
+}
+
+// --- differential: one reused evaluator vs brute force ----------------------
+
+// Brute-force verdict and canonical items of one query (disjuncts unioned)
+// over `xml`.
+struct Expected {
+  bool matched = false;
+  std::vector<baseline::CanonicalItem> items;
+};
+
+Expected BruteForce(const core::Query& query, const std::string& xml) {
+  Expected expected;
+  StatusOr<dom::Document> doc = dom::ParseToDocument(xml);
+  EXPECT_TRUE(doc.ok()) << doc.status();
+  if (!doc.ok()) return expected;
+  std::set<baseline::CanonicalItem> items;
+  for (const query::XTree& tree : query.trees()) {
+    baseline::BruteForceOutcome outcome = baseline::BruteForceMatch(*doc, tree);
+    EXPECT_TRUE(outcome.complete) << query.expression();
+    expected.matched = expected.matched || outcome.matched;
+    items.insert(outcome.items.begin(), outcome.items.end());
+  }
+  expected.items.assign(items.begin(), items.end());
+  return expected;
+}
+
+// One document of a stream. `aborted` documents are fed as far as `xml`
+// goes and then abandoned, as a router does on a producer failure.
+struct StreamDocument {
+  std::string xml;
+  bool aborted = false;
+};
+
+TEST(SharedStreamTest, ReusedEvaluatorMatchesBruteForceEveryDocument) {
+  // Shared chains with aliases (repeats), shareable disjunctions selecting
+  // one element twice, and per-engine queries with an alias of their own.
+  const std::vector<std::string> initial = {
+      "/a/b/c",        "/a/b/c",          "//c",
+      "//c",           "/a/*/c",          "//b//c",
+      "//d",           "//zzz",           "//b/c | /a/b/c",
+      "/a/e | //e",    "//c/ancestor::a", "//c/ancestor::a",
+      "//b[d]",        "//*",
+  };
+  // Subscriptions joining mid-stream: new chains, and aliases of both a
+  // shared and a per-engine canonical query.
+  const std::vector<std::string> joining = {
+      "//e/c", "/a/b/c", "//c/ancestor::a", "/x//z",
+  };
+  const std::vector<StreamDocument> stream = {
+      {"<a><b><c/></b><d/></a>"},
+      // Matches none of the item-producing chains the previous one did: a
+      // stale item or verdict would leak through the confirmed-list reset.
+      {"<x><y><z/></y></x>"},
+      // Confirms /a/b/c and //c mid-stream, then the producer dies.
+      {"<a><b><c/><c/>", /*aborted=*/true},
+      {"<a><e><c/></e><b><d/><c/><c/></b></a>"},
+      {"<x><z/><y><z/></y></x>"},
+      {"<a><b><b><c/></b><d/></b><e/><c/></a>"},
+  };
+
+  std::vector<core::Query> queries;
+  auto add = [&](const std::string& expression) {
+    StatusOr<core::Query> query = core::Query::Compile(expression);
+    ASSERT_TRUE(query.ok()) << expression << ": " << query.status();
+    queries.push_back(std::move(*query));
+  };
+  for (const std::string& expression : initial) add(expression);
+
+  core::MultiQueryEvaluator full;
+  core::EngineOptions bool_options;
+  bool_options.stop_after_confirmed_match = true;
+  core::MultiQueryEvaluator bool_only(bool_options);
+  for (const core::Query& query : queries) {
+    full.AddQuery(query);
+    bool_only.AddQuery(query);
+  }
+  // Both evaluators take the production route: batched dispatch.
+  core::BatchedDispatcher full_dispatcher(&full);
+  core::BatchedDispatcher bool_dispatcher(&bool_only);
+
+  for (size_t d = 0; d < stream.size(); ++d) {
+    if (d == 3) {
+      for (const std::string& expression : joining) {
+        add(expression);
+        full.AddQuery(queries.back());
+        bool_only.AddQuery(queries.back());
+      }
+    }
+    const StreamDocument& doc = stream[d];
+    const std::string context = "document " + std::to_string(d);
+    for (core::BatchedDispatcher* dispatcher :
+         {&full_dispatcher, &bool_dispatcher}) {
+      if (doc.aborted) {
+        xml::SaxParser parser(dispatcher);
+        ASSERT_TRUE(parser.Feed(doc.xml).ok()) << context;
+        dispatcher->Flush();
+        ASSERT_TRUE(full.MatchConfirmed(0)) << context;  // /a/b/c
+        dispatcher->AbortDocument(InternalError("producer died"));
+      } else {
+        ASSERT_TRUE(xml::ParseString(doc.xml, dispatcher).ok()) << context;
+      }
+    }
+    ASSERT_EQ(full.status().ok(), !doc.aborted) << context;
+
+    std::vector<size_t> expected_matched;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const Expected expected =
+          doc.aborted ? Expected{} : BruteForce(queries[q], doc.xml);
+      if (expected.matched) expected_matched.push_back(q);
+      const std::string label = context + " " + queries[q].expression();
+      EXPECT_EQ(expected.matched, full.Matched(q)) << label;
+      EXPECT_EQ(expected.items,
+                baseline::CanonicalFromResult(full.Result(q)))
+          << label;
+      EXPECT_EQ(expected.matched, bool_only.Matched(q)) << label;
+    }
+    EXPECT_EQ(expected_matched, full.MatchedQueries()) << context;
+    EXPECT_EQ(expected_matched, bool_only.MatchedQueries()) << context;
+
+    // Pin a tiny set-interner limit on every matcher the stream builds, so
+    // later documents rebase the universe over and over.
+    for (core::MultiQueryEvaluator* evaluator : {&full, &bool_only}) {
+      core::SharedMatcher* matcher = evaluator->shared_matcher_for_test();
+      ASSERT_NE(matcher, nullptr);
+      matcher->set_flat_set_limit_for_test(4);
+    }
+  }
+  // The matchers rebuilt when subscriptions joined rebased since.
+  EXPECT_GT(full.shared_matcher_for_test()->universe_resets(), 0u);
+  EXPECT_GT(bool_only.shared_matcher_for_test()->universe_resets(), 0u);
 }
 
 }  // namespace
