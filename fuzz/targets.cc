@@ -329,48 +329,83 @@ int RunBatchedDispatchDiffInput(const uint8_t* data, size_t size) {
   }
   if (queries.empty()) return 0;
 
-  core::MultiQueryEvaluator evaluator;
-  for (const core::Query& query : queries) evaluator.AddQuery(query);
-  core::BatchedDispatchOptions dispatch_options;
-  dispatch_options.max_batch_events = batch_events;
-  dispatch_options.max_batch_text_bytes = 256;
-  core::BatchedDispatcher dispatcher(&evaluator, dispatch_options);
-
   xml::ParserOptions options = FuzzParserOptions();
-  Status parse = xml::ParseString(document, &dispatcher, options);
   StatusOr<dom::Document> dom = dom::ParseToDocument(document, options);
-  // The same parser runs on both sides.
-  if (parse.ok() != dom.ok()) __builtin_trap();
-  if (!parse.ok()) {
-    // Exercise the mid-stream abort path: buffered events must be
-    // discarded and the batch pool must stay reusable (no double release).
-    dispatcher.AbortDocument(parse);
-    if (!xml::ParseString("<a><b/></a>", &dispatcher, options).ok() ||
-        !evaluator.status().ok()) {
-      __builtin_trap();
-    }
-    return 0;
-  }
-  if (!evaluator.status().ok()) return 0;
-
-  for (size_t q = 0; q < queries.size(); ++q) {
-    bool matched = false;
-    std::set<baseline::CanonicalItem> expected;
+  // The brute-force answer per query; `complete` false marks a query too
+  // expensive to enumerate.
+  struct Oracle {
     bool complete = true;
+    bool matched = false;
+    std::vector<baseline::CanonicalItem> items;
+  };
+  std::vector<Oracle> oracles(queries.size());
+  for (size_t q = 0; q < queries.size() && dom.ok(); ++q) {
+    std::set<baseline::CanonicalItem> expected;
     for (const query::XTree& tree : queries[q].trees()) {
       baseline::BruteForceOutcome outcome =
           baseline::BruteForceMatch(*dom, tree, /*max_explored=*/200'000);
-      complete = complete && outcome.complete;
-      matched = matched || outcome.matched;
+      oracles[q].complete = oracles[q].complete && outcome.complete;
+      oracles[q].matched = oracles[q].matched || outcome.matched;
       expected.insert(outcome.items.begin(), outcome.items.end());
     }
-    if (!complete) continue;  // too expensive to oracle; skip this query
-    if (evaluator.Matched(q) != matched) __builtin_trap();
-    if (evaluator.MatchConfirmed(q) != matched) __builtin_trap();
-    std::vector<baseline::CanonicalItem> oracle(expected.begin(),
-                                                expected.end());
-    if (!(baseline::CanonicalFromResult(evaluator.Result(q)) == oracle)) {
+    oracles[q].items.assign(expected.begin(), expected.end());
+  }
+
+  for (const bool shared : {true, false}) {
+    core::EngineOptions engine_options;
+    engine_options.enable_shared_index = shared;
+    core::MultiQueryEvaluator evaluator(engine_options);
+    core::MultiQueryEvaluator per_event(engine_options);
+    for (const core::Query& query : queries) {
+      evaluator.AddQuery(query);
+      per_event.AddQuery(query);
+    }
+    core::BatchedDispatchOptions dispatch_options;
+    dispatch_options.max_batch_events = batch_events;
+    dispatch_options.max_batch_text_bytes = 256;
+    core::BatchedDispatcher dispatcher(&evaluator, dispatch_options);
+
+    Status parse = xml::ParseString(document, &dispatcher, options);
+    // The same parser runs on every side.
+    if (parse.ok() != dom.ok()) __builtin_trap();
+    if (!parse.ok()) {
+      // Exercise the mid-stream abort path: buffered events must be
+      // discarded and the batch pool must stay reusable (no double
+      // release), elision state included.
+      dispatcher.AbortDocument(parse);
+      if (!xml::ParseString("<a><b/></a>", &dispatcher, options).ok() ||
+          !evaluator.status().ok()) {
+        __builtin_trap();
+      }
+      continue;
+    }
+    if (!xml::ParseString(document, &per_event, options).ok()) {
       __builtin_trap();
+    }
+    if (!evaluator.status().ok()) continue;
+    // Elision must leave node ids and the dispatch counters as per-event
+    // delivery leaves them.
+    if (evaluator.engines_skipped() != per_event.engines_skipped() ||
+        evaluator.AggregateStats().elements_total !=
+            per_event.AggregateStats().elements_total) {
+      __builtin_trap();
+    }
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const core::QueryResult result = evaluator.Result(q);
+      const core::QueryResult twin = per_event.Result(q);
+      if (result.items.size() != twin.items.size()) __builtin_trap();
+      for (size_t i = 0; i < result.items.size(); ++i) {
+        if (result.items[i].info.id != twin.items[i].info.id) {
+          __builtin_trap();
+        }
+      }
+      const Oracle& oracle = oracles[q];
+      if (!oracle.complete) continue;  // too expensive to oracle; skip it
+      if (evaluator.Matched(q) != oracle.matched) __builtin_trap();
+      if (evaluator.MatchConfirmed(q) != oracle.matched) __builtin_trap();
+      if (!(baseline::CanonicalFromResult(result) == oracle.items)) {
+        __builtin_trap();
+      }
     }
   }
   return 0;

@@ -59,11 +59,15 @@ int RunSharedIndexDiffInput(const uint8_t* data, size_t size);
 // "<batch byte><xpath>;<xpath>;...\n<xml document>" — the first byte picks
 // the EventBatch size budget (1..64 events), the rest is a multi-query pool
 // plus a document. The pool is evaluated through BatchedDispatcher (pooled
-// EventBatch replay, shared-automaton stepping) and every query's verdict,
-// confirmation and items must equal the brute-force matcher on the DOM
-// (queries too expensive to enumerate are skipped, as in
-// RunDifferentialInput). A failed parse drives the dispatcher's
-// AbortDocument path instead, after which the pool must stay reusable.
+// EventBatch replay) twice: with the shared automaton, and engine-backed
+// only, where capture elides every element no engine is indexed under
+// unless a wildcard, sibling or text test turns that off. Every query's
+// verdict, confirmation and items must equal the brute-force matcher on
+// the DOM (queries too expensive to enumerate are skipped, as in
+// RunDifferentialInput), and item node ids, engines_skipped() and the
+// engines' elements_total must equal a twin evaluator fed event by event.
+// A failed parse drives the dispatcher's AbortDocument path instead, after
+// which the pool must stay reusable.
 int RunBatchedDispatchDiffInput(const uint8_t* data, size_t size);
 
 }  // namespace xaos::fuzz

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/metrics.h"
+
 namespace xaos::core {
 
 BatchedDispatcher::BatchedDispatcher(MultiQueryEvaluator* evaluator,
@@ -39,6 +41,32 @@ bool BatchedDispatcher::EvaluatorWantsText() {
                            : streaming_->wants_text_events();
 }
 
+const xml::ElementInterest* BatchedDispatcher::EvaluatorInterest() {
+  return multi_ != nullptr ? multi_->element_interest()
+                           : streaming_->element_interest();
+}
+
+void BatchedDispatcher::StartDocument() {
+  batcher_.set_lean_payload(!EvaluatorWantsText());
+  batcher_.set_element_interest(EvaluatorInterest());
+  batcher_.StartDocument();
+  elided_base_ = batcher_.events_elided();
+}
+
+void BatchedDispatcher::EndDocument() {
+  batcher_.EndDocument();
+  ExportElided();
+}
+
+void BatchedDispatcher::ExportElided() {
+  if (!obs::Enabled()) return;
+  const uint64_t elided = batcher_.events_elided();
+  static obs::Counter* counter = obs::MetricsRegistry::Default().GetCounter(
+      "xaos_capture_events_elided_total");
+  counter->Increment(elided - elided_base_);
+  elided_base_ = elided;
+}
+
 void BatchedDispatcher::PublishBatch(xml::EventBatch* batch) {
   if (batch->aborts_document()) {
     // Partial capture of an abandoned document: never replay it. The
@@ -66,6 +94,7 @@ void BatchedDispatcher::AbortDocument(const Status& cause) {
   } else {
     streaming_->AbortDocument(cause);
   }
+  ExportElided();
 }
 
 }  // namespace xaos::core

@@ -12,6 +12,17 @@
 // Flush() hands over the buffer on demand when a caller wants a mid-stream
 // verdict at an exact event boundary.
 //
+// Capture is element-level elided whenever that is exact: at each
+// StartDocument the dispatcher installs the evaluator's element interest
+// (EngineFleet::element_interest) into its EventBatcher, so elements that
+// index no engine, their ends and every text run reach the batch only as
+// numbering gaps and payload-free elided-start records
+// (xml/event_batch.h). Node ids, parent ids, levels and ordinals stay
+// byte-identical to a full capture, as do engines_skipped() and the
+// engines' statistics. With a shared matcher, an always-dispatch engine
+// (wildcards, sibling axes, subtree capture) or an engine reading text,
+// the interest is null and every event is captured.
+//
 // Batches come from a small internal free pool and return to it after
 // replay, so steady-state dispatch performs no heap allocation. An aborting
 // batch (mid-stream producer failure) is returned unreplayed; the pool
@@ -49,14 +60,13 @@ class BatchedDispatcher : public xml::ContentHandler,
                              Options options = {});
 
   // ContentHandler: every event is captured into the current batch; full
-  // batches replay synchronously into the evaluator. Payload capture is
-  // re-decided per document: when no engine reads character data or
-  // end-element names, those events are recorded lean (no byte copy).
-  void StartDocument() override {
-    batcher_.set_lean_payload(!EvaluatorWantsText());
-    batcher_.StartDocument();
-  }
-  void EndDocument() override { batcher_.EndDocument(); }
+  // batches replay synchronously into the evaluator. Payload capture and
+  // elision are re-decided per document: when no engine reads character
+  // data or end-element names, those events are recorded lean (no byte
+  // copy), and when the evaluator exposes an element interest, events it
+  // would deliver to nobody are elided.
+  void StartDocument() override;
+  void EndDocument() override;
   void StartElement(const xml::QName& name,
                     xml::AttributeSpan attributes) override {
     batcher_.StartElement(name, attributes);
@@ -82,6 +92,10 @@ class BatchedDispatcher : public xml::ContentHandler,
   void AbortDocument(const Status& cause);
 
   uint64_t batches_replayed() const { return batches_replayed_; }
+  // Events captured as no record of their own (cumulative; see
+  // xml::EventBatcher::events_elided). Exported per document as
+  // xaos_capture_events_elided_total when obs is on.
+  uint64_t events_elided() const { return batcher_.events_elided(); }
   size_t pool_free_for_test() const { return free_.size(); }
 
  private:
@@ -91,6 +105,9 @@ class BatchedDispatcher : public xml::ContentHandler,
 
   void ReleaseToPool(xml::EventBatch* batch);
   bool EvaluatorWantsText();
+  const xml::ElementInterest* EvaluatorInterest();
+  // Adds this document's elided events to the obs counter.
+  void ExportElided();
 
   MultiQueryEvaluator* multi_ = nullptr;
   StreamingEvaluator* streaming_ = nullptr;
@@ -100,6 +117,7 @@ class BatchedDispatcher : public xml::ContentHandler,
   std::vector<xml::AttributeView> attr_scratch_;
   uint64_t sequence_ = 0;
   uint64_t batches_replayed_ = 0;
+  uint64_t elided_base_ = 0;  // events_elided() at StartDocument / export
 };
 
 }  // namespace xaos::core

@@ -1,7 +1,6 @@
 #include "core/engine_fleet.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "core/shared_index.h"
 #include "obs/metrics.h"
@@ -19,6 +18,7 @@ void EngineFleet::Finalize() {
   text_engines_.clear();
   any_early_item_sink_ = false;
   by_symbol_.clear();
+  elision_off_ = nullptr;
   for (size_t i = 0; i < engines_.size(); ++i) {
     XaosEngine* engine = engines_[i];
     any_early_item_sink_ =
@@ -31,6 +31,11 @@ void EngineFleet::Finalize() {
                   engine->wants_siblings() || engine->captures_subtrees();
     if (always) {
       always_dispatch_.push_back(idx);
+      if (elision_off_ == nullptr) {
+        elision_off_ = engine->wants_siblings()      ? "sibling axis"
+                       : engine->captures_subtrees() ? "subtree capture"
+                                                     : "wildcard step";
+      }
     } else {
       for (util::Symbol s : engine->mentioned_symbols()) {
         if (static_cast<size_t>(s) >= by_symbol_.size()) {
@@ -41,7 +46,12 @@ void EngineFleet::Finalize() {
     }
     if (engine->wants_text() || engine->captures_subtrees()) {
       text_engines_.push_back(idx);
+      if (elision_off_ == nullptr) elision_off_ = "text test";
     }
+  }
+  interest_.assign(by_symbol_.size(), 0);
+  for (size_t s = 0; s < by_symbol_.size(); ++s) {
+    interest_[s] = by_symbol_[s].empty() ? 0 : 1;
   }
   stamps_.assign(engines_.size(), 0);
   stamp_ = 0;
@@ -87,7 +97,10 @@ class BatchSource {
       : batch_(batch), attr_scratch_(attr_scratch) {}
 
   Kind kind(uint32_t e) const { return batch_.events()[e].kind; }
-  // Element name (start-element), character data, or skip-report bytes.
+  const xml::BatchedEvent& record(uint32_t e) const {
+    return batch_.events()[e];
+  }
+  // Element name (start-element) or character data.
   std::string_view text(uint32_t e) const {
     const xml::BatchedEvent& event = batch_.events()[e];
     return batch_.text_slice(event.text_offset, event.text_size);
@@ -124,6 +137,9 @@ class LiveSource {
       : kind_(kind), name_(name), attributes_(attributes), text_(text) {}
 
   Kind kind(uint32_t) const { return kind_; }
+  // Only elision records are read as records, and a live event never is
+  // one.
+  xml::BatchedEvent record(uint32_t) const { return {}; }
   std::string_view text(uint32_t) const { return text_; }
   const xml::QName& name(uint32_t) const { return name_; }
   xml::AttributeSpan attributes(uint32_t) const { return attributes_; }
@@ -246,10 +262,20 @@ void EngineFleet::Replay(const Source& source, uint32_t begin, uint32_t end) {
           RecordDeliveries(source, e, cursor_.text_node(), text_engines_);
         }
         break;
-      case Kind::kSkipSubtree: {
-        xml::SkipReport report;
-        std::memcpy(&report, source.text(e).data(), sizeof(report));
-        SkipSubtree(report);
+      case Kind::kElidedStart:
+        // An elided ancestor of a kept element: on the spine so the kept
+        // element gets its true parent and level, delivered to nobody.
+        cursor_.StartElement(source.record(e).attr_count);
+        CountSkipped(engines_.size());
+        if (depth_ == delivered_stack_.size()) delivered_stack_.emplace_back();
+        delivered_stack_[depth_].clear();
+        ++depth_;
+        break;
+      case Kind::kGap: {
+        // A projection skip and/or elided events (xml::EventBatcher).
+        const xml::BatchedEvent& gap = source.record(e);
+        cursor_.SkipSubtree(gap.gap_node_ids(), gap.gap_elements());
+        CountSkipped(uint64_t{gap.gap_elided()} * engines_.size());
         break;
       }
       default:

@@ -37,6 +37,18 @@
 // Per-run scratch is bounded: when the recorded delivery lists would pass
 // kMaxRunDeliveries, the run is split and the part recorded so far is
 // replayed first (a single event's deliveries are never split).
+//
+// Element interest. When the index alone decides every delivery — no
+// shared matcher (it steps on every element), no always-dispatch engine
+// and no engine reading text — an element whose name and attribute names
+// index no engine reaches nobody. element_interest() then exposes the
+// indexed symbols so a batching producer can elide such elements at
+// capture (xml::EventBatcher::set_element_interest). The first pass turns
+// the producer's records back into exactly what per-event delivery would
+// have done: a kElidedStart pushes the cursor and an empty delivered set, a
+// kGap advances the cursor, and both count their elided elements as
+// skipped by every engine. Projection skips are gaps too, and stay
+// uncounted, as SkipSubtree leaves them.
 
 #ifndef XAOS_CORE_ENGINE_FLEET_H_
 #define XAOS_CORE_ENGINE_FLEET_H_
@@ -115,6 +127,19 @@ class EngineFleet {
   bool wants_text_events() {
     Finalize();
     return !text_engines_.empty();
+  }
+  // Why capture-time element elision is off ("wildcard step", "sibling
+  // axis", "subtree capture", "text test", "shared automaton"), or nullptr
+  // when it is exact and on.
+  const char* elision_off_reason() {
+    Finalize();
+    return matcher_ != nullptr ? "shared automaton" : elision_off_;
+  }
+  // The symbols some engine is indexed under, for a producer that elides
+  // every other element (see the header comment); nullptr when elision is
+  // off. Valid until the next AddEngine.
+  const xml::ElementInterest* element_interest() {
+    return elision_off_reason() == nullptr ? &interest_ : nullptr;
   }
   // Engine deliveries suppressed by the dispatch index so far (cumulative
   // across documents): for each element event, engines that did not
@@ -198,6 +223,8 @@ class EngineFleet {
   std::vector<int> always_dispatch_;           // engine indices
   std::vector<int> text_engines_;              // want Characters events
   std::vector<std::vector<int>> by_symbol_;    // Symbol -> engine indices
+  xml::ElementInterest interest_;              // by_symbol_ non-empty
+  const char* elision_off_ = nullptr;          // see elision_off_reason()
 
   // --- per-event scratch ---
   // Stamp-based dedup: an engine can be reached through several symbols of
@@ -237,6 +264,8 @@ class EngineFleet {
   std::vector<int> memo_delivered_;
   // Length of the current same-candidate-set run, flushed into the
   // xaos_dispatch_run_length histogram at each run break / document end.
+  // Elided elements (kElidedStart, kGap) never reach the memo, so under
+  // capture-time elision a run counts kept starts only.
   uint64_t run_length_ = 0;
   void BreakRun();
 };

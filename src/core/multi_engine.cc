@@ -213,7 +213,6 @@ StreamingEvaluator::StreamingEvaluator(const Query& query,
 
 void StreamingEvaluator::StartDocument() {
   abort_status_ = Status::Ok();
-  gate_.Reset();
   if (obs::Enabled() || obs::flight::Active()) {
     ++doc_ordinal_;
     doc_begin_ns_ = obs::NowNs();
@@ -236,7 +235,6 @@ void StreamingEvaluator::EndDocument() {
 void StreamingEvaluator::AbortDocument(const Status& cause) {
   abort_status_ =
       cause.ok() ? InternalError("document aborted without a cause") : cause;
-  gate_.Reset();
   fleet_.AbortDocument();
 }
 
@@ -363,7 +361,6 @@ void MultiQueryEvaluator::EnsureSharedIndex() {
 
 void MultiQueryEvaluator::StartDocument() {
   abort_status_ = Status::Ok();
-  gate_.Reset();
   if (obs::Enabled() || obs::flight::Active()) {
     ++doc_ordinal_;
     doc_begin_ns_ = obs::NowNs();
@@ -466,7 +463,6 @@ void MultiQueryEvaluator::FinishDocumentObservability() {
 void MultiQueryEvaluator::AbortDocument(const Status& cause) {
   abort_status_ =
       cause.ok() ? InternalError("document aborted without a cause") : cause;
-  gate_.Reset();
   fleet_.AbortDocument();
 }
 

@@ -82,11 +82,17 @@ class StreamingEvaluator : public xml::ContentHandler {
   // True when any engine reads character data or end-element names; false
   // lets a batching producer skip copying those payloads (lean capture).
   bool wants_text_events() { return fleet_.wants_text_events(); }
+  // Capture-time element elision (EngineFleet::element_interest): the
+  // element names worth a record, or nullptr when elision is off.
+  const xml::ElementInterest* element_interest() {
+    return fleet_.element_interest();
+  }
+  const char* elision_off_reason() { return fleet_.elision_off_reason(); }
 
   // Document-projection filter derived from the query's x-dags at
   // construction, for installation into xml::ParserOptions. The returned
-  // pointer stays valid for the evaluator's lifetime; its per-document
-  // state resets through StartDocument/AbortDocument. Returns nullptr when
+  // pointer stays valid for the evaluator's lifetime; the parser resets
+  // its per-document state at each document start. Returns nullptr when
   // analysis degraded to keep-all — no subtree could ever be skipped, so
   // callers install no filter and the parser pays zero per-tag overhead.
   xml::ProjectionFilter* projection_filter() {
@@ -173,7 +179,10 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   // Registers a subscription and returns its index (stable; used to read
   // per-query results). Queries join at the next StartDocument: one added
   // since the last StartDocument reports not matched, not confirmed and an
-  // empty result. `label` names the subscription in exported latency series
+  // empty result. Add queries between documents, not while one is being
+  // fed: a BatchedDispatcher reads the element interest when the parser
+  // starts a document, so that document may be captured elided for the
+  // old query set. `label` names the subscription in exported latency series
   // (`xaos_sub_match_latency_ns{subscription="<label>"}`); empty derives
   // "q<index>".
   size_t AddQuery(const Query& query, std::string_view label = {});
@@ -202,6 +211,17 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   // The shared automaton never consumes text (shareable queries carry no
   // predicates or captures), so only per-engine subscriptions count.
   bool wants_text_events() { return fleet_.wants_text_events(); }
+  // Capture-time element elision; see StreamingEvaluator. Builds the shared
+  // index first: an attached shared matcher turns elision off, and the
+  // interest must reflect it before the document's first event is captured.
+  const xml::ElementInterest* element_interest() {
+    EnsureSharedIndex();
+    return fleet_.element_interest();
+  }
+  const char* elision_off_reason() {
+    EnsureSharedIndex();
+    return fleet_.elision_off_reason();
+  }
 
   // Document-projection filter covering the union of all subscriptions
   // added so far (rebuilt lazily when queries were added since the last

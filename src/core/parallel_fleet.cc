@@ -252,14 +252,12 @@ void ParallelFleet::StartDocument() {
   }
   batcher_.set_lean_payload(!wants_text);
   document_status_ = Status::Ok();
-  gate_.Reset();
   batcher_.StartDocument();
 }
 
 void ParallelFleet::AbortDocument(const Status& cause) {
   document_status_ =
       cause.ok() ? InternalError("document aborted without a cause") : cause;
-  gate_.Reset();
   if (!finalized_ || workers_.empty()) return;  // nothing is running yet
   ++documents_aborted_;
   batcher_.AbortDocument();

@@ -89,9 +89,8 @@ struct ProjectionSpec {
 // depth of the shallowest open kept-subtree ("watermark"), below which
 // nothing is skipped. The watermark needs no end-tag notification: leaving
 // the subtree is only observable at the next start tag at or above the
-// watermark depth, which re-evaluates and replaces it. Reset() must run at
-// every document start/abort (the evaluators do this from their own
-// StartDocument/AbortDocument).
+// watermark depth, which re-evaluates and replaces it. The parser resets it
+// at every document start (xml::ProjectionFilter::StartDocument).
 class ProjectionGate : public xml::ProjectionFilter {
  public:
   ProjectionGate() = default;
@@ -99,7 +98,7 @@ class ProjectionGate : public xml::ProjectionFilter {
   void SetSpec(ProjectionSpec spec);
   const ProjectionSpec& spec() const { return spec_; }
 
-  void Reset() { keep_watermark_ = kNoWatermark; }
+  void StartDocument() override { keep_watermark_ = kNoWatermark; }
 
   bool ShouldSkipSubtree(std::string_view name, size_t open_depth) override;
 

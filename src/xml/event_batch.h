@@ -15,6 +15,29 @@
 // EventBatcher is the ContentHandler that fills batches: it forwards every
 // event into the current batch and asks its sink to publish when the batch
 // reaches the configured event- or byte-budget, or when the document ends.
+//
+// Element-level elision. A consumer that only ever acts on elements with
+// certain names (an EngineFleet with no wildcard, sibling, capture or text
+// engine and no shared automaton) can hand the batcher an ElementInterest.
+// A start-element whose name and attribute names all fall outside it gets
+// no record, nor does its end or any text run; their node ids and element
+// ordinals collect into a pending numbering gap instead. Node numbering is
+// still exact, because the consumer's DocumentCursor sees every id:
+//   * a kGap record carries the ids, elements and elided elements absorbed
+//     since the previous record; it is written just before the next record
+//     that needs a position (a start) and before EndDocument;
+//   * an elided element that turns out to have a kept descendant is
+//     written, when that descendant arrives, as a payload-free kElidedStart
+//     record (attribute count only), preceded by the gap that came before
+//     it. The cursor then pushes it, so the kept element gets its true
+//     parent id and level. Its end is recorded because its start was; an
+//     element whose start got no record gets no end record either.
+// The gap before each record equals the ids and elements a full capture
+// would have consumed in between, so every recorded node's id, parent id,
+// level and ordinal is byte-identical to a full capture. A projection skip
+// (SkippedSubtree) is a gap of ids and elements none of which count as
+// elided: its own kGap record without an interest, part of the pending gap
+// with one.
 
 #ifndef XAOS_XML_EVENT_BATCH_H_
 #define XAOS_XML_EVENT_BATCH_H_
@@ -36,9 +59,14 @@ struct BatchedEvent {
     kStartElement,
     kEndElement,
     kCharacters,
-    // A projection skip (xml/skip_scanner.h): the text slice holds the
-    // raw SkipReport bytes.
-    kSkipSubtree,
+    // An elided element with a kept descendant (see the header comment):
+    // attr_count is its only field.
+    kElidedStart,
+    // A numbering gap: node ids and elements the stream consumed without
+    // records of their own — a projection skip (xml/skip_scanner.h), or
+    // events elided at capture (see the header comment). The counts live
+    // in the record's own fields, read through the gap_* accessors.
+    kGap,
   };
 
   Kind kind = Kind::kStartDocument;
@@ -47,7 +75,17 @@ struct BatchedEvent {
   uint32_t text_size = 0;
   uint32_t attr_begin = 0;   // slice of the batch's attribute records
   uint32_t attr_count = 0;
+
+  // kGap: node ids, start-elements, and the start-elements among them that
+  // were elided (projection skips consume ids and elements, not elisions).
+  uint32_t gap_node_ids() const { return text_offset; }
+  uint32_t gap_elements() const { return attr_begin; }
+  uint32_t gap_elided() const { return attr_count; }
 };
+
+// Symbol-indexed keep flags for element-level elision: a nonzero entry
+// means some consumer tests that name. Symbols past the end are not kept.
+using ElementInterest = std::vector<uint8_t>;
 
 struct BatchedAttribute {
   uint32_t name_offset = 0;
@@ -100,7 +138,8 @@ class EventBatch {
   // Characters and keep the element stack balanced.
   void AddEndElement(std::string_view name, bool copy_payload = true);
   void AddCharacters(std::string_view text, bool copy_payload = true);
-  void AddSkipSubtree(const SkipReport& report);
+  void AddElidedStart(uint32_t attr_count);
+  void AddGap(uint32_t node_ids, uint32_t elements, uint32_t elided);
 
   // --- replay side (any number of concurrent consumers) ---
   // Raw read access for batch loops (EngineFleet::ReplayRun): consumers walk
@@ -149,9 +188,10 @@ class EventBatcher : public ContentHandler {
     virtual void PublishBatch(EventBatch* batch) = 0;
   };
 
-  // A batch is published when it holds `max_events` events or its arena
+  // A batch is published when it holds `max_events` records or its arena
   // reached `max_text_bytes` (soft: the event that crosses the line still
-  // joins the batch), and always at EndDocument.
+  // joins the batch), and always at EndDocument. The check runs after every
+  // appended record, so a batch never holds more than `max_events`.
   EventBatcher(Sink* sink, size_t max_events, size_t max_text_bytes)
       : sink_(sink), max_events_(max_events), max_text_bytes_(max_text_bytes) {}
 
@@ -169,7 +209,9 @@ class EventBatcher : public ContentHandler {
 
   // Publishes the current batch (if it holds any events) without closing
   // the document — lets a sequential driver drain buffered events so
-  // mid-stream verdicts (MatchConfirmed) stay observable.
+  // mid-stream verdicts (MatchConfirmed) stay observable. A pending
+  // elision gap stays pending (it delivers nothing, so it moves no verdict;
+  // engines_skipped() catches up at the next record).
   void Flush() { PublishCurrent(); }
 
   // Adaptive batch sizing (ParallelFleet publish coalescing): budgets apply
@@ -188,11 +230,42 @@ class EventBatcher : public ContentHandler {
   void set_lean_payload(bool lean) { lean_payload_ = lean; }
   bool lean_payload() const { return lean_payload_; }
 
+  // Element-level elision (see the header comment): null captures every
+  // event. The interest is not owned and must stay valid while in use.
+  // Takes effect at the next StartDocument.
+  void set_element_interest(const ElementInterest* interest) {
+    next_interest_ = interest;
+  }
+  // Events that got no record of their own (cumulative): elided starts and
+  // their ends, text runs and projection skips folded into gaps.
+  uint64_t events_elided() const { return events_elided_; }
+
  private:
+  // Node ids and elements absorbed since the last record.
+  struct Gap {
+    uint64_t node_ids = 0;
+    uint64_t elements = 0;
+    uint64_t elided = 0;
+  };
+  // An element open while an interest is active.
+  struct Open {
+    uint32_t attr_count;  // for a late kElidedStart record
+    Gap before;           // absorbed before its start (unrecorded only)
+  };
+
   EventBatch* Current() {
     if (current_ == nullptr) current_ = sink_->AcquireBatch();
     return current_;
   }
+  bool Keeps(util::Symbol symbol) const {
+    return symbol < 0 ||  // unresolved: it could be any name
+           (static_cast<size_t>(symbol) < interest_->size() &&
+            (*interest_)[static_cast<size_t>(symbol)] != 0);
+  }
+  bool Keeps(const QName& name, AttributeSpan attributes) const;
+  // Writes `gap` as kGap records (split where a count passes 32 bits).
+  void AppendGap(Gap gap);
+  void ResetElision();
   void PublishIfFull();
   void PublishCurrent();
 
@@ -201,6 +274,14 @@ class EventBatcher : public ContentHandler {
   size_t max_text_bytes_;
   bool lean_payload_ = false;
   EventBatch* current_ = nullptr;
+
+  // --- element-level elision ---
+  const ElementInterest* next_interest_ = nullptr;
+  const ElementInterest* interest_ = nullptr;  // this document's
+  std::vector<Open> open_;
+  size_t recorded_depth_ = 0;  // open_[0, recorded_depth_) have records
+  Gap pending_;
+  uint64_t events_elided_ = 0;
 };
 
 }  // namespace xaos::xml

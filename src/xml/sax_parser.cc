@@ -219,6 +219,12 @@ SaxParser::Progress SaxParser::FailWith(StatusCode code, std::string message) {
   return Progress::kError;
 }
 
+void SaxParser::StartDocument() {
+  started_document_ = true;
+  if (projection_filter_ != nullptr) projection_filter_->StartDocument();
+  handler_->StartDocument();
+}
+
 Status SaxParser::Feed(std::string_view chunk) {
   if (!error_.ok()) return error_;
   if (finished_) {
@@ -243,10 +249,7 @@ Status SaxParser::Feed(std::string_view chunk) {
               " bytes");
     return error_;
   }
-  if (!started_document_) {
-    started_document_ = true;
-    handler_->StartDocument();
-  }
+  if (!started_document_) StartDocument();
   // Compacting/growing buffer_ invalidates any zero-copy pending-text view
   // into it (copy the view out first) and every cached block mask.
   MaterializeTextView();
@@ -279,10 +282,7 @@ Status SaxParser::Feed(std::string_view chunk) {
 Status SaxParser::Finish() {
   if (!error_.ok()) return error_;
   if (finished_) return Status::Ok();
-  if (!started_document_) {
-    started_document_ = true;
-    handler_->StartDocument();
-  }
+  if (!started_document_) StartDocument();
   finished_ = true;
   if (skip_active_) {
     Fail("unexpected end of document inside a skipped subtree");

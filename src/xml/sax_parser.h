@@ -129,6 +129,8 @@ class SaxParser {
  private:
   enum class Progress { kOk, kNeedMore, kError };
 
+  // Resets the projection filter, then reports StartDocument.
+  void StartDocument();
   Progress Pump();                      // parse as much of buffer_ as possible
   Progress ParseText();                 // content until '<'
   Progress ParseMarkup();               // dispatch on "<...": tag/comment/...

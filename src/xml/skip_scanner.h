@@ -34,12 +34,16 @@ namespace xaos::xml {
 // already open when the tag appears (the document element sits at 0).
 // Returning true asserts that no node in the element's subtree — the
 // element itself, its attributes, text, and descendants — can contribute to
-// any match; the parser then skips the subtree without events. Stateful
-// implementations (query::ProjectionGate tracks a kept-subtree watermark)
-// are reset through the handler's StartDocument/abort path.
+// any match; the parser then skips the subtree without events.
 class ProjectionFilter {
  public:
   virtual ~ProjectionFilter() = default;
+  // Called by the parser just before it reports a document's StartDocument.
+  // Stateful implementations (query::ProjectionGate tracks a kept-subtree
+  // watermark) reset here. The handler's own StartDocument is no place for
+  // that: a batching handler replays it later, while the parser is already
+  // consulting the filter for the document's first tags.
+  virtual void StartDocument() {}
   virtual bool ShouldSkipSubtree(std::string_view name, size_t open_depth) = 0;
 };
 

@@ -4,13 +4,16 @@
 // brute-force matcher over the DOM, an independent algorithm, across the
 // axis corpus, chunked feeds, single-event batches, random workloads and
 // ParallelFleet shardings. The two routes are compared with each other only
-// where brute force has no answer: captured XML bytes and the order early
-// items reach the earliest-emission sink. Plus the pool-return
-// double-release regression for mid-batch aborts, and the shared matcher's
-// set-interner reset.
+// where brute force has no answer: captured XML bytes, the order early
+// items reach the earliest-emission sink, node ids, and the dispatch
+// counters (engines_skipped, EngineStats) that capture-time element elision
+// must leave unchanged. Plus the pool-return double-release regression for
+// mid-batch aborts, the projection filter's reset, and the shared
+// matcher's set-interner reset.
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -692,6 +695,332 @@ TEST(SharedMatcherResetTest, StepCacheHitsAccumulate) {
   // A repetitive document steps through a handful of distinct
   // (state-set, symbol) configurations: hits dominate misses.
   EXPECT_GT(matcher->flat_cache_hits(), matcher->flat_cache_misses());
+}
+
+// --- capture-time element elision -------------------------------------------
+
+// Collects every published batch's records and sizes.
+class RecordingSink : public xml::EventBatcher::Sink {
+ public:
+  xml::EventBatch* AcquireBatch() override {
+    batches_.push_back(std::make_unique<xml::EventBatch>());
+    return batches_.back().get();
+  }
+  void PublishBatch(xml::EventBatch* batch) override {
+    sizes.push_back(batch->event_count());
+    records.insert(records.end(), batch->events().begin(),
+                   batch->events().end());
+  }
+
+  std::vector<size_t> sizes;
+  std::vector<xml::BatchedEvent> records;
+
+ private:
+  std::vector<std::unique_ptr<xml::EventBatch>> batches_;
+};
+
+TEST(ElisionCaptureTest, RecordsGapsAndElidedAncestors) {
+  using Kind = xml::BatchedEvent::Kind;
+  util::SymbolTable& symbols = util::SymbolTable::Global();
+  xml::ElementInterest interest;
+  for (const char* name : {"r", "b"}) {
+    const size_t s = static_cast<size_t>(symbols.Intern(name));
+    if (s >= interest.size()) interest.resize(s + 1);
+    interest[s] = 1;
+  }
+  // x (one attribute) is elided but has a kept child, so it becomes an
+  // elided start; the text run and <y/> only fold into gaps.
+  const std::string doc = "<r><x q=\"1\">t<b/></x><y/><b/></r>";
+  const std::vector<Kind> expected = {
+      Kind::kStartDocument, Kind::kStartElement, Kind::kElidedStart,
+      Kind::kGap,           Kind::kStartElement, Kind::kEndElement,
+      Kind::kEndElement,    Kind::kGap,          Kind::kStartElement,
+      Kind::kEndElement,    Kind::kEndElement,   Kind::kEndDocument};
+  for (size_t budget : {1u, 3u, 256u}) {
+    RecordingSink sink;
+    xml::EventBatcher batcher(&sink, budget, 32 * 1024);
+    batcher.set_element_interest(&interest);
+    ASSERT_TRUE(xml::ParseString(doc, &batcher).ok());
+    std::vector<Kind> kinds;
+    for (const xml::BatchedEvent& record : sink.records) {
+      kinds.push_back(record.kind);
+    }
+    EXPECT_EQ(kinds, expected) << "budget " << budget;
+    for (size_t size : sink.sizes) EXPECT_LE(size, budget);
+    ASSERT_EQ(sink.records.size(), expected.size());
+    EXPECT_EQ(sink.records[2].attr_count, 1u);
+    // Ids between <x>'s attribute and <b>: the text run.
+    EXPECT_EQ(sink.records[3].gap_node_ids(), 1u);
+    EXPECT_EQ(sink.records[3].gap_elements(), 0u);
+    // <y/>: one id, one element, elided.
+    EXPECT_EQ(sink.records[7].gap_node_ids(), 1u);
+    EXPECT_EQ(sink.records[7].gap_elements(), 1u);
+    EXPECT_EQ(sink.records[7].gap_elided(), 1u);
+    EXPECT_EQ(batcher.events_elided(), 3u);  // t, <y>, </y>
+  }
+}
+
+// Engine-backed subscriptions only: no shared matcher, so elision is on
+// whenever no engine is always-dispatch or reads text.
+core::EngineOptions EngineBacked() {
+  core::EngineOptions options;
+  options.enable_shared_index = false;
+  return options;
+}
+
+struct ElisionOutcome {
+  uint64_t events_elided = 0;
+  std::string off_reason;  // empty when elision was on
+};
+
+// Runs `expressions` over each of `documents` in turn, through a
+// BatchedDispatcher (which elides whenever that is exact) and per-event
+// into a twin evaluator, with each evaluator's own projection filter when
+// `projection`. Requires verdicts and items (ordinals) to equal brute
+// force, and item node ids, engines_skipped() and the EngineStats element
+// counts to equal the per-event twin's after every document.
+ElisionOutcome ExpectElisionExact(const std::vector<std::string>& expressions,
+                                  const std::vector<std::string>& documents,
+                                  size_t batch_events,
+                                  core::EngineOptions options = EngineBacked(),
+                                  bool projection = false) {
+  std::vector<core::Query> queries = CompileAll(expressions);
+  EXPECT_EQ(queries.size(), expressions.size());
+  core::MultiQueryEvaluator batched(options);
+  core::MultiQueryEvaluator per_event(options);
+  for (const core::Query& query : queries) {
+    batched.AddQuery(query);
+    per_event.AddQuery(query);
+  }
+  core::BatchedDispatchOptions dispatch_options;
+  dispatch_options.max_batch_events = batch_events;
+  core::BatchedDispatcher dispatcher(&batched, dispatch_options);
+  xml::ParserOptions batched_parse;
+  xml::ParserOptions per_event_parse;
+  if (projection) {
+    batched_parse.projection_filter = batched.projection_filter();
+    per_event_parse.projection_filter = per_event.projection_filter();
+    EXPECT_NE(batched_parse.projection_filter, nullptr);
+  }
+  const std::string route = "batched, budget " + std::to_string(batch_events);
+  for (const std::string& doc : documents) {
+    EXPECT_TRUE(xml::ParseString(doc, &dispatcher, batched_parse).ok());
+    EXPECT_TRUE(xml::ParseString(doc, &per_event, per_event_parse).ok());
+    ExpectEqualsBruteForce(batched, queries, BruteForce(queries, doc),
+                           route + ", " + doc);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const core::QueryResult want = per_event.Result(q);
+      const core::QueryResult got = batched.Result(q);
+      EXPECT_EQ(want.items.size(), got.items.size()) << route;
+      for (size_t i = 0; i < std::min(want.items.size(), got.items.size());
+           ++i) {
+        EXPECT_EQ(want.items[i].info.id, got.items[i].info.id)
+            << route << ", " << expressions[q] << " item " << i;
+      }
+    }
+    EXPECT_EQ(per_event.engines_skipped(), batched.engines_skipped())
+        << route << ", " << doc;
+    const core::EngineStats want = per_event.AggregateStats();
+    const core::EngineStats got = batched.AggregateStats();
+    EXPECT_EQ(want.elements_total, got.elements_total) << route;
+    EXPECT_EQ(want.elements_discarded, got.elements_discarded) << route;
+  }
+  ElisionOutcome outcome;
+  outcome.events_elided = dispatcher.events_elided();
+  const char* reason = batched.elision_off_reason();
+  outcome.off_reason = reason != nullptr ? reason : "";
+  return outcome;
+}
+
+TEST(ElisionTest, ChildStepThroughElidedParent) {
+  // Without the elided-start record for <x>, the <b> inside it would look
+  // like a child of <a>; without the gap before <x> (text, <w/>) or <x>'s
+  // attribute id, every later id and ordinal would shift.
+  for (size_t budget : {1u, 3u, 256u}) {
+    const ElisionOutcome outcome = ExpectElisionExact(
+        {"//a/b"}, {"<a>s<w/><x k=\"1\">t<y/><b/></x>t<y/><b/></a>"},
+        budget);
+    EXPECT_EQ(outcome.off_reason, "");
+    EXPECT_GT(outcome.events_elided, 0u);
+  }
+}
+
+TEST(ElisionTest, BackwardAxesAcrossElidedLevels) {
+  const std::vector<std::string> expressions = {
+      "//c/ancestor::a", "//c/parent::a", "//c/parent::y",
+      "//c[ancestor::a]", "//a[c]"};
+  const std::vector<std::string> documents = {
+      "<a><x><y><c/></y></x><c/><z>t<a><q/></a></z></a>",
+      "<r><y><x><c/></x></y><a><y k=\"2\"><c/></y></a></r>"};
+  for (size_t budget : {1u, 3u, 256u}) {
+    const ElisionOutcome outcome =
+        ExpectElisionExact(expressions, documents, budget);
+    EXPECT_EQ(outcome.off_reason, "");
+    EXPECT_GT(outcome.events_elided, 0u);
+  }
+  // `..` is a parent step to any element: a wildcard, so no elision, and
+  // the results still hold.
+  for (size_t budget : {1u, 3u, 256u}) {
+    const ElisionOutcome outcome =
+        ExpectElisionExact({"//c/..", "//c/ancestor::a"}, documents, budget);
+    EXPECT_EQ(outcome.off_reason, "wildcard step");
+    EXPECT_EQ(outcome.events_elided, 0u);
+  }
+}
+
+TEST(ElisionTest, ElementKeptOnlyForAttributeName) {
+  // <x k> indexes the //a/@k engine through its attribute alone; it is
+  // delivered, so it must keep its record and its attributes.
+  const std::vector<std::string> documents = {
+      "<r><x k=\"1\"><a k=\"2\"/><a/></x><w j=\"3\">t</w><a k=\"4\"/></r>"};
+  for (size_t budget : {1u, 3u, 256u}) {
+    const ElisionOutcome outcome =
+        ExpectElisionExact({"//a/@k", "//x[@k]/a"}, documents, budget);
+    EXPECT_EQ(outcome.off_reason, "");
+    EXPECT_GT(outcome.events_elided, 0u);
+  }
+}
+
+TEST(ElisionTest, ProjectionSkipInsideElidedStretch) {
+  // /r/a//b keeps whole <a> subtrees and skips every other child of <r>;
+  // inside <a>, <q> is elided. The <x> skip sits in the same gap as the
+  // elided <q>s around it, and the last <q> becomes an elided start.
+  const std::string doc =
+      "<r><a><q><z/></q></a><x><w/>t</x><a><q/>u<q><b/></q></a></r>";
+  for (size_t budget : {1u, 3u, 256u}) {
+    const ElisionOutcome outcome =
+        ExpectElisionExact({"/r/a//b"}, {doc, doc}, budget, EngineBacked(),
+                           /*projection=*/true);
+    EXPECT_EQ(outcome.off_reason, "");
+    EXPECT_GT(outcome.events_elided, 0u);
+  }
+}
+
+TEST(ElisionTest, OffWhereItWouldNotBeExact) {
+  const std::vector<std::string> documents = {kAxisDoc,
+                                              "<a><q><b/></q><c/></a>"};
+  struct Case {
+    std::vector<std::string> expressions;
+    core::EngineOptions options;
+    const char* reason;
+  };
+  const Case cases[] = {
+      {{"//a/*", "//b/c"}, EngineBacked(), "wildcard step"},
+      {{"//c/following-sibling::a", "//b/c"}, EngineBacked(), "sibling axis"},
+      {{"//e[text()='text']", "//b/c"}, EngineBacked(), "text test"},
+      // Shareable chains run on the shared automaton, which steps on every
+      // element.
+      {{"/a/b/c", "//c/ancestor::a"}, core::EngineOptions(),
+       "shared automaton"},
+  };
+  for (const Case& c : cases) {
+    for (size_t budget : {1u, 3u, 256u}) {
+      const ElisionOutcome outcome =
+          ExpectElisionExact(c.expressions, documents, budget, c.options);
+      EXPECT_EQ(outcome.off_reason, c.reason);
+      EXPECT_EQ(outcome.events_elided, 0u) << c.reason;
+    }
+  }
+}
+
+TEST(ElisionTest, FirstDocumentSeesTheSharedMatcher) {
+  // The shared index is built at the first document's StartDocument. If
+  // the interest were read before it, the first document would be elided
+  // under a fleet that has no matcher yet, and /a/x/b would never see <x>.
+  const std::vector<std::string> expressions = {"/a/x/b", "//b/ancestor::a"};
+  std::vector<core::Query> queries = CompileAll(expressions);
+  core::MultiQueryEvaluator evaluator;
+  for (const core::Query& query : queries) evaluator.AddQuery(query);
+  core::BatchedDispatcher dispatcher(&evaluator);
+  const std::string doc = "<a><x><b/></x></a>";
+  ParseInto(doc, &dispatcher, 0);
+  ExpectEqualsBruteForce(evaluator, queries, BruteForce(queries, doc),
+                         "first document");
+  EXPECT_TRUE(evaluator.Matched(0));
+  EXPECT_EQ(dispatcher.events_elided(), 0u);
+}
+
+TEST(ElisionTest, AbortMidElidedStretchThenCleanDocument) {
+  const std::vector<std::string> expressions = {"//a/b", "//b/ancestor::a"};
+  std::vector<core::Query> queries = CompileAll(expressions);
+  const std::string clean = "<a><x><b/>t</x><y/><b/></a>";
+  const std::vector<Expected> expected = BruteForce(queries, clean);
+  for (size_t budget : {1u, 3u, 256u}) {
+    core::MultiQueryEvaluator batched(EngineBacked());
+    core::MultiQueryEvaluator per_event(EngineBacked());
+    for (const core::Query& query : queries) {
+      batched.AddQuery(query);
+      per_event.AddQuery(query);
+    }
+    core::BatchedDispatchOptions dispatch_options;
+    dispatch_options.max_batch_events = budget;
+    core::BatchedDispatcher dispatcher(&batched, dispatch_options);
+    {
+      // <x> and <y> are open, elided and unrecorded when the producer
+      // gives up.
+      xml::SaxParser parser(&dispatcher);
+      ASSERT_TRUE(parser.Feed("<a><b/><x>t<y>").ok());
+      dispatcher.AbortDocument(InternalError("producer died"));
+    }
+    const uint64_t skipped_before = batched.engines_skipped();
+    ParseInto(clean, &dispatcher, 0);
+    ParseInto(clean, &per_event, 0);
+    ExpectEqualsBruteForce(batched, queries, expected,
+                           "after abort, budget " + std::to_string(budget));
+    EXPECT_EQ(batched.engines_skipped() - skipped_before,
+              per_event.engines_skipped());
+    EXPECT_EQ(batched.AggregateStats().elements_total,
+              per_event.AggregateStats().elements_total);
+  }
+}
+
+TEST(ElisionTest, RandomWorkloadsMatchBruteForce) {
+  // Random pools, engine-backed: elision is on for every pool without a
+  // wildcard, sibling or text test, and must not change any answer.
+  gen::RandomQueryOptions query_options;
+  gen::RandomDocOptions doc_options;
+  doc_options.target_elements = 200;
+  doc_options.max_noise_depth = 6;
+  uint64_t elided = 0;
+  for (uint64_t seed = 0; seed < 24; ++seed) {
+    auto workload = gen::GenerateWorkload(query_options, doc_options, seed);
+    ASSERT_TRUE(workload.ok()) << workload.status();
+    for (size_t budget : {1u, 3u, 256u}) {
+      elided += ExpectElisionExact({workload->expression},
+                                   {workload->document}, budget)
+                    .events_elided;
+    }
+  }
+  EXPECT_GT(elided, 0u);
+}
+
+// --- projection filter reset ------------------------------------------------
+
+TEST(BatchedProjectionTest, FilterResetsWhenTheParserStartsADocument) {
+  // Regression: the evaluator used to reset its projection gate in its own
+  // StartDocument, which the dispatcher replays only when the first batch
+  // publishes. With a 3-record budget that is just after <a> opened: the
+  // reset dropped the gate's kept-subtree watermark, so <q> (and the <b>
+  // inside it) was skipped and /r/a//b missed its match.
+  const std::string doc = "<r><a><q><b/></q></a></r>";
+  for (const bool shared : {true, false}) {
+    core::EngineOptions options;
+    options.enable_shared_index = shared;
+    core::MultiQueryEvaluator evaluator(options);
+    StatusOr<core::Query> query = core::Query::Compile("/r/a//b");
+    ASSERT_TRUE(query.ok());
+    evaluator.AddQuery(*query);
+    core::BatchedDispatchOptions dispatch_options;
+    dispatch_options.max_batch_events = 3;
+    core::BatchedDispatcher dispatcher(&evaluator, dispatch_options);
+    xml::ParserOptions parse;
+    parse.projection_filter = evaluator.projection_filter();
+    ASSERT_NE(parse.projection_filter, nullptr);
+    for (int round = 0; round < 2; ++round) {
+      ASSERT_TRUE(xml::ParseString(doc, &dispatcher, parse).ok());
+      EXPECT_TRUE(evaluator.Matched(0)) << "shared " << shared;
+    }
+  }
 }
 
 }  // namespace

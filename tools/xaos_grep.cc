@@ -16,7 +16,8 @@
 //   --tuples       print output tuples (for $-marked multi-output queries)
 //   --stats        print engine statistics per file (--stats=json for a
 //                  structured JSON object on stderr instead of text)
-//   --explain      print the compiled x-tree/x-dag and exit
+//   --explain      print the compiled x-tree/x-dag, the document projection
+//                  and the capture-time element elision, and exit
 //   --trace        print a Table-2-style event trace while evaluating
 //   --trace-json   like --trace but one JSON object per event (JSON lines)
 //   --metrics-json=FILE
@@ -196,6 +197,23 @@ void PrintStats(const xaos::core::EngineStats& stats, const char* prefix,
                    stats.structure_memory.peak_bytes));
 }
 
+// The elision line of --explain: the element names batched capture keeps
+// a record for, or why it captures every event.
+std::string DescribeElision(xaos::core::StreamingEvaluator* evaluator) {
+  if (const char* reason = evaluator->elision_off_reason()) {
+    return std::string("off (") + reason + ")";
+  }
+  const xaos::xml::ElementInterest& interest = *evaluator->element_interest();
+  std::string names;
+  for (size_t s = 0; s < interest.size(); ++s) {
+    if (interest[s] == 0) continue;
+    if (!names.empty()) names += ", ";
+    names += xaos::util::SymbolTable::Global().Name(
+        static_cast<xaos::util::Symbol>(s));
+  }
+  return "keeps {" + names + "}";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -285,6 +303,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  xaos::core::EngineOptions engine_options;
+  engine_options.capture_output_subtrees = options.capture;
+  engine_options.stop_after_confirmed_match = options.match_only;
+
   if (options.explain) {
     for (const xaos::query::XTree& tree : query->trees()) {
       std::printf("x-tree: %s\n", tree.ToString().c_str());
@@ -294,6 +316,8 @@ int main(int argc, char** argv) {
                 xaos::query::ProjectionSpec::Analyze(query->trees())
                     .ToString()
                     .c_str());
+    xaos::core::StreamingEvaluator evaluator(*query, engine_options);
+    std::printf("elision: %s\n", DescribeElision(&evaluator).c_str());
     return 0;
   }
 
@@ -326,9 +350,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  xaos::core::EngineOptions engine_options;
-  engine_options.capture_output_subtrees = options.capture;
-  engine_options.stop_after_confirmed_match = options.match_only;
   xaos::core::StreamingEvaluator evaluator(*query, engine_options);
   xaos::core::BatchedDispatcher dispatcher(&evaluator);
   if (!options.no_projection) {
