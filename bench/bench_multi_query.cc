@@ -98,15 +98,10 @@ int main(int argc, char** argv) {
   double scale = flags.GetDouble("scale", 0.02);
   int repetitions = flags.GetInt("repetitions", 3);
   int max_subs = flags.GetInt("max-subs", 1000);
-  // --threads=N adds a parallel/subs=M row per block: the same subscription
-  // pool sharded across N ParallelFleet workers, verdict-checked against
-  // the naive baseline like the indexed mode. 0 disables.
-  int threads = flags.GetInt("threads", 0);
   // --zipf-max-subs=N adds zipf-indexed/zipf-shared rows for subscription
   // counts {1000, 10000, 100000} up to N: a Zipf-popularity template pool
   // run through the per-engine indexed path vs the shared-prefix automaton
-  // (plus zipf-parallel with --threads, and a fallback-parity row over a
-  // non-shareable pool). 0 (default) skips them — they dominate runtime.
+  // (plus a fallback-parity row over a non-shareable pool). 0 (default) skips them — they dominate runtime.
   int zipf_max_subs = flags.GetInt("zipf-max-subs", 0);
   std::string json_out = flags.GetString("json-out", "");
   flags.FailOnUnknown();
@@ -115,7 +110,6 @@ int main(int argc, char** argv) {
   reporter.SetParam("scale", scale);
   reporter.SetParam("repetitions", repetitions);
   reporter.SetParam("max-subs", max_subs);
-  reporter.SetParam("threads", threads);
   reporter.SetParam("zipf-max-subs", zipf_max_subs);
 
   gen::XMarkOptions doc_options;
@@ -314,49 +308,6 @@ int main(int argc, char** argv) {
         "batches_per_doc",
         static_cast<double>(batched_dispatcher.batches_replayed()) /
             std::max(repetitions, 1));
-
-    // Sharded parallel fleet.
-    if (threads > 0) {
-      core::ParallelFleetOptions options;
-      options.num_workers = static_cast<size_t>(threads);
-      options.engine_options.enable_shared_index = false;  // baseline row
-      core::ParallelFleet fleet(options);
-      for (const core::Query& query : queries) fleet.AddQuery(query);
-      std::vector<double> parallel_times;
-      for (int rep = 0; rep < repetitions; ++rep) {
-        parallel_times.push_back(bench::TimeSeconds([&] {
-          if (!xml::ParseString(doc, &fleet).ok()) std::abort();
-        }));
-      }
-      uint64_t parallel_count = 0;
-      for (int q = 0; q < subs; ++q) {
-        bool m = fleet.Matched(static_cast<size_t>(q));
-        parallel_count += m ? 1 : 0;
-        if (m != naive_matched[static_cast<size_t>(q)]) {
-          std::fprintf(stderr,
-                       "VERDICT MISMATCH at %d subscriptions, query %d (%s): "
-                       "naive=%d parallel=%d\n",
-                       subs, q, expressions[static_cast<size_t>(q)].c_str(),
-                       naive_matched[static_cast<size_t>(q)] ? 1 : 0,
-                       m ? 1 : 0);
-          return 1;
-        }
-      }
-      bench::Series parallel = bench::Summarize(parallel_times);
-      double parallel_speedup =
-          parallel.mean > 0 ? naive.mean / parallel.mean : 0.0;
-      std::snprintf(label, sizeof(label), "parallel/subs=%d", subs);
-      std::printf("%-20s %-10.4f %-10.2f %-10llu %-14s %-10.2f\n", label,
-                  parallel.mean, megabytes / parallel.mean,
-                  static_cast<unsigned long long>(parallel_count), "-",
-                  parallel_speedup);
-      reporter.AddResult(label, parallel, megabytes);
-      reporter.AddResultMetric("subscriptions", subs);
-      reporter.AddResultMetric("workers", threads);
-      reporter.AddResultMetric("matched",
-                               static_cast<double>(parallel_count));
-      reporter.AddResultMetric("speedup_vs_naive", parallel_speedup);
-    }
   }
 
   // --- Zipf-popularity scaling: shared-prefix automaton vs per-engine ------
@@ -530,40 +481,6 @@ int main(int argc, char** argv) {
                   bd_series.mean, megabytes / bd_series.mean, "-", "-", "-");
       reporter.AddResult(label, bd_series, megabytes);
       reporter.AddResultMetric("subscriptions", subs);
-    }
-
-    if (threads > 0) {
-      core::ParallelFleetOptions options;
-      options.num_workers = threads;
-      core::ParallelFleet fleet(options);
-      for (const core::Query& query : queries) fleet.AddQuery(query);
-      std::vector<double> parallel_times;
-      for (int rep = 0; rep < repetitions; ++rep) {
-        parallel_times.push_back(bench::TimeSeconds([&] {
-          if (!xml::ParseString(doc, &fleet).ok()) std::abort();
-        }));
-      }
-      for (int q = 0; q < subs; ++q) {
-        if (fleet.Matched(static_cast<size_t>(q)) !=
-            indexed.Matched(static_cast<size_t>(q))) {
-          std::fprintf(stderr,
-                       "VERDICT MISMATCH at %d zipf subscriptions, query %d "
-                       "(%s): indexed vs parallel\n",
-                       subs, q, expressions[static_cast<size_t>(q)].c_str());
-          return 1;
-        }
-      }
-      bench::Series parallel_series = bench::Summarize(parallel_times);
-      std::snprintf(label, sizeof(label), "zipf-parallel/subs=%d", subs);
-      std::printf("%-20s %-10.4f %-10.2f %-10llu %-14s %-10.2f\n", label,
-                  parallel_series.mean, megabytes / parallel_series.mean,
-                  static_cast<unsigned long long>(matched), "-",
-                  parallel_series.mean > 0
-                      ? indexed_series.mean / parallel_series.mean
-                      : 0.0);
-      reporter.AddResult(label, parallel_series, megabytes);
-      reporter.AddResultMetric("subscriptions", subs);
-      reporter.AddResultMetric("workers", threads);
     }
   }
 

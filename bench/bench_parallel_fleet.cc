@@ -1,20 +1,40 @@
-// Parallel fleet scaling: one XMark document, parsed once per iteration and
-// fanned out to N worker threads that each own a disjoint shard of the
-// subscription pool. Rows sweep worker count × subscription count against
-// the sequential label-indexed MultiQueryEvaluator baseline, and every
-// parallel run is verdict-checked against that baseline — a divergence is a
-// correctness bug and fails the run.
+// Document-parallel routing throughput: a stream of documents routed
+// through core::ParallelRouter at 1, 2 and 4 workers, against the
+// sequential production path — one MultiQueryEvaluator behind a
+// BatchedDispatcher, projection on — over the same stream. Three pool
+// shapes, one per regime the pub/sub path meets:
 //
-// The interesting regime is many subscriptions: matching cost dominates the
-// single parse, so sharding it across workers scales until the parse thread
-// itself becomes the bottleneck.
+//   xmark   1k label-driven templates + never-matching synthetic
+//           subscriptions over XMark documents at scale 0.01;
+//   zipf    a 10k Zipf-popularity pool (shared automaton) over XMark
+//           documents at scale 0.001;
+//   random  300 distinct random 6-node-test queries over a 26-name
+//           alphabet (per-engine dispatch) over documents generated for
+//           them.
+//
+// Every routed document's verdicts and items are checked against the
+// sequential run; any divergence fails the run (exit 1). Per row: docs/s
+// over the timed passes (median, quartiles and best), set-up time
+// (construction plus AddQuery), the untimed first pass (each worker builds
+// its indices on its first document), and held heap: heap in use
+// (mallinfo2) with the router still alive after the run, minus before it
+// was built. Scaling needs real cores: the run records the cores it may
+// use (sched_getaffinity) next to hardware_concurrency.
 
+#include <malloc.h>
+#include <sched.h>
+
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <functional>
+#include <memory>
+#include <random>
+#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_random_workload.h"
 #include "bench_util.h"
 #include "xaos.h"
 
@@ -22,7 +42,7 @@ namespace {
 
 using namespace xaos;
 
-// Same pool shape as bench_multi_query: label-driven templates over the
+// Same template pool as bench_multi_query: label-driven templates over the
 // XMark vocabulary interleaved with never-matching synthetic subscriptions.
 const char* const kTemplates[] = {
     "/site/regions//item/name",
@@ -39,65 +59,270 @@ const char* const kTemplates[] = {
     "//annotation/description",
 };
 
-std::vector<std::string> MakeExpressions(int count) {
+struct Pool {
+  std::string name;
   std::vector<std::string> expressions;
-  expressions.reserve(static_cast<size_t>(count));
+  std::vector<std::string> documents;
+};
+
+std::vector<std::string> XMarkDocuments(double scale, int count) {
+  std::vector<std::string> documents;
+  for (int i = 0; i < count; ++i) {
+    gen::XMarkOptions options;
+    options.scale = scale;
+    options.seed = 1000 + static_cast<uint64_t>(i);
+    documents.push_back(gen::GenerateXMark(options));
+  }
+  return documents;
+}
+
+Pool MakeTemplatePool(int subs, int docs) {
+  Pool pool{"xmark", {}, XMarkDocuments(0.01, docs)};
   constexpr int kNumTemplates =
       static_cast<int>(sizeof(kTemplates) / sizeof(kTemplates[0]));
-  for (int i = 0; i < count; ++i) {
-    if (i % 2 == 0) {
-      expressions.push_back(kTemplates[(i / 2) % kNumTemplates]);
-    } else {
-      expressions.push_back("//inbox_rule_" + std::to_string(i) + "/name");
+  for (int i = 0; i < subs; ++i) {
+    pool.expressions.push_back(
+        i % 2 == 0 ? std::string(kTemplates[(i / 2) % kNumTemplates])
+                   : "//inbox_rule_" + std::to_string(i) + "/name");
+  }
+  return pool;
+}
+
+Pool MakeZipfPool(int subs, int docs) {
+  bench::ZipfPoolOptions options;
+  options.subs = subs;
+  return Pool{"zipf", bench::MakeZipfSubscriptionPool(options),
+              XMarkDocuments(0.001, docs)};
+}
+
+Pool MakeRandomPool(int subs, int docs) {
+  Pool pool{"random", {}, {}};
+  std::mt19937_64 rng(42);
+  gen::RandomQueryOptions query_options;
+  query_options.alphabet = 26;
+  std::vector<xpath::LocationPath> paths;
+  std::set<std::string> seen;
+  while (static_cast<int>(pool.expressions.size()) < subs) {
+    xpath::LocationPath path = gen::GenerateRandomPath(query_options, rng);
+    std::string expression = xpath::ToString(path);
+    if (!seen.insert(expression).second) continue;  // no aliases
+    pool.expressions.push_back(std::move(expression));
+    paths.push_back(std::move(path));
+  }
+  gen::RandomDocOptions doc_options;
+  doc_options.alphabet = query_options.alphabet;
+  doc_options.target_elements = 2000;
+  for (int i = 0; i < docs; ++i) {
+    StatusOr<std::string> text = gen::GenerateDocumentForPath(
+        paths[static_cast<size_t>(i) % paths.size()], doc_options, rng);
+    if (!text.ok()) {
+      std::fprintf(stderr, "document generation failed: %s\n",
+                   text.status().ToString().c_str());
+      std::exit(1);
+    }
+    pool.documents.push_back(std::move(*text));
+  }
+  return pool;
+}
+
+// Heap bytes in use, summed over every malloc arena (glibc).
+uint64_t HeapInUse() {
+  struct mallinfo2 info = mallinfo2();
+  return static_cast<uint64_t>(info.uordblks) +
+         static_cast<uint64_t>(info.hblkhd);
+}
+
+// FNV-1a digest of one document's outcome: its status, the matched queries
+// and every matched query's result items.
+uint64_t Digest(const core::MultiQueryEvaluator& evaluator) {
+  uint64_t hash = 1469598103934665603ull;
+  auto mix = [&hash](uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (value >> (8 * i)) & 0xff;
+      hash *= 1099511628211ull;
+    }
+  };
+  mix(static_cast<uint64_t>(evaluator.status().code()));
+  if (!evaluator.status().ok()) return hash;
+  for (size_t q : evaluator.MatchedQueries()) {
+    mix(q);
+    for (const core::OutputItem& item : evaluator.Result(q).items) {
+      mix(item.info.id);
     }
   }
-  return expressions;
+  return hash;
+}
+
+using Outcome =
+    std::function<void(size_t document, const core::MultiQueryEvaluator&)>;
+
+// An execution mode, set up over a pool: Pass routes every document once
+// and hands each outcome to `outcome` in document order.
+class Mode {
+ public:
+  virtual ~Mode() = default;
+  virtual void Pass(const std::vector<std::string>& documents,
+                    const Outcome& outcome) = 0;
+};
+
+// The sequential production path.
+class Sequential : public Mode {
+ public:
+  explicit Sequential(const std::vector<core::Query>& queries)
+      : dispatcher_(&evaluator_) {
+    for (const core::Query& query : queries) evaluator_.AddQuery(query);
+    options_.projection_filter = evaluator_.projection_filter();
+  }
+
+  void Pass(const std::vector<std::string>& documents,
+            const Outcome& outcome) override {
+    for (size_t d = 0; d < documents.size(); ++d) {
+      Status status = xml::ParseString(documents[d], &dispatcher_, options_);
+      if (!status.ok()) dispatcher_.AbortDocument(status);
+      outcome(d, evaluator_);
+    }
+  }
+
+ private:
+  core::MultiQueryEvaluator evaluator_;
+  core::BatchedDispatcher dispatcher_;
+  xml::ParserOptions options_;
+};
+
+// The document-parallel router.
+class Routed : public Mode {
+ public:
+  Routed(const std::vector<core::Query>& queries, int workers)
+      : router_(workers,
+                [this](size_t d, const core::MultiQueryEvaluator& e) {
+                  (*outcome_)(d - base_, e);
+                }) {
+    for (const core::Query& query : queries) router_.AddQuery(query);
+  }
+
+  void Pass(const std::vector<std::string>& documents,
+            const Outcome& outcome) override {
+    outcome_ = &outcome;
+    for (const std::string& document : documents) {
+      router_.Submit(document);
+    }
+    router_.Drain();
+    base_ += documents.size();
+  }
+
+  size_t workers() const { return router_.worker_count(); }
+
+ private:
+  const Outcome* outcome_ = nullptr;
+  size_t base_ = 0;  // submission index of this pass's first document
+  core::ParallelRouter router_;
+};
+
+struct Measurement {
+  std::vector<double> docs_per_s;  // one per timed pass
+  double setup_s = 0;
+  double first_pass_s = 0;
+  double held_mb = 0;
+  uint64_t matched = 0;  // deliveries per pass
+};
+
+double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double at = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(at);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = at - static_cast<double>(lo);
+  return values[lo] + (values[hi] - values[lo]) * frac;
+}
+
+// Sets a mode up with `make`, runs one untimed pass that records (or, with
+// `expected` filled, checks) each document's digest, then `repetitions`
+// timed passes. Returns false on a digest mismatch.
+bool Measure(const Pool& pool, int repetitions,
+             const std::function<std::unique_ptr<Mode>()>& make,
+             std::vector<uint64_t>* expected, Measurement* out,
+             const std::string& label) {
+  const uint64_t heap_before = HeapInUse();
+  std::unique_ptr<Mode> mode;
+  out->setup_s = bench::TimeSeconds([&] { mode = make(); });
+
+  const bool record = expected->empty();
+  bool ok = true;
+  const Outcome check = [&](size_t d, const core::MultiQueryEvaluator& e) {
+    const uint64_t digest = Digest(e);
+    if (record) {
+      expected->push_back(digest);
+    } else if (digest != (*expected)[d]) {
+      if (ok) {
+        std::fprintf(stderr, "OUTCOME MISMATCH: %s, document %zu\n",
+                     label.c_str(), d);
+      }
+      ok = false;
+    }
+  };
+  out->first_pass_s =
+      bench::TimeSeconds([&] { mode->Pass(pool.documents, check); });
+
+  // Timed passes read what a router delivers: the matched queries.
+  uint64_t matched = 0;
+  const Outcome deliver = [&](size_t, const core::MultiQueryEvaluator& e) {
+    matched += e.MatchedQueries().size();
+  };
+  const double docs = static_cast<double>(pool.documents.size());
+  for (int rep = 0; rep < repetitions; ++rep) {
+    matched = 0;
+    const double seconds =
+        bench::TimeSeconds([&] { mode->Pass(pool.documents, deliver); });
+    out->docs_per_s.push_back(docs / seconds);
+  }
+  out->matched = matched;
+  out->held_mb =
+      static_cast<double>(static_cast<int64_t>(HeapInUse() - heap_before)) /
+      (1 << 20);
+  return ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::Flags flags(argc, argv);
-  double scale = flags.GetDouble("scale", 0.02);
-  int repetitions = flags.GetInt("repetitions", 3);
-  int max_subs = flags.GetInt("max-subs", 1000);
-  int max_workers = flags.GetInt("max-workers", 8);
+  int repetitions = flags.GetInt("repetitions", 10);
+  int docs = flags.GetInt("docs", 16);
+  int max_subs = flags.GetInt("max-subs", 10000);
+  int max_workers = flags.GetInt("max-workers", 4);
   std::string json_out = flags.GetString("json-out", "");
   flags.FailOnUnknown();
+  repetitions = std::max(repetitions, 1);
+  docs = std::max(docs, 1);
 
   bench::BenchReporter reporter("parallel_fleet");
-  reporter.SetParam("scale", scale);
   reporter.SetParam("repetitions", repetitions);
+  reporter.SetParam("docs", docs);
   reporter.SetParam("max-subs", max_subs);
   reporter.SetParam("max-workers", max_workers);
-  // Scaling numbers are only meaningful up to the core count; on a 1-core
-  // host any speedup comes from per-shard cache locality, not parallelism.
-  const unsigned cores = std::thread::hardware_concurrency();
-  reporter.SetParam("hardware_concurrency", static_cast<double>(cores));
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  const int cpus =
+      sched_getaffinity(0, sizeof(allowed), &allowed) == 0 ? CPU_COUNT(&allowed)
+                                                           : 0;
+  reporter.SetParam("cpus_allowed", cpus);
 
-  gen::XMarkOptions doc_options;
-  doc_options.scale = scale;
-  const std::string doc = gen::GenerateXMark(doc_options);
-  const double megabytes = static_cast<double>(doc.size()) / (1 << 20);
+  std::printf("Document-parallel routing: %d documents per pool, %d timed "
+              "passes per row, %d CPUs allowed\n\n",
+              docs, repetitions, cpus);
+  std::printf("%-28s %-8s %-10s %-18s %-9s %-9s %-8s %-8s\n", "configuration",
+              "workers", "docs/s", "q1..q3", "setup(s)", "first(s)",
+              "held MB", "speedup");
+  bench::Rule(7);
 
-  std::printf("Parallel fleet scaling: XMark scale %.3f (%.1f MB), "
-              "%d repetitions per row, %u hardware threads\n",
-              scale, megabytes, repetitions, cores);
-  if (cores < 4) {
-    std::printf("note: fewer than 4 cores — worker counts beyond %u "
-                "measure locality, not parallel speedup\n",
-                cores);
-  }
-  std::printf("\n");
-  std::printf("%-24s %-10s %-10s %-10s %-12s %-10s\n", "configuration",
-              "time(s)", "MB/s", "matched", "stalls/doc", "speedup");
-  bench::Rule(6);
-
-  for (int subs : {100, 1000}) {
-    if (subs > max_subs) continue;
-    std::vector<std::string> expressions = MakeExpressions(subs);
+  const std::vector<Pool> pools = {
+      MakeTemplatePool(std::min(max_subs, 1000), docs),
+      MakeZipfPool(std::min(max_subs, 10000), docs),
+      MakeRandomPool(std::min(max_subs, 300), docs),
+  };
+  for (const Pool& pool : pools) {
     std::vector<core::Query> queries;
-    for (const std::string& expression : expressions) {
+    for (const std::string& expression : pool.expressions) {
       StatusOr<core::Query> query = core::Query::Compile(expression);
       if (!query.ok()) {
         std::fprintf(stderr, "compile failed: %s\n",
@@ -106,138 +331,75 @@ int main(int argc, char** argv) {
       }
       queries.push_back(std::move(*query));
     }
-
-    // Sequential label-indexed baseline: the reference verdicts and the
-    // denominator for every speedup column in this subscription block.
-    core::MultiQueryEvaluator sequential;
-    for (const core::Query& query : queries) sequential.AddQuery(query);
-    std::vector<double> seq_times;
-    for (int rep = 0; rep < repetitions; ++rep) {
-      seq_times.push_back(bench::TimeSeconds([&] {
-        if (!xml::ParseString(doc, &sequential).ok()) std::abort();
-      }));
+    double megabytes = 0;
+    for (const std::string& document : pool.documents) {
+      megabytes += static_cast<double>(document.size()) / (1 << 20);
     }
-    std::vector<bool> reference;
-    uint64_t seq_count = 0;
-    for (int q = 0; q < subs; ++q) {
-      bool m = sequential.Matched(static_cast<size_t>(q));
-      reference.push_back(m);
-      seq_count += m ? 1 : 0;
-    }
-    bench::Series seq = bench::Summarize(seq_times);
 
-    char label[64];
-    std::snprintf(label, sizeof(label), "sequential/subs=%d", subs);
-    std::printf("%-24s %-10.4f %-10.2f %-10llu %-12s %-10s\n", label,
-                seq.mean, megabytes / seq.mean,
-                static_cast<unsigned long long>(seq_count), "-", "-");
-    reporter.AddResult(label, seq, megabytes);
-    reporter.AddResultMetric("subscriptions", subs);
-    reporter.AddResultMetric("workers", 0);
-    reporter.AddResultMetric("matched", static_cast<double>(seq_count));
-
-    double one_worker_mean = 0;
-    for (int workers : {1, 2, 4, 8}) {
+    std::vector<uint64_t> expected;
+    double sequential_median = 0;
+    for (int workers : {0, 1, 2, 4}) {
       if (workers > max_workers) break;
-      core::ParallelFleetOptions options;
-      options.num_workers = static_cast<size_t>(workers);
-      core::ParallelFleet fleet(options);
-      for (const core::Query& query : queries) fleet.AddQuery(query);
-
-      std::vector<double> par_times;
-      uint64_t stalls_before = 0;
-      uint64_t stalls_per_doc = 0;
-      for (int rep = 0; rep < repetitions; ++rep) {
-        stalls_before = fleet.publish_stalls();
-        par_times.push_back(bench::TimeSeconds([&] {
-          if (!xml::ParseString(doc, &fleet).ok()) std::abort();
-        }));
-        stalls_per_doc = fleet.publish_stalls() - stalls_before;
+      char label[64];
+      if (workers == 0) {
+        std::snprintf(label, sizeof(label), "%s/subs=%zu/sequential",
+                      pool.name.c_str(), queries.size());
+      } else {
+        std::snprintf(label, sizeof(label), "%s/subs=%zu/w=%d",
+                      pool.name.c_str(), queries.size(), workers);
       }
+      size_t actual_workers = 1;
+      Measurement m;
+      const bool ok = Measure(
+          pool, repetitions,
+          [&]() -> std::unique_ptr<Mode> {
+            if (workers == 0) return std::make_unique<Sequential>(queries);
+            auto routed = std::make_unique<Routed>(queries, workers);
+            actual_workers = routed->workers();
+            return routed;
+          },
+          &expected, &m, label);
+      if (!ok) return 1;
 
-      uint64_t par_count = 0;
-      for (int q = 0; q < subs; ++q) {
-        bool m = fleet.Matched(static_cast<size_t>(q));
-        par_count += m ? 1 : 0;
-        if (m != reference[static_cast<size_t>(q)]) {
-          std::fprintf(stderr,
-                       "VERDICT MISMATCH at %d subscriptions, %d workers, "
-                       "query %d (%s): sequential=%d parallel=%d\n",
-                       subs, workers, q,
-                       expressions[static_cast<size_t>(q)].c_str(),
-                       reference[static_cast<size_t>(q)] ? 1 : 0, m ? 1 : 0);
-          return 1;
-        }
+      const double median = Quantile(m.docs_per_s, 0.5);
+      if (workers == 0) sequential_median = median;
+      const double speedup =
+          sequential_median > 0 ? median / sequential_median : 0.0;
+      char spread[32];
+      std::snprintf(spread, sizeof(spread), "%.0f..%.0f",
+                    Quantile(m.docs_per_s, 0.25), Quantile(m.docs_per_s, 0.75));
+      std::printf("%-28s %-8zu %-10.1f %-18s %-9.4f %-9.4f %-8.2f %-8.2f\n",
+                  label, actual_workers, median, spread, m.setup_s,
+                  m.first_pass_s, m.held_mb, speedup);
+
+      std::vector<double> pass_s;
+      for (double rate : m.docs_per_s) {
+        pass_s.push_back(static_cast<double>(pool.documents.size()) / rate);
       }
-
-      // Producer/worker stall accounting, cumulative across the reps above
-      // (the fleet is fresh per configuration). Publish stalls are the
-      // producer blocked on a full ring; park time is a worker idle on an
-      // empty one — together they say which side of the pipe is the
-      // bottleneck at this worker count.
-      const double reps = static_cast<double>(repetitions);
-      const double stall_ns_per_doc =
-          static_cast<double>(fleet.publish_stall_ns()) / reps;
-      std::vector<core::ParallelShardStats> shard_stats = fleet.ShardStats();
-      double park_ns_per_doc = 0;
-      for (const core::ParallelShardStats& s : shard_stats) {
-        park_ns_per_doc += static_cast<double>(s.park_wait_ns) / reps;
-      }
-
-      bench::Series par = bench::Summarize(par_times);
-      if (workers == 1) one_worker_mean = par.mean;
-      double speedup_vs_seq = par.mean > 0 ? seq.mean / par.mean : 0.0;
-      double speedup_vs_one =
-          (par.mean > 0 && one_worker_mean > 0) ? one_worker_mean / par.mean
-                                                : 0.0;
-
-      std::snprintf(label, sizeof(label), "parallel/subs=%d/w=%d", subs,
-                    workers);
-      std::printf("%-24s %-10.4f %-10.2f %-10llu %-12llu %-10.2f\n", label,
-                  par.mean, megabytes / par.mean,
-                  static_cast<unsigned long long>(par_count),
-                  static_cast<unsigned long long>(stalls_per_doc),
-                  speedup_vs_seq);
-      reporter.AddResult(label, par, megabytes);
-      reporter.AddResultMetric("subscriptions", subs);
-      reporter.AddResultMetric("workers", workers);
-      reporter.AddResultMetric("matched", static_cast<double>(par_count));
-      reporter.AddResultMetric("publish_stalls_per_doc",
-                               static_cast<double>(stalls_per_doc));
-      reporter.AddResultMetric("speedup_vs_sequential", speedup_vs_seq);
-      reporter.AddResultMetric("speedup_vs_one_worker", speedup_vs_one);
-      reporter.AddResultMetric("publish_stall_ns_per_doc", stall_ns_per_doc);
-      reporter.AddResultMetric("park_wait_ns_per_doc", park_ns_per_doc);
-      // Where the adaptive coalescing policy settled: equals the configured
-      // base when the ring never back-pressured, grows toward the cap when
-      // publishes stalled (larger batches -> fewer ring operations).
+      reporter.AddResult(label, bench::Summarize(pass_s), megabytes);
+      reporter.AddResultMetric("subscriptions",
+                               static_cast<double>(queries.size()));
+      reporter.AddResultMetric("documents",
+                               static_cast<double>(pool.documents.size()));
       reporter.AddResultMetric(
-          "batch_events_final",
-          static_cast<double>(fleet.current_batch_events()));
-      for (size_t s = 0; s < shard_stats.size(); ++s) {
-        std::printf("  worker %zu: publish stall %8.3f ms/doc, "
-                    "park %8.3f ms/doc (%llu parks)\n",
-                    s,
-                    static_cast<double>(shard_stats[s].publish_stall_ns) /
-                        reps / 1e6,
-                    static_cast<double>(shard_stats[s].park_wait_ns) / reps /
-                        1e6,
-                    static_cast<unsigned long long>(shard_stats[s].parks));
-        std::string prefix = "shard" + std::to_string(s);
-        reporter.AddResultMetric(
-            prefix + "_publish_stall_ns_per_doc",
-            static_cast<double>(shard_stats[s].publish_stall_ns) / reps);
-        reporter.AddResultMetric(
-            prefix + "_park_wait_ns_per_doc",
-            static_cast<double>(shard_stats[s].park_wait_ns) / reps);
-      }
+          "workers", static_cast<double>(workers == 0 ? 0 : actual_workers));
+      reporter.AddResultMetric("docs_per_s_median", median);
+      reporter.AddResultMetric("docs_per_s_q1", Quantile(m.docs_per_s, 0.25));
+      reporter.AddResultMetric("docs_per_s_q3", Quantile(m.docs_per_s, 0.75));
+      reporter.AddResultMetric("docs_per_s_best", Quantile(m.docs_per_s, 1.0));
+      reporter.AddResultMetric("setup_s", m.setup_s);
+      reporter.AddResultMetric("first_pass_s", m.first_pass_s);
+      reporter.AddResultMetric("held_mb", m.held_mb);
+      reporter.AddResultMetric("matched_per_pass",
+                               static_cast<double>(m.matched));
+      reporter.AddResultMetric("speedup_vs_sequential", speedup);
     }
   }
 
   if (!json_out.empty() && !reporter.WriteJson(json_out)) return 1;
 
-  std::printf("\nShape check: identical per-query verdicts across every "
-              "worker count; throughput at 1000 subscriptions scales with "
-              "workers until the single parse thread saturates.\n");
+  std::printf("\nShape check: every routed document's verdicts and items "
+              "equal the sequential run's; docs/s grows with workers up to "
+              "the allowed CPUs.\n");
   return 0;
 }

@@ -19,8 +19,8 @@
 // exposition format at the end of the run (including the dispatch-skip
 // statistics the evaluator exposes). --flight-trace=FILE additionally arms
 // the flight recorder and writes a Chrome trace-event JSON of the run —
-// with --threads=N the trace shows each batch's dispatch on the parse
-// track flowing into the per-worker replay spans.
+// with --threads=N each worker's parse, replay and document spans sit on
+// a track of its own ("worker/<n>").
 
 #include <charconv>
 #include <climits>
@@ -38,7 +38,6 @@ namespace {
 struct Subscription {
   std::string name;
   std::string expression;
-  size_t query_index = 0;  // index inside the shared MultiQueryEvaluator
   xaos::obs::Counter* deliveries = nullptr;
 };
 
@@ -53,10 +52,12 @@ bool ParseCount(const char* text, uint64_t max, uint64_t* value) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --threads=N routes documents through a ParallelFleet that shards the
-  // subscription pool across N worker threads fed from a single parse;
-  // without it (or with 0) everything runs on the parsing thread through
-  // one MultiQueryEvaluator. Results are identical either way.
+  // --threads=N routes documents through a core::ParallelRouter: N worker
+  // threads, each running the sequential stack below over whole documents,
+  // with outcomes delivered in submission order. N is clamped to
+  // [1, hardware threads] before any thread starts. Without it (or with 0)
+  // everything runs on the main thread through one MultiQueryEvaluator.
+  // Results are identical either way.
   // --max-depth / --max-total-bytes tighten the parser guardrails a
   // production router would run with; a document that violates them (or is
   // plain malformed) is rejected, counted, and the stream continues.
@@ -64,7 +65,8 @@ int main(int argc, char** argv) {
   // on, the parser skip-scans subtrees no subscription can possibly match
   // (query/projection.h). Results are identical either way; when every
   // subscription is "//"-anchored the union degrades to keep-all and the
-  // filter simply never skips.
+  // filter simply never skips. Router workers always project (each installs
+  // its own evaluator's filter), so --no-projection takes no --threads.
   int threads = 0;
   bool no_projection = false;
   std::string flight_trace_path;
@@ -86,11 +88,15 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--flight-trace=", 15) == 0) {
       flight_trace_path = argv[i] + 15;
     } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--threads=N] [--max-depth=N] [--max-total-bytes=N]"
-                << " [--no-projection] [--flight-trace=FILE]\n";
-      return 2;
+      threads = -1;  // usage error
+      break;
     }
+  }
+  if (threads < 0 || (threads > 0 && no_projection)) {
+    std::cerr << "usage: " << argv[0]
+              << " [--threads=N | --no-projection] [--max-depth=N]"
+              << " [--max-total-bytes=N] [--flight-trace=FILE]\n";
+    return 2;
   }
   const std::vector<std::pair<std::string, std::string>> rules = {
       {"alice", "//order[item/@sku='A-17']"},
@@ -123,15 +129,8 @@ int main(int argc, char** argv) {
   // so the final dump shows them next to the delivery counters.
   xaos::core::EngineOptions engine_options;
   engine_options.metrics_registry = &registry;
-  xaos::core::MultiQueryEvaluator evaluator(engine_options);
-  std::unique_ptr<xaos::core::ParallelFleet> fleet;
-  if (threads > 0) {
-    xaos::core::ParallelFleetOptions options;
-    options.num_workers = threads;
-    options.engine_options = engine_options;
-    fleet = std::make_unique<xaos::core::ParallelFleet>(options);
-  }
   std::vector<Subscription> subscriptions;
+  std::vector<xaos::core::Query> queries;
   for (const auto& [name, expression] : rules) {
     auto query = xaos::core::Query::Compile(expression);
     if (!query.ok()) {
@@ -141,34 +140,26 @@ int main(int argc, char** argv) {
     Subscription sub;
     sub.name = name;
     sub.expression = expression;
+    sub.deliveries = registry.GetCounter(
+        "router_deliveries_total{subscription=\"" + name + "\"}");
+    subscriptions.push_back(std::move(sub));
+    queries.push_back(std::move(*query));
+  }
+  // The sequential stack: one evaluator fed through batched dispatch. Each
+  // router worker builds the same stack from the same queries, so this one
+  // also answers for the projection spec they all derive.
+  xaos::core::MultiQueryEvaluator evaluator(engine_options);
+  for (size_t q = 0; q < queries.size(); ++q) {
     // The subscription name labels the latency series
     // (`xaos_sub_match_latency_ns{subscription="<name>"}`).
-    sub.query_index =
-        fleet ? fleet->AddQuery(*query, name) : evaluator.AddQuery(*query, name);
-    sub.deliveries = registry.GetCounter("router_deliveries_total{subscription=\"" +
-                                         name + "\"}");
-    subscriptions.push_back(std::move(sub));
+    evaluator.AddQuery(queries[q], subscriptions[q].name);
   }
-  // Sequential mode feeds the evaluator through batched dispatch (the
-  // fleet coalesces its own ring publishes).
   xaos::core::BatchedDispatcher dispatcher(&evaluator);
-  xaos::xml::ContentHandler* handler =
-      fleet ? static_cast<xaos::xml::ContentHandler*>(fleet.get())
-            : &dispatcher;
-  if (fleet) {
-    fleet->Finalize();
-    std::cout << "routing with " << fleet->worker_count()
-              << " worker threads\n";
-  }
   if (!no_projection) {
-    parser_options.projection_filter =
-        fleet ? fleet->projection_filter() : evaluator.projection_filter();
+    parser_options.projection_filter = evaluator.projection_filter();
     // With "//"-anchored subscriptions in the pool the union degrades to
     // keep-all; the line below makes that visible.
-    std::cout << "projection: "
-              << (fleet ? fleet->projection_spec()
-                        : evaluator.projection_spec())
-                     .ToString()
+    std::cout << "projection: " << evaluator.projection_spec().ToString()
               << "\n";
   }
 
@@ -185,48 +176,73 @@ int main(int argc, char** argv) {
       R"(<order id="5" priority="high"><item sku="A-17"/></order>)",
   };
 
-  for (size_t i = 0; i < documents.size(); ++i) {
-    uint64_t start = xaos::obs::NowNs();
-    xaos::Status status =
-        xaos::xml::ParseString(documents[i], handler, parser_options);
-    uint64_t elapsed = xaos::obs::NowNs() - start;
-    if (!status.ok()) {
-      // Close out the abandoned document; the evaluator/fleet stays usable
-      // for the rest of the stream.
-      if (fleet) {
-        fleet->AbortDocument(status);
-      } else {
-        dispatcher.AbortDocument(status);
-      }
+  // One document's outcome, in document order in both modes: count it,
+  // log a rejection or a slow document, deliver to the matched subscribers.
+  // `elapsed` is parse-to-verdict time; with --threads it runs from
+  // submission, so it includes the wait for a free worker.
+  auto on_outcome = [&](size_t i, const xaos::core::MultiQueryEvaluator& ev,
+                        uint64_t elapsed) {
+    if (!ev.status().ok()) {
       documents_rejected->Increment();
-      std::cerr << "document " << i + 1 << " rejected: " << status << "\n";
-      continue;
-    }
-    xaos::Status eval_status = fleet ? fleet->status() : evaluator.status();
-    if (!eval_status.ok()) {
-      std::cerr << "document " << i + 1 << ": " << eval_status << "\n";
-      return 1;
+      std::cerr << "document " << i + 1 << " rejected: " << ev.status()
+                << "\n";
+      return;
     }
     documents_total->Increment();
     document_ns->Record(elapsed);
     if (elapsed > kSlowDocumentNs) {
       std::cerr << "slow document: " << elapsed << " ns on document " << i + 1
-                << " across "
-                << (fleet ? fleet->query_count() : evaluator.query_count())
-                << " subscriptions\n";
+                << " across " << ev.query_count() << " subscriptions\n";
     }
     // Deliver to the matched subscriptions only, listed without a loop over
-    // every verdict. AddQuery numbers queries 0, 1, ... in order, so a query
-    // index is its subscription's position.
+    // every verdict; a query index is its subscription's position.
     std::cout << "document " << i + 1 << " -> ";
-    const std::vector<size_t> matched =
-        fleet ? fleet->MatchedQueries() : evaluator.MatchedQueries();
+    const std::vector<size_t> matched = ev.MatchedQueries();
     for (size_t k = 0; k < matched.size(); ++k) {
       Subscription& sub = subscriptions[matched[k]];
       sub.deliveries->Increment();
       std::cout << (k > 0 ? ", " : "") << sub.name;
     }
     std::cout << (matched.empty() ? "(no subscribers)" : "") << "\n";
+  };
+
+  // The evaluators whose statistics the metrics dump folds in.
+  std::vector<const xaos::core::MultiQueryEvaluator*> evaluators;
+  std::unique_ptr<xaos::core::ParallelRouter> router;
+  if (threads > 0) {
+    std::vector<uint64_t> submitted_ns(documents.size());
+    xaos::xml::ParserOptions worker_options = parser_options;
+    worker_options.projection_filter = nullptr;  // each worker uses its own
+    router = std::make_unique<xaos::core::ParallelRouter>(
+        threads,
+        [&](size_t i, const xaos::core::MultiQueryEvaluator& ev) {
+          on_outcome(i, ev, xaos::obs::NowNs() - submitted_ns[i]);
+        },
+        engine_options, worker_options);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      router->AddQuery(queries[q], subscriptions[q].name);
+    }
+    std::cout << "routing with " << router->worker_count()
+              << " worker threads\n";
+    for (size_t i = 0; i < documents.size(); ++i) {
+      submitted_ns[i] = xaos::obs::NowNs();
+      router->Submit(documents[i]);
+    }
+    router->Drain();
+    for (size_t w = 0; w < router->worker_count(); ++w) {
+      evaluators.push_back(&router->evaluator(w));
+    }
+  } else {
+    for (size_t i = 0; i < documents.size(); ++i) {
+      uint64_t start = xaos::obs::NowNs();
+      xaos::Status status =
+          xaos::xml::ParseString(documents[i], &dispatcher, parser_options);
+      // A rejected document is closed out; the evaluator stays usable for
+      // the rest of the stream.
+      if (!status.ok()) dispatcher.AbortDocument(status);
+      on_outcome(i, evaluator, xaos::obs::NowNs() - start);
+    }
+    evaluators.push_back(&evaluator);
   }
 
   std::cout << "\nsubscriptions:\n";
@@ -234,13 +250,16 @@ int main(int argc, char** argv) {
     std::cout << "  " << sub.name << ": " << sub.expression << "\n";
   }
 
-  if (fleet) {
-    fleet->ExportMetrics(&registry);
-  } else {
+  int64_t arena_reserved = 0;
+  for (const xaos::core::MultiQueryEvaluator* ev : evaluators) {
     registry.GetCounter("router_dispatch_engines_skipped_total")
-        ->Increment(evaluator.engines_skipped());
-    evaluator.ExportMetrics(&registry);
+        ->Increment(ev->engines_skipped());
+    ev->ExportMetrics(&registry);
+    arena_reserved +=
+        static_cast<int64_t>(ev->AggregateStats().arena_bytes_reserved);
   }
+  // One matching arena per evaluator: the footprint is their sum.
+  registry.GetGauge("xaos_arena_bytes_reserved")->Set(arena_reserved);
   // Bounded by the subscriptions' vocabulary plus the reserved unknown-name
   // symbol, however many distinct names the documents carried.
   registry.GetGauge("xaos_symbols_interned")
@@ -259,8 +278,8 @@ int main(int argc, char** argv) {
             << xaos::obs::ToPrometheusText(registry);
 
   if (!flight_trace_path.empty()) {
-    // The last EndDocument/AbortDocument latch left every worker parked, so
-    // the rings are quiescent here.
+    // Drain() returned, so every worker's span writes are ordered before
+    // this point and the rings are quiescent.
     xaos::obs::flight::Disarm();
     xaos::Status status = xaos::obs::flight::WriteChromeTrace(flight_trace_path);
     if (!status.ok()) {

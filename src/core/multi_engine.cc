@@ -21,7 +21,7 @@ namespace {
 // recorder's document span plus a counter sample at its boundary.
 void RecordDocumentBoundary(obs::MetricsRegistry* registry,
                             const EngineStats& stats, uint64_t doc,
-                            int shard, uint64_t begin_ns, uint64_t end_ns,
+                            uint64_t begin_ns, uint64_t end_ns,
                             size_t engine_count) {
   if (registry != nullptr) {
     registry->GetGauge("xaos_buffered_candidates_peak")
@@ -35,7 +35,6 @@ void RecordDocumentBoundary(obs::MetricsRegistry* registry,
     span.begin_ns = begin_ns != 0 ? begin_ns : end_ns;
     span.end_ns = end_ns;
     span.doc = doc;
-    span.shard = shard;
     span.value = static_cast<int64_t>(engine_count);
     obs::flight::Emit(span);
     obs::flight::Span sample;
@@ -43,7 +42,6 @@ void RecordDocumentBoundary(obs::MetricsRegistry* registry,
     sample.begin_ns = end_ns;
     sample.end_ns = end_ns;
     sample.doc = doc;
-    sample.shard = shard;
     sample.value = static_cast<int64_t>(stats.structures_live_peak);
     sample.value2 = static_cast<int64_t>(stats.structure_memory.peak_bytes);
     obs::flight::Emit(sample);
@@ -124,12 +122,11 @@ template <typename Evaluator>
 void ReplayBatchImpl(Evaluator* evaluator, EngineFleet* fleet,
                      const xml::EventBatch& batch,
                      std::vector<xml::AttributeView>* attr_scratch,
-                     int shard, uint64_t doc) {
+                     uint64_t doc) {
   const std::vector<xml::BatchedEvent>& events = batch.events();
   obs::flight::ScopedSpan replay_span(obs::flight::SpanKind::kReplay);
   if (replay_span.active()) {
     replay_span.span()->batch = batch.sequence();
-    replay_span.span()->shard = shard;
     // A batch opening a document belongs to the document it opens.
     if (!events.empty() &&
         events.front().kind == xml::BatchedEvent::Kind::kStartDocument) {
@@ -227,8 +224,8 @@ void StreamingEvaluator::EndDocument() {
   fleet_.EndDocument();
   if (obs::Enabled() || obs::flight::Active()) {
     RecordDocumentBoundary(obs::Enabled() ? registry_ : nullptr,
-                           AggregateStats(), doc_ordinal_, /*shard=*/-1,
-                           doc_begin_ns_, obs::NowNs(), engines_.size());
+                           AggregateStats(), doc_ordinal_, doc_begin_ns_,
+                           obs::NowNs(), engines_.size());
   }
 }
 
@@ -258,8 +255,7 @@ void StreamingEvaluator::SkippedSubtree(const xml::SkipReport& report) {
 void StreamingEvaluator::ReplayBatch(
     const xml::EventBatch& batch,
     std::vector<xml::AttributeView>* attr_scratch) {
-  ReplayBatchImpl(this, &fleet_, batch, attr_scratch, /*shard=*/-1,
-                  doc_ordinal_);
+  ReplayBatchImpl(this, &fleet_, batch, attr_scratch, doc_ordinal_);
 }
 
 bool StreamingEvaluator::MatchConfirmed() const {
@@ -456,8 +452,8 @@ void MultiQueryEvaluator::FinishDocumentObservability() {
     }
   }
   RecordDocumentBoundary(obs::Enabled() ? &metrics_registry() : nullptr,
-                         AggregateStats(), doc_ordinal_, flight_shard_,
-                         doc_begin_ns_, end_ns, engines_.size());
+                         AggregateStats(), doc_ordinal_, doc_begin_ns_, end_ns,
+                         engines_.size());
 }
 
 void MultiQueryEvaluator::AbortDocument(const Status& cause) {
@@ -486,8 +482,7 @@ void MultiQueryEvaluator::SkippedSubtree(const xml::SkipReport& report) {
 void MultiQueryEvaluator::ReplayBatch(
     const xml::EventBatch& batch,
     std::vector<xml::AttributeView>* attr_scratch) {
-  ReplayBatchImpl(this, &fleet_, batch, attr_scratch, flight_shard_,
-                  doc_ordinal_);
+  ReplayBatchImpl(this, &fleet_, batch, attr_scratch, doc_ordinal_);
 }
 
 xml::ProjectionFilter* MultiQueryEvaluator::projection_filter() {

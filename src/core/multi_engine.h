@@ -189,10 +189,6 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   size_t query_count() const { return queries_.size(); }
   const std::string& query_label(size_t q) const { return queries_[q].label; }
 
-  // Shard index stamped on this evaluator's flight-recorder spans (set by
-  // ParallelFleet; -1 = not sharded).
-  void set_flight_shard(int shard) { flight_shard_ = shard; }
-
   void StartDocument() override;
   void EndDocument() override;
   void StartElement(const xml::QName& name,
@@ -339,8 +335,8 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   // Canonical engine-backed queries, ascending.
   std::vector<uint32_t> engine_queries_;
   // The one matching arena every per-engine subscription allocates from,
-  // confined to this evaluator's thread (a ParallelFleet shard owns its
-  // own); declared before engines_ so it outlives them.
+  // confined to this evaluator's thread (each ParallelRouter worker owns
+  // its own evaluator); declared before engines_ so it outlives them.
   util::PoolArena arena_;
   uint64_t arena_baseline_ = 0;  // arena_.bytes_allocated() at StartDocument
   std::vector<std::unique_ptr<XaosEngine>> engines_;
@@ -365,7 +361,6 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   obs::EventCostSampler sampler_{nullptr};
   uint64_t doc_ordinal_ = 0;   // documents started (flight attribution)
   uint64_t doc_begin_ns_ = 0;  // StartDocument timestamp when observing
-  int flight_shard_ = -1;
 };
 
 // One-shot convenience: parse `xml_text` and evaluate `xpath` over it in a

@@ -111,36 +111,6 @@ int32_t SharedIndexBuilder::Intern(int32_t parent, EdgeKind kind,
   return id;
 }
 
-size_t SharedIndexBuilder::MarginalStates(
-    const std::vector<query::XTree>& trees) const {
-  // Dry-run insertion. States a previous chain of the same probe would have
-  // created are approximated as still-missing suffixes: once a chain leaves
-  // the existing trie, every remaining step is new.
-  size_t missing = 0;
-  for (const query::XTree& tree : trees) {
-    XAOS_CHECK(ShareableTree(tree));
-    int32_t cur = SharedIndex::kRootState;
-    query::XNodeId id = query::kRootXNode;
-    while (!tree.node(id).children.empty()) {
-      id = tree.node(id).children[0];
-      const query::XNode& node = tree.node(id);
-      const bool wild = node.test.kind == Kind::kAnyElement;
-      const bool desc = node.incoming_axis == xpath::Axis::kDescendant;
-      EdgeKind kind = desc ? (wild ? kDescWild : kDescNamed)
-                           : (wild ? kChildWild : kChildNamed);
-      util::Symbol s = wild ? util::kInvalidSymbol : SymbolFor(node.test);
-      int32_t next = cur < 0 ? -1 : Lookup(cur, kind, s);
-      if (next < 0) {
-        ++missing;
-        cur = -1;  // left the trie; the rest of the chain is new
-      } else {
-        cur = next;
-      }
-    }
-  }
-  return missing;
-}
-
 uint32_t SharedIndexBuilder::AddSubscription(
     const std::vector<query::XTree>& trees) {
   XAOS_CHECK(Shareable(trees)) << "unshareable query passed to AddSubscription";

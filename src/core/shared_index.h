@@ -59,8 +59,7 @@ class SharedIndex;
 
 // Accumulates subscriptions into the hash-consed trie. Build() snapshots it
 // into the flat, immutable SharedIndex the matcher runs on; the builder
-// stays usable for marginal-cost probes (ParallelFleet shard planning) and
-// for further AddSubscription calls followed by a rebuild.
+// stays usable for further AddSubscription calls followed by a rebuild.
 class SharedIndexBuilder {
  public:
   SharedIndexBuilder();
@@ -72,11 +71,6 @@ class SharedIndexBuilder {
   static bool ShareableTree(const query::XTree& tree);
   // A query is shareable iff every disjunct tree is.
   static bool Shareable(const std::vector<query::XTree>& trees);
-
-  // States AddSubscription(trees) would create, without inserting — the
-  // marginal cost of co-locating this query with the already-inserted pool
-  // (0 for a fully shared duplicate). Trees must be shareable.
-  size_t MarginalStates(const std::vector<query::XTree>& trees) const;
 
   // Inserts a subscription's chains and returns its dense id (0, 1, ...).
   // Trees must be shareable (checked).

@@ -96,8 +96,8 @@ struct EngineOptions {
 
   // Registry the evaluators report per-subscription latency and high-water
   // instrumentation into when obs::Enabled(); nullptr selects
-  // obs::MetricsRegistry::Default(). Lets embedders (pubsub_router,
-  // parallel-fleet shards) keep those series in their own registry.
+  // obs::MetricsRegistry::Default(). Lets embedders (pubsub_router and its
+  // ParallelRouter workers) keep those series in their own registry.
   obs::MetricsRegistry* metrics_registry = nullptr;
 
   // Earliest answering ("Earliest query answering over streamed trees"):

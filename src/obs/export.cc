@@ -109,31 +109,6 @@ std::string_view MetricHelpText(std::string_view base) {
       {"xaos_arena_bytes_peak",
        "High-water mark of matching-structure arena bytes, sampled at "
        "document span boundaries."},
-      {"xaos_parallel_workers", "Worker shards in the parallel fleet."},
-      {"xaos_parallel_documents_total",
-       "Documents fully processed by the parallel fleet."},
-      {"xaos_parallel_documents_aborted",
-       "Documents abandoned mid-stream by the parallel fleet."},
-      {"xaos_parallel_documents_aborted_total",
-       "Documents abandoned mid-stream by the parallel fleet."},
-      {"xaos_parallel_batches_published",
-       "Event batches published to shards."},
-      {"xaos_parallel_publish_stalls",
-       "Producer stalls on a full shard ring."},
-      {"xaos_parallel_publish_stall_ns",
-       "Nanoseconds the producer spent stalled on full shard rings."},
-      {"xaos_parallel_shard_queries", "Subscriptions assigned to the shard."},
-      {"xaos_parallel_shard_batches_total",
-       "Event batches the shard replayed."},
-      {"xaos_parallel_shard_events_total", "Events the shard replayed."},
-      {"xaos_parallel_shard_cost_estimate",
-       "Sharding heuristic's load estimate for the shard."},
-      {"xaos_parallel_shard_publish_stall_ns",
-       "Nanoseconds the producer spent stalled on this shard's full ring."},
-      {"xaos_parallel_shard_park_wait_ns",
-       "Nanoseconds the shard's worker parked on an empty ring (includes "
-       "idle gaps between documents)."},
-      {"xaos_parallel_shard_parks", "Park episodes on the shard's ring."},
   };
   for (const Entry& entry : kEntries) {
     if (entry.base == base) return entry.help;

@@ -17,12 +17,6 @@ const char* SpanKindName(SpanKind kind) {
       return "skip_scan";
     case SpanKind::kDocument:
       return "document";
-    case SpanKind::kDispatch:
-      return "dispatch";
-    case SpanKind::kPublishStall:
-      return "publish_stall";
-    case SpanKind::kParkWait:
-      return "park_wait";
     case SpanKind::kReplay:
       return "replay";
     case SpanKind::kCounter:
@@ -176,7 +170,6 @@ std::string SpanArgs(const Span& span) {
   };
   if (span.doc != 0) field("doc", std::to_string(span.doc));
   if (span.batch != 0) field("batch", std::to_string(span.batch));
-  if (span.shard >= 0) field("shard", std::to_string(span.shard));
   if (span.value != 0) field("value", std::to_string(span.value));
   if (span.value2 != 0) field("value2", std::to_string(span.value2));
   args += "}";
@@ -196,10 +189,10 @@ std::string ToChromeTraceJson(const std::vector<ThreadTrace>& traces) {
                     "\"}}");
     for (const Span& span : trace.spans) {
       if (span.kind == SpanKind::kCounter) {
-        // Counter tracks render as stacked area charts in Perfetto; one
-        // track per shard keeps the fleets apart.
-        std::string suffix =
-            span.shard >= 0 ? "/shard" + std::to_string(span.shard) : "";
+        // Counter tracks render as stacked area charts in Perfetto and are
+        // keyed by name, so each thread's evaluator gets tracks of its own.
+        const std::string suffix =
+            trace.name.empty() ? "" : "/" + JsonEscape(trace.name);
         AppendEvent(
             &out, &first,
             "{\"ph\":\"C\",\"name\":\"buffered_candidates" + suffix +
@@ -221,21 +214,6 @@ std::string ToChromeTraceJson(const std::vector<ThreadTrace>& traces) {
                       ",\"ts\":" + TraceTs(span.begin_ns) + ",\"dur\":" +
                       TraceTs(end_ns - span.begin_ns) + ",\"args\":" +
                       SpanArgs(span) + "}");
-      // Flow arrows: a dispatch span starts flow id = batch sequence; every
-      // replay of the same sequence finishes it on its own track.
-      if (span.batch != 0 && span.kind == SpanKind::kDispatch) {
-        AppendEvent(&out, &first,
-                    "{\"ph\":\"s\",\"name\":\"batch\",\"cat\":\"xaos\","
-                    "\"id\":" +
-                        std::to_string(span.batch) + ",\"pid\":1,\"tid\":" +
-                        tid + ",\"ts\":" + TraceTs(span.begin_ns) + "}");
-      } else if (span.batch != 0 && span.kind == SpanKind::kReplay) {
-        AppendEvent(&out, &first,
-                    "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"batch\",\"cat\":"
-                    "\"xaos\",\"id\":" +
-                        std::to_string(span.batch) + ",\"pid\":1,\"tid\":" +
-                        tid + ",\"ts\":" + TraceTs(span.begin_ns) + "}");
-      }
     }
   }
   out += "]}";

@@ -11,18 +11,16 @@
 //     binary pays one predictable branch per *coarse* operation (per Feed,
 //     per batch, per document — never per event).
 //
-// Spans carry document / batch-sequence / shard attribution. The parallel
-// fleet's producer stamps each EventBatch with a sequence number and emits a
-// dispatch span per publish; workers emit replay spans referencing the same
-// sequence, which the Chrome-trace exporter turns into flow arrows — the
-// cross-thread linkage that lets Perfetto show one batch's journey from the
-// parse thread to every shard.
+// Spans carry document and batch-sequence attribution. Each thread records
+// onto a track of its own: a core::ParallelRouter worker names its thread
+// "worker/<n>", so one document's parse, replay and document spans sit
+// together on the track of the worker that routed it.
 //
 // Collection contract: rings are single-writer and collected without locks,
-// so Collect()/Reset()/Arm() must run at a quiescent point — after
-// EndDocument returned (the fleet's end-of-document latch orders all worker
-// writes before it) or after the writing threads joined. The tools call
-// them exactly there.
+// so Collect()/Reset()/Arm() must run at a quiescent point — on the only
+// recording thread, after ParallelRouter::Drain() returned (its turnstile
+// orders every worker's writes before it), or after the writing threads
+// joined. The tools call them exactly there.
 
 #ifndef XAOS_OBS_FLIGHT_H_
 #define XAOS_OBS_FLIGHT_H_
@@ -42,13 +40,10 @@ enum class SpanKind : uint8_t {
   kParse = 0,     // one SaxParser::Feed call (value = chunk bytes)
   kSkipScan,      // one projection skip (value = bytes, value2 = elements)
   kDocument,      // StartDocument..EndDocument on an evaluator (value = engines)
-  kDispatch,      // producer publishing one batch to all rings (value = events)
-  kPublishStall,  // producer blocked on a full worker ring
-  kParkWait,      // worker parked on an empty ring before obtaining a batch
-  kReplay,        // worker replaying one batch into its shard (value = events)
+  kReplay,        // an evaluator replaying one batch (value = events)
   kCounter,       // point sample: value = buffered candidates, value2 = bytes
 };
-inline constexpr int kSpanKindCount = 8;
+inline constexpr int kSpanKindCount = 5;
 
 // Stable lowercase name used as the Chrome-trace event name.
 const char* SpanKindName(SpanKind kind);
@@ -58,8 +53,7 @@ struct Span {
   uint64_t begin_ns = 0;  // steady-clock (obs::NowNs) timestamps
   uint64_t end_ns = 0;
   uint64_t doc = 0;    // 1-based document ordinal; 0 = not attributed
-  uint64_t batch = 0;  // batch sequence for cross-thread linkage; 0 = none
-  int32_t shard = -1;  // worker/shard index; -1 = not attributed
+  uint64_t batch = 0;  // batch sequence within the evaluator; 0 = none
   int64_t value = 0;   // kind-specific payload (bytes, events, candidates)
   int64_t value2 = 0;  // secondary payload (elements, arena bytes)
 };
@@ -67,7 +61,7 @@ struct Span {
 // One thread's collected window, oldest span first.
 struct ThreadTrace {
   uint64_t track = 0;  // stable per-thread track id (Chrome-trace tid)
-  std::string name;    // thread name ("parse", "worker/0", ...)
+  std::string name;    // thread name ("main", "worker/0", ...)
   uint64_t dropped = 0;  // spans overwritten before collection
   std::vector<Span> spans;
 };
@@ -152,9 +146,8 @@ class ScopedSpan {
 
 // Renders traces as Chrome trace-event JSON (the format chrome://tracing
 // and Perfetto load): "X" complete events per span on one track per thread,
-// "M" thread-name metadata, "C" counter tracks for kCounter samples, and
-// "s"/"f" flow events tying each dispatch span to the replay spans that
-// consumed the same batch sequence.
+// "M" thread-name metadata, and "C" counter tracks (one set per thread) for
+// kCounter samples.
 std::string ToChromeTraceJson(const std::vector<ThreadTrace>& traces);
 
 // Collect() + ToChromeTraceJson written to `path` ("-" for stdout).

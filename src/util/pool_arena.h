@@ -6,8 +6,8 @@
 //
 // Not thread-safe: each evaluator owns one arena shared by all of its
 // engines (core/multi_engine.h) and confined to the evaluator's thread; an
-// engine constructed on its own keeps a private one. Parallel-fleet shards
-// are separate evaluators, so no two threads ever share an arena.
+// engine constructed on its own keeps a private one. ParallelRouter workers
+// own separate evaluators, so no two threads ever share an arena.
 // PoolAllocator adapts the arena to the std allocator interface so it can
 // back std::vector and std::allocate_shared (which preserves shared_ptr /
 // weak_ptr semantics and destructor timing — the engine's undo machinery

@@ -18,8 +18,8 @@
 // published through an atomic pointer — links are immutable once visible,
 // and a resize builds a fresh generation of link cells over the same nodes,
 // retiring (not freeing) the old one so in-flight readers stay valid. This
-// is what lets a query compile on one thread while parse and match threads
-// (core/parallel_fleet.h) resolve names.
+// is what lets a query compile on one thread while parser threads
+// (core/parallel_router.h workers) resolve names.
 
 #ifndef XAOS_UTIL_SYMBOL_TABLE_H_
 #define XAOS_UTIL_SYMBOL_TABLE_H_

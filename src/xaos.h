@@ -25,7 +25,7 @@
 #include "core/document_cursor.h"           // IWYU pragma: export
 #include "core/engine_fleet.h"              // IWYU pragma: export
 #include "core/multi_engine.h"              // IWYU pragma: export
-#include "core/parallel_fleet.h"            // IWYU pragma: export
+#include "core/parallel_router.h"            // IWYU pragma: export
 #include "core/shared_index.h"              // IWYU pragma: export
 #include "core/trace.h"                     // IWYU pragma: export
 #include "core/xaos_engine.h"               // IWYU pragma: export

@@ -1,16 +1,16 @@
-// Batched event capture for handing a SAX stream across threads.
+// Batched event capture: the parser's event stream as replayable records.
 //
 // The live events a SaxParser emits are non-owning: name/value/text views
 // point into the parser's transient buffers and die when the callback
-// returns. To ship events to matcher threads (core/parallel_fleet.h) they
-// are captured into an EventBatch: one flat `std::string` text arena owns
-// every byte the batch references, events and attributes are fixed-size
-// records holding (offset, size) slices into that arena plus the resolved
-// name Symbol the producer already paid for. A batch is therefore
-// self-contained and position-independent: once sealed it can be replayed
-// concurrently by any number of threads (reads are const; per-consumer
-// scratch is caller-provided), and reused via Clear() without releasing its
-// arena capacity — steady-state capture does no heap allocation.
+// returns. Batched dispatch (core/batched_dispatch.h) captures them into an
+// EventBatch so an evaluator replays a run of events in one call: one flat
+// `std::string` text arena owns every byte the batch references, events and
+// attributes are fixed-size records holding (offset, size) slices into that
+// arena plus the resolved name Symbol the parser already paid for. A batch
+// is self-contained and reused via Clear() without releasing its arena
+// capacity — steady-state capture does no heap allocation. Capture and
+// replay run on one thread: no batch crosses threads (each
+// core::ParallelRouter worker captures and replays its own documents).
 //
 // EventBatcher is the ContentHandler that fills batches: it forwards every
 // event into the current batch and asks its sink to publish when the batch
@@ -203,8 +203,8 @@ class EventBatcher : public ContentHandler {
   void SkippedSubtree(const SkipReport& report) override;
 
   // Abandons the in-progress document: the current batch (acquired if none
-  // is open) is marked as aborting and published, so every consumer sees
-  // the abort in stream order after the events already shipped.
+  // is open) is marked as aborting and published, so the consumer sees the
+  // abort in stream order after the events already published.
   void AbortDocument();
 
   // Publishes the current batch (if it holds any events) without closing
@@ -213,14 +213,6 @@ class EventBatcher : public ContentHandler {
   // elision gap stays pending (it delivers nothing, so it moves no verdict;
   // engines_skipped() catches up at the next record).
   void Flush() { PublishCurrent(); }
-
-  // Adaptive batch sizing (ParallelFleet publish coalescing): budgets apply
-  // from the next fullness check, the batch currently being filled included.
-  void set_max_events(size_t max_events) { max_events_ = max_events; }
-  size_t max_events() const { return max_events_; }
-  void set_max_text_bytes(size_t max_text_bytes) {
-    max_text_bytes_ = max_text_bytes;
-  }
 
   // Lean payload capture: when every consumer has declared it never reads
   // end-element names or character data (no text predicates, no subtree
@@ -270,8 +262,8 @@ class EventBatcher : public ContentHandler {
   void PublishCurrent();
 
   Sink* sink_;
-  size_t max_events_;
-  size_t max_text_bytes_;
+  const size_t max_events_;
+  const size_t max_text_bytes_;
   bool lean_payload_ = false;
   EventBatch* current_ = nullptr;
 

@@ -3,7 +3,7 @@
 // and per-event ContentHandler delivery — are checked against the
 // brute-force matcher over the DOM, an independent algorithm, across the
 // axis corpus, chunked feeds, single-event batches, random workloads and
-// ParallelFleet shardings. The two routes are compared with each other only
+// ParallelRouter workers. The two routes are compared with each other only
 // where brute force has no answer: captured XML bytes, the order early
 // items reach the earliest-emission sink, node ids, and the dispatch
 // counters (engines_skipped, EngineStats) that capture-time element elision
@@ -23,7 +23,7 @@
 #include "baseline/compare.h"
 #include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
-#include "core/parallel_fleet.h"
+#include "core/parallel_router.h"
 #include "core/shared_index.h"
 #include "dom/dom_builder.h"
 #include "gen/random_workload.h"
@@ -373,7 +373,7 @@ TEST_P(BatchedRandomDifferentialTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchedRandomDifferentialTest,
                          ::testing::Range<uint64_t>(0, 30));
 
-// --- ParallelFleet ----------------------------------------------------------
+// --- ParallelRouter ---------------------------------------------------------
 
 TEST(BatchedParallelTest, WorkersMatchBruteForce) {
   std::vector<std::string> expressions = AxisExpressions();
@@ -386,65 +386,17 @@ TEST(BatchedParallelTest, WorkersMatchBruteForce) {
   const std::vector<Expected> expected = BruteForce(queries, kAxisDoc);
 
   for (int workers : {1, 2, 4}) {
-    core::ParallelFleetOptions options;
-    options.num_workers = workers;
-    options.max_batch_events = 4;  // force many batches per document
-    core::ParallelFleet fleet(options);
-    for (const core::Query& query : queries) fleet.AddQuery(query);
-    ASSERT_TRUE(xml::ParseString(kAxisDoc, &fleet).ok());
-    ExpectEqualsBruteForce(fleet, queries, expected,
-                           "workers=" + std::to_string(workers));
+    // Each worker runs a BatchedDispatcher of its own: these are the
+    // batches its evaluator replays.
+    core::ParallelRouter router(
+        workers, [&](size_t, const core::MultiQueryEvaluator& evaluator) {
+          ExpectEqualsBruteForce(evaluator, queries, expected,
+                                 "workers=" + std::to_string(workers));
+        });
+    for (const core::Query& query : queries) router.AddQuery(query);
+    for (int d = 0; d < 8; ++d) router.Submit(kAxisDoc);
+    router.Drain();
   }
-}
-
-TEST(BatchedParallelTest, AdaptivePolicyGrowsAndDecays) {
-  core::AdaptiveBatchPolicy policy;
-  policy.base = 8;
-  policy.cap = 32;
-  policy.decay_publishes = 2;
-  policy.current = 8;
-  EXPECT_EQ(policy.OnPublish(true), 16u);   // stall: double
-  EXPECT_EQ(policy.OnPublish(true), 32u);   // stall: double to cap
-  EXPECT_EQ(policy.OnPublish(true), 32u);   // capped
-  EXPECT_EQ(policy.OnPublish(false), 32u);  // quiet 1/2: hold
-  EXPECT_EQ(policy.OnPublish(false), 16u);  // quiet 2/2: halve
-  EXPECT_EQ(policy.OnPublish(false), 16u);
-  EXPECT_EQ(policy.OnPublish(false), 8u);   // back at base
-  EXPECT_EQ(policy.OnPublish(false), 8u);   // never below base
-  EXPECT_EQ(policy.OnPublish(false), 8u);
-}
-
-TEST(BatchedParallelTest, AdaptiveCoalescingUnderBackPressure) {
-  // A slow shard (large pool, tiny rings, tiny base batches) must trigger
-  // the policy: by the end of the stream the budget has grown past base.
-  std::vector<core::Query> queries;
-  for (int i = 0; i < 64; ++i) {
-    StatusOr<core::Query> query =
-        core::Query::Compile("//b/pool_" + std::to_string(i));
-    ASSERT_TRUE(query.ok());
-    queries.push_back(std::move(*query));
-  }
-  std::string doc = "<a>";
-  for (int i = 0; i < 4000; ++i) doc += "<b><c/></b>";
-  doc += "</a>";
-
-  core::ParallelFleetOptions options;
-  options.num_workers = 2;
-  options.max_batch_events = 2;
-  options.ring_capacity = 2;
-  options.max_batch_events_cap = 256;
-  // No decay within the stream: whether the rings drain before the last
-  // publish is scheduler timing, and decay has its own test above.
-  options.adaptive_decay_publishes = SIZE_MAX;
-  core::ParallelFleet fleet(options);
-  for (const core::Query& query : queries) fleet.AddQuery(query);
-  ASSERT_TRUE(xml::ParseString(doc, &fleet).ok());
-  ASSERT_TRUE(fleet.status().ok());
-  if (fleet.publish_stalls() > 0) {
-    EXPECT_GT(fleet.current_batch_events(), 2u);
-  }
-  // Everything still matched correctly despite resized batches.
-  EXPECT_TRUE(fleet.MatchedQueries().empty());
 }
 
 // --- mid-batch abort and the pool double-release regression -----------------

@@ -3,22 +3,25 @@
 // symbol table at the compiled query vocabulary plus the reserved
 // unknown-name symbol, and its matching arenas at a fixed footprint once
 // warm. Each configuration — a per-engine pool, a shared-index pool, and a
-// ParallelFleet at 1, 2 and 4 workers — streams over a million distinct
-// names through one reused evaluator, and every verdict must equal the
-// brute-force oracle's. In the TSan job's list: the fleet's parse thread
-// resolves names while its workers replay.
+// ParallelRouter at 1, 2 and 4 workers — streams over a million distinct
+// names through reused evaluators, and every verdict must equal the
+// brute-force oracle's. In the TSan job's list: the router's workers
+// resolve names in concurrent parses.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "baseline/brute_force_matcher.h"
 #include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
-#include "core/parallel_fleet.h"
+#include "core/parallel_router.h"
 #include "dom/dom_builder.h"
 #include "gtest/gtest.h"
 #include "query/xtree_builder.h"
@@ -150,69 +153,105 @@ std::vector<bool> BruteForceVerdicts(const std::string& xml) {
 // Every configuration streams the same document sequence, so the oracle
 // runs once per document: verdicts are cached by position, with a hash of
 // the document text they were computed from.
-const std::vector<bool>& OracleVerdicts(int document, const std::string& xml) {
+const std::vector<bool>& OracleVerdicts(size_t document,
+                                       const std::string& xml) {
   static std::vector<std::pair<size_t, std::vector<bool>>> cache;
   const size_t hash = std::hash<std::string>{}(xml);
-  if (static_cast<size_t>(document) == cache.size()) {
+  if (document == cache.size()) {
     cache.emplace_back(hash, BruteForceVerdicts(xml));
   }
-  EXPECT_EQ(cache[static_cast<size_t>(document)].first, hash);
-  return cache[static_cast<size_t>(document)].second;
+  EXPECT_EQ(cache[document].first, hash);
+  return cache[document].second;
 }
 
 // What a configuration reports after each document.
 struct Observed {
   std::vector<bool> verdicts;
-  uint64_t arena_bytes_reserved = 0;
+  uint64_t arena_bytes_reserved = 0;  // of the evaluator that routed it
+  size_t symbols = 0;                 // global symbol table size
+  const void* evaluator = nullptr;    // identity of that evaluator
 };
 
-// Streams documents through `run` until kDistinctNames fresh names went by,
-// checking verdicts against the oracle on every document and that neither
-// the symbol table nor the arena footprint moves after the first cycle of
-// shapes.
-template <typename Run>
-void StreamDistinctNames(Run&& run) {
-  util::SymbolTable& symbols = util::SymbolTable::Global();
-  std::vector<Shape> shapes;
-  for (int s = 0; s < kShapes; ++s) shapes.push_back(MakeShape(s));
+Observed Observe(const core::MultiQueryEvaluator& evaluator) {
+  Observed observed;
+  EXPECT_TRUE(evaluator.status().ok()) << evaluator.status();
+  for (size_t q = 0; q < kExpressions.size(); ++q) {
+    observed.verdicts.push_back(evaluator.Matched(q));
+  }
+  observed.arena_bytes_reserved =
+      evaluator.AggregateStats().arena_bytes_reserved;
+  observed.symbols = util::SymbolTable::Global().size();
+  observed.evaluator = &evaluator;
+  return observed;
+}
 
-  uint64_t counter = 0;
+// The document stream every configuration routes: shapes in a cycle, with
+// fresh spellings until kDistinctNames distinct names went by.
+const std::vector<std::string>& DistinctNameStream() {
+  static const std::vector<std::string> stream = [] {
+    std::vector<Shape> shapes;
+    for (int s = 0; s < kShapes; ++s) shapes.push_back(MakeShape(s));
+    std::vector<std::string> documents;
+    for (uint64_t counter = 0; counter < kDistinctNames;) {
+      documents.push_back(Render(shapes[documents.size() % kShapes], &counter));
+    }
+    return documents;
+  }();
+  return stream;
+}
+
+// Checks one configuration's reports over DistinctNameStream(): every
+// verdict equals the oracle's, the symbol table does not move after the
+// first cycle of shapes, and no evaluator's arena footprint moves once it
+// has routed a document of every shape.
+void CheckStream(const std::vector<Observed>& observed) {
+  const std::vector<std::string>& documents = DistinctNameStream();
+  ASSERT_EQ(observed.size(), documents.size());
+  struct Warmth {
+    std::vector<bool> shapes_seen = std::vector<bool>(kShapes, false);
+    int shapes = 0;
+    uint64_t reserved = 0;
+  };
+  std::map<const void*, Warmth> evaluators;
   size_t warm_symbols = 0;
-  uint64_t warm_reserved = 0;
   int mismatches = 0;
-  int documents = 0;
   std::vector<int> matched_documents(kExpressions.size(), 0);
-  for (; counter < kDistinctNames; ++documents) {
-    const std::string xml = Render(shapes[documents % kShapes], &counter);
-    const Observed observed = run(xml);
-    const std::vector<bool>& oracle = OracleVerdicts(documents, xml);
+  for (size_t d = 0; d < documents.size(); ++d) {
+    const std::vector<bool>& oracle = OracleVerdicts(d, documents[d]);
     for (size_t q = 0; q < kExpressions.size(); ++q) {
       matched_documents[q] += oracle[q] ? 1 : 0;
-      if (observed.verdicts[q] != oracle[q] && ++mismatches <= 5) {
-        ADD_FAILURE() << "document " << documents << ": " << kExpressions[q]
-                      << " matched=" << observed.verdicts[q]
+      if (observed[d].verdicts[q] != oracle[q] && ++mismatches <= 5) {
+        ADD_FAILURE() << "document " << d << ": " << kExpressions[q]
+                      << " matched=" << observed[d].verdicts[q]
                       << ", oracle says " << oracle[q];
       }
     }
-    if (documents + 1 == kShapes) {
-      warm_symbols = symbols.size();
-      warm_reserved = observed.arena_bytes_reserved;
-    } else if (documents + 1 > kShapes) {
-      ASSERT_EQ(symbols.size(), warm_symbols) << "after document " << documents;
-      ASSERT_EQ(observed.arena_bytes_reserved, warm_reserved)
-          << "after document " << documents;
+    if (d + 1 == kShapes) {
+      warm_symbols = observed[d].symbols;
+    } else if (d + 1 > kShapes) {
+      ASSERT_EQ(observed[d].symbols, warm_symbols) << "after document " << d;
+    }
+    Warmth& warmth = evaluators[observed[d].evaluator];
+    if (warmth.shapes == kShapes) {
+      ASSERT_EQ(observed[d].arena_bytes_reserved, warmth.reserved)
+          << "after document " << d;
+    } else if (!warmth.shapes_seen[d % kShapes]) {
+      warmth.shapes_seen[d % kShapes] = true;
+      warmth.shapes += 1;
+      warmth.reserved = observed[d].arena_bytes_reserved;
     }
   }
   EXPECT_EQ(mismatches, 0);
   // Every query both matched and missed somewhere in the stream.
   for (size_t q = 0; q < kExpressions.size(); ++q) {
     EXPECT_GT(matched_documents[q], 0) << kExpressions[q];
-    EXPECT_LT(matched_documents[q], documents) << kExpressions[q];
+    EXPECT_LT(matched_documents[q], static_cast<int>(documents.size()))
+        << kExpressions[q];
   }
-  EXPECT_GE(counter, kDistinctNames);
-  EXPECT_GT(documents, kShapes);
+  EXPECT_GT(documents.size(), static_cast<size_t>(kShapes));
   // The bound: whatever the stream, the table holds the compiled
   // vocabulary plus the reserved unknown-name symbol.
+  util::SymbolTable& symbols = util::SymbolTable::Global();
   EXPECT_LE(symbols.size(), kVocabulary.size() + 1);
   for (const std::string& name : kVocabulary) {
     EXPECT_NE(symbols.Lookup(name), util::kInvalidSymbol) << name;
@@ -229,18 +268,13 @@ void StreamThroughEvaluator(core::EngineOptions options) {
             options.enable_shared_index);
   // The production event path: captured batches, devirtualized replay.
   core::BatchedDispatcher dispatcher(&evaluator);
-  StreamDistinctNames([&](const std::string& xml) {
-    Observed observed;
+  std::vector<Observed> observed;
+  for (const std::string& xml : DistinctNameStream()) {
     Status status = xml::ParseString(xml, &dispatcher);
     EXPECT_TRUE(status.ok()) << status;
-    EXPECT_TRUE(evaluator.status().ok()) << evaluator.status();
-    for (size_t q = 0; q < queries.size(); ++q) {
-      observed.verdicts.push_back(evaluator.Matched(q));
-    }
-    observed.arena_bytes_reserved =
-        evaluator.AggregateStats().arena_bytes_reserved;
-    return observed;
-  });
+    observed.push_back(Observe(evaluator));
+  }
+  CheckStream(observed);
   EXPECT_GT(evaluator.AggregateStats().arena_bytes_reserved, 0u);
 }
 
@@ -256,29 +290,28 @@ TEST(BoundedVocabularyTest, SharedIndexPool) {
   StreamThroughEvaluator(options);
 }
 
-class BoundedVocabularyFleetTest : public ::testing::TestWithParam<int> {};
+// The same stream through a ParallelRouter: its workers' parsers resolve
+// names concurrently, each into its own evaluator.
+class BoundedVocabularyRouterTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(BoundedVocabularyFleetTest, ParallelFleet) {
+TEST_P(BoundedVocabularyRouterTest, ParallelRouter) {
   std::vector<core::Query> queries = CompileAll();
-  core::ParallelFleetOptions options;
-  options.num_workers = GetParam();
-  core::ParallelFleet fleet(options);
-  for (const core::Query& query : queries) fleet.AddQuery(query);
-  StreamDistinctNames([&](const std::string& xml) {
-    Observed observed;
-    Status status = xml::ParseString(xml, &fleet);
-    EXPECT_TRUE(status.ok()) << status;
-    EXPECT_TRUE(fleet.status().ok()) << fleet.status();
-    for (size_t q = 0; q < queries.size(); ++q) {
-      observed.verdicts.push_back(fleet.Matched(q));
-    }
-    observed.arena_bytes_reserved = fleet.AggregateStats().arena_bytes_reserved;
-    return observed;
-  });
-  EXPECT_EQ(fleet.worker_count(), static_cast<size_t>(GetParam()));
+  std::vector<Observed> observed;
+  core::ParallelRouter router(
+      GetParam(), [&](size_t document, const core::MultiQueryEvaluator& e) {
+        EXPECT_EQ(document, observed.size());
+        observed.push_back(Observe(e));
+      });
+  for (const core::Query& query : queries) router.AddQuery(query);
+  for (const std::string& xml : DistinctNameStream()) router.Submit(xml);
+  router.Drain();
+  CheckStream(observed);
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(router.worker_count(),
+            std::min(static_cast<size_t>(GetParam()), cores));
 }
 
-INSTANTIATE_TEST_SUITE_P(Workers, BoundedVocabularyFleetTest,
+INSTANTIATE_TEST_SUITE_P(Workers, BoundedVocabularyRouterTest,
                          ::testing::Values(1, 2, 4));
 
 }  // namespace

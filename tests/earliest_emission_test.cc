@@ -4,7 +4,7 @@
 // final QueryResult byte-identical — same document order, same duplicates
 // policy, same captured subtrees — to the collect-at-end engine, across
 // handpicked axis corpora, random workloads, chunked feeds and the
-// parallel fleet; plus bounded-memory assertions that peak buffered state
+// parallel router; plus bounded-memory assertions that peak buffered state
 // tracks open-path depth rather than node count.
 
 #include <algorithm>
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/multi_engine.h"
-#include "core/parallel_fleet.h"
+#include "core/parallel_router.h"
 #include "core/xaos_engine.h"
 #include "gen/random_workload.h"
 #include "gtest/gtest.h"
@@ -209,7 +209,7 @@ TEST(EarliestEmissionTest, ChunkedFeedTransparent) {
   }
 }
 
-TEST(EarliestEmissionTest, ParallelFleetTransparent) {
+TEST(EarliestEmissionTest, ParallelRouterTransparent) {
   const std::vector<std::string> expressions = {
       "//a//c", "//c/ancestor::a", "/a/b/a/c",      "//*[c]",
       "//b[@x]", "//c/..",         "//b[c]/a | //a[c]",
@@ -227,21 +227,33 @@ TEST(EarliestEmissionTest, ParallelFleetTransparent) {
   core::MultiQueryEvaluator sequential(off);
   for (const core::Query& query : queries) sequential.AddQuery(query);
   ASSERT_TRUE(xml::ParseString(kAxisDocument, &sequential).ok());
+  std::vector<std::vector<std::string>> expected;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    expected.push_back(Signature(sequential.Result(q)));
+  }
 
-  core::ParallelFleetOptions options;
-  options.engine_options.enable_earliest_emission = true;
+  core::EngineOptions on;
+  on.enable_earliest_emission = true;
   for (int workers : {1, 2, 4}) {
-    options.num_workers = workers;
-    core::ParallelFleet fleet(options);
-    for (const core::Query& query : queries) fleet.AddQuery(query);
-    ASSERT_TRUE(xml::ParseString(kAxisDocument, &fleet).ok());
-    ASSERT_TRUE(fleet.status().ok()) << fleet.status();
-    for (size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_EQ(sequential.Matched(q), fleet.Matched(q))
-          << expressions[q] << " at " << workers << " workers";
-      EXPECT_EQ(Signature(sequential.Result(q)), Signature(fleet.Result(q)))
-          << expressions[q] << " at " << workers << " workers";
-    }
+    int routed = 0;
+    core::ParallelRouter router(
+        workers,
+        [&](size_t, const core::MultiQueryEvaluator& evaluator) {
+          ++routed;
+          ASSERT_TRUE(evaluator.status().ok()) << evaluator.status();
+          for (size_t q = 0; q < queries.size(); ++q) {
+            EXPECT_EQ(sequential.Matched(q), evaluator.Matched(q))
+                << expressions[q] << " at " << workers << " workers";
+            EXPECT_EQ(expected[q], Signature(evaluator.Result(q)))
+                << expressions[q] << " at " << workers << " workers";
+          }
+        },
+        on);
+    for (const core::Query& query : queries) router.AddQuery(query);
+    // Several copies in flight at once, so every worker routes some.
+    for (int d = 0; d < 8; ++d) router.Submit(kAxisDocument);
+    router.Drain();
+    EXPECT_EQ(routed, 8);
   }
 }
 

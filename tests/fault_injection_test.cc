@@ -2,15 +2,16 @@
 // chop), single-byte corruption sweeps and adversarial chunk schedules must
 // yield a clean error-or-success — never a hang, crash, or invariant
 // violation — and a mid-stream failure must propagate through
-// StreamingEvaluator and ParallelFleet (1/2/4 workers) via AbortDocument,
-// leaving the evaluator/fleet reusable for the next document.
+// StreamingEvaluator and ParallelRouter (1/2/4 workers) via AbortDocument,
+// leaving the evaluator or worker reusable for the next document.
 
 #include <string>
 #include <vector>
 
 #include "core/multi_engine.h"
-#include "core/parallel_fleet.h"
+#include "core/parallel_router.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 #include "xml/fault_injection.h"
 #include "xml/sax_event.h"
 #include "xml/sax_parser.h"
@@ -158,88 +159,57 @@ TEST(FaultInjectionTest, StreamingEvaluatorSurfacesLimitRejection) {
   EXPECT_TRUE(evaluator.Result().matched);
 }
 
-// Mid-stream failure through the parallel fleet: the parse thread fails
-// after enough events to have shipped several batches; AbortDocument must
-// return (no deadlock), surface the cause, and leave the fleet reusable.
+// Mid-stream failures through the parallel router: a mismatched end tag
+// after many events, a clean EOF mid-document and a depth-limit rejection
+// each abort only their own document, with the cause the sequential path
+// reports, and the worker that aborted goes on routing valid documents.
 void RunParallelAbort(int workers) {
   StatusOr<core::Query> match = core::Query::Compile("//b/c");
   StatusOr<core::Query> miss = core::Query::Compile("//zzz");
   ASSERT_TRUE(match.ok());
   ASSERT_TRUE(miss.ok());
-
-  core::ParallelFleetOptions options;
-  options.num_workers = workers;
-  options.max_batch_events = 2;  // many in-flight batches before the fault
-  options.ring_capacity = 2;
-  core::ParallelFleet fleet(options);
-  size_t q_match = fleet.AddQuery(*match);
-  size_t q_miss = fleet.AddQuery(*miss);
+  const std::vector<core::Query> queries = {*match, *miss};
 
   std::string bad = "<a>";
   for (int i = 0; i < 200; ++i) bad += "<b><c/></b>";
   bad += "<b></a>";  // mismatched end tag
-
-  xml::FaultSpec spec;
-  spec.chunk_bytes = 13;
-  xml::FaultInjectingSource source(bad, spec);
-  Status status = source.Parse(&fleet);
-  ASSERT_FALSE(status.ok());
-  fleet.AbortDocument(status);
-  EXPECT_EQ(fleet.status(), status);
-
-  // Truncation (clean EOF mid-document) is a Finish-time failure; the same
-  // fleet must absorb a second abort back to back.
-  xml::FaultSpec truncate;
-  truncate.truncate_at = bad.size() / 2;
-  xml::FaultInjectingSource cut(bad, truncate);
-  Status cut_status = cut.Parse(&fleet);
-  ASSERT_FALSE(cut_status.ok());
-  fleet.AbortDocument(cut_status);
-  EXPECT_FALSE(fleet.status().ok());
-
-  // The same fleet instance then processes valid documents correctly.
-  ASSERT_TRUE(xml::ParseString("<a><b><c/></b></a>", &fleet).ok());
-  EXPECT_TRUE(fleet.status().ok());
-  EXPECT_TRUE(fleet.Matched(q_match));
-  EXPECT_FALSE(fleet.Matched(q_miss));
-
-  ASSERT_TRUE(xml::ParseString("<a><c/><b/></a>", &fleet).ok());
-  EXPECT_TRUE(fleet.status().ok());
-  EXPECT_FALSE(fleet.Matched(q_match));
-}
-
-TEST(FaultInjectionTest, ParallelFleetMalformedMidStream1Worker) {
-  RunParallelAbort(1);
-}
-TEST(FaultInjectionTest, ParallelFleetMalformedMidStream2Workers) {
-  RunParallelAbort(2);
-}
-TEST(FaultInjectionTest, ParallelFleetMalformedMidStream4Workers) {
-  RunParallelAbort(4);
-}
-
-TEST(FaultInjectionTest, ParallelFleetLimitRejectionMidStream) {
-  StatusOr<core::Query> query = core::Query::Compile("//b/c");
-  ASSERT_TRUE(query.ok());
-  core::ParallelFleetOptions options;
-  options.num_workers = 2;
-  options.max_batch_events = 2;
-  core::ParallelFleet fleet(options);
-  size_t q = fleet.AddQuery(*query);
-
   std::string deep = "<a>";
   for (int i = 0; i < 64; ++i) deep += "<b>";
+  const std::vector<std::string> documents = {
+      bad,  bad.substr(0, bad.size() / 2), "<a><b><c/></b></a>",
+      deep, "<a><c/><b/></a>",             bad,
+      "<a><b><c/></b></a>"};
   xml::ParserOptions parser_options;
   parser_options.limits.max_depth = 8;
-  xml::FaultInjectingSource source(deep, xml::FaultSpec{});
-  Status status = source.Parse(&fleet, parser_options);
-  ASSERT_EQ(status.code(), StatusCode::kResourceExhausted);
-  fleet.AbortDocument(status);
-  EXPECT_EQ(fleet.status().code(), StatusCode::kResourceExhausted);
 
-  ASSERT_TRUE(xml::ParseString("<a><b><c/></b></a>", &fleet).ok());
-  EXPECT_TRUE(fleet.status().ok());
-  EXPECT_TRUE(fleet.Matched(q));
+  const std::vector<test::RoutedOutcome> sequential = test::RouteSequentially(
+      queries, documents, core::EngineOptions{}, parser_options);
+  const std::vector<test::RoutedOutcome> routed = test::RouteInParallel(
+      queries, documents, workers, core::EngineOptions{}, parser_options);
+  ASSERT_EQ(routed.size(), documents.size());
+  EXPECT_EQ(routed[0].status.code(), StatusCode::kParseError);
+  EXPECT_FALSE(routed[1].status.ok());
+  EXPECT_EQ(routed[3].status.code(), StatusCode::kResourceExhausted);
+  for (size_t d = 0; d < documents.size(); ++d) {
+    EXPECT_EQ(routed[d].status, sequential[d].status) << "document " << d;
+  }
+  for (size_t d : {2u, 6u}) {
+    ASSERT_TRUE(routed[d].status.ok()) << routed[d].status;
+    EXPECT_TRUE(routed[d].matched[0]) << "document " << d;
+    EXPECT_FALSE(routed[d].matched[1]) << "document " << d;
+  }
+  ASSERT_TRUE(routed[4].status.ok()) << routed[4].status;
+  EXPECT_FALSE(routed[4].matched[0]);
+}
+
+TEST(FaultInjectionTest, ParallelRouterMalformedMidStream1Worker) {
+  RunParallelAbort(1);
+}
+TEST(FaultInjectionTest, ParallelRouterMalformedMidStream2Workers) {
+  RunParallelAbort(2);
+}
+TEST(FaultInjectionTest, ParallelRouterMalformedMidStream4Workers) {
+  RunParallelAbort(4);
 }
 
 // Exhaustive chop against the full evaluator stack: no prefix may hang or

@@ -1,15 +1,16 @@
 // Flight recorder: ring overwrite semantics, disarmed-mode guarantees,
-// cross-thread batch linkage through the parallel fleet (the TSan job runs
-// this), the Chrome trace-event exporter, and the per-subscription latency
-// series the evaluators feed.
+// per-worker tracks under the parallel router (the TSan job runs this), the
+// Chrome trace-event exporter, and the per-subscription latency series the
+// evaluators feed.
 
 #include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/multi_engine.h"
-#include "core/parallel_fleet.h"
+#include "core/parallel_router.h"
 #include "gtest/gtest.h"
 #include "obs/flight.h"
 #include "obs/json.h"
@@ -22,18 +23,16 @@ namespace {
 
 // The exporter operates on hand-built traces, so it works (and is tested)
 // even in a -DXAOS_OBS_ENABLED=0 build where recording is compiled out.
-TEST(ChromeTraceTest, ExportsSpansFlowsAndCounters) {
-  ThreadTrace producer;
-  producer.track = 1;
-  producer.name = "parse";
-  Span dispatch;
-  dispatch.kind = SpanKind::kDispatch;
-  dispatch.begin_ns = 1000;
-  dispatch.end_ns = 2000;
-  dispatch.batch = 7;
-  dispatch.doc = 1;
-  dispatch.value = 128;
-  producer.spans.push_back(dispatch);
+TEST(ChromeTraceTest, ExportsSpansAndPerThreadCounters) {
+  ThreadTrace main_thread;
+  main_thread.track = 1;
+  main_thread.name = "main";
+  Span parse;
+  parse.kind = SpanKind::kParse;
+  parse.begin_ns = 1000;
+  parse.end_ns = 2000;
+  parse.value = 4096;
+  main_thread.spans.push_back(parse);
 
   ThreadTrace worker;
   worker.track = 2;
@@ -43,34 +42,32 @@ TEST(ChromeTraceTest, ExportsSpansFlowsAndCounters) {
   replay.begin_ns = 2500;
   replay.end_ns = 4000;
   replay.batch = 7;
-  replay.shard = 0;
+  replay.doc = 1;
   replay.value = 128;
   worker.spans.push_back(replay);
   Span counter;
   counter.kind = SpanKind::kCounter;
   counter.begin_ns = 4000;
   counter.end_ns = 4000;
-  counter.shard = 0;
   counter.value = 5;     // buffered candidates
   counter.value2 = 640;  // arena bytes
   worker.spans.push_back(counter);
 
-  std::string json = ToChromeTraceJson({producer, worker});
+  std::string json = ToChromeTraceJson({main_thread, worker});
   EXPECT_TRUE(JsonValid(json)) << json;
   // Complete events for both spans on distinct tracks.
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"dispatch\""), std::string::npos);
+  EXPECT_NE(json.find("\"parse\""), std::string::npos);
   EXPECT_NE(json.find("\"replay\""), std::string::npos);
+  EXPECT_NE(json.find("\"batch\":7"), std::string::npos);
   // Thread-name metadata.
   EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
-  EXPECT_NE(json.find("\"parse\""), std::string::npos);
+  EXPECT_NE(json.find("\"main\""), std::string::npos);
   EXPECT_NE(json.find("\"worker/0\""), std::string::npos);
-  // Flow arrow from the dispatch span to the replay span (same batch).
-  EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
-  // Counter samples.
+  // Counter samples, on tracks named after the recording thread.
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("buffered_candidates"), std::string::npos);
+  EXPECT_NE(json.find("\"buffered_candidates/worker/0\""), std::string::npos);
+  EXPECT_NE(json.find("\"arena_bytes/worker/0\""), std::string::npos);
 }
 
 TEST(ChromeTraceTest, EmptyTracesStillValidJson) {
@@ -130,68 +127,62 @@ TEST(FlightRecorderTest, ScopedSpanInactiveWhenDisarmed) {
   EXPECT_FALSE(span.active());
 }
 
-// The acceptance scenario: a parallel-fleet document run records dispatch
-// spans on the producer track and replay spans on every worker track, tied
-// together by batch sequence. Runs under TSan in CI — the collection point
-// (after EndDocument's latch) must be race-free.
-TEST(FlightRecorderTest, CrossThreadBatchLinkage) {
-  core::ParallelFleetOptions options;
-  options.num_workers = 2;
-  options.max_batch_events = 8;  // force several batches per document
-  core::ParallelFleet fleet(options);
+// A ParallelRouter run records each document's spans on the track of the
+// worker that routed it: every document span sits on a "worker/<n>" track,
+// and each worker's documents land on that worker's track only. Runs under
+// TSan in CI: the collection point (after Drain) must be race-free.
+TEST(FlightRecorderTest, RouterWorkersRecordOnTheirOwnTracks) {
   auto q1 = core::Query::Compile("//a/b");
   auto q2 = core::Query::Compile("//c");
   ASSERT_TRUE(q1.ok());
   ASSERT_TRUE(q2.ok());
-  fleet.AddQuery(*q1, "sub-a");
-  fleet.AddQuery(*q2, "sub-c");
-
-  Arm();
   std::string doc = "<r>";
   for (int i = 0; i < 32; ++i) doc += "<a><b>x</b></a><c/>";
   doc += "</r>";
-  ASSERT_TRUE(xml::ParseString(doc, &fleet).ok());
-  // EndDocument returned: the doc latch ordered every worker's ring writes
-  // before this point, so collection is quiescent.
-  Disarm();
+
+  Arm();
+  // Which worker routed each document, by evaluator identity.
+  std::vector<const core::MultiQueryEvaluator*> routed_by;
+  {
+    core::ParallelRouter router(
+        2, [&](size_t, const core::MultiQueryEvaluator& evaluator) {
+          routed_by.push_back(&evaluator);
+        });
+    router.AddQuery(*q1, "sub-a");
+    router.AddQuery(*q2, "sub-c");
+    for (int d = 0; d < 8; ++d) router.Submit(doc);
+    router.Drain();
+    // Drained: every worker's ring writes are ordered before this point.
+    Disarm();
+  }
   std::vector<ThreadTrace> traces = Collect();
   Reset();
+  ASSERT_EQ(routed_by.size(), 8u);
 
-  ASSERT_GT(fleet.batches_published(), 1u);
-
-  uint64_t producer_track = 0;
-  std::vector<uint64_t> dispatch_seqs;
-  std::vector<std::vector<uint64_t>> replay_seqs(2);
-  std::vector<uint64_t> replay_tracks;
+  size_t document_spans = 0;
+  std::set<std::string> tracks_with_documents;
   for (const ThreadTrace& trace : traces) {
+    size_t documents = 0;
     for (const Span& span : trace.spans) {
-      if (span.kind == SpanKind::kDispatch) {
-        producer_track = trace.track;
-        dispatch_seqs.push_back(span.batch);
-      } else if (span.kind == SpanKind::kReplay) {
-        ASSERT_GE(span.shard, 0);
-        ASSERT_LT(span.shard, 2);
-        replay_seqs[static_cast<size_t>(span.shard)].push_back(span.batch);
-        replay_tracks.push_back(trace.track);
-      }
+      if (span.kind != SpanKind::kDocument) continue;
+      ++documents;
+      // A worker numbers its own documents 1, 2, ...
+      EXPECT_EQ(span.doc, documents) << trace.name;
     }
+    if (documents == 0) continue;
+    EXPECT_EQ(trace.name.rfind("worker/", 0), 0u) << trace.name;
+    tracks_with_documents.insert(trace.name);
+    document_spans += documents;
   }
-
-  ASSERT_EQ(dispatch_seqs.size(), fleet.batches_published());
-  // Every batch the producer dispatched was replayed by both workers, with
-  // the same sequence stamp — the linkage the flow arrows are built from.
-  for (int shard = 0; shard < 2; ++shard) {
-    EXPECT_EQ(replay_seqs[static_cast<size_t>(shard)], dispatch_seqs)
-        << "shard " << shard;
-  }
-  // Replay spans live on worker tracks, not the producer's.
-  for (uint64_t track : replay_tracks) EXPECT_NE(track, producer_track);
+  EXPECT_EQ(document_spans, 8u);
+  // Each worker thread that routed documents has a track of its own: as
+  // many distinct tracks as distinct evaluators routed documents.
+  const std::set<const core::MultiQueryEvaluator*> workers(routed_by.begin(),
+                                                           routed_by.end());
+  EXPECT_EQ(tracks_with_documents.size(), workers.size());
 
   // The full trace renders to loadable Chrome trace JSON.
-  std::string json = ToChromeTraceJson(traces);
-  EXPECT_TRUE(JsonValid(json));
-  EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
+  EXPECT_TRUE(JsonValid(ToChromeTraceJson(traces)));
 }
 
 TEST(FlightRecorderTest, WriteChromeTraceRoundTrip) {

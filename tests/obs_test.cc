@@ -151,7 +151,7 @@ TEST(ExportTest, PrometheusConformance) {
   registry.GetCounter("xaos_parser_bytes_total")->Increment(10);
   registry.GetCounter("router_deliveries_total{subscription=\"alice\"}")
       ->Increment(1);
-  registry.GetGauge("xaos_parallel_workers")->Set(4);
+  registry.GetGauge("xaos_arena_bytes_reserved")->Set(4);
   registry.GetHistogram("xaos_sub_match_latency_ns{subscription=\"alice\"}")
       ->Record(1000);
   registry.GetHistogram("xaos_sub_match_latency_ns{subscription=\"bob\"}")

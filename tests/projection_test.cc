@@ -1,7 +1,7 @@
 // Document projection tests: static analysis (ProjectionSpec), the
 // parser-side skip scanner, and the end-to-end guarantee that projection
 // never changes results — for the streaming evaluator, the multi-query
-// evaluator, and the parallel fleet — while enforcing parser limits and
+// evaluator, and the parallel router — while enforcing parser limits and
 // surviving chunk boundaries and aborts inside skipped regions.
 
 #include <string>
@@ -10,7 +10,7 @@
 
 #include "baseline/compare.h"
 #include "core/multi_engine.h"
-#include "core/parallel_fleet.h"
+#include "core/parallel_router.h"
 #include "gen/random_workload.h"
 #include "gen/xmark_generator.h"
 #include "gtest/gtest.h"
@@ -330,43 +330,43 @@ TEST(ProjectionMultiQueryTest, KeepAllQueryDisablesSkipping) {
   EXPECT_TRUE(evaluator.Matched(1));
 }
 
-class ProjectionParallelFleetTest : public ::testing::TestWithParam<int> {};
+class ProjectionParallelRouterTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(ProjectionParallelFleetTest, MatchesSequentialUnprojected) {
-  std::string doc = gen::GenerateXMark({.scale = 0.002, .seed = 11});
+TEST_P(ProjectionParallelRouterTest, MatchesSequentialUnprojected) {
   std::vector<std::string> expressions = XMarkQueries();
-
-  core::ParallelFleetOptions fleet_options;
-  fleet_options.num_workers = GetParam();
-  fleet_options.max_batch_events = 64;  // several batches per document
-  core::ParallelFleet fleet(fleet_options);
-  core::MultiQueryEvaluator reference;
+  std::vector<core::Query> queries;
   for (const std::string& expression : expressions) {
     auto query = core::Query::Compile(expression);
     ASSERT_TRUE(query.ok()) << query.status();
-    fleet.AddQuery(*query);
-    reference.AddQuery(*query);
+    queries.push_back(std::move(*query));
   }
-  xml::ParserOptions options;
-  options.projection_filter = fleet.projection_filter();
-  ASSERT_FALSE(fleet.projection_spec().keep_all);
+  // Several documents per worker: per-document reset runs through each
+  // worker's own projection gate.
+  std::vector<std::string> documents;
+  for (uint64_t seed = 11; seed < 17; ++seed) {
+    documents.push_back(gen::GenerateXMark({.scale = 0.002, .seed = seed}));
+  }
 
-  // Two documents back to back: per-document reset runs through the fleet.
-  for (uint64_t seed : {11u, 12u}) {
-    std::string text = gen::GenerateXMark({.scale = 0.002, .seed = seed});
-    ASSERT_TRUE(xml::ParseString(text, &fleet, options).ok());
-    ASSERT_TRUE(fleet.status().ok()) << fleet.status();
-    ASSERT_TRUE(xml::ParseString(text, &reference).ok());
-    for (size_t q = 0; q < expressions.size(); ++q) {
-      EXPECT_EQ(fleet.Matched(q), reference.Matched(q)) << expressions[q];
-      EXPECT_EQ(baseline::CanonicalFromResult(fleet.Result(q)),
-                baseline::CanonicalFromResult(reference.Result(q)))
-          << expressions[q];
-    }
-  }
+  core::MultiQueryEvaluator reference;
+  for (const core::Query& query : queries) reference.AddQuery(query);
+  core::ParallelRouter router(
+      GetParam(), [&](size_t document, const core::MultiQueryEvaluator& e) {
+        ASSERT_TRUE(e.status().ok()) << e.status();
+        ASSERT_TRUE(xml::ParseString(documents[document], &reference).ok());
+        for (size_t q = 0; q < expressions.size(); ++q) {
+          EXPECT_EQ(e.Matched(q), reference.Matched(q)) << expressions[q];
+          EXPECT_EQ(baseline::CanonicalFromResult(e.Result(q)),
+                    baseline::CanonicalFromResult(reference.Result(q)))
+              << expressions[q];
+        }
+      });
+  for (const core::Query& query : queries) router.AddQuery(query);
+  for (const std::string& document : documents) router.Submit(document);
+  router.Drain();
+  EXPECT_FALSE(router.evaluator(0).projection_spec().keep_all);
 }
 
-INSTANTIATE_TEST_SUITE_P(Workers, ProjectionParallelFleetTest,
+INSTANTIATE_TEST_SUITE_P(Workers, ProjectionParallelRouterTest,
                          ::testing::Values(1, 2, 4));
 
 // --- limits, chunking, aborts -----------------------------------------------
@@ -430,29 +430,34 @@ TEST(ProjectionAbortTest, TruncatedInsideSkipFailsAndEvaluatorRecovers) {
   }
 }
 
-TEST(ProjectionAbortTest, ParallelFleetAbortDuringSkipRecovers) {
+TEST(ProjectionAbortTest, ParallelRouterAbortDuringSkipRecovers) {
   auto query = core::Query::Compile("/a/keep");
   ASSERT_TRUE(query.ok());
-  core::ParallelFleetOptions fleet_options;
-  fleet_options.num_workers = 2;
-  core::ParallelFleet fleet(fleet_options);
-  fleet.AddQuery(*query);
-  xml::ParserOptions options;
-  options.projection_filter = fleet.projection_filter();
-  {
-    xml::SaxParser parser(&fleet, options);
-    ASSERT_TRUE(parser.Feed("<a><skip><inner a='").ok());
-    Status status = parser.Finish();
-    ASSERT_FALSE(status.ok());
-    fleet.AbortDocument(status);
-    EXPECT_FALSE(fleet.status().ok());
-  }
-  {
-    xml::SaxParser parser(&fleet, options);
-    ASSERT_TRUE(parser.Feed("<a><skip/><keep/></a>").ok());
-    ASSERT_TRUE(parser.Finish().ok());
-    EXPECT_TRUE(fleet.status().ok()) << fleet.status();
-    EXPECT_TRUE(fleet.Matched(0));
+  const std::string truncated = "<a><skip><inner a='";
+  const std::string good = "<a><skip/><keep/></a>";
+  const std::vector<std::string> documents = {truncated, good, truncated,
+                                              good, good};
+  for (int workers : {1, 2}) {
+    std::vector<Status> statuses;
+    std::vector<bool> matched;
+    core::ParallelRouter router(
+        workers, [&](size_t, const core::MultiQueryEvaluator& evaluator) {
+          statuses.push_back(evaluator.status());
+          matched.push_back(evaluator.Matched(0));
+        });
+    router.AddQuery(*query);
+    for (const std::string& document : documents) router.Submit(document);
+    router.Drain();
+    ASSERT_EQ(statuses.size(), documents.size());
+    for (size_t d = 0; d < documents.size(); ++d) {
+      if (documents[d] == truncated) {
+        EXPECT_FALSE(statuses[d].ok()) << "document " << d;
+      } else {
+        EXPECT_TRUE(statuses[d].ok()) << "document " << d << ": "
+                                      << statuses[d];
+        EXPECT_TRUE(matched[d]) << "document " << d;
+      }
+    }
   }
 }
 

@@ -3,7 +3,7 @@
 // shareability classifier, byte-identical duplicate dedupe, and the
 // differential contract — the shared backend's verdicts and result items
 // must equal the per-engine MultiQueryEvaluator's over hand-picked axis
-// corpora, random workloads, chunked feeds, and ParallelFleet shardings,
+// corpora, random workloads, chunked feeds, and ParallelRouter workers,
 // and the brute-force matcher's over a stream of documents through one
 // reused evaluator. Plus subscriptions added between documents.
 
@@ -16,7 +16,7 @@
 #include "baseline/compare.h"
 #include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
-#include "core/parallel_fleet.h"
+#include "core/parallel_router.h"
 #include "core/shared_index.h"
 #include "dom/dom_builder.h"
 #include "gen/random_workload.h"
@@ -43,7 +43,6 @@ TEST(SharedIndexBuilderTest, IdenticalQueriesShareAllStates) {
   builder.AddSubscription(trees);
   size_t after_first = builder.state_count();
   EXPECT_EQ(after_first, 4u);  // root + a + b + c
-  EXPECT_EQ(builder.MarginalStates(trees), 0u);
   builder.AddSubscription(trees);
   EXPECT_EQ(builder.state_count(), after_first);  // fully shared
   EXPECT_EQ(builder.subscription_count(), 2u);
@@ -54,7 +53,6 @@ TEST(SharedIndexBuilderTest, SharedPrefixDivergentSuffix) {
   builder.AddSubscription(Compile("/a/b/c"));
   // Shares root->a->b, adds one state for d.
   std::vector<query::XTree> second = Compile("/a/b/d");
-  EXPECT_EQ(builder.MarginalStates(second), 1u);
   builder.AddSubscription(second);
   EXPECT_EQ(builder.state_count(), 5u);
 }
@@ -275,15 +273,15 @@ TEST_P(SharedRandomDifferentialTest, MatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedRandomDifferentialTest,
                          ::testing::Range<uint64_t>(0, 15));
 
-// --- ParallelFleet sharding -------------------------------------------------
+// --- ParallelRouter workers ------------------------------------------------
 
 TEST(SharedParallelTest, WorkersAgreeWithOracle) {
   std::vector<std::string> expressions(kAxisCorpus,
                                        kAxisCorpus + std::size(kAxisCorpus));
-  // Pad with shareable chains so every shard gets shared subscriptions.
+  // Pad with shareable chains, so every worker's automaton holds several.
   for (int i = 0; i < 8; ++i) {
     expressions.push_back("//b/absent_" + std::to_string(i));
-    expressions.push_back("/a/b/c");  // duplicates alias within each shard
+    expressions.push_back("/a/b/c");  // duplicates alias in each worker
   }
   std::vector<core::Query> queries;
   for (const std::string& expression : expressions) {
@@ -299,19 +297,21 @@ TEST(SharedParallelTest, WorkersAgreeWithOracle) {
   ASSERT_TRUE(xml::ParseString(kAxisDoc, &oracle).ok());
 
   for (int workers : {1, 2, 4}) {
-    core::ParallelFleetOptions options;
-    options.num_workers = workers;
-    core::ParallelFleet fleet(options);
-    for (const core::Query& query : queries) fleet.AddQuery(query);
-    ASSERT_TRUE(xml::ParseString(kAxisDoc, &fleet).ok());
-    ASSERT_TRUE(fleet.status().ok()) << fleet.status();
-    for (size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_EQ(oracle.Matched(q), fleet.Matched(q))
-          << "workers=" << workers << " query " << expressions[q];
-      EXPECT_EQ(baseline::CanonicalFromResult(oracle.Result(q)),
-                baseline::CanonicalFromResult(fleet.Result(q)))
-          << "workers=" << workers << " query " << expressions[q];
-    }
+    core::ParallelRouter router(
+        workers, [&](size_t, const core::MultiQueryEvaluator& evaluator) {
+          ASSERT_TRUE(evaluator.status().ok()) << evaluator.status();
+          EXPECT_GT(evaluator.shared_subscription_count(), 0u);
+          for (size_t q = 0; q < queries.size(); ++q) {
+            EXPECT_EQ(oracle.Matched(q), evaluator.Matched(q))
+                << "workers=" << workers << " query " << expressions[q];
+            EXPECT_EQ(baseline::CanonicalFromResult(oracle.Result(q)),
+                      baseline::CanonicalFromResult(evaluator.Result(q)))
+                << "workers=" << workers << " query " << expressions[q];
+          }
+        });
+    for (const core::Query& query : queries) router.AddQuery(query);
+    for (int d = 0; d < 8; ++d) router.Submit(kAxisDoc);
+    router.Drain();
   }
 }
 

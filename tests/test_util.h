@@ -9,10 +9,13 @@
 
 #include "baseline/compare.h"
 #include "baseline/navigational_engine.h"
+#include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
+#include "core/parallel_router.h"
 #include "dom/dom_builder.h"
 #include "dom/dom_replayer.h"
 #include "gtest/gtest.h"
+#include "xml/sax_parser.h"
 
 namespace xaos::test {
 
@@ -78,6 +81,67 @@ inline constexpr std::string_view kFigure2Document = R"(<X>
 // /descendant::Y[child::U]/descendant::W[ancestor::Z/child::V].
 inline constexpr std::string_view kFigure3Query =
     "/descendant::Y[child::U]/descendant::W[ancestor::Z/child::V]";
+
+// One routed document's outcome, copied out of the evaluator that routed it.
+struct RoutedOutcome {
+  Status status;
+  std::vector<bool> matched;  // per query
+  std::vector<std::vector<baseline::CanonicalItem>> items;  // per query
+  // The evaluator that routed the document; compared for identity only.
+  const core::MultiQueryEvaluator* worker = nullptr;
+};
+
+inline RoutedOutcome CopyOutcome(const core::MultiQueryEvaluator& evaluator) {
+  RoutedOutcome out;
+  out.status = evaluator.status();
+  out.worker = &evaluator;
+  for (size_t q = 0; q < evaluator.query_count(); ++q) {
+    out.matched.push_back(evaluator.Matched(q));
+    out.items.push_back(baseline::CanonicalFromResult(evaluator.Result(q)));
+  }
+  return out;
+}
+
+// Routes `documents` through a core::ParallelRouter with `workers` workers
+// (projection on, as the router always runs) and returns their outcomes in
+// delivery order; an outcome out of submission order fails the test.
+inline std::vector<RoutedOutcome> RouteInParallel(
+    const std::vector<core::Query>& queries,
+    const std::vector<std::string>& documents, int workers,
+    core::EngineOptions options = {}, xml::ParserOptions parser_options = {}) {
+  std::vector<RoutedOutcome> outcomes;
+  core::ParallelRouter router(
+      workers,
+      [&](size_t document, const core::MultiQueryEvaluator& evaluator) {
+        EXPECT_EQ(document, outcomes.size()) << "outcome out of order";
+        outcomes.push_back(CopyOutcome(evaluator));
+      },
+      options, parser_options);
+  for (const core::Query& query : queries) router.AddQuery(query);
+  for (const std::string& document : documents) router.Submit(document);
+  router.Drain();
+  return outcomes;
+}
+
+// The sequential production path over the same stream: one
+// MultiQueryEvaluator behind a BatchedDispatcher, projection on, a rejected
+// document closed with AbortDocument.
+inline std::vector<RoutedOutcome> RouteSequentially(
+    const std::vector<core::Query>& queries,
+    const std::vector<std::string>& documents,
+    core::EngineOptions options = {}, xml::ParserOptions parser_options = {}) {
+  core::MultiQueryEvaluator evaluator(options);
+  for (const core::Query& query : queries) evaluator.AddQuery(query);
+  core::BatchedDispatcher dispatcher(&evaluator);
+  parser_options.projection_filter = evaluator.projection_filter();
+  std::vector<RoutedOutcome> outcomes;
+  for (const std::string& document : documents) {
+    Status status = xml::ParseString(document, &dispatcher, parser_options);
+    if (!status.ok()) dispatcher.AbortDocument(status);
+    outcomes.push_back(CopyOutcome(evaluator));
+  }
+  return outcomes;
+}
 
 }  // namespace xaos::test
 
