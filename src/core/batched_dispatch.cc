@@ -8,12 +8,7 @@ namespace xaos::core {
 
 BatchedDispatcher::BatchedDispatcher(MultiQueryEvaluator* evaluator,
                                      Options options)
-    : multi_(evaluator),
-      batcher_(this, options.max_batch_events, options.max_batch_text_bytes) {}
-
-BatchedDispatcher::BatchedDispatcher(StreamingEvaluator* evaluator,
-                                     Options options)
-    : streaming_(evaluator),
+    : evaluator_(evaluator),
       batcher_(this, options.max_batch_events, options.max_batch_text_bytes) {}
 
 xml::EventBatch* BatchedDispatcher::AcquireBatch() {
@@ -36,19 +31,9 @@ void BatchedDispatcher::ReleaseToPool(xml::EventBatch* batch) {
   free_.push_back(batch);
 }
 
-bool BatchedDispatcher::EvaluatorWantsText() {
-  return multi_ != nullptr ? multi_->wants_text_events()
-                           : streaming_->wants_text_events();
-}
-
-const xml::ElementInterest* BatchedDispatcher::EvaluatorInterest() {
-  return multi_ != nullptr ? multi_->element_interest()
-                           : streaming_->element_interest();
-}
-
 void BatchedDispatcher::StartDocument() {
-  batcher_.set_lean_payload(!EvaluatorWantsText());
-  batcher_.set_element_interest(EvaluatorInterest());
+  batcher_.set_lean_payload(!evaluator_->wants_text_events());
+  batcher_.set_element_interest(evaluator_->element_interest());
   batcher_.StartDocument();
   elided_base_ = batcher_.events_elided();
 }
@@ -75,11 +60,7 @@ void BatchedDispatcher::PublishBatch(xml::EventBatch* batch) {
     return;
   }
   batch->set_sequence(++sequence_);
-  if (multi_ != nullptr) {
-    multi_->ReplayBatch(*batch, &attr_scratch_);
-  } else {
-    streaming_->ReplayBatch(*batch, &attr_scratch_);
-  }
+  evaluator_->ReplayBatch(*batch, &attr_scratch_);
   ++batches_replayed_;
   ReleaseToPool(batch);
 }
@@ -89,11 +70,7 @@ void BatchedDispatcher::AbortDocument(const Status& cause) {
   // then resets the evaluator. Order matters: the batcher must let go of
   // its in-flight batch before the next document starts filling a new one.
   batcher_.AbortDocument();
-  if (multi_ != nullptr) {
-    multi_->AbortDocument(cause);
-  } else {
-    streaming_->AbortDocument(cause);
-  }
+  evaluator_->AbortDocument(cause);
   ExportElided();
 }
 

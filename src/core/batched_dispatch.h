@@ -4,13 +4,13 @@
 //
 // BatchedDispatcher interposes an EventBatcher: parser callbacks append
 // fixed-size records into a pooled EventBatch, and each full batch is
-// replayed in one call through MultiQueryEvaluator/StreamingEvaluator::
-// ReplayBatch into EngineFleet::ReplayRun — the same two-pass replay an
-// evaluator fed event by event runs on one-event runs. Results are therefore
-// identical to feeding the evaluator directly; only the instant at which
-// buffered events reach the evaluator shifts — by at most one batch, and
-// Flush() hands over the buffer on demand when a caller wants a mid-stream
-// verdict at an exact event boundary.
+// replayed in one call through MultiQueryEvaluator::ReplayBatch into
+// EngineFleet::ReplayRun — the same two-pass replay an evaluator fed event
+// by event runs on one-event runs. Results are therefore identical to
+// feeding the evaluator directly; only the instant at which buffered events
+// reach the evaluator shifts — by at most one batch, and Flush() hands over
+// the buffer on demand when a caller wants a mid-stream verdict at an exact
+// event boundary.
 //
 // Capture is element-level elided whenever that is exact: at each
 // StartDocument the dispatcher installs the evaluator's element interest
@@ -55,8 +55,6 @@ class BatchedDispatcher : public xml::ContentHandler,
   using Options = BatchedDispatchOptions;
 
   explicit BatchedDispatcher(MultiQueryEvaluator* evaluator,
-                             Options options = {});
-  explicit BatchedDispatcher(StreamingEvaluator* evaluator,
                              Options options = {});
 
   // ContentHandler: every event is captured into the current batch; full
@@ -104,13 +102,10 @@ class BatchedDispatcher : public xml::ContentHandler,
   void PublishBatch(xml::EventBatch* batch) override;
 
   void ReleaseToPool(xml::EventBatch* batch);
-  bool EvaluatorWantsText();
-  const xml::ElementInterest* EvaluatorInterest();
   // Adds this document's elided events to the obs counter.
   void ExportElided();
 
-  MultiQueryEvaluator* multi_ = nullptr;
-  StreamingEvaluator* streaming_ = nullptr;
+  MultiQueryEvaluator* evaluator_;
   xml::EventBatcher batcher_;
   std::vector<std::unique_ptr<xml::EventBatch>> pool_;  // owns every batch
   std::vector<xml::EventBatch*> free_;

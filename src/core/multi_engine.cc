@@ -9,44 +9,13 @@
 #include "dom/dom_replayer.h"
 #include "obs/flight.h"
 #include "obs/json.h"
+#include "obs/timer.h"
 #include "query/xtree_builder.h"
 #include "util/check.h"
 #include "xml/sax_parser.h"
 
 namespace xaos::core {
 namespace {
-
-// Shared end-of-document observability: folds candidate/arena high-water
-// marks into `registry` (null = metrics off) and emits the flight
-// recorder's document span plus a counter sample at its boundary.
-void RecordDocumentBoundary(obs::MetricsRegistry* registry,
-                            const EngineStats& stats, uint64_t doc,
-                            uint64_t begin_ns, uint64_t end_ns,
-                            size_t engine_count) {
-  if (registry != nullptr) {
-    registry->GetGauge("xaos_buffered_candidates_peak")
-        ->SetMax(static_cast<int64_t>(stats.structures_live_peak));
-    registry->GetGauge("xaos_arena_bytes_peak")
-        ->SetMax(static_cast<int64_t>(stats.structure_memory.peak_bytes));
-  }
-  if (obs::flight::Active()) {
-    obs::flight::Span span;
-    span.kind = obs::flight::SpanKind::kDocument;
-    span.begin_ns = begin_ns != 0 ? begin_ns : end_ns;
-    span.end_ns = end_ns;
-    span.doc = doc;
-    span.value = static_cast<int64_t>(engine_count);
-    obs::flight::Emit(span);
-    obs::flight::Span sample;
-    sample.kind = obs::flight::SpanKind::kCounter;
-    sample.begin_ns = end_ns;
-    sample.end_ns = end_ns;
-    sample.doc = doc;
-    sample.value = static_cast<int64_t>(stats.structures_live_peak);
-    sample.value2 = static_cast<int64_t>(stats.structure_memory.peak_bytes);
-    obs::flight::Emit(sample);
-  }
-}
 
 // Unions the results of the engines in [begin, end): document order,
 // deduplicated by node id (disjuncts of one query can select the same node;
@@ -112,57 +81,11 @@ EngineStats SumStats(const std::vector<std::unique_ptr<XaosEngine>>& engines,
   return total;
 }
 
-// Replays `batch` through `fleet`: document-boundary events go through the
-// evaluator's virtual handlers (they carry per-document setup/teardown);
-// maximal interior runs go through the non-virtual ReplayRun loop. One
-// kReplay flight span covers the whole batch, and the batch counts into
-// xaos_dispatch_batches_total. Per-event cost sampling (TimedDispatch) only
-// covers events fed one at a time through the ContentHandler interface.
-template <typename Evaluator>
-void ReplayBatchImpl(Evaluator* evaluator, EngineFleet* fleet,
-                     const xml::EventBatch& batch,
-                     std::vector<xml::AttributeView>* attr_scratch,
-                     uint64_t doc) {
-  const std::vector<xml::BatchedEvent>& events = batch.events();
-  obs::flight::ScopedSpan replay_span(obs::flight::SpanKind::kReplay);
-  if (replay_span.active()) {
-    replay_span.span()->batch = batch.sequence();
-    // A batch opening a document belongs to the document it opens.
-    if (!events.empty() &&
-        events.front().kind == xml::BatchedEvent::Kind::kStartDocument) {
-      ++doc;
-    }
-    replay_span.span()->doc = doc;
-    replay_span.span()->value = static_cast<int64_t>(batch.event_count());
-  }
-  const size_t n = events.size();
-  size_t i = 0;
-  while (i < n) {
-    const xml::BatchedEvent::Kind kind = events[i].kind;
-    if (kind == xml::BatchedEvent::Kind::kStartDocument) {
-      evaluator->StartDocument();
-      ++i;
-      continue;
-    }
-    if (kind == xml::BatchedEvent::Kind::kEndDocument) {
-      evaluator->EndDocument();
-      ++i;
-      continue;
-    }
-    size_t j = i + 1;
-    while (j < n &&
-           events[j].kind != xml::BatchedEvent::Kind::kStartDocument &&
-           events[j].kind != xml::BatchedEvent::Kind::kEndDocument) {
-      ++j;
-    }
-    fleet->ReplayRun(batch, i, j, attr_scratch);
-    i = j;
-  }
-  if (obs::Enabled()) {
-    static obs::Counter* batches = obs::MetricsRegistry::Default().GetCounter(
-        "xaos_dispatch_batches_total");
-    batches->Increment();
-  }
+// A one-query evaluator's options: the shared automaton off (see
+// StreamingEvaluator).
+EngineOptions WithoutSharedIndex(EngineOptions options) {
+  options.enable_shared_index = false;
+  return options;
 }
 
 }  // namespace
@@ -186,102 +109,6 @@ Query Query::FromTrees(std::vector<query::XTree> trees,
   return query;
 }
 
-StreamingEvaluator::StreamingEvaluator(const Query& query,
-                                       EngineOptions options)
-    : trees_(query.trees_),
-      registry_(options.metrics_registry != nullptr
-                    ? options.metrics_registry
-                    : &obs::MetricsRegistry::Default()) {
-  engines_.reserve(trees_->size());
-  for (const query::XTree& tree : *trees_) {
-    engines_.push_back(std::make_unique<XaosEngine>(&tree, options, &arena_));
-    fleet_.AddEngine(engines_.back().get());
-  }
-  if (obs::Enabled()) {
-    sampler_ = obs::EventCostSampler(
-        obs::MetricsRegistry::Default().GetHistogram("xaos_engine_event_ns"));
-    sample_events_ = true;
-  }
-  gate_.SetSpec(options.capture_output_subtrees
-                    ? query::ProjectionSpec::KeepAll(
-                          "subtree capture needs every event")
-                    : query::ProjectionSpec::Analyze(*trees_));
-}
-
-void StreamingEvaluator::StartDocument() {
-  abort_status_ = Status::Ok();
-  if (obs::Enabled() || obs::flight::Active()) {
-    ++doc_ordinal_;
-    doc_begin_ns_ = obs::NowNs();
-  }
-  // Before the engines reset: their Root structures count as this
-  // document's traffic.
-  arena_baseline_ = arena_.bytes_allocated();
-  fleet_.StartDocument();
-}
-
-void StreamingEvaluator::EndDocument() {
-  fleet_.EndDocument();
-  if (obs::Enabled() || obs::flight::Active()) {
-    RecordDocumentBoundary(obs::Enabled() ? registry_ : nullptr,
-                           AggregateStats(), doc_ordinal_, doc_begin_ns_,
-                           obs::NowNs(), engines_.size());
-  }
-}
-
-void StreamingEvaluator::AbortDocument(const Status& cause) {
-  abort_status_ =
-      cause.ok() ? InternalError("document aborted without a cause") : cause;
-  fleet_.AbortDocument();
-}
-
-void StreamingEvaluator::StartElement(const xml::QName& name,
-                                      xml::AttributeSpan attributes) {
-  TimedDispatch([&] { fleet_.StartElement(name, attributes); });
-}
-
-void StreamingEvaluator::EndElement(std::string_view name) {
-  TimedDispatch([&] { fleet_.EndElement(name); });
-}
-
-void StreamingEvaluator::Characters(std::string_view text) {
-  fleet_.Characters(text);
-}
-
-void StreamingEvaluator::SkippedSubtree(const xml::SkipReport& report) {
-  fleet_.SkipSubtree(report);
-}
-
-void StreamingEvaluator::ReplayBatch(
-    const xml::EventBatch& batch,
-    std::vector<xml::AttributeView>* attr_scratch) {
-  ReplayBatchImpl(this, &fleet_, batch, attr_scratch, doc_ordinal_);
-}
-
-bool StreamingEvaluator::MatchConfirmed() const {
-  for (const auto& engine : engines_) {
-    if (engine->match_confirmed()) return true;
-  }
-  return false;
-}
-
-Status StreamingEvaluator::status() const {
-  if (!abort_status_.ok()) return abort_status_;
-  return FirstError(engines_);
-}
-
-QueryResult StreamingEvaluator::Result() const {
-  return MergeResults(engines_, 0, engines_.size());
-}
-
-EngineStats StreamingEvaluator::AggregateStats() const {
-  return SumStats(engines_, arena_, arena_baseline_);
-}
-
-void StreamingEvaluator::ExportMetrics(obs::MetricsRegistry* registry) const {
-  AggregateStats().ToMetrics(registry);
-}
-
 MultiQueryEvaluator::MultiQueryEvaluator(EngineOptions options)
     : options_(options),
       // Subtree capture and live-structure limits are per-engine semantics
@@ -289,13 +116,7 @@ MultiQueryEvaluator::MultiQueryEvaluator(EngineOptions options)
       // per-engine path wholesale.
       shared_enabled_(options.enable_shared_index &&
                       !options.capture_output_subtrees &&
-                      options.max_live_structures == 0) {
-  if (obs::Enabled()) {
-    sampler_ = obs::EventCostSampler(
-        obs::MetricsRegistry::Default().GetHistogram("xaos_engine_event_ns"));
-    sample_events_ = true;
-  }
-}
+                      options.max_live_structures == 0) {}
 
 size_t MultiQueryEvaluator::AddQuery(const Query& query,
                                      std::string_view label) {
@@ -363,6 +184,8 @@ void MultiQueryEvaluator::StartDocument() {
   }
   EnsureSharedIndex();
   live_queries_ = queries_.size();
+  // Before the engines reset: their Root structures count as this
+  // document's traffic.
   arena_baseline_ = arena_.bytes_allocated();
   fleet_.StartDocument();
 }
@@ -429,6 +252,7 @@ void MultiQueryEvaluator::ExportSharedMetrics(
 
 void MultiQueryEvaluator::FinishDocumentObservability() {
   const uint64_t end_ns = obs::NowNs();
+  const EngineStats stats = AggregateStats();
   if (obs::Enabled()) {
     obs::MetricsRegistry& registry = metrics_registry();
     ExportSharedMetrics(&registry);
@@ -450,10 +274,28 @@ void MultiQueryEvaluator::FinishDocumentObservability() {
                                    ? confirm - doc_begin_ns_
                                    : latency);
     }
+    registry.GetGauge("xaos_buffered_candidates_peak")
+        ->SetMax(static_cast<int64_t>(stats.structures_live_peak));
+    registry.GetGauge("xaos_arena_bytes_peak")
+        ->SetMax(static_cast<int64_t>(stats.structure_memory.peak_bytes));
   }
-  RecordDocumentBoundary(obs::Enabled() ? &metrics_registry() : nullptr,
-                         AggregateStats(), doc_ordinal_, doc_begin_ns_, end_ns,
-                         engines_.size());
+  if (obs::flight::Active()) {
+    obs::flight::Span span;
+    span.kind = obs::flight::SpanKind::kDocument;
+    span.begin_ns = doc_begin_ns_ != 0 ? doc_begin_ns_ : end_ns;
+    span.end_ns = end_ns;
+    span.doc = doc_ordinal_;
+    span.value = static_cast<int64_t>(engines_.size());
+    obs::flight::Emit(span);
+    obs::flight::Span sample;
+    sample.kind = obs::flight::SpanKind::kCounter;
+    sample.begin_ns = end_ns;
+    sample.end_ns = end_ns;
+    sample.doc = doc_ordinal_;
+    sample.value = static_cast<int64_t>(stats.structures_live_peak);
+    sample.value2 = static_cast<int64_t>(stats.structure_memory.peak_bytes);
+    obs::flight::Emit(sample);
+  }
 }
 
 void MultiQueryEvaluator::AbortDocument(const Status& cause) {
@@ -464,11 +306,11 @@ void MultiQueryEvaluator::AbortDocument(const Status& cause) {
 
 void MultiQueryEvaluator::StartElement(const xml::QName& name,
                                        xml::AttributeSpan attributes) {
-  TimedDispatch([&] { fleet_.StartElement(name, attributes); });
+  fleet_.StartElement(name, attributes);
 }
 
 void MultiQueryEvaluator::EndElement(std::string_view name) {
-  TimedDispatch([&] { fleet_.EndElement(name); });
+  fleet_.EndElement(name);
 }
 
 void MultiQueryEvaluator::Characters(std::string_view text) {
@@ -479,13 +321,61 @@ void MultiQueryEvaluator::SkippedSubtree(const xml::SkipReport& report) {
   fleet_.SkipSubtree(report);
 }
 
+// Document-boundary events go through the virtual handlers (they carry
+// per-document setup/teardown); maximal interior runs go through the
+// non-virtual ReplayRun loop. One kReplay flight span covers the whole
+// batch, and the batch counts into xaos_dispatch_batches_total.
 void MultiQueryEvaluator::ReplayBatch(
     const xml::EventBatch& batch,
     std::vector<xml::AttributeView>* attr_scratch) {
-  ReplayBatchImpl(this, &fleet_, batch, attr_scratch, doc_ordinal_);
+  const std::vector<xml::BatchedEvent>& events = batch.events();
+  obs::flight::ScopedSpan replay_span(obs::flight::SpanKind::kReplay);
+  if (replay_span.active()) {
+    replay_span.span()->batch = batch.sequence();
+    // A batch opening a document belongs to the document it opens.
+    uint64_t doc = doc_ordinal_;
+    if (!events.empty() &&
+        events.front().kind == xml::BatchedEvent::Kind::kStartDocument) {
+      ++doc;
+    }
+    replay_span.span()->doc = doc;
+    replay_span.span()->value = static_cast<int64_t>(batch.event_count());
+  }
+  const size_t n = events.size();
+  size_t i = 0;
+  while (i < n) {
+    const xml::BatchedEvent::Kind kind = events[i].kind;
+    if (kind == xml::BatchedEvent::Kind::kStartDocument) {
+      StartDocument();
+      ++i;
+      continue;
+    }
+    if (kind == xml::BatchedEvent::Kind::kEndDocument) {
+      EndDocument();
+      ++i;
+      continue;
+    }
+    size_t j = i + 1;
+    while (j < n &&
+           events[j].kind != xml::BatchedEvent::Kind::kStartDocument &&
+           events[j].kind != xml::BatchedEvent::Kind::kEndDocument) {
+      ++j;
+    }
+    fleet_.ReplayRun(batch, i, j, attr_scratch);
+    i = j;
+  }
+  if (obs::Enabled()) {
+    static obs::Counter* batches = obs::MetricsRegistry::Default().GetCounter(
+        "xaos_dispatch_batches_total");
+    batches->Increment();
+  }
 }
 
 xml::ProjectionFilter* MultiQueryEvaluator::projection_filter() {
+  return projection_spec().keep_all ? nullptr : &gate_;
+}
+
+const query::ProjectionSpec& MultiQueryEvaluator::projection_spec() const {
   if (gate_built_for_ != queries_.size()) {
     gate_built_for_ = queries_.size();
     if (options_.capture_output_subtrees) {
@@ -505,7 +395,7 @@ xml::ProjectionFilter* MultiQueryEvaluator::projection_filter() {
       gate_.SetSpec(std::move(spec));
     }
   }
-  return gate_.spec().keep_all ? nullptr : &gate_;
+  return gate_.spec();
 }
 
 Status MultiQueryEvaluator::status() const {
@@ -579,6 +469,12 @@ EngineStats MultiQueryEvaluator::AggregateStats() const {
 void MultiQueryEvaluator::ExportMetrics(obs::MetricsRegistry* registry) const {
   AggregateStats().ToMetrics(registry);
   ExportSharedMetrics(registry);
+}
+
+StreamingEvaluator::StreamingEvaluator(const Query& query,
+                                       EngineOptions options)
+    : MultiQueryEvaluator(WithoutSharedIndex(options)) {
+  AddQuery(query);
 }
 
 StatusOr<QueryResult> EvaluateStreaming(std::string_view xpath,

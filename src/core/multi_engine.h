@@ -1,8 +1,9 @@
 // Top-level query API: compile an XPath expression (possibly containing
-// `or` / `|`) into a set of x-trees and evaluate them together over a
-// single event stream, unioning the results (paper Section 5.2) — plus the
-// multi-query evaluator that runs many independent subscriptions over one
-// stream through the label-indexed dispatch fleet (engine_fleet.h).
+// `or` / `|`) into a set of x-trees, and the one evaluator that runs any
+// number of such queries ("subscriptions") over a single event stream
+// through the label-indexed dispatch fleet (engine_fleet.h), unioning each
+// query's disjuncts (paper Section 5.2). StreamingEvaluator is that
+// evaluator holding exactly one query.
 
 #ifndef XAOS_CORE_MULTI_ENGINE_H_
 #define XAOS_CORE_MULTI_ENGINE_H_
@@ -19,7 +20,7 @@
 #include "core/shared_index.h"
 #include "core/xaos_engine.h"
 #include "dom/document.h"
-#include "obs/timer.h"
+#include "obs/metrics.h"
 #include "query/projection.h"
 #include "query/xtree.h"
 #include "util/pool_arena.h"
@@ -51,112 +52,7 @@ class Query {
   // Query object's lifetime.
   std::shared_ptr<const std::vector<query::XTree>> trees_;
 
-  friend class StreamingEvaluator;
   friend class MultiQueryEvaluator;
-};
-
-// Evaluates a compiled query over one document at a time. The evaluator is
-// itself a ContentHandler: feed it parser or replayer events; one XaosEngine
-// runs per disjunct, dispatched through an EngineFleet (shared document
-// cursor + label index). Reusable: each StartDocument resets all engines.
-class StreamingEvaluator : public xml::ContentHandler {
- public:
-  explicit StreamingEvaluator(const Query& query, EngineOptions options = {});
-
-  void StartDocument() override;
-  void EndDocument() override;
-  void StartElement(const xml::QName& name,
-                    xml::AttributeSpan attributes) override;
-  void EndElement(std::string_view name) override;
-  void Characters(std::string_view text) override;
-  void SkippedSubtree(const xml::SkipReport& report) override;
-
-  // Batched dispatch: replays a whole captured EventBatch, handling any
-  // document-boundary events the batch contains; interior runs go through
-  // EngineFleet::ReplayRun, the replay the ContentHandler callbacks run as
-  // one-event runs. `attr_scratch` is per-caller reusable attribute-view
-  // storage.
-  void ReplayBatch(const xml::EventBatch& batch,
-                   std::vector<xml::AttributeView>* attr_scratch);
-
-  // True when any engine reads character data or end-element names; false
-  // lets a batching producer skip copying those payloads (lean capture).
-  bool wants_text_events() { return fleet_.wants_text_events(); }
-  // Capture-time element elision (EngineFleet::element_interest): the
-  // element names worth a record, or nullptr when elision is off.
-  const xml::ElementInterest* element_interest() {
-    return fleet_.element_interest();
-  }
-  const char* elision_off_reason() { return fleet_.elision_off_reason(); }
-
-  // Document-projection filter derived from the query's x-dags at
-  // construction, for installation into xml::ParserOptions. The returned
-  // pointer stays valid for the evaluator's lifetime; the parser resets
-  // its per-document state at each document start. Returns nullptr when
-  // analysis degraded to keep-all — no subtree could ever be skipped, so
-  // callers install no filter and the parser pays zero per-tag overhead.
-  xml::ProjectionFilter* projection_filter() {
-    return gate_.spec().keep_all ? nullptr : &gate_;
-  }
-  const query::ProjectionSpec& projection_spec() const { return gate_.spec(); }
-
-  // Abandons the current document after a mid-stream producer failure
-  // (parse error, limit rejection, I/O error). `cause` is what status()
-  // reports until the next StartDocument; the evaluator stays reusable
-  // for further documents.
-  void AbortDocument(const Status& cause);
-
-  // The abort cause of an abandoned document, else the first engine error.
-  Status status() const;
-  // True as soon as any disjunct's match is guaranteed (usable mid-stream;
-  // see XaosEngine::match_confirmed).
-  bool MatchConfirmed() const;
-  // Union of the disjuncts' results (document order, deduplicated). Valid
-  // after EndDocument.
-  QueryResult Result() const;
-  // Sum of the per-engine statistics; the arena figures are the
-  // evaluator's shared arena (this document's traffic, its footprint).
-  EngineStats AggregateStats() const;
-  // Folds AggregateStats() into `registry` (see EngineStats::ToMetrics).
-  void ExportMetrics(obs::MetricsRegistry* registry) const;
-  // Engine deliveries the dispatch index suppressed (cumulative).
-  uint64_t engines_skipped() const { return fleet_.engines_skipped(); }
-
-  const std::vector<std::unique_ptr<XaosEngine>>& engines() const {
-    return engines_;
-  }
-
- private:
-  // Runs one event dispatch, charging a sampled subset of events to the
-  // default registry's `xaos_engine_event_ns` histogram.
-  template <typename Fn>
-  void TimedDispatch(Fn&& fn) {
-    if (sample_events_ && sampler_.ShouldSample()) {
-      uint64_t start = obs::NowNs();
-      fn();
-      sampler_.RecordNs(obs::NowNs() - start);
-      return;
-    }
-    fn();
-  }
-
-  std::shared_ptr<const std::vector<query::XTree>> trees_;
-  // The one matching arena every engine allocates from; declared before
-  // engines_ so it outlives them.
-  util::PoolArena arena_;
-  uint64_t arena_baseline_ = 0;  // arena_.bytes_allocated() at StartDocument
-  std::vector<std::unique_ptr<XaosEngine>> engines_;
-  EngineFleet fleet_;
-  query::ProjectionGate gate_;
-  obs::MetricsRegistry* registry_ = nullptr;  // EngineOptions::metrics_registry
-  Status abort_status_;  // non-OK while the last document was abandoned
-  // Per-event cost sampling into the default registry's
-  // `xaos_engine_event_ns` histogram; armed at construction when obs is
-  // enabled, otherwise a single dead branch per event.
-  bool sample_events_ = false;
-  obs::EventCostSampler sampler_{nullptr};
-  uint64_t doc_ordinal_ = 0;   // documents started (flight attribution)
-  uint64_t doc_begin_ns_ = 0;  // StartDocument timestamp when observing
 };
 
 // Evaluates many compiled queries ("subscriptions") over one event stream
@@ -172,6 +68,10 @@ class StreamingEvaluator : public xml::ContentHandler {
 //     shared backend, selected by EngineOptions::enable_shared_index);
 //   * alias:   a byte-identical repeat of an earlier expression adds no
 //     matching state at all — verdicts fan out from the first copy.
+//
+// The evaluator is itself a ContentHandler: feed it parser or replayer
+// events, or whole captured batches through ReplayBatch. Reusable: each
+// StartDocument resets all engines and the shared matcher.
 class MultiQueryEvaluator : public xml::ContentHandler {
  public:
   explicit MultiQueryEvaluator(EngineOptions options = {});
@@ -197,8 +97,11 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   void Characters(std::string_view text) override;
   void SkippedSubtree(const xml::SkipReport& report) override;
 
-  // Batched dispatch: replays a whole captured EventBatch; see
-  // StreamingEvaluator::ReplayBatch.
+  // Batched dispatch: replays a whole captured EventBatch, handling any
+  // document-boundary events the batch contains; interior runs go through
+  // EngineFleet::ReplayRun, the replay the ContentHandler callbacks run as
+  // one-event runs. `attr_scratch` is per-caller reusable attribute-view
+  // storage.
   void ReplayBatch(const xml::EventBatch& batch,
                    std::vector<xml::AttributeView>* attr_scratch);
 
@@ -207,9 +110,11 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   // The shared automaton never consumes text (shareable queries carry no
   // predicates or captures), so only per-engine subscriptions count.
   bool wants_text_events() { return fleet_.wants_text_events(); }
-  // Capture-time element elision; see StreamingEvaluator. Builds the shared
-  // index first: an attached shared matcher turns elision off, and the
-  // interest must reflect it before the document's first event is captured.
+  // Capture-time element elision (EngineFleet::element_interest): the
+  // element names worth a record, or nullptr when elision is off. Builds
+  // the shared index first: an attached shared matcher turns elision off,
+  // and the interest must reflect it before the document's first event is
+  // captured.
   const xml::ElementInterest* element_interest() {
     EnsureSharedIndex();
     return fleet_.element_interest();
@@ -219,16 +124,22 @@ class MultiQueryEvaluator : public xml::ContentHandler {
     return fleet_.elision_off_reason();
   }
 
-  // Document-projection filter covering the union of all subscriptions
-  // added so far (rebuilt lazily when queries were added since the last
-  // call). Install via xml::ParserOptions::projection_filter; valid for the
-  // evaluator's lifetime. Returns nullptr when the union degraded to
-  // keep-all, so callers skip the per-tag filter overhead entirely.
+  // Document-projection filter derived from the x-dags of every
+  // subscription added so far, for installation into
+  // xml::ParserOptions::projection_filter. The returned pointer stays valid
+  // for the evaluator's lifetime; the parser resets its per-document state
+  // at each document start. Returns nullptr when the union degraded to
+  // keep-all — no subtree could ever be skipped, so callers install no
+  // filter and the parser pays zero per-tag overhead.
   xml::ProjectionFilter* projection_filter();
-  const query::ProjectionSpec& projection_spec() const { return gate_.spec(); }
+  // The spec behind projection_filter(). Both accessors share one lazy
+  // rebuild, run when queries were added since the last one.
+  const query::ProjectionSpec& projection_spec() const;
 
-  // Abandons the current document after a mid-stream producer failure; see
-  // StreamingEvaluator::AbortDocument. The evaluator stays reusable.
+  // Abandons the current document after a mid-stream producer failure
+  // (parse error, limit rejection, I/O error). `cause` is what status()
+  // reports until the next StartDocument; the evaluator stays reusable
+  // for further documents.
   void AbortDocument(const Status& cause);
 
   // The abort cause of an abandoned document, else the first engine error.
@@ -248,9 +159,15 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   // Sum of all engines' statistics; the arena figures are the evaluator's
   // shared arena (this document's traffic, its footprint).
   EngineStats AggregateStats() const;
+  // Folds AggregateStats() (see EngineStats::ToMetrics) and the shared
+  // index's gauges into `registry`.
   void ExportMetrics(obs::MetricsRegistry* registry) const;
+  // Engine deliveries the dispatch index suppressed (cumulative).
   uint64_t engines_skipped() const { return fleet_.engines_skipped(); }
   size_t engine_count() const { return engines_.size(); }
+  const std::vector<std::unique_ptr<XaosEngine>>& engines() const {
+    return engines_;
+  }
   // The per-engine dispatch fleet (introspection: tests, benches).
   const EngineFleet& fleet() const { return fleet_; }
 
@@ -293,9 +210,10 @@ class MultiQueryEvaluator : public xml::ContentHandler {
 
   // The registry latency/high-water series report into.
   obs::MetricsRegistry& metrics_registry() const;
-  // Once per document with obs enabled: O(queries + engines) fold of match
-  // latency, time-to-first-match and buffered-candidate/arena high-water
-  // marks, plus the flight recorder's document span.
+  // Once per document with obs or the flight recorder on: O(queries +
+  // engines) fold of match latency, time-to-first-match and
+  // buffered-candidate/arena high-water marks, plus the flight recorder's
+  // document span and a counter sample at its boundary.
   void FinishDocumentObservability();
   // Whether live query `q` matched this document and when the match was
   // first confirmed (0 = unknown). Unlike Matched, an engine-backed query
@@ -312,17 +230,6 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   // Folds shared-index gauges and the dispatch-work-saved counter into
   // `registry`.
   void ExportSharedMetrics(obs::MetricsRegistry* registry) const;
-
-  template <typename Fn>
-  void TimedDispatch(Fn&& fn) {
-    if (sample_events_ && sampler_.ShouldSample()) {
-      uint64_t start = obs::NowNs();
-      fn();
-      sampler_.RecordNs(obs::NowNs() - start);
-      return;
-    }
-    fn();
-  }
 
   EngineOptions options_;
   std::vector<QuerySlot> queries_;
@@ -354,13 +261,28 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   std::unordered_map<std::string, size_t> by_expression_;
   // Last exported cumulative dispatch-saved value (counter delta base).
   mutable uint64_t dispatch_saved_exported_ = 0;
-  query::ProjectionGate gate_;
-  size_t gate_built_for_ = 0;  // query count the gate's spec unions over
+  // Rebuilt lazily, also through the const projection_spec().
+  mutable query::ProjectionGate gate_;
+  mutable size_t gate_built_for_ = 0;  // query count the spec unions over
   Status abort_status_;  // non-OK while the last document was abandoned
-  bool sample_events_ = false;
-  obs::EventCostSampler sampler_{nullptr};
   uint64_t doc_ordinal_ = 0;   // documents started (flight attribution)
   uint64_t doc_begin_ns_ = 0;  // StartDocument timestamp when observing
+};
+
+// Evaluates one compiled query: a MultiQueryEvaluator holding exactly that
+// query, one XaosEngine per disjunct. The shared automaton is forced off:
+// for one subscription it saves nothing and would turn capture-time
+// elision off.
+class StreamingEvaluator : public MultiQueryEvaluator {
+ public:
+  explicit StreamingEvaluator(const Query& query, EngineOptions options = {});
+
+  // True as soon as any disjunct's match is guaranteed (usable mid-stream;
+  // see XaosEngine::match_confirmed).
+  bool MatchConfirmed() const { return MultiQueryEvaluator::MatchConfirmed(0); }
+  // Union of the disjuncts' results (document order, deduplicated). Valid
+  // after EndDocument.
+  QueryResult Result() const { return MultiQueryEvaluator::Result(0); }
 };
 
 // One-shot convenience: parse `xml_text` and evaluate `xpath` over it in a

@@ -89,9 +89,10 @@ struct EngineOptions {
   // automaton instead of one engine each; per-event cost then scales with
   // distinct query structure, not subscription count. Results are identical
   // either way — disabling selects the per-engine path everywhere, which
-  // the differential tests use as the oracle. Ignored by single-query
-  // evaluators; automatically off when capture_output_subtrees or
-  // max_live_structures demand exact per-engine semantics.
+  // the differential tests use as the oracle. StreamingEvaluator forces it
+  // off (one query shares nothing); automatically off when
+  // capture_output_subtrees or max_live_structures demand exact per-engine
+  // semantics.
   bool enable_shared_index = true;
 
   // Registry the evaluators report per-subscription latency and high-water

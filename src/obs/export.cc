@@ -71,8 +71,6 @@ std::string_view MetricHelpText(std::string_view base) {
        "Bytes run through the structural scanner's block classifier."},
       {"xaos_scanner_backend",
        "Active structural-scanner backend (1 for the selected kernel)."},
-      {"xaos_engine_event_ns",
-       "Sampled per-event dispatch latency in nanoseconds."},
       {"xaos_engine_elements_total", "Elements dispatched to engines."},
       {"xaos_engine_elements_discarded_total",
        "Elements discarded by label-index dispatch before any engine."},

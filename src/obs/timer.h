@@ -1,6 +1,6 @@
 // Wall-clock instrumentation: phase accounting for the three pipeline
-// phases of the paper's evaluation (parse, query-compile, match), RAII
-// scope timing, and cheap per-event cost sampling.
+// phases of the paper's evaluation (parse, query-compile, match) and RAII
+// scope timing.
 
 #ifndef XAOS_OBS_TIMER_H_
 #define XAOS_OBS_TIMER_H_
@@ -72,30 +72,6 @@ class ScopedTimer {
   PhaseTimers* timers_ = nullptr;
   Phase phase_ = Phase::kParse;
   uint64_t start_;
-};
-
-// Samples the cost of every `period`-th event into a histogram, so hot
-// loops pay two clock reads only on sampled events and a decrement
-// otherwise. Null sink disables the sampler entirely.
-class EventCostSampler {
- public:
-  explicit EventCostSampler(Histogram* sink, uint32_t period = 64)
-      : sink_(sink), period_(period == 0 ? 1 : period), countdown_(1) {}
-
-  // True when the upcoming event should be measured; the caller brackets it
-  // with NowNs() and calls RecordNs.
-  bool ShouldSample() {
-    if (sink_ == nullptr) return false;
-    if (--countdown_ != 0) return false;
-    countdown_ = period_;
-    return true;
-  }
-  void RecordNs(uint64_t ns) { sink_->Record(ns); }
-
- private:
-  Histogram* sink_;
-  uint32_t period_;
-  uint32_t countdown_;
 };
 
 }  // namespace xaos::obs

@@ -5,12 +5,15 @@
 // observability counters.
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "baseline/brute_force_matcher.h"
 #include "baseline/compare.h"
 #include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
+#include "dom/dom_builder.h"
 #include "gen/random_workload.h"
 #include "gtest/gtest.h"
 #include "obs/export.h"
@@ -125,6 +128,64 @@ TEST(MultiQueryEvaluatorTest, ReuseAcrossDocuments) {
   EXPECT_TRUE(multi.Matched(q));
   ASSERT_TRUE(xml::ParseString("<a><b/><c/></a>", &multi).ok());
   EXPECT_FALSE(multi.Matched(q));
+}
+
+// --- the one-query evaluator ------------------------------------------------
+
+// StreamingEvaluator is a MultiQueryEvaluator holding one query with the
+// shared automaton forced off: a shareable chain stays engine-backed, so
+// capture-time elision stays on.
+TEST(StreamingEvaluatorTest, NeverRoutesThroughTheSharedAutomaton) {
+  StatusOr<core::Query> query = core::Query::Compile("//a/b");
+  ASSERT_TRUE(query.ok());
+  core::StreamingEvaluator evaluator(*query);
+  EXPECT_EQ(evaluator.query_count(), 1u);
+  EXPECT_EQ(evaluator.shared_subscription_count(), 0u);
+  EXPECT_EQ(evaluator.elision_off_reason(), nullptr);
+  EXPECT_NE(evaluator.element_interest(), nullptr);
+  EXPECT_EQ(evaluator.engines().size(), 1u);
+
+  // Control: the same query in a default pool goes to the automaton, which
+  // turns elision off.
+  core::MultiQueryEvaluator multi;
+  multi.AddQuery(*query);
+  EXPECT_EQ(multi.shared_subscription_count(), 1u);
+  EXPECT_NE(multi.elision_off_reason(), nullptr);
+}
+
+// An `or` query runs one engine per disjunct; a node both disjuncts select
+// appears once. Direct and batched feeding both equal the brute-force union.
+TEST(StreamingEvaluatorTest, OrUnionEqualsBruteForce) {
+  const std::string xml =
+      "<r><a><b/><c/></a><a><b/></a><a><c/></a><a><d/></a>"
+      "<b><a><c/><b/></a></b></r>";
+  StatusOr<core::Query> query = core::Query::Compile("//a[b or c]");
+  ASSERT_TRUE(query.ok());
+  ASSERT_EQ(query->trees().size(), 2u);
+
+  StatusOr<dom::Document> doc = dom::ParseToDocument(xml);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  std::set<CanonicalItem> expected;
+  for (const query::XTree& tree : query->trees()) {
+    baseline::BruteForceOutcome outcome = baseline::BruteForceMatch(*doc, tree);
+    ASSERT_TRUE(outcome.complete && outcome.matched);
+    expected.insert(outcome.items.begin(), outcome.items.end());
+  }
+  // Four `a`s match, two of them through both disjuncts.
+  ASSERT_EQ(expected.size(), 4u);
+
+  core::StreamingEvaluator direct(*query);
+  ASSERT_TRUE(xml::ParseString(xml, &direct).ok());
+  core::StreamingEvaluator batched(*query);
+  core::BatchedDispatcher dispatcher(&batched);
+  ASSERT_TRUE(xml::ParseString(xml, &dispatcher).ok());
+  for (const core::StreamingEvaluator* evaluator : {&direct, &batched}) {
+    ASSERT_TRUE(evaluator->status().ok()) << evaluator->status();
+    EXPECT_TRUE(evaluator->Result().matched);
+    EXPECT_TRUE(evaluator->MatchConfirmed());
+    EXPECT_EQ(baseline::CanonicalFromResult(evaluator->Result()),
+              std::vector<CanonicalItem>(expected.begin(), expected.end()));
+  }
 }
 
 // --- names outside the query vocabulary ------------------------------------

@@ -307,23 +307,6 @@ TEST(TimerTest, ScopedTimerRecordsIntoHistogram) {
   EXPECT_EQ(histogram.Count(), 1u);
 }
 
-TEST(TimerTest, EventCostSamplerPeriod) {
-  Histogram histogram;
-  EventCostSampler sampler(&histogram, /*period=*/3);
-  int sampled = 0;
-  for (int i = 0; i < 9; ++i) {
-    if (sampler.ShouldSample()) {
-      sampler.RecordNs(1);
-      ++sampled;
-    }
-  }
-  EXPECT_EQ(sampled, 3);
-  EXPECT_EQ(histogram.Count(), 3u);
-
-  EventCostSampler disabled(nullptr);
-  EXPECT_FALSE(disabled.ShouldSample());
-}
-
 TEST(MemoryTest, AccountantTracksPeak) {
   MemoryAccountant accountant;
   accountant.Add(100);

@@ -298,6 +298,44 @@ TEST(ProjectionMultiQueryTest, MatchesUnprojectedEvaluator) {
   }
 }
 
+// projection_spec() runs the same lazy rebuild as projection_filter(), so
+// right after AddQuery, read through a const evaluator, it already equals
+// the spec projection_filter() installs: keep-all for a subtree-capture
+// pool, the rooted levels (shared-automaton and engine-backed queries) for
+// a rooted pool.
+TEST(ProjectionMultiQueryTest, SpecCurrentBeforeFilterIsRequested) {
+  auto chain = core::Query::Compile("/site/catgraph/edge");
+  auto predicate = core::Query::Compile("/site/people/person[@id]");
+  ASSERT_TRUE(chain.ok() && predicate.ok());
+  for (const bool subtrees : {true, false}) {
+    core::EngineOptions options;
+    options.capture_output_subtrees = subtrees;
+    core::MultiQueryEvaluator spec_only(options);
+    core::MultiQueryEvaluator with_filter(options);
+    for (core::MultiQueryEvaluator* e : {&spec_only, &with_filter}) {
+      e->AddQuery(*chain);
+      e->AddQuery(*predicate);
+    }
+    const core::MultiQueryEvaluator& view = spec_only;
+    const query::ProjectionSpec& spec = view.projection_spec();
+    xml::ProjectionFilter* filter = with_filter.projection_filter();
+    const query::ProjectionSpec& installed = with_filter.projection_spec();
+
+    EXPECT_EQ(spec.keep_all, subtrees);
+    EXPECT_EQ(spec.keep_all_reason, installed.keep_all_reason);
+    EXPECT_EQ(spec.levels.size(), installed.levels.size());
+    EXPECT_EQ(spec.ToString(), installed.ToString());
+    if (subtrees) {
+      EXPECT_EQ(filter, nullptr);
+    } else {
+      ASSERT_NE(filter, nullptr);
+      EXPECT_EQ(spec.ToString(),
+                static_cast<query::ProjectionGate*>(filter)->spec().ToString());
+      EXPECT_EQ(spec.levels.size(), 3u);
+    }
+  }
+}
+
 TEST(ProjectionMultiQueryTest, ZeroQueriesSkipsEverything) {
   // An empty union is keep-nothing: the whole document (even the root) is
   // skipped, and the parse still succeeds.
