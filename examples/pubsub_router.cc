@@ -146,8 +146,7 @@ int main(int argc, char** argv) {
     queries.push_back(std::move(*query));
   }
   // The sequential stack: one evaluator fed through batched dispatch. Each
-  // router worker builds the same stack from the same queries, so this one
-  // also answers for the projection spec they all derive.
+  // router worker builds the same stack from the same queries.
   xaos::core::MultiQueryEvaluator evaluator(engine_options);
   for (size_t q = 0; q < queries.size(); ++q) {
     // The subscription name labels the latency series
@@ -155,10 +154,12 @@ int main(int argc, char** argv) {
     evaluator.AddQuery(queries[q], subscriptions[q].name);
   }
   xaos::core::BatchedDispatcher dispatcher(&evaluator);
-  if (!no_projection) {
+  // With "//"-anchored subscriptions in the pool the union degrades to
+  // keep-all; the "projection:" line makes that visible. The query set is
+  // analysed once in either mode (the router's workers share one analysis),
+  // so xaos_projection_disabled_total reads the same.
+  if (!no_projection && threads == 0) {
     parser_options.projection_filter = evaluator.projection_filter();
-    // With "//"-anchored subscriptions in the pool the union degrades to
-    // keep-all; the line below makes that visible.
     std::cout << "projection: " << evaluator.projection_spec().ToString()
               << "\n";
   }
@@ -222,6 +223,8 @@ int main(int argc, char** argv) {
     for (size_t q = 0; q < queries.size(); ++q) {
       router->AddQuery(queries[q], subscriptions[q].name);
     }
+    std::cout << "projection: " << router->projection_spec().ToString()
+              << "\n";
     std::cout << "routing with " << router->worker_count()
               << " worker threads\n";
     for (size_t i = 0; i < documents.size(); ++i) {

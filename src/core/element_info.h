@@ -1,8 +1,10 @@
-// Lightweight descriptors of document nodes retained by the engine.
+// Descriptors of document nodes: the position an event source assigns a
+// node, and the ElementInfo an output item reports.
 //
 // χαoς stores information only for the (few) document nodes that are
-// relevant to the query (paper Section 6.1, Table 3), so these records are
-// kept per matching-structure rather than per document node.
+// relevant to the query (paper Section 6.1, Table 3): each matching
+// structure keeps a compact NodeRecord (core/matching_structure.h), and an
+// ElementInfo is built from it only when the node becomes an output item.
 
 #ifndef XAOS_CORE_ELEMENT_INFO_H_
 #define XAOS_CORE_ELEMENT_INFO_H_

@@ -241,7 +241,8 @@ void EngineFleet::Replay(const Source& source, uint32_t begin, uint32_t end) {
         delivered_stack_[depth_] = delivered_scratch_;  // reuses capacity
         ++depth_;
         if (!delivered_scratch_.empty()) {
-          RecordDeliveries(source, e, node, delivered_scratch_);
+          RecordDeliveries(source, Kind::kStartElement, e, node,
+                           delivered_scratch_);
         }
         break;
       }
@@ -250,7 +251,8 @@ void EngineFleet::Replay(const Source& source, uint32_t begin, uint32_t end) {
         --depth_;
         const std::vector<int>& targets = delivered_stack_[depth_];
         if (!targets.empty()) {
-          RecordDeliveries(source, e, NodePosition{}, targets);
+          RecordDeliveries(source, Kind::kEndElement, e, NodePosition{},
+                           targets);
         }
         if (matcher_ != nullptr) matcher_->EndElement();
         cursor_.EndElement();
@@ -259,7 +261,8 @@ void EngineFleet::Replay(const Source& source, uint32_t begin, uint32_t end) {
       case Kind::kCharacters:
         cursor_.Characters();
         if (!text_engines_.empty()) {
-          RecordDeliveries(source, e, cursor_.text_node(), text_engines_);
+          RecordDeliveries(source, Kind::kCharacters, e, cursor_.text_node(),
+                           text_engines_);
         }
         break;
       case Kind::kElidedStart:
@@ -287,13 +290,13 @@ void EngineFleet::Replay(const Source& source, uint32_t begin, uint32_t end) {
 }
 
 template <typename Source>
-void EngineFleet::RecordDeliveries(const Source& source, uint32_t event,
-                                   const NodePosition& node,
+void EngineFleet::RecordDeliveries(const Source& source, Kind kind,
+                                   uint32_t event, const NodePosition& node,
                                    const std::vector<int>& targets) {
   if (engines_.size() == 1) {
     // Engine-major and event-major order coincide for a single engine: it
     // is fed at once and the run records nothing.
-    DeliverEvent(engines_[0], source, event, node);
+    DeliverEvent(engines_[0], source, kind, event, node);
     return;
   }
   if (!run_records_.empty() &&
@@ -301,7 +304,7 @@ void EngineFleet::RecordDeliveries(const Source& source, uint32_t event,
     FlushRun(source);
   }
   run_records_.push_back(
-      RunRecord{event, static_cast<uint32_t>(run_engines_.size()), node});
+      RunRecord{event, static_cast<uint32_t>(run_engines_.size()), node, kind});
   for (int target : targets) {
     const uint32_t idx = static_cast<uint32_t>(target);
     if (run_count_[idx]++ == 0) run_touched_.push_back(idx);
@@ -356,20 +359,19 @@ void EngineFleet::FeedEngine(const Source& source, uint32_t idx,
   if (buffer_early_items) engine->set_early_item_buffer(&early_items_);
   for (uint32_t q = begin; q < end; ++q) {
     const RunRecord& record = run_records_[run_order_[q]];
-    if (source.kind(record.event) == Kind::kStartElement && engine->inert()) {
+    if (record.kind == Kind::kStartElement && engine->inert()) {
       // Per-event delivery would have skipped this start and every later
       // one of the run (inertness is monotone within a document).
       uint64_t skipped = 0;
       for (uint32_t rest = q; rest < end; ++rest) {
-        if (source.kind(run_records_[run_order_[rest]].event) ==
-            Kind::kStartElement) {
+        if (run_records_[run_order_[rest]].kind == Kind::kStartElement) {
           ++skipped;
         }
       }
       CountSkipped(skipped);
       break;
     }
-    DeliverEvent(engine, source, record.event, record.node);
+    DeliverEvent(engine, source, record.kind, record.event, record.node);
     if (buffer_early_items) {
       // Key the items this delivery emitted by its position in the run's
       // delivery lists, which orders them by (event, rank in the event).
@@ -386,8 +388,9 @@ void EngineFleet::FeedEngine(const Source& source, uint32_t idx,
 
 template <typename Source>
 void EngineFleet::DeliverEvent(XaosEngine* engine, const Source& source,
-                               uint32_t event, const NodePosition& node) {
-  switch (source.kind(event)) {
+                               Kind kind, uint32_t event,
+                               const NodePosition& node) {
+  switch (kind) {
     case Kind::kStartElement:
       // Attribute views are decoded only for engines that read them.
       engine->DeliverStartElement(source.name(event),
@@ -436,16 +439,15 @@ void EngineFleet::EndDocument() {
   memo_valid_ = false;
   BreakRun();
   if (matcher_ != nullptr) matcher_->EndDocument();
+  const uint64_t total = cursor_.elements_total();
   for (XaosEngine* engine : engines_) {
     engine->EndDocument();
     // The engine only counted the elements it was shown; fold the filtered
     // ones in as discarded so per-document stats still describe the whole
     // document. (For engines that went inert mid-stream this also covers
     // the post-confirmation tail, same as before dispatch filtering.)
-    uint64_t seen = engine->stats().elements_total;
-    if (cursor_.elements_total() > seen) {
-      engine->AccountSkippedElements(cursor_.elements_total() - seen);
-    }
+    const uint64_t seen = engine->stats().elements_total;
+    if (total > seen) engine->AccountSkippedElements(total - seen);
   }
   if (obs::Enabled()) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();

@@ -156,6 +156,7 @@ class EngineFleet {
     uint32_t event;          // index into the event source
     uint32_t first;          // start of its delivery list in run_engines_
     NodePosition node;       // element / text run position (unused for ends)
+    xml::BatchedEvent::Kind kind;  // the event's kind, read in pass 1
   };
   // An early item buffered during the second pass, and its release key.
   struct EarlyItemKey {
@@ -191,8 +192,8 @@ class EngineFleet {
   // recorded so far if the new list would pass kMaxRunDeliveries. A fleet
   // of one engine is fed the event at once instead.
   template <typename Source>
-  void RecordDeliveries(const Source& source, uint32_t event,
-                        const NodePosition& node,
+  void RecordDeliveries(const Source& source, xml::BatchedEvent::Kind kind,
+                        uint32_t event, const NodePosition& node,
                         const std::vector<int>& targets);
   // The second pass over the recorded (non-empty) run; leaves it empty.
   template <typename Source>
@@ -201,10 +202,12 @@ class EngineFleet {
   template <typename Source>
   void FeedEngine(const Source& source, uint32_t idx, uint32_t begin,
                   uint32_t end, bool buffer_early_items);
-  // Feeds event `event` to one engine at the recorded `node` position.
+  // Feeds event `event` of kind `kind` to one engine at the recorded `node`
+  // position.
   template <typename Source>
   static void DeliverEvent(XaosEngine* engine, const Source& source,
-                           uint32_t event, const NodePosition& node);
+                           xml::BatchedEvent::Kind kind, uint32_t event,
+                           const NodePosition& node);
   // Releases buffered early items to their sinks in per-event order.
   void ReleaseEarlyItems();
   void CountSkipped(uint64_t skipped) {

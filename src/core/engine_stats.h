@@ -28,13 +28,14 @@ struct EngineStats {
   // Structures retracted by the undo mechanism (Section 4.3).
   uint64_t structures_undone = 0;
   // Currently allocated structures (maintained via the
-  // OnStructureCreated/OnStructureDestroyed hooks that MatchingStructure
-  // invokes from its constructor and destructor).
+  // OnStructureCreated/OnStructureDestroyed hooks that StructureStore
+  // invokes when it creates a structure and when it releases one).
   uint64_t structures_live = 0;
   uint64_t structures_live_peak = 0;
-  // Approximate live/peak bytes of those structures (struct footprint,
-  // slot headers and retained name/value text) — the paper's "storage
-  // proportional to the relevant document" measured in bytes, not counts.
+  // Approximate live/peak bytes of those structures (the block: header,
+  // slot lists and confirmed counts, plus retained name/value text; links
+  // are not counted) — the paper's "storage proportional to the relevant
+  // document" measured in bytes, not counts.
   obs::MemoryAccountant structure_memory;
 
   // Slot insertions, split into normal propagation (forward axes) and
@@ -65,10 +66,10 @@ struct EngineStats {
                      static_cast<double>(elements_total);
   }
 
-  // Creation/destruction hooks. Routing every MatchingStructure through
-  // these (rather than ad-hoc updates at allocation sites) guarantees the
-  // live count, byte accounting and both peaks stay consistent on every
-  // creation path.
+  // Creation/release hooks. Routing every MatchingStructure through these
+  // (StructureStore::Create and the release of its last strong reference)
+  // guarantees the live count, byte accounting and both peaks stay
+  // consistent on every creation path.
   void OnStructureCreated(uint64_t bytes) {
     ++structures_created;
     ++structures_live;

@@ -1,6 +1,28 @@
 #include "core/matching_structure.h"
 
+#include <cstring>
+#include <new>
+
 namespace xaos::core {
+namespace {
+
+constexpr size_t kTextHeader = 2 * sizeof(uint32_t);
+
+uint32_t TextSize(const char* text, int field) {
+  uint32_t size;
+  std::memcpy(&size, text + field * sizeof(uint32_t), sizeof(size));
+  return size;
+}
+
+uint64_t AccountedBytes(const MatchingStructure& m) {
+  uint64_t bytes = MatchingStructure::BlockBytes(m.slot_count);
+  if (m.text != nullptr) {
+    bytes += kTextHeader + TextSize(m.text, 0) + TextSize(m.text, 1);
+  }
+  return bytes;
+}
+
+}  // namespace
 
 std::string ElementInfo::ToString() const {
   std::string out;
@@ -23,77 +45,160 @@ std::string ElementInfo::ToString() const {
   return out;
 }
 
-MatchingStructure::MatchingStructure(query::XNodeId xnode, ElementInfo element,
-                                     int slot_count, EngineStats* stats,
-                                     util::PoolArena* arena)
-    : xnode_(xnode),
-      element_(std::move(element)),
-      slots_(static_cast<size_t>(slot_count),
-             SlotVector(util::PoolAllocator<MatchingPtr>(arena)),
-             util::PoolAllocator<SlotVector>(arena)),
-      confirmed_counts_(static_cast<size_t>(slot_count), 0,
-                        util::PoolAllocator<int>(arena)),
-      backrefs_(util::PoolAllocator<BackRef>(arena)),
-      stats_(stats) {
-  if (stats_ != nullptr) {
-    // Engines allocate via allocate_shared, which co-locates a control block
-    // of roughly two pointers plus the reference counts with the object.
-    constexpr uint64_t kControlBlockBytes = 32;
-    accounted_bytes_ =
-        sizeof(MatchingStructure) + kControlBlockBytes +
-        slots_.capacity() * sizeof(slots_[0]) +
-        confirmed_counts_.capacity() * sizeof(confirmed_counts_[0]) +
-        element_.name.capacity() + element_.value.capacity();
-    stats_->OnStructureCreated(accounted_bytes_);
+std::string_view MatchingStructure::name() const {
+  if (text != nullptr) {
+    return std::string_view(text + kTextHeader, TextSize(text, 0));
   }
-}
-
-MatchingStructure::~MatchingStructure() {
-  if (stats_ != nullptr) stats_->OnStructureDestroyed(accounted_bytes_);
-}
-
-bool MatchingStructure::AllSlotsNonEmpty() const {
-  for (int i = 0; i < slot_count(); ++i) {
-    if (SlotEmpty(i)) return false;
+  // Only symbols a query interned reach here without text: the spelling is
+  // the table's.
+  if (node.symbol > util::kUnknownSymbol) {
+    return util::SymbolTable::Global().Name(node.symbol);
   }
-  return true;
+  return {};
 }
 
-bool MatchingStructure::AllSlotsConfirmed() const {
-  for (int count : confirmed_counts_) {
-    if (count == 0) return false;
+std::string_view MatchingStructure::value() const {
+  if (text == nullptr) return {};
+  return std::string_view(text + kTextHeader + TextSize(text, 0),
+                          TextSize(text, 1));
+}
+
+ElementInfo MatchingStructure::Info() const {
+  ElementInfo info;
+  info.id = node.position.id;
+  info.parent_id = node.position.parent_id;
+  info.ordinal = node.position.ordinal;
+  info.level = static_cast<int>(node.position.level);
+  info.kind = node.kind;
+  info.name.assign(name());
+  info.value.assign(value());
+  return info;
+}
+
+MatchingStructure* StructureStore::Create(query::XNodeId xnode,
+                                          const NodeRecord& node,
+                                          int slot_count, bool keep_text,
+                                          std::string_view name,
+                                          std::string_view value) {
+  void* block = arena_->Allocate(MatchingStructure::BlockBytes(slot_count));
+  auto* m = new (block) MatchingStructure;
+  m->strong = 1;
+  m->weak = 0;
+  m->xnode = xnode;
+  m->slot_count = static_cast<uint16_t>(slot_count);
+  m->flags = 0;
+  m->node = node;
+  m->text = nullptr;
+  m->prev_open = nullptr;
+  m->backrefs = LinkList{};
+  for (int i = 0; i < slot_count; ++i) m->slots()[i] = LinkList{};
+  std::memset(m->confirmed_counts(), 0,
+              static_cast<size_t>(slot_count) * sizeof(uint32_t));
+  // The symbol spells an interned name; everything else needs the bytes.
+  if (keep_text && (!value.empty() || (node.symbol <= util::kUnknownSymbol &&
+                                       !name.empty()))) {
+    const auto name_size = static_cast<uint32_t>(name.size());
+    const auto value_size = static_cast<uint32_t>(value.size());
+    m->text = new char[kTextHeader + name_size + value_size];
+    std::memcpy(m->text, &name_size, sizeof(name_size));
+    std::memcpy(m->text + sizeof(uint32_t), &value_size, sizeof(value_size));
+    std::memcpy(m->text + kTextHeader, name.data(), name_size);
+    std::memcpy(m->text + kTextHeader + name_size, value.data(), value_size);
   }
-  return true;
+  stats_->OnStructureCreated(AccountedBytes(*m));
+  return m;
 }
 
-void MatchingStructure::Link(const MatchingPtr& parent, int i,
-                             MatchingPtr child, bool optimistic) {
-  child->backrefs_.push_back({parent, i, optimistic});
+void StructureStore::Link(MatchingStructure* parent, int i,
+                          MatchingStructure* child, bool optimistic) {
+  auto* link = static_cast<StructureLink*>(
+      arena_->Allocate(sizeof(StructureLink)));
+  *link = StructureLink{parent,  child, nullptr, nullptr,
+                        static_cast<uint32_t>(i), optimistic, true, true};
+  AppendBackref(child, link);
+  RetainWeak(parent);
   // A child confirmed before this link counts immediately; children
   // confirmed later bump the counter through the engine's cascade (which
-  // walks the backrefs existing at confirmation time).
-  if (child->confirmed_) parent->bump_confirmed(i);
-  parent->slots_[static_cast<size_t>(i)].push_back(std::move(child));
-}
-
-void MatchingStructure::ReleaseStorage(util::PoolArena* arena,
-                                       util::ArenaVector<BackRef>* detached) {
-  for (SlotVector& slot : slots_) {
-    SlotVector empty{util::PoolAllocator<MatchingPtr>(arena)};
-    slot.swap(empty);
+  // walks the back references existing at confirmation time).
+  if (child->confirmed()) parent->bump_confirmed(i);
+  LinkList& slot = parent->slot(i);
+  if (slot.tail == nullptr) {
+    slot.head = link;
+  } else {
+    slot.tail->next_in_slot = link;
   }
-  detached->swap(backrefs_);
+  slot.tail = link;
+  Retain(child);
 }
 
-bool MatchingStructure::RemoveFromSlot(int i, const MatchingStructure* child) {
-  SlotVector& slot = slots_[static_cast<size_t>(i)];
-  for (size_t k = 0; k < slot.size(); ++k) {
-    if (slot[k].get() == child) {
-      slot.erase(slot.begin() + static_cast<ptrdiff_t>(k));
-      return slot.empty();
+void StructureStore::AppendBackref(MatchingStructure* m,
+                                   StructureLink* link) {
+  link->next_backref = nullptr;
+  if (m->backrefs.tail == nullptr) {
+    m->backrefs.head = link;
+  } else {
+    m->backrefs.tail->next_backref = link;
+  }
+  m->backrefs.tail = link;
+}
+
+void StructureStore::DropSlotEntry(LinkList* list, StructureLink* prev,
+                                   StructureLink* link) {
+  StructureLink* next = link->next_in_slot;
+  if (prev == nullptr) {
+    list->head = next;
+  } else {
+    prev->next_in_slot = next;
+  }
+  if (list->tail == link) list->tail = prev;
+  link->in_slot = false;
+  MatchingStructure* child = link->child;
+  // Off the back-reference list the link holds no weak reference either.
+  if (!link->in_backrefs) FreeLink(link);
+  Release(child);
+}
+
+void StructureStore::RemoveFromSlot(MatchingStructure* parent, int i,
+                                    const MatchingStructure* child) {
+  LinkList& list = parent->slot(i);
+  StructureLink* prev = nullptr;
+  for (StructureLink* link = list.head; link != nullptr;
+       prev = link, link = link->next_in_slot) {
+    if (link->child == child) {
+      DropSlotEntry(&list, prev, link);
+      return;
     }
   }
-  return false;
+}
+
+void StructureStore::ClearSlots(MatchingStructure* m) {
+  for (int i = 0; i < m->slot_count; ++i) {
+    LinkList& list = m->slot(i);
+    while (list.head != nullptr) DropSlotEntry(&list, nullptr, list.head);
+  }
+}
+
+void StructureStore::Expire(MatchingStructure* m) {
+  stats_->OnStructureDestroyed(AccountedBytes(*m));
+  // Every remaining back reference is off its parent's slot (a slot entry
+  // would hold a strong reference), so each one goes entirely.
+  LinkList refs = TakeBackrefs(m);
+  for (StructureLink* link = refs.head; link != nullptr;) {
+    StructureLink* next = link->next_backref;
+    DropBackref(link);
+    link = next;
+  }
+  // Releasing the entries can expire children in turn; hold a weak
+  // reference so `m` stays readable while its slots drain.
+  RetainWeak(m);
+  ClearSlots(m);
+  delete[] m->text;
+  m->text = nullptr;
+  ReleaseWeak(m);
+}
+
+void StructureStore::FreeBlock(MatchingStructure* m) {
+  arena_->Deallocate(m, MatchingStructure::BlockBytes(m->slot_count));
 }
 
 }  // namespace xaos::core

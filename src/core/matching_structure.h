@@ -9,152 +9,241 @@
 // total) — the engine maintains this invariant through propagation and undo
 // (Section 4.3).
 //
-// Storage: structures and their internal vectors live in the owning
-// engine's PoolArena (created via std::allocate_shared, so shared_ptr /
-// weak_ptr semantics and destructor-timed accounting are preserved while
-// steady-state allocation traffic never reaches the heap). The arena must
-// outlive every structure allocated from it.
+// Storage. A structure is one PoolArena block: the header below, then its
+// slot lists, then its per-slot confirmed counts. Each parent–child edge is
+// one StructureLink, which is at the same time the parent's slot entry and
+// the child's back reference (the child's list of parents, walked by undo
+// cascades). Lifetimes are counted intrusively and without atomics — each
+// engine, its arena and its structures are confined to one thread:
+//   * strong references: a slot entry, an open frame's match, a closed-
+//     sibling list entry, the engine's finished Root, and the engine's
+//     short-lived holds inside one operation. When the last one goes, the
+//     structure is *released*: its stats are settled and its slot entries
+//     dropped, exactly when a shared_ptr would have destroyed it;
+//   * weak references: a back reference keeps its parent's block readable,
+//     so an undo cascade still sees a released parent as gone. The block
+//     returns to the arena when both counts reach zero.
+// The x-tree is a tree and every link points from an x-node's structure to
+// one of its x-tree children's, so strong references never form a cycle.
+//
+// A structure stores a NodeRecord, not an ElementInfo: position, kind and
+// interned name. Name and value bytes are kept (in a heap block the
+// structure owns) only for output matches whose spelling the symbol table
+// cannot give back — an unknown element name, an attribute or text value.
+// Output items are built from the record when they are emitted.
+//
+// StructureStore creates, links, unlinks and releases structures; the
+// engine (core/xaos_engine.h) runs the algorithm over them.
 
 #ifndef XAOS_CORE_MATCHING_STRUCTURE_H_
 #define XAOS_CORE_MATCHING_STRUCTURE_H_
 
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <string_view>
 
 #include "core/element_info.h"
 #include "core/engine_stats.h"
 #include "query/xtree.h"
 #include "util/pool_arena.h"
+#include "util/symbol_table.h"
 
 namespace xaos::core {
 
-class MatchingStructure;
-using MatchingPtr = std::shared_ptr<MatchingStructure>;
+// What frames and structures remember of a document node.
+struct NodeRecord {
+  NodePosition position;
+  util::Symbol symbol = util::kInvalidSymbol;  // resolved element/attr name
+  query::DocNodeKind kind = query::DocNodeKind::kElement;
+};
 
-class MatchingStructure {
- public:
-  using SlotVector = util::ArenaVector<MatchingPtr>;
+struct MatchingStructure;
 
-  // `stats`, if non-null, receives OnStructureCreated now (with this
-  // structure's approximate byte footprint) and OnStructureDestroyed on
-  // destruction, so live/peak counts and bytes are maintained on every
-  // creation path by construction. `arena` backs the slot/count/backref
-  // vectors and must outlive the structure.
-  MatchingStructure(query::XNodeId xnode, ElementInfo element, int slot_count,
-                    EngineStats* stats, util::PoolArena* arena);
-  ~MatchingStructure();
+// One parent–child edge. While `in_slot` it is an entry of the parent's
+// slot list and holds a strong reference to the child; while
+// `in_backrefs` it is on the child's back-reference list and holds a weak
+// reference to the parent. It returns to the arena when it is on neither.
+struct StructureLink {
+  MatchingStructure* parent;
+  MatchingStructure* child;
+  StructureLink* next_in_slot;
+  StructureLink* next_backref;
+  uint32_t slot;
+  bool optimistic;  // a pull made before the child's satisfaction was known
+  bool in_slot;
+  bool in_backrefs;
+};
 
-  // Approximate heap footprint accounted for this structure: the object
-  // itself, its shared_ptr control block, the slot/count headers and the
-  // retained element name/value text. Slot *entries* are shared pointers to
-  // structures accounted on their own, so they are charged per-header only
-  // at creation (slot growth is not re-accounted — an undercount bounded by
-  // the propagation counters).
-  uint64_t AccountedBytes() const { return accounted_bytes_; }
+// A singly linked list in insertion order.
+struct LinkList {
+  StructureLink* head = nullptr;
+  StructureLink* tail = nullptr;
+  bool empty() const { return head == nullptr; }
+};
 
-  MatchingStructure(const MatchingStructure&) = delete;
-  MatchingStructure& operator=(const MatchingStructure&) = delete;
+// Header of a structure block; `slot_count` LinkLists and as many uint32_t
+// confirmed counts follow it in the same block.
+struct MatchingStructure {
+  enum Flag : uint8_t {
+    kClosed = 1 << 0,
+    kDead = 1 << 1,
+    kConfirmed = 1 << 2,
+    // Satisfaction pushed into the parent-matchings; cleared if a
+    // refillable (following-sibling) slot empties and the push is
+    // retracted.
+    kPropagated = 1 << 3,
+    // Confirmed AND reachable from the confirmed Root through confirmed
+    // structures (earliest answering): provably part of the final result.
+    kAnchored = 1 << 4,
+    // Output emitted and slot/backref storage returned early; never
+    // re-linked.
+    kReclaimed = 1 << 5,
+  };
 
-  query::XNodeId xnode() const { return xnode_; }
-  const ElementInfo& element() const { return element_; }
+  uint32_t strong;
+  uint32_t weak;
+  query::XNodeId xnode;
+  uint16_t slot_count;
+  uint8_t flags;
+  NodeRecord node;
+  // Output matches only, when the symbol cannot spell the name or there is
+  // a value: [uint32 name size][uint32 value size][name][value].
+  char* text;
+  // The previous open match of the same x-node (the engine's per-x-node
+  // open list, newest first); meaningful while the element is open.
+  MatchingStructure* prev_open;
+  LinkList backrefs;  // links to the parents referencing this structure
 
-  int slot_count() const { return static_cast<int>(slots_.size()); }
-  const SlotVector& slot(int i) const { return slots_[static_cast<size_t>(i)]; }
+  LinkList* slots() { return reinterpret_cast<LinkList*>(this + 1); }
+  const LinkList* slots() const {
+    return reinterpret_cast<const LinkList*>(this + 1);
+  }
+  LinkList& slot(int i) { return slots()[i]; }
+  const LinkList& slot(int i) const { return slots()[i]; }
+  uint32_t* confirmed_counts() {
+    return reinterpret_cast<uint32_t*>(slots() + slot_count);
+  }
+  const uint32_t* confirmed_counts() const {
+    return reinterpret_cast<const uint32_t*>(slots() + slot_count);
+  }
+  uint32_t confirmed_count(int i) const { return confirmed_counts()[i]; }
+  void bump_confirmed(int i) { ++confirmed_counts()[i]; }
+
+  bool has(Flag f) const { return (flags & f) != 0; }
+  void set(Flag f) { flags |= f; }
+  bool closed() const { return has(kClosed); }
+  bool dead() const { return has(kDead); }
+  bool confirmed() const { return has(kConfirmed); }
+  bool propagated() const { return has(kPropagated); }
+  bool anchored() const { return has(kAnchored); }
+  bool reclaimed() const { return has(kReclaimed); }
+  // Released: no strong reference is left (a weak one keeps it readable).
+  bool expired() const { return strong == 0; }
+
   // A slot counts as non-empty if it stores an entry or has accumulated
   // confirmed entries (boolean submatchings release confirmed entries and
   // keep only the count — paper Section 5.1).
   bool SlotEmpty(int i) const {
-    return slots_[static_cast<size_t>(i)].empty() &&
-           confirmed_counts_[static_cast<size_t>(i)] == 0;
+    return slot(i).empty() && confirmed_count(i) == 0;
   }
   // True when every submatching slot is non-empty (a leaf is trivially
   // satisfied).
-  bool AllSlotsNonEmpty() const;
-
-  // Inserts `child` into slot `i` of `parent` and records the back
-  // reference used by undo. `parent` must be a shared_ptr because the child
-  // keeps a weak reference to it. `optimistic` marks links made before the
-  // child's own satisfaction is known (backward-axis and sibling pulls);
-  // they are preserved when a push-propagation is retracted.
-  static void Link(const MatchingPtr& parent, int i, MatchingPtr child,
-                   bool optimistic);
-
-  // Removes the entry `child` from slot `i`; returns true if the slot is
-  // now empty. No-op (returns false) if the entry is absent.
-  bool RemoveFromSlot(int i, const MatchingStructure* child);
-
-  bool closed() const { return closed_; }
-  void set_closed() { closed_ = true; }
-  bool dead() const { return dead_; }
-  void set_dead() { dead_ = true; }
-  // True while this structure's satisfaction has been pushed into its
-  // parent-matchings. Cleared if the propagation is retracted because a
-  // refillable (following-sibling) slot emptied.
-  bool propagated() const { return propagated_; }
-  void set_propagated(bool value) { propagated_ = value; }
-
-  // --- confirmation (eager output, paper Section 5.1) ---
-  // A structure is *confirmed* once it provably represents a total matching
-  // regardless of future events: it is closed and every slot holds at least
-  // one confirmed entry. Confirmation is monotone — confirmed structures
-  // are never undone — which lets the engine report a guaranteed document
-  // match before the end of the stream.
-  bool confirmed() const { return confirmed_; }
-  void set_confirmed() { confirmed_ = true; }
-  // Number of confirmed entries in slot `i`.
-  int confirmed_count(int i) const {
-    return confirmed_counts_[static_cast<size_t>(i)];
+  bool AllSlotsNonEmpty() const {
+    for (int i = 0; i < slot_count; ++i) {
+      if (SlotEmpty(i)) return false;
+    }
+    return true;
   }
-  void bump_confirmed(int i) { ++confirmed_counts_[static_cast<size_t>(i)]; }
-  // True if every slot holds a confirmed entry.
-  bool AllSlotsConfirmed() const;
+  // True if every slot holds a confirmed entry (paper Section 5.1's
+  // confirmation).
+  bool AllSlotsConfirmed() const {
+    for (int i = 0; i < slot_count; ++i) {
+      if (confirmed_count(i) == 0) return false;
+    }
+    return true;
+  }
 
-  // --- anchoring (earliest answering) ---
-  // A structure is *anchored* once it is confirmed AND reachable from a
-  // confirmed root through a chain of confirmed structures. Anchored
-  // structures with an output x-node are provably part of the final result
-  // and can be emitted before end-of-document; anchored structures whose
-  // slots have drained to confirmed counts can release their storage back
-  // to the arena (engine's MaybeReclaim).
-  bool anchored() const { return anchored_; }
-  void set_anchored() { anchored_ = true; }
-  // Set when the engine has emitted this structure's output (if any) and
-  // returned its slot/backref storage to the arena. A reclaimed structure
-  // is only kept alive by stray shared_ptrs; it must never be re-linked.
-  bool reclaimed() const { return reclaimed_; }
-  void set_reclaimed() { reclaimed_ = true; }
+  // Name and value as an OutputItem reports them.
+  std::string_view name() const;
+  std::string_view value() const;
+  ElementInfo Info() const;
 
-  // Parents that currently reference this structure, for undo cascades.
-  struct BackRef {
-    std::weak_ptr<MatchingStructure> parent;
-    int slot;
-    bool optimistic;
-  };
-  util::ArenaVector<BackRef>& backrefs() { return backrefs_; }
+  static size_t BlockBytes(int slot_count) {
+    return sizeof(MatchingStructure) +
+           static_cast<size_t>(slot_count) *
+               (sizeof(LinkList) + sizeof(uint32_t));
+  }
+};
 
-  // Swaps the slot and backref vectors with empty ones so their arena
-  // blocks are returned immediately (earliest answering's eager reclaim).
-  // Confirmed counts are preserved — they carry slot satisfaction after the
-  // stored entries are dropped. `detached` receives the former backrefs so
-  // the caller can unlink this structure from its parents.
-  void ReleaseStorage(util::PoolArena* arena,
-                      util::ArenaVector<BackRef>* detached);
+// Allocation, linking and lifetime of one engine's structures.
+class StructureStore {
+ public:
+  StructureStore(util::PoolArena* arena, EngineStats* stats)
+      : arena_(arena), stats_(stats) {}
+  StructureStore(const StructureStore&) = delete;
+  StructureStore& operator=(const StructureStore&) = delete;
+
+  // A new structure holding one strong reference (the caller's). `name` and
+  // `value` are kept only when `keep_text` (see MatchingStructure::text).
+  // Counts the creation in the stats.
+  MatchingStructure* Create(query::XNodeId xnode, const NodeRecord& node,
+                            int slot_count, bool keep_text,
+                            std::string_view name, std::string_view value);
+
+  static void Retain(MatchingStructure* m) { ++m->strong; }
+  void Release(MatchingStructure* m) {
+    if (--m->strong == 0) Expire(m);
+  }
+  static void RetainWeak(MatchingStructure* m) { ++m->weak; }
+  void ReleaseWeak(MatchingStructure* m) {
+    if (--m->weak == 0 && m->strong == 0) FreeBlock(m);
+  }
+
+  // Links `child` into slot `i` of `parent` and onto the child's back
+  // references. A child confirmed before the link counts at once.
+  void Link(MatchingStructure* parent, int i, MatchingStructure* child,
+            bool optimistic);
+
+  // Removes the first entry of slot `i` whose child is `child` (no-op if
+  // there is none) and drops its strong reference, which can release
+  // `child`.
+  void RemoveFromSlot(MatchingStructure* parent, int i,
+                      const MatchingStructure* child);
+
+  // Detaches and returns `m`'s back references; every link stays marked
+  // `in_backrefs` (and keeps its weak reference) until DropBackref.
+  LinkList TakeBackrefs(MatchingStructure* m) {
+    LinkList out = m->backrefs;
+    m->backrefs = LinkList{};
+    return out;
+  }
+  // Ends a taken link's back-reference role.
+  void DropBackref(StructureLink* link) {
+    link->in_backrefs = false;
+    MatchingStructure* parent = link->parent;
+    if (!link->in_slot) FreeLink(link);
+    ReleaseWeak(parent);
+  }
+
+  // Empties every slot of `m` (dropping the entries' strong references);
+  // confirmed counts are kept. Earliest answering's eager reclaim.
+  void ClearSlots(MatchingStructure* m);
 
  private:
-  query::XNodeId xnode_;
-  ElementInfo element_;
-  util::ArenaVector<SlotVector> slots_;
-  util::ArenaVector<int> confirmed_counts_;  // parallel to slots_
-  util::ArenaVector<BackRef> backrefs_;
-  bool closed_ = false;
-  bool dead_ = false;
-  bool confirmed_ = false;
-  bool propagated_ = false;
-  bool anchored_ = false;
-  bool reclaimed_ = false;
+  // The last strong reference went: settle the stats, drop the slot
+  // entries and back references, free the block unless a weak reference
+  // still reads it.
+  void Expire(MatchingStructure* m);
+  void FreeBlock(MatchingStructure* m);
+  static void AppendBackref(MatchingStructure* m, StructureLink* link);
+  void FreeLink(StructureLink* link) {
+    arena_->Deallocate(link, sizeof(StructureLink));
+  }
+  // Unlinks a slot entry (the link is known to be in `list` after `prev`).
+  void DropSlotEntry(LinkList* list, StructureLink* prev,
+                     StructureLink* link);
+
+  util::PoolArena* arena_;
   EngineStats* stats_;
-  uint64_t accounted_bytes_ = 0;
 };
 
 }  // namespace xaos::core

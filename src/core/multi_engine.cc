@@ -378,11 +378,11 @@ xml::ProjectionFilter* MultiQueryEvaluator::projection_filter() {
 const query::ProjectionSpec& MultiQueryEvaluator::projection_spec() const {
   if (gate_built_for_ != queries_.size()) {
     gate_built_for_ = queries_.size();
+    query::ProjectionSpec spec;
     if (options_.capture_output_subtrees) {
-      gate_.SetSpec(
-          query::ProjectionSpec::KeepAll("subtree capture needs every event"));
+      spec =
+          query::ProjectionSpec::KeepAll("subtree capture needs every event");
     } else {
-      query::ProjectionSpec spec;
       // One trie walk covers every shared subscription; aliases need no
       // projection of their own (their canonical slot contributes it).
       if (shared_builder_.subscription_count() > 0) {
@@ -392,10 +392,25 @@ const query::ProjectionSpec& MultiQueryEvaluator::projection_spec() const {
         if (spec.keep_all) break;
         spec.UnionWith(query::ProjectionSpec::Analyze(*queries_[q].trees));
       }
-      gate_.SetSpec(std::move(spec));
     }
+    // Counted per analysis of a query set, so evaluators that adopt the
+    // spec (AdoptProjectionSpec) do not count it again.
+    if (spec.keep_all && obs::Enabled()) {
+      obs::MetricsRegistry::Default()
+          .GetCounter("xaos_projection_disabled_total")
+          ->Increment();
+    }
+    gate_.SetSpec(std::move(spec));
   }
   return gate_.spec();
+}
+
+void MultiQueryEvaluator::AdoptProjectionSpec(
+    const MultiQueryEvaluator& other) {
+  XAOS_CHECK_EQ(other.query_count(), queries_.size())
+      << "an adopted projection must cover the same query set";
+  gate_.SetSpec(other.projection_spec());
+  gate_built_for_ = queries_.size();
 }
 
 Status MultiQueryEvaluator::status() const {

@@ -133,8 +133,13 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   // filter and the parser pays zero per-tag overhead.
   xml::ProjectionFilter* projection_filter();
   // The spec behind projection_filter(). Both accessors share one lazy
-  // rebuild, run when queries were added since the last one.
+  // rebuild, run when queries were added since the last one; a rebuild
+  // that degrades to keep-all counts in xaos_projection_disabled_total.
   const query::ProjectionSpec& projection_spec() const;
+  // Installs `other`'s spec instead of analysing this evaluator's queries
+  // (ParallelRouter workers hold identical query sets); `other` must hold
+  // as many queries, added in the same order. Counts nothing.
+  void AdoptProjectionSpec(const MultiQueryEvaluator& other);
 
   // Abandons the current document after a mid-stream producer failure
   // (parse error, limit rejection, I/O error). `cause` is what status()

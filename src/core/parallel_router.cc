@@ -46,11 +46,13 @@ size_t ParallelRouter::AddQuery(const Query& query, std::string_view label) {
 
 void ParallelRouter::Submit(std::string_view document) {
   if (!started_) {
-    // The query set is final: each worker takes its own projection filter,
-    // and the threads start after their stacks are fully built.
+    // The query set is final: worker 0 analyses the projection once, the
+    // others install its spec in their own filters, and the threads start
+    // after their stacks are fully built.
     started_ = true;
     for (size_t i = 0; i < workers_.size(); ++i) {
       Worker* worker = workers_[i].get();
+      if (i > 0) worker->evaluator.AdoptProjectionSpec(workers_[0]->evaluator);
       worker->parser_options = parser_options_;
       worker->parser_options.projection_filter =
           worker->evaluator.projection_filter();

@@ -98,6 +98,12 @@ class ParallelRouter {
   // Events batched capture elided, summed over the workers (cumulative; see
   // BatchedDispatcher::events_elided).
   uint64_t events_elided() const;
+  // The projection every worker installs: worker 0 analyses it once for
+  // the shared query set, the others adopt it. Not while documents are in
+  // flight.
+  const query::ProjectionSpec& projection_spec() const {
+    return workers_[0]->evaluator.projection_spec();
+  }
 
  private:
   struct Worker {

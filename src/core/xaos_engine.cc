@@ -17,23 +17,39 @@ using query::NodeTestSpec;
 using query::XNodeId;
 using xpath::Axis;
 
+namespace {
+
+// Bytes of `count` T rounded up to whole 8-byte words.
+template <typename T>
+size_t Words(size_t count) {
+  return (count * sizeof(T) + sizeof(uint64_t) - 1) / sizeof(uint64_t);
+}
+
+}  // namespace
+
 XaosEngine::XaosEngine(const query::XTree* tree, EngineOptions options,
                        util::PoolArena* arena)
-    : tree_(tree),
-      options_(options),
-      own_arena_(arena == nullptr ? std::make_unique<util::PoolArena>()
+    : own_arena_(arena == nullptr ? std::make_unique<util::PoolArena>()
                                   : nullptr),
-      arena_(arena == nullptr ? own_arena_.get() : arena) {
+      arena_(arena == nullptr ? own_arena_.get() : arena),
+      tree_(tree),
+      options_(std::move(options)) {
   XAOS_CHECK(tree_->node(kRootXNode).test.kind == NodeTestSpec::Kind::kRoot)
       << "x-tree node 0 must test for the virtual root";
+  relevance_filter_ = options_.enable_relevance_filter;
+  captures_ = options_.capture_output_subtrees;
+  max_live_structures_ = options_.max_live_structures;
 
-  // The x-dag is only needed to derive the tables below.
+  // The x-dag is only needed to derive the tables below, which are built
+  // in local vectors and then packed into one allocation.
   const query::XDag xdag(*tree_);
   const int n = tree_->size();
-  rows_.resize(static_cast<size_t>(n));
+  std::vector<XNodeRow> rows(static_cast<size_t>(n));
+  std::vector<XNodeId> child_ids;
+  std::vector<InEdge> in_edges;
   for (XNodeId v = 0; v < n; ++v) {
     const query::XNode& node = tree_->node(v);
-    XNodeRow& r = rows_[static_cast<size_t>(v)];
+    XNodeRow& r = rows[static_cast<size_t>(v)];
     r.parent = node.parent;
     r.incoming_axis = node.incoming_axis;
     r.depth = static_cast<int16_t>(node.depth);
@@ -46,18 +62,26 @@ XaosEngine::XaosEngine(const query::XTree* tree, EngineOptions options,
          node.test.kind == NodeTestSpec::Kind::kText)) {
       r.flags |= kValueTest;
     }
-    r.children_begin = static_cast<uint32_t>(child_ids_.size());
+    r.children_begin = static_cast<uint32_t>(child_ids.size());
     for (size_t i = 0; i < node.children.size(); ++i) {
-      rows_[static_cast<size_t>(node.children[i])].slot = static_cast<int>(i);
-      child_ids_.push_back(node.children[i]);
+      rows[static_cast<size_t>(node.children[i])].slot = static_cast<int>(i);
+      child_ids.push_back(node.children[i]);
     }
-    r.children_end = static_cast<uint32_t>(child_ids_.size());
-    r.in_edges_begin = static_cast<uint32_t>(in_edges_.size());
+    r.children_end = static_cast<uint32_t>(child_ids.size());
+    r.in_edges_begin = static_cast<uint32_t>(in_edges.size());
     for (const query::XDagEdge& edge : xdag.incoming(v)) {
-      in_edges_.push_back(InEdge{edge.from, edge.axis});
+      in_edges.push_back(InEdge{edge.from, edge.axis});
     }
-    r.in_edges_end = static_cast<uint32_t>(in_edges_.size());
+    r.in_edges_end = static_cast<uint32_t>(in_edges.size());
   }
+  auto has = [&rows](XNodeId v, uint8_t flag) {
+    return (rows[static_cast<size_t>(v)].flags & flag) != 0;
+  };
+  auto children = [&rows, &child_ids](XNodeId v) {
+    const XNodeRow& r = rows[static_cast<size_t>(v)];
+    return std::span<const XNodeId>(child_ids.data() + r.children_begin,
+                                    r.children_end - r.children_begin);
+  };
 
   // Candidate lists by node kind. Name tests are interned once here (the
   // x-tree compiler usually already did — name_symbol — so this is a no-op
@@ -114,14 +138,15 @@ XaosEngine::XaosEngine(const query::XTree* tree, EngineOptions options,
   // Every list is sorted by topological rank so that self-edges are
   // resolved in order within a single event; each named list is merged with
   // its kind's wildcards here, once, instead of at every event.
-  auto append = [this, &xdag](std::vector<XNodeId> list) {
+  std::vector<XNodeId> candidates;
+  auto append = [&candidates, &xdag](std::vector<XNodeId> list) {
     std::sort(list.begin(), list.end(), [&xdag](XNodeId a, XNodeId b) {
       return xdag.TopologicalRank(a) < xdag.TopologicalRank(b);
     });
     CandidateSpan span;
-    span.begin = static_cast<uint32_t>(candidates_.size());
-    candidates_.insert(candidates_.end(), list.begin(), list.end());
-    span.end = static_cast<uint32_t>(candidates_.size());
+    span.begin = static_cast<uint32_t>(candidates.size());
+    candidates.insert(candidates.end(), list.begin(), list.end());
+    span.end = static_cast<uint32_t>(candidates.size());
     return span;
   };
   root_ = append(root);
@@ -141,10 +166,11 @@ XaosEngine::XaosEngine(const query::XTree* tree, EngineOptions options,
       (*spans)[s] = append(std::move(merged));
     }
   };
-  build_spans(named_elements, any_element, any_element_, &element_spans_);
+  std::vector<CandidateSpan> element_spans;
+  std::vector<CandidateSpan> attribute_spans;
+  build_spans(named_elements, any_element, any_element_, &element_spans);
   build_spans(named_attributes, any_attribute, any_attribute_,
-              &attribute_spans_);
-  open_by_xnode_.resize(static_cast<size_t>(n));
+              &attribute_spans);
 
   // Boolean submatchings (Section 5.1): an x-node whose subtree contains no
   // output node never needs its matchings enumerated — confirmed ones are
@@ -154,11 +180,11 @@ XaosEngine::XaosEngine(const query::XTree* tree, EngineOptions options,
     // output and all child subtrees are output-free. Children have larger
     // ids than their parents (builder order), so a reverse scan works.
     for (XNodeId v = n - 1; v > kRootXNode; --v) {
-      bool output_free = !HasFlag(v, kOutput);
-      for (XNodeId w : Children(v)) {
-        output_free = output_free && HasFlag(w, kCounted);
+      bool output_free = !has(v, kOutput);
+      for (XNodeId w : children(v)) {
+        output_free = output_free && has(w, kCounted);
       }
-      if (output_free) rows_[static_cast<size_t>(v)].flags |= kCounted;
+      if (output_free) rows[static_cast<size_t>(v)].flags |= kCounted;
     }
   }
 
@@ -169,18 +195,18 @@ XaosEngine::XaosEngine(const query::XTree* tree, EngineOptions options,
   for (XNodeId v = 0; v < n; ++v) {
     for (const query::XDagEdge& edge : xdag.outgoing(v)) {
       if (edge.axis == Axis::kFollowingSibling) {
-        rows_[static_cast<size_t>(v)].flags |= kSiblingListed;  // (a)
+        rows[static_cast<size_t>(v)].flags |= kSiblingListed;  // (a)
         wants_siblings_ = true;
       }
     }
     if (v != kRootXNode) {
-      Axis incoming = row(v).incoming_axis;
+      Axis incoming = rows[static_cast<size_t>(v)].incoming_axis;
       if (incoming == Axis::kPrecedingSibling) {
-        rows_[static_cast<size_t>(v)].flags |= kSiblingListed;  // (b)
+        rows[static_cast<size_t>(v)].flags |= kSiblingListed;  // (b)
         wants_siblings_ = true;
       }
       if (incoming == Axis::kFollowingSibling) {
-        rows_[static_cast<size_t>(row(v).parent)].flags |=
+        rows[static_cast<size_t>(rows[static_cast<size_t>(v)].parent)].flags |=
             kSiblingListed;  // (c)
         wants_siblings_ = true;
       }
@@ -197,47 +223,88 @@ XaosEngine::XaosEngine(const query::XTree* tree, EngineOptions options,
   earliest_ = options_.enable_earliest_emission;
   int output_count = 0;
   for (XNodeId v = 0; v < n; ++v) {
-    if (HasFlag(v, kOutput)) ++output_count;
+    if (has(v, kOutput)) ++output_count;
   }
   reclaim_enabled_ = earliest_ && output_count == 1;
   for (XNodeId v = 0; v < n; ++v) {
-    bool blocked = HasFlag(v, kSiblingListed);
-    for (XNodeId w : Children(v)) {
-      if (row(w).incoming_axis == Axis::kFollowingSibling) blocked = true;
+    bool blocked = has(v, kSiblingListed);
+    for (XNodeId w : children(v)) {
+      if (rows[static_cast<size_t>(w)].incoming_axis ==
+          Axis::kFollowingSibling) {
+        blocked = true;
+      }
     }
-    if (blocked) rows_[static_cast<size_t>(v)].flags |= kReclaimBlocked;
+    if (blocked) rows[static_cast<size_t>(v)].flags |= kReclaimBlocked;
   }
+
+  // Pack: the open-match heads (the only mutable part) first, for
+  // alignment, then every table, so an engine's query tables and open
+  // lists share a few adjacent cache lines.
+  const size_t words = Words<Structure*>(static_cast<size_t>(n)) +
+                       Words<XNodeRow>(rows.size()) +
+                       Words<XNodeId>(child_ids.size()) +
+                       Words<InEdge>(in_edges.size()) +
+                       Words<CandidateSpan>(element_spans.size()) +
+                       Words<CandidateSpan>(attribute_spans.size()) +
+                       Words<XNodeId>(candidates.size());
+  tables_ = std::make_unique<uint64_t[]>(words);
+  uint64_t* at = tables_.get();
+  auto place = [&at](const auto& vec) {
+    using T = typename std::decay_t<decltype(vec)>::value_type;
+    T* out = reinterpret_cast<T*>(at);
+    std::copy(vec.begin(), vec.end(), out);
+    at += Words<T>(vec.size());
+    return out;
+  };
+  open_top_ = place(std::vector<Structure*>(static_cast<size_t>(n), nullptr));
+  open_count_ = static_cast<uint32_t>(n);
+  rows_ = place(rows);
+  child_ids_ = place(child_ids);
+  in_edges_ = place(in_edges);
+  element_spans_ = place(element_spans);
+  element_span_count_ = static_cast<uint32_t>(element_spans.size());
+  attribute_spans_ = place(attribute_spans);
+  attribute_span_count_ = static_cast<uint32_t>(attribute_spans.size());
+  candidates_ = place(candidates);
 }
 
+XaosEngine::~XaosEngine() { ClearMatchingState(); }
+
 void XaosEngine::ClearMatchingState() {
-  // Frames past stack_dirty_ were cleared by an earlier reset and not
-  // touched since, so the sweep is bounded by this document's depth, not by
-  // the deepest document the engine has ever seen.
-  for (size_t i = 0; i < stack_dirty_; ++i) {
-    Frame& frame = stack_[i];
-    frame.xnodes.clear();
-    frame.structures.clear();
-    for (auto& list : frame.closed_by_xnode) list.clear();
-    frame.capture_index = -1;
-  }
-  stack_dirty_ = 0;
+  for (const Match& match : matches_) store_.Release(match.structure);
+  matches_.clear();
   depth_ = 0;
-  for (std::vector<MatchingPtr>& open : open_by_xnode_) open.clear();
+  std::fill(open_top_, open_top_ + open_count_, nullptr);
+  // Lists past closed_dirty_ were cleared by an earlier reset and not
+  // touched since, so the sweep is bounded by this document's depth.
+  for (size_t d = 0; d < closed_dirty_; ++d) {
+    for (std::vector<Structure*>& list : closed_[d]) {
+      for (Structure* m : list) store_.Release(m);
+      list.clear();
+    }
+  }
+  closed_dirty_ = 0;
   active_captures_.clear();
-  root_structure_.reset();
+  if (root_structure_ != nullptr) {
+    store_.Release(root_structure_);
+    root_structure_ = nullptr;
+  }
   live_root_ = nullptr;
   early_items_.clear();
-  emitted_ids_.clear();
+  if (!emitted_ids_.empty()) emitted_ids_.clear();
 }
 
 void XaosEngine::ResetDocumentState() {
   ClearMatchingState();
-  captured_.clear();
+  if (!captured_.empty()) captured_.clear();
   done_ = false;
   early_match_ = false;
   confirm_ns_ = 0;
   inert_ = false;
-  error_ = Status::Ok();
+  if (failed_) {
+    error_ = Status::Ok();
+    failed_ = false;
+  }
   stats_ = EngineStats{};
   result_ = QueryResult{};
   // Releasing the previous document's structures above returned their
@@ -255,26 +322,46 @@ void XaosEngine::AccountPrivateArena() {
 
 void XaosEngine::FailWith(Status status) {
   error_ = std::move(status);
+  failed_ = true;
   ClearMatchingState();
 }
 
-const MatchingPtr* XaosEngine::FindMatch(const Frame& frame, XNodeId xnode) {
-  for (size_t i = 0; i < frame.xnodes.size(); ++i) {
-    if (frame.xnodes[i] == xnode) return &frame.structures[i];
+MatchingStructure* XaosEngine::FindMatch(const Frame& frame,
+                                         XNodeId xnode) const {
+  for (const Match& match : Matches(frame)) {
+    if (match.xnode == xnode) return match.structure;
   }
   return nullptr;
+}
+
+template <typename F>
+void XaosEngine::ForEachOpen(XNodeId u, F&& f) {
+  constexpr size_t kInline = 32;
+  Structure* inline_list[kInline];
+  size_t count = 0;
+  Structure* p = open_top_[u];
+  for (; p != nullptr && count < kInline; p = p->prev_open) {
+    inline_list[count++] = p;
+  }
+  if (p == nullptr) {
+    while (count > 0) f(inline_list[--count]);
+    return;
+  }
+  std::vector<Structure*> list;
+  for (p = open_top_[u]; p != nullptr; p = p->prev_open) list.push_back(p);
+  for (size_t i = list.size(); i > 0; --i) f(list[i - 1]);
 }
 
 std::span<const XNodeId> XaosEngine::CollectCandidates(
     DocNodeKind kind, util::Symbol symbol) const {
   // A symbol outside the table (or never interned at all) cannot equal any
   // interned query name — only the kind's wildcards remain.
-  auto named = [symbol](const std::vector<CandidateSpan>& spans,
+  auto named = [symbol](const CandidateSpan* spans, uint32_t count,
                         CandidateSpan wildcards) {
-    if (symbol < 0 || static_cast<size_t>(symbol) >= spans.size()) {
+    if (symbol < 0 || static_cast<uint32_t>(symbol) >= count) {
       return wildcards;
     }
-    return spans[static_cast<size_t>(symbol)];
+    return spans[symbol];
   };
   CandidateSpan span;
   switch (kind) {
@@ -282,16 +369,16 @@ std::span<const XNodeId> XaosEngine::CollectCandidates(
       span = root_;
       break;
     case DocNodeKind::kElement:
-      span = named(element_spans_, any_element_);
+      span = named(element_spans_, element_span_count_, any_element_);
       break;
     case DocNodeKind::kAttribute:
-      span = named(attribute_spans_, any_attribute_);
+      span = named(attribute_spans_, attribute_span_count_, any_attribute_);
       break;
     case DocNodeKind::kText:
       span = text_;
       break;
   }
-  return std::span<const XNodeId>(candidates_.data() + span.begin,
+  return std::span<const XNodeId>(candidates_ + span.begin,
                                   span.end - span.begin);
 }
 
@@ -309,17 +396,18 @@ bool XaosEngine::IsRelevant(XNodeId v, const Frame& frame) const {
         // matched nothing, so the constraint is unsupported either way; the
         // parent-id guard makes that explicit.
         if (depth_ == 0 ||
-            stack_[depth_ - 1].info.id != frame.info.parent_id ||
-            FindMatch(stack_[depth_ - 1], u) == nullptr) {
+            frames_[depth_ - 1].node.position.id !=
+                frame.node.position.parent_id ||
+            FindMatch(frames_[depth_ - 1], u) == nullptr) {
           return false;
         }
         break;
       case Axis::kDescendant:
         // Every open element is a proper ancestor of the new node.
-        if (open_by_xnode_[static_cast<size_t>(u)].empty()) return false;
+        if (open_top_[static_cast<size_t>(u)] == nullptr) return false;
         break;
       case Axis::kDescendantOrSelf:
-        if (open_by_xnode_[static_cast<size_t>(u)].empty() &&
+        if (open_top_[static_cast<size_t>(u)] == nullptr &&
             FindMatch(frame, u) == nullptr) {
           return false;
         }
@@ -334,11 +422,12 @@ bool XaosEngine::IsRelevant(XNodeId v, const Frame& frame) const {
         // match `u`. Sibling-axis engines always see every element (dense
         // stack), but guard the parent identity anyway.
         if (depth_ == 0) return false;
-        const Frame& parent = stack_[depth_ - 1];
-        if (parent.info.id != frame.info.parent_id) return false;
+        const Frame& parent = frames_[depth_ - 1];
+        if (parent.node.position.id != frame.node.position.parent_id) {
+          return false;
+        }
         bool found = false;
-        for (const MatchingPtr& p :
-             parent.closed_by_xnode[static_cast<size_t>(u)]) {
+        for (const Structure* p : closed_[depth_ - 1][static_cast<size_t>(u)]) {
           if (!p->dead()) {
             found = true;
             break;
@@ -362,23 +451,23 @@ bool XaosEngine::IsRelevant(XNodeId v, const Frame& frame) const {
 }
 
 void XaosEngine::ProcessStart(DocNodeKind kind, std::string_view name,
+                              util::Symbol symbol,
                               std::span<const XNodeId> candidates,
                               std::string_view value,
                               const NodePosition& position) {
   // Acquire (or reuse) the frame at the current depth; it is only made
   // visible (depth_ incremented) after matching, so relevance checks still
   // see the previous top as the parent.
-  if (depth_ == stack_.size()) stack_.emplace_back();
-  if (depth_ == stack_dirty_) ++stack_dirty_;
-  Frame& frame = stack_[depth_];
-  frame.xnodes.clear();
-  frame.structures.clear();
+  if (depth_ == frames_.size()) frames_.emplace_back();
+  Frame& frame = frames_[depth_];
+  frame.begin = frame.end = static_cast<uint32_t>(matches_.size());
   frame.capture_index = -1;
   if (wants_siblings_) {
-    if (frame.closed_by_xnode.size() != open_by_xnode_.size()) {
-      frame.closed_by_xnode.assign(open_by_xnode_.size(), {});
-    } else {
-      for (auto& list : frame.closed_by_xnode) list.clear();
+    if (depth_ == closed_.size()) closed_.emplace_back(open_count_);
+    if (depth_ == closed_dirty_) ++closed_dirty_;
+    for (std::vector<Structure*>& list : closed_[depth_]) {
+      for (Structure* m : list) store_.Release(m);
+      list.clear();
     }
   }
 
@@ -386,125 +475,119 @@ void XaosEngine::ProcessStart(DocNodeKind kind, std::string_view name,
   // engine's view of the stream: ids/levels/ordinals are uniform across a
   // fleet of engines even when dispatch filtering gives each a different
   // event subset, and remain monotone in document order.
-  frame.info.id = position.id;
-  frame.info.parent_id = position.parent_id;
-  frame.info.level = static_cast<int>(position.level);
-  frame.info.ordinal = position.ordinal;
-  frame.info.kind = kind;
+  frame.node.position = position;
+  frame.node.symbol = symbol;
+  frame.node.kind = kind;
   if (kind == DocNodeKind::kElement) ++stats_.elements_total;
 
   // Candidates already passed their name test (the symbol index implies
   // it); only attribute / text value constraints remain to check.
-  bool info_filled = false;
   for (XNodeId v : candidates) {
     const XNodeRow& r = row(v);
     if ((r.flags & kValueTest) != 0 && value != *tree_->node(v).test.value) {
       continue;
     }
-    if (options_.enable_relevance_filter && !IsRelevant(v, frame)) continue;
-    if (!info_filled && (r.flags & kOutput) != 0) {
-      // Node names/values are only retained for output matches — the ones
-      // that become result items; the storage frugality the paper's
-      // Table 3 measures.
-      frame.info.name.assign(name);
-      frame.info.value.assign(value);
-      info_filled = true;
-    }
-    // Creation/live/peak/byte accounting happens inside the constructor via
-    // EngineStats::OnStructureCreated, so no allocation path can miss it.
-    // allocate_shared puts object and control block in the arena while
-    // keeping shared/weak_ptr semantics and destructor timing.
-    auto structure = std::allocate_shared<MatchingStructure>(
-        util::PoolAllocator<MatchingStructure>(arena_), v, frame.info,
-        static_cast<int>(r.children_end - r.children_begin), &stats_, arena_);
-    frame.xnodes.push_back(v);
-    frame.structures.push_back(std::move(structure));
+    if (relevance_filter_ && !IsRelevant(v, frame)) continue;
+    // Node names/values are only retained for output matches — the ones
+    // that become result items; the storage frugality the paper's Table 3
+    // measures. Creation/live/peak/byte accounting happens in Create.
+    Structure* structure = store_.Create(
+        v, frame.node, static_cast<int>(r.children_end - r.children_begin),
+        (r.flags & kOutput) != 0, name, value);
+    matches_.push_back(Match{v, structure});
+    frame.end = static_cast<uint32_t>(matches_.size());
   }
-  if (!info_filled) {
-    frame.info.name.clear();
-    frame.info.value.clear();
-  }
-  if (kind == DocNodeKind::kElement && frame.xnodes.empty()) {
+  if (kind == DocNodeKind::kElement && frame.begin == frame.end) {
     ++stats_.elements_discarded;
   }
 
   ++depth_;
-  for (size_t i = 0; i < frame.xnodes.size(); ++i) {
-    open_by_xnode_[static_cast<size_t>(frame.xnodes[i])].push_back(
-        frame.structures[i]);
+  for (const Match& match : Matches(frame)) {
+    Structure*& top = open_top_[static_cast<size_t>(match.xnode)];
+    match.structure->prev_open = top;
+    top = match.structure;
   }
 
-  if (options_.max_live_structures != 0 &&
-      stats_.structures_live > options_.max_live_structures) {
+  if (max_live_structures_ != 0 &&
+      stats_.structures_live > max_live_structures_) {
     FailWith(ResourceExhaustedError(
         "live matching structures exceeded the configured limit of " +
-        std::to_string(options_.max_live_structures)));
+        std::to_string(max_live_structures_)));
   }
 }
 
 // Inserts `child` into `parent`'s slot and, if the child is already
 // confirmed, lets the confirmation propagate into the parent immediately.
-void XaosEngine::LinkChild(const MatchingPtr& parent, int slot,
-                           const MatchingPtr& child, bool optimistic) {
+void XaosEngine::LinkChild(Structure* parent, int slot, Structure* child,
+                           bool optimistic) {
   if (child->confirmed() &&
-      (IsCountedXNode(child->xnode()) || child->reclaimed())) {
+      (IsCountedXNode(child->xnode) || child->reclaimed())) {
     // Boolean submatching: a confirmed, output-free sub-matching only needs
     // to be counted. No storage, and no back reference either — confirmed
     // structures are never retracted. A reclaimed child is the same shape:
     // its output is already emitted and its storage is gone, so only its
     // (permanent) confirmation matters to the parent.
     parent->bump_confirmed(slot);
-    TryConfirm(parent.get());
+    TryConfirm(parent);
     return;
   }
   bool was_confirmed = child->confirmed();
-  MatchingStructure::Link(parent, slot, child, optimistic);
-  if (was_confirmed) TryConfirm(parent.get());
+  store_.Link(parent, slot, child, optimistic);
+  if (was_confirmed) TryConfirm(parent);
   // A confirmed child linked under an already-anchored parent is itself
   // reachable from the confirmed Root through confirmed structures.
   if (earliest_ && parent->anchored() && child->confirmed() &&
       !child->anchored()) {
-    Anchor(child.get());
+    Anchor(child);
   }
 }
 
-bool XaosEngine::SlotRefillable(const MatchingStructure& parent,
-                                int slot) const {
-  XNodeId w = Children(parent.xnode())[static_cast<size_t>(slot)];
+bool XaosEngine::SlotRefillable(const Structure& parent, int slot) const {
+  XNodeId w = Children(parent.xnode)[static_cast<size_t>(slot)];
   if (row(w).incoming_axis != Axis::kFollowingSibling) return false;
   // Following-sibling entries can still arrive while the element's parent
   // is open (later siblings have not been seen yet).
-  int level = parent.element().level;
+  uint32_t level = parent.node.position.level;
   if (level == 0) return false;
   size_t parent_depth = static_cast<size_t>(level - 1);
-  return parent_depth < depth_ &&
-         stack_[parent_depth].info.id == parent.element().parent_id;
+  return parent_depth < depth_ && frames_[parent_depth].node.position.id ==
+                                      parent.node.position.parent_id;
 }
 
-void XaosEngine::CascadeRemoval(MatchingStructure* m, bool retract_only) {
-  // Locals share the structure's arena allocator so cascades stay off the
-  // heap too.
-  util::ArenaVector<MatchingStructure::BackRef> kept(
-      m->backrefs().get_allocator());
-  util::ArenaVector<MatchingStructure::BackRef> refs(
-      m->backrefs().get_allocator());
-  refs.swap(m->backrefs());
-  for (const MatchingStructure::BackRef& ref : refs) {
-    if (retract_only && ref.optimistic) {
+void XaosEngine::CascadeRemoval(Structure* m, bool retract_only) {
+  LinkList refs = store_.TakeBackrefs(m);
+  LinkList kept;
+  for (StructureLink* ref = refs.head; ref != nullptr;) {
+    StructureLink* next = ref->next_backref;
+    if (retract_only && ref->optimistic) {
       // Optimistic links (backward/sibling pulls) are kept: the consumer
       // will learn of this structure's fate through a later undo or keep
       // the reference if it completes again.
-      kept.push_back(ref);
+      if (kept.tail == nullptr) {
+        kept.head = ref;
+      } else {
+        kept.tail->next_backref = ref;
+      }
+      kept.tail = ref;
+      ref = next;
       continue;
     }
-    MatchingPtr parent = ref.parent.lock();
-    if (parent == nullptr || parent->dead()) continue;
-    parent->RemoveFromSlot(ref.slot, m);
+    Structure* parent_ptr = ref->parent;
+    const int slot = static_cast<int>(ref->slot);
+    if (parent_ptr->expired() || parent_ptr->dead()) {
+      store_.DropBackref(ref);
+      ref = next;
+      continue;
+    }
+    Hold parent(&store_, parent_ptr);
+    store_.DropBackref(ref);
+    ref = next;
+    store_.RemoveFromSlot(parent_ptr, slot, m);
     // An anchored parent's slots are satisfied by confirmed counts forever;
     // losing a stored (unconfirmed) extra entry cannot undo it, but it may
     // drain the slot and make the parent reclaimable.
-    if (earliest_ && parent->anchored()) {
-      MaybeReclaim(parent.get());
+    if (earliest_ && parent_ptr->anchored()) {
+      MaybeReclaim(parent_ptr);
       continue;
     }
     // An open parent may still receive entries for this slot. A closed
@@ -512,30 +595,34 @@ void XaosEngine::CascadeRemoval(MatchingStructure* m, bool retract_only) {
     // refillable following-sibling slot, in which case the parent merely
     // returns to the pending state. Emptiness accounts for released
     // (counted) confirmed entries, which keep the slot satisfied forever.
-    if (!parent->SlotEmpty(ref.slot) || !parent->closed()) continue;
-    if (SlotRefillable(*parent, ref.slot)) {
-      RetractPropagation(parent.get());
+    if (!parent_ptr->SlotEmpty(slot) || !parent_ptr->closed()) continue;
+    if (SlotRefillable(*parent_ptr, slot)) {
+      RetractPropagation(parent_ptr);
     } else {
-      Undo(parent.get());
+      Undo(parent_ptr);
     }
   }
-  m->backrefs() = std::move(kept);
+  // The kept links become the back references again. Nothing links `m`
+  // during a cascade (links are made only by propagation and pulls).
+  XAOS_CHECK(m->backrefs.empty());
+  if (kept.tail != nullptr) kept.tail->next_backref = nullptr;
+  m->backrefs = kept;
 }
 
-void XaosEngine::Undo(MatchingStructure* m) {
-  m->set_dead();
+void XaosEngine::Undo(Structure* m) {
+  m->set(Structure::kDead);
   ++stats_.structures_undone;
   CascadeRemoval(m, /*retract_only=*/false);
 }
 
-void XaosEngine::RetractPropagation(MatchingStructure* m) {
+void XaosEngine::RetractPropagation(Structure* m) {
   if (m->dead() || !m->propagated()) return;
   XAOS_CHECK(!m->confirmed()) << "confirmed matchings cannot be retracted";
-  m->set_propagated(false);
+  m->flags &= static_cast<uint8_t>(~Structure::kPropagated);
   CascadeRemoval(m, /*retract_only=*/true);
 }
 
-void XaosEngine::MaybeCompleteDeferred(const MatchingPtr& m) {
+void XaosEngine::MaybeCompleteDeferred(Structure* m) {
   if (m->closed() && !m->dead() && !m->propagated() && m->AllSlotsNonEmpty()) {
     PropagateUp(m);
   }
@@ -547,11 +634,12 @@ void XaosEngine::MaybeCompleteDeferred(const MatchingPtr& m) {
 // in that case the current stack top is a later sibling, so the parent
 // frame index and the open-ancestor registry are still valid for this
 // structure's element.
-void XaosEngine::PropagateUp(const MatchingPtr& m) {
+void XaosEngine::PropagateUp(Structure* m) {
   if (m->propagated() || m->dead()) return;
-  m->set_propagated(true);
-  XNodeId v = m->xnode();
-  const ElementId element_id = m->element().id;
+  m->set(Structure::kPropagated);
+  XNodeId v = m->xnode;
+  const ElementId element_id = m->node.position.id;
+  const ElementId parent_id = m->node.position.parent_id;
   if (v != kRootXNode) {
     const XNodeRow& r = row(v);
     XNodeId parent_xnode = r.parent;
@@ -559,53 +647,46 @@ void XaosEngine::PropagateUp(const MatchingPtr& m) {
     switch (r.incoming_axis) {
       case Axis::kChild:
       case Axis::kAttribute: {
-        // stack_[depth_ - 2] is the document parent only if dispatch did
+        // frames_[depth_ - 2] is the document parent only if dispatch did
         // not skip it (sparse stack); a skipped parent matched nothing.
-        if (depth_ < 2 ||
-            stack_[depth_ - 2].info.id != m->element().parent_id) {
+        if (depth_ < 2 || frames_[depth_ - 2].node.position.id != parent_id) {
           break;
         }
-        const MatchingPtr* p = FindMatch(stack_[depth_ - 2], parent_xnode);
-        if (p != nullptr && !(*p)->dead()) {
-          LinkChild(*p, slot, m, /*optimistic=*/false);
+        Structure* p = FindMatch(frames_[depth_ - 2], parent_xnode);
+        if (p != nullptr && !p->dead()) {
+          LinkChild(p, slot, m, /*optimistic=*/false);
           ++stats_.propagations;
         }
         break;
       }
       case Axis::kDescendant:
-        for (const MatchingPtr& p :
-             open_by_xnode_[static_cast<size_t>(parent_xnode)]) {
-          // Proper ancestors only: they opened before this element did.
-          if (p->element().id >= element_id || p->dead()) continue;
+      case Axis::kDescendantOrSelf: {
+        // Proper ancestors only: they opened before this element did. (For
+        // descendant-or-self the self part is pulled by the parent at its
+        // own close.)
+        ForEachOpen(parent_xnode, [&](Structure* p) {
+          if (p->node.position.id >= element_id || p->dead()) return;
           LinkChild(p, slot, m, /*optimistic=*/false);
           ++stats_.propagations;
-        }
+        });
         break;
-      case Axis::kDescendantOrSelf:
-        // The self part is pulled by the parent at its own close; here only
-        // proper ancestors receive the push.
-        for (const MatchingPtr& p :
-             open_by_xnode_[static_cast<size_t>(parent_xnode)]) {
-          if (p->element().id >= element_id || p->dead()) continue;
-          LinkChild(p, slot, m, /*optimistic=*/false);
-          ++stats_.propagations;
-        }
-        break;
+      }
       case Axis::kFollowingSibling: {
         // Targets are the already-closed preceding siblings matched to the
         // parent x-node; filling their slot may complete them (deferred
         // propagation).
-        if (depth_ < 2 ||
-            stack_[depth_ - 2].info.id != m->element().parent_id) {
+        if (depth_ < 2 || frames_[depth_ - 2].node.position.id != parent_id) {
           break;
         }
-        Frame& parent_frame = stack_[depth_ - 2];
-        // Copy: deferred completion may append to this list... it cannot
-        // (registration happens at pop), but undo cascades may mutate it.
-        std::vector<MatchingPtr> targets =
-            parent_frame.closed_by_xnode[static_cast<size_t>(parent_xnode)];
-        for (const MatchingPtr& p : targets) {
-          if (p->dead() || p->element().id >= element_id) continue;
+        // Held copy: undo cascades run while the targets are visited.
+        std::vector<Hold> targets;
+        for (Structure* p :
+             closed_[depth_ - 2][static_cast<size_t>(parent_xnode)]) {
+          targets.emplace_back(&store_, p);
+        }
+        for (const Hold& target : targets) {
+          Structure* p = target.get();
+          if (p->dead() || p->node.position.id >= element_id) continue;
           LinkChild(p, slot, m, /*optimistic=*/false);
           ++stats_.propagations;
           MaybeCompleteDeferred(p);
@@ -626,23 +707,22 @@ void XaosEngine::PropagateUp(const MatchingPtr& m) {
         XAOS_CHECK(false) << "desugared axis in x-tree";
     }
   }
-  TryConfirm(m.get());
+  TryConfirm(m);
 }
 
 void XaosEngine::ProcessEnd() {
   XAOS_CHECK(depth_ > 0);
-  Frame& frame = stack_[depth_ - 1];
-  const ElementId element_id = frame.info.id;
+  Frame& frame = frames_[depth_ - 1];
+  const ElementId element_id = frame.node.position.id;
+  const ElementId parent_id = frame.node.position.parent_id;
 
   // Children that were pending on a following sibling can no longer
   // complete: once this element closes, no further siblings of its children
   // will ever arrive. Retract them now.
   if (wants_siblings_) {
-    for (std::vector<MatchingPtr>& list : frame.closed_by_xnode) {
-      for (const MatchingPtr& child : list) {
-        if (!child->dead() && !child->AllSlotsNonEmpty()) {
-          Undo(child.get());
-        }
+    for (std::vector<Structure*>& list : closed_[depth_ - 1]) {
+      for (Structure* child : list) {
+        if (!child->dead() && !child->AllSlotsNonEmpty()) Undo(child);
       }
     }
   }
@@ -650,20 +730,25 @@ void XaosEngine::ProcessEnd() {
   // Process deepest x-tree nodes first: x-tree children that may be mapped
   // to this very element (self / *-or-self axes) must be finalized before
   // their x-tree parent fills its slots.
-  std::vector<size_t>& order = order_scratch_;
-  order.resize(frame.xnodes.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (order.size() > 1) {
+  const Match* matches = matches_.data() + frame.begin;
+  const size_t count = frame.end - frame.begin;
+  constexpr size_t kInline = 16;
+  size_t inline_order[kInline];
+  if (count > kInline) order_scratch_.resize(count);
+  const std::span<size_t> order(
+      count > kInline ? order_scratch_.data() : inline_order, count);
+  for (size_t i = 0; i < count; ++i) order[i] = i;
+  if (count > 1) {
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return row(frame.xnodes[a]).depth > row(frame.xnodes[b]).depth;
+      return row(matches[a].xnode).depth > row(matches[b].xnode).depth;
     });
   }
 
   for (size_t idx : order) {
-    XNodeId v = frame.xnodes[idx];
-    const MatchingPtr& m = frame.structures[idx];
+    XNodeId v = matches[idx].xnode;
+    Structure* m = matches[idx].structure;
     if (m->dead()) continue;
-    m->set_closed();
+    m->set(Structure::kClosed);
 
     // Pull phase: submatchings whose candidates are known at this end event
     // but may not yet be total are adopted *optimistically* and retracted
@@ -673,60 +758,53 @@ void XaosEngine::ProcessEnd() {
     const std::span<const XNodeId> children = Children(v);
     for (size_t slot = 0; slot < children.size(); ++slot) {
       XNodeId w = children[slot];
+      const int s = static_cast<int>(slot);
       switch (row(w).incoming_axis) {
         case Axis::kParent: {
-          // Sparse-stack guard: stack_[depth_ - 2] must be the document
+          // Sparse-stack guard: frames_[depth_ - 2] must be the document
           // parent (skipped ancestors matched nothing).
-          if (depth_ < 2 ||
-              stack_[depth_ - 2].info.id != frame.info.parent_id) {
+          if (depth_ < 2 || frames_[depth_ - 2].node.position.id != parent_id) {
             break;
           }
-          const MatchingPtr* p = FindMatch(stack_[depth_ - 2], w);
-          if (p != nullptr && !(*p)->dead()) {
-            LinkChild(m, static_cast<int>(slot), *p, /*optimistic=*/true);
+          Structure* p = FindMatch(frames_[depth_ - 2], w);
+          if (p != nullptr && !p->dead()) {
+            LinkChild(m, s, p, /*optimistic=*/true);
             ++stats_.optimistic_propagations;
           }
           break;
         }
         case Axis::kAncestor:
-          for (const MatchingPtr& p :
-               open_by_xnode_[static_cast<size_t>(w)]) {
-            if (p->element().id == element_id || p->dead()) continue;
-            LinkChild(m, static_cast<int>(slot), p, /*optimistic=*/true);
+        case Axis::kAncestorOrSelf: {
+          const bool proper = row(w).incoming_axis == Axis::kAncestor;
+          ForEachOpen(w, [&](Structure* p) {
+            if ((proper && p->node.position.id == element_id) || p->dead()) {
+              return;
+            }
+            LinkChild(m, s, p, /*optimistic=*/true);
             ++stats_.optimistic_propagations;
-          }
+          });
           break;
-        case Axis::kAncestorOrSelf:
-          for (const MatchingPtr& p :
-               open_by_xnode_[static_cast<size_t>(w)]) {
-            if (p->dead()) continue;
-            LinkChild(m, static_cast<int>(slot), p, /*optimistic=*/true);
-            ++stats_.optimistic_propagations;
-          }
-          break;
+        }
         case Axis::kSelf:
         case Axis::kDescendantOrSelf: {
           // The same element may match `w` (its structure was finalized
           // earlier in this event — deeper x-tree nodes first). For
           // descendant-or-self this is the "self" part; proper descendants
           // were pushed when they closed.
-          const MatchingPtr* p = FindMatch(frame, w);
-          if (p != nullptr && p->get() != m.get() && !(*p)->dead()) {
-            LinkChild(m, static_cast<int>(slot), *p, /*optimistic=*/true);
+          Structure* p = FindMatch(frame, w);
+          if (p != nullptr && p != m && !p->dead()) {
+            LinkChild(m, s, p, /*optimistic=*/true);
             ++stats_.optimistic_propagations;
           }
           break;
         }
         case Axis::kPrecedingSibling: {
-          if (depth_ < 2 ||
-              stack_[depth_ - 2].info.id != frame.info.parent_id) {
+          if (depth_ < 2 || frames_[depth_ - 2].node.position.id != parent_id) {
             break;
           }
-          Frame& parent_frame = stack_[depth_ - 2];
-          for (const MatchingPtr& p :
-               parent_frame.closed_by_xnode[static_cast<size_t>(w)]) {
+          for (Structure* p : closed_[depth_ - 2][static_cast<size_t>(w)]) {
             if (p->dead()) continue;
-            LinkChild(m, static_cast<int>(slot), p, /*optimistic=*/true);
+            LinkChild(m, s, p, /*optimistic=*/true);
             ++stats_.optimistic_propagations;
           }
           break;
@@ -749,7 +827,7 @@ void XaosEngine::ProcessEnd() {
           }
         }
       }
-      if (!pending) Undo(m.get());
+      if (!pending) Undo(m);
       // Pending structures stay registered (closed, unpropagated) and are
       // completed by MaybeCompleteDeferred or retracted at parent close.
       continue;
@@ -761,8 +839,8 @@ void XaosEngine::ProcessEnd() {
     // capture is complete now, so a deferred emission can go out, and its
     // slots may already have drained to confirmed counts.
     if (earliest_ && m->anchored()) {
-      if (HasFlag(v, kOutput)) EmitEarly(m.get());
-      MaybeReclaim(m.get());
+      if (HasFlag(v, kOutput)) EmitEarly(m);
+      MaybeReclaim(m);
     }
   }
 
@@ -786,36 +864,34 @@ void XaosEngine::ProcessEnd() {
   }
 
   // Unregister this element's open matches (they are the newest entries of
-  // their per-x-node stacks).
-  for (size_t i = 0; i < frame.xnodes.size(); ++i) {
-    std::vector<MatchingPtr>& open =
-        open_by_xnode_[static_cast<size_t>(frame.xnodes[i])];
-    XAOS_CHECK(!open.empty() && open.back().get() == frame.structures[i].get());
-    open.pop_back();
+  // their per-x-node open lists).
+  for (const Match& match : Matches(frame)) {
+    Structure*& top = open_top_[static_cast<size_t>(match.xnode)];
+    XAOS_CHECK(top == match.structure);
+    top = match.structure->prev_open;
   }
   // Keep sibling-relevant matches reachable from the parent frame until the
   // parent closes.
   if (wants_siblings_ && depth_ >= 2 &&
-      stack_[depth_ - 2].info.id == frame.info.parent_id) {
-    Frame& parent_frame = stack_[depth_ - 2];
-    for (size_t i = 0; i < frame.xnodes.size(); ++i) {
-      XNodeId v = frame.xnodes[i];
-      if (HasFlag(v, kSiblingListed) &&
-          !frame.structures[i]->dead()) {
-        parent_frame.closed_by_xnode[static_cast<size_t>(v)].push_back(
-            frame.structures[i]);
+      frames_[depth_ - 2].node.position.id == parent_id) {
+    std::vector<std::vector<Structure*>>& parent_lists = closed_[depth_ - 2];
+    for (const Match& match : Matches(frame)) {
+      if (HasFlag(match.xnode, kSiblingListed) && !match.structure->dead()) {
+        StructureStore::Retain(match.structure);
+        parent_lists[static_cast<size_t>(match.xnode)].push_back(
+            match.structure);
       }
     }
   }
-  // Spend the frame: release structure references but keep the vectors'
-  // capacity for reuse at this depth.
-  frame.xnodes.clear();
-  frame.structures.clear();
+  // Spend the frame: drop its references to its matches.
+  for (const Match& match : Matches(frame)) store_.Release(match.structure);
+  matches_.resize(frame.begin);
+  frame.end = frame.begin;
   frame.capture_index = -1;
   --depth_;
 }
 
-void XaosEngine::TryConfirm(MatchingStructure* m) {
+void XaosEngine::TryConfirm(Structure* m) {
   // Note: open structures are confirmable too — their slots only ever gain
   // entries, confirmed entries are never retracted, and the consistency of
   // every existing link was checked when it was made. An open structure
@@ -824,49 +900,73 @@ void XaosEngine::TryConfirm(MatchingStructure* m) {
   if (m->confirmed() || m->dead() || !m->AllSlotsConfirmed()) {
     return;
   }
-  m->set_confirmed();
+  m->set(Structure::kConfirmed);
   // Walk the parents that linked this structure before it was confirmed
   // (later links count it directly, see LinkChild).
-  bool counted = IsCountedXNode(m->xnode());
-  util::ArenaVector<MatchingStructure::BackRef> backrefs(
-      m->backrefs().get_allocator());
-  if (counted) {
+  if (IsCountedXNode(m->xnode)) {
     // Once counted, the stored entries (and back references) are released:
     // confirmed structures are immutable, so nothing will ever need to
     // retract or re-find them. This is what frees predicate-only matchings
     // long before end of document.
-    backrefs.swap(m->backrefs());
-  } else {
-    backrefs = m->backrefs();
-  }
-  bool anchor_after = false;
-  for (const MatchingStructure::BackRef& ref : backrefs) {
-    MatchingPtr parent = ref.parent.lock();
-    if (parent == nullptr || parent->dead()) continue;
-    parent->bump_confirmed(ref.slot);
-    if (counted) {
+    LinkList refs = store_.TakeBackrefs(m);
+    for (StructureLink* ref = refs.head; ref != nullptr;) {
+      StructureLink* next = ref->next_backref;
+      Structure* parent_ptr = ref->parent;
+      const int slot = static_cast<int>(ref->slot);
+      if (parent_ptr->expired() || parent_ptr->dead()) {
+        store_.DropBackref(ref);
+        ref = next;
+        continue;
+      }
+      Hold parent(&store_, parent_ptr);
+      store_.DropBackref(ref);
+      ref = next;
+      parent_ptr->bump_confirmed(slot);
       // Migrate from stored entry to count. Note: this may release the last
-      // strong reference to `m` held by `parent`; callers of TryConfirm keep
-      // `m` alive for the duration of the call.
-      parent->RemoveFromSlot(ref.slot, m);
-      if (earliest_ && parent->anchored()) MaybeReclaim(parent.get());
+      // strong reference to `m` held by `parent`; callers of TryConfirm
+      // keep `m` alive for the duration of the call.
+      store_.RemoveFromSlot(parent_ptr, slot, m);
+      if (earliest_ && parent_ptr->anchored()) MaybeReclaim(parent_ptr);
+      TryConfirm(parent_ptr);
     }
+    return;
+  }
+  // A snapshot of the parents: anchoring inside the cascade can reclaim
+  // `m` and detach it from its back references mid-walk. The weak
+  // references keep every snapshot parent readable.
+  const size_t mark = backref_scratch_.size();
+  for (const StructureLink* ref = m->backrefs.head; ref != nullptr;
+       ref = ref->next_backref) {
+    StructureStore::RetainWeak(ref->parent);
+    backref_scratch_.emplace_back(ref->parent, ref->slot);
+  }
+  const size_t end = backref_scratch_.size();
+  bool anchor_after = false;
+  for (size_t i = mark; i < end; ++i) {
+    auto [parent_ptr, slot] = backref_scratch_[i];
+    if (parent_ptr->expired() || parent_ptr->dead()) continue;
+    Hold parent(&store_, parent_ptr);
+    parent_ptr->bump_confirmed(static_cast<int>(slot));
     // A live anchored parent makes the freshly confirmed `m` reachable from
     // the confirmed Root. Anchoring is deferred past the loop: Anchor can
     // reclaim `m`, which would detach it from parents not yet visited.
-    if (earliest_ && !counted && parent->anchored()) anchor_after = true;
-    TryConfirm(parent.get());
+    if (earliest_ && parent_ptr->anchored()) anchor_after = true;
+    TryConfirm(parent_ptr);
   }
+  for (size_t i = mark; i < end; ++i) {
+    store_.ReleaseWeak(backref_scratch_[i].first);
+  }
+  backref_scratch_.resize(mark);
   if (anchor_after) Anchor(m);
 }
 
-void XaosEngine::Anchor(MatchingStructure* m) {
+void XaosEngine::Anchor(Structure* m) {
   if (!earliest_ || m == nullptr || m->anchored() || m->dead() ||
       !m->confirmed()) {
     return;
   }
-  m->set_anchored();
-  if (HasFlag(m->xnode(), kOutput) &&
+  m->set(Structure::kAnchored);
+  if (HasFlag(m->xnode, kOutput) &&
       (m->closed() || !options_.capture_output_subtrees)) {
     // An anchored output structure is provably in the final result. With
     // subtree capture the serialized XML only exists once the element
@@ -876,27 +976,29 @@ void XaosEngine::Anchor(MatchingStructure* m) {
   }
   // Recursively anchor the confirmed entries of stored (non-counted)
   // slots: every one of them is reachable through `m`'s confirmed link.
-  // Two-phase: anchoring a child can reclaim it, which erases it from the
-  // slot vector being iterated, so collect strong references first.
-  std::vector<MatchingPtr> to_anchor;
-  const std::span<const XNodeId> children = Children(m->xnode());
+  // Two-phase: anchoring a child can reclaim it, which removes it from the
+  // slot being walked, so hold the children first.
+  std::vector<Hold> to_anchor;
+  const std::span<const XNodeId> children = Children(m->xnode);
   for (size_t slot = 0; slot < children.size(); ++slot) {
     if (IsCountedXNode(children[slot])) continue;
-    for (const MatchingPtr& child : m->slot(static_cast<int>(slot))) {
-      if (child->confirmed() && !child->anchored()) {
-        to_anchor.push_back(child);
+    for (const StructureLink* link = m->slot(static_cast<int>(slot)).head;
+         link != nullptr; link = link->next_in_slot) {
+      if (link->child->confirmed() && !link->child->anchored()) {
+        to_anchor.emplace_back(&store_, link->child);
       }
     }
   }
-  for (const MatchingPtr& child : to_anchor) Anchor(child.get());
+  for (const Hold& child : to_anchor) Anchor(child.get());
   MaybeReclaim(m);
 }
 
-void XaosEngine::EmitEarly(MatchingStructure* m) {
-  if (!emitted_ids_.insert(m->element().id).second) return;
+void XaosEngine::EmitEarly(Structure* m) {
+  const ElementId id = m->node.position.id;
+  if (!emitted_ids_.insert(id).second) return;
   OutputItem item;
-  item.info = m->element();
-  auto it = captured_.find(m->element().id);
+  item.info = m->Info();
+  auto it = captured_.find(id);
   if (it != captured_.end()) {
     // Move the capture buffer out — its heap storage is freed with the
     // item instead of lingering until end of document.
@@ -914,61 +1016,62 @@ void XaosEngine::EmitEarly(MatchingStructure* m) {
   early_items_.push_back(std::move(item));
 }
 
-void XaosEngine::MaybeReclaim(MatchingStructure* m) {
+void XaosEngine::MaybeReclaim(Structure* m) {
   if (!reclaim_enabled_ || m->reclaimed() || !m->anchored() || m->dead() ||
-      !m->closed() || m->xnode() == kRootXNode ||
-      HasFlag(m->xnode(), kReclaimBlocked)) {
+      !m->closed() || m->xnode == kRootXNode ||
+      HasFlag(m->xnode, kReclaimBlocked)) {
     return;
   }
   // Reclaim only once every non-counted slot has drained to its confirmed
   // count. A stored entry — even an anchored one — may still be the only
   // strong reference keeping an unconfirmed grandchild's backref target
-  // alive; destroying it here could lose an item that confirms later.
+  // alive; releasing it here could lose an item that confirms later.
   // Counted slots never store confirmed entries (TryConfirm migrates them
   // to counts); their remaining stored entries are unconfirmed, output-free
-  // candidates whose loss is harmless (expired backrefs are skipped).
-  const std::span<const XNodeId> children = Children(m->xnode());
+  // candidates whose loss is harmless (released parents are skipped).
+  const std::span<const XNodeId> children = Children(m->xnode);
   for (size_t slot = 0; slot < children.size(); ++slot) {
     if (!IsCountedXNode(children[slot]) &&
         !m->slot(static_cast<int>(slot)).empty()) {
       return;
     }
   }
-  m->set_reclaimed();
+  m->set(Structure::kReclaimed);
   ++stats_.candidates_reclaimed;
-  util::ArenaVector<MatchingStructure::BackRef> detached(
-      m->backrefs().get_allocator());
-  m->ReleaseStorage(arena_, &detached);
-  // Detach from parents. Lock every parent first: removing `m` from a slot
-  // can drop the last strong reference and destroy it mid-loop, so after
-  // the first removal only the raw pointer *value* may be used.
-  std::vector<std::pair<MatchingPtr, int>> parents;
-  parents.reserve(detached.size());
-  for (const MatchingStructure::BackRef& ref : detached) {
-    MatchingPtr parent = ref.parent.lock();
-    if (parent == nullptr || parent->dead()) continue;
-    parents.emplace_back(std::move(parent), ref.slot);
+  store_.ClearSlots(m);
+  // Detach from parents. Hold every parent first: removing `m` from a slot
+  // can drop its last strong reference and release it mid-loop, so after
+  // the first removal only the pointer *value* may be used.
+  std::vector<std::pair<Hold, int>> parents;
+  LinkList detached = store_.TakeBackrefs(m);
+  for (StructureLink* ref = detached.head; ref != nullptr;) {
+    StructureLink* next = ref->next_backref;
+    Structure* parent = ref->parent;
+    if (!parent->expired() && !parent->dead()) {
+      parents.emplace_back(Hold(&store_, parent), static_cast<int>(ref->slot));
+    }
+    store_.DropBackref(ref);
+    ref = next;
   }
-  const MatchingStructure* raw = m;
+  const Structure* raw = m;
   for (auto& [parent, slot] : parents) {
     // Anchored => every confirmed count >= 1, so the slot stays satisfied
     // and no undo can trigger; this is pure storage release.
-    parent->RemoveFromSlot(slot, raw);
+    store_.RemoveFromSlot(parent.get(), slot, raw);
   }
   for (auto& [parent, slot] : parents) {
     (void)slot;
-    if (parent->anchored()) MaybeReclaim(parent.get());
+    if (parent.get()->anchored()) MaybeReclaim(parent.get());
   }
 }
 
 void XaosEngine::StartDocument() {
   ResetDocumentState();
   own_cursor_.Reset();
-  ProcessStart(DocNodeKind::kRoot, "", CollectCandidates(DocNodeKind::kRoot,
-                                                         util::kInvalidSymbol),
-               "", NodePosition{});
-  const MatchingPtr* root = FindMatch(stack_[0], kRootXNode);
-  live_root_ = (root != nullptr) ? root->get() : nullptr;
+  ProcessStart(DocNodeKind::kRoot, "", util::kInvalidSymbol,
+               CollectCandidates(DocNodeKind::kRoot, util::kInvalidSymbol), "",
+               NodePosition{});
+  live_root_ = FindMatch(frames_[0], kRootXNode);
 }
 
 void XaosEngine::StartElement(const xml::QName& name,
@@ -990,7 +1093,7 @@ void XaosEngine::EndElement(std::string_view /*name*/) {
 void XaosEngine::DeliverStartElement(const xml::QName& name,
                                      xml::AttributeSpan attributes,
                                      const NodePosition& node) {
-  if (!error_.ok() || inert_) return;
+  if (failed_ || inert_) return;
   // Replay paths (DOM replayer, recorded events, hand-fed tests) deliver
   // names without symbols; resolve against the global table. A
   // name the table has never seen cannot match any query name test.
@@ -998,21 +1101,21 @@ void XaosEngine::DeliverStartElement(const xml::QName& name,
   if (symbol == util::kInvalidSymbol) {
     symbol = util::SymbolTable::Global().Lookup(name.text);
   }
-  ProcessStart(DocNodeKind::kElement, name.text,
+  ProcessStart(DocNodeKind::kElement, name.text, symbol,
                CollectCandidates(DocNodeKind::kElement, symbol), "", node);
-  if (!error_.ok()) return;
+  if (failed_) return;
 
-  if (options_.capture_output_subtrees) {
+  if (captures_) {
     for (const CapturePtr& capture : active_captures_) {
       capture->writer.StartElement(name.text);
       for (const xml::AttributeView& attr : attributes) {
         capture->writer.WriteAttribute(attr.name, attr.value);
       }
     }
-    Frame& top = stack_[depth_ - 1];
+    Frame& top = frames_[depth_ - 1];
     bool output_match = false;
-    for (XNodeId v : top.xnodes) {
-      if (HasFlag(v, kOutput)) {
+    for (const Match& match : Matches(top)) {
+      if (HasFlag(match.xnode, kOutput)) {
         output_match = true;
         break;
       }
@@ -1020,7 +1123,7 @@ void XaosEngine::DeliverStartElement(const xml::QName& name,
     if (output_match) {
       CapturePtr capture(new (arena_->Allocate(sizeof(Capture))) Capture,
                          CaptureDeleter{arena_});
-      capture->element_id = top.info.id;
+      capture->element_id = top.node.position.id;
       capture->writer.StartElement(name.text);
       for (const xml::AttributeView& attr : attributes) {
         capture->writer.WriteAttribute(attr.name, attr.value);
@@ -1038,11 +1141,11 @@ void XaosEngine::DeliverStartElement(const xml::QName& name,
         attr_symbol = util::SymbolTable::Global().Lookup(attr.name);
       }
       ProcessStart(
-          DocNodeKind::kAttribute, attr.name,
+          DocNodeKind::kAttribute, attr.name, attr_symbol,
           CollectCandidates(DocNodeKind::kAttribute, attr_symbol), attr.value,
           NodePosition{node.id + 1 + static_cast<ElementId>(k), node.id,
                        node.level + 1, node.ordinal});
-      if (!error_.ok()) return;
+      if (failed_) return;
       ProcessEnd();
     }
   }
@@ -1050,28 +1153,28 @@ void XaosEngine::DeliverStartElement(const xml::QName& name,
 
 void XaosEngine::DeliverCharacters(std::string_view text,
                                    const NodePosition& text_node) {
-  if (!error_.ok() || inert_ || depth_ == 0) return;
-  if (options_.capture_output_subtrees) {
+  if (failed_ || inert_ || depth_ == 0) return;
+  if (captures_) {
     for (const CapturePtr& capture : active_captures_) {
       capture->writer.WriteText(text);
     }
   }
   if (wants_text_) {
-    ProcessStart(DocNodeKind::kText, "",
+    ProcessStart(DocNodeKind::kText, "", util::kInvalidSymbol,
                  CollectCandidates(DocNodeKind::kText, util::kInvalidSymbol),
                  text, text_node);
-    if (!error_.ok()) return;
+    if (failed_) return;
     ProcessEnd();
   }
 }
 
 void XaosEngine::DeliverEndElement() {
-  if (!error_.ok() || inert_) return;
-  if (options_.capture_output_subtrees) {
+  if (failed_ || inert_) return;
+  if (captures_) {
     for (const CapturePtr& capture : active_captures_) {
       capture->writer.EndElement();
     }
-    Frame& top = stack_[depth_ - 1];
+    Frame& top = frames_[depth_ - 1];
     if (top.capture_index >= 0) {
       XAOS_CHECK_EQ(top.capture_index,
                     static_cast<int>(active_captures_.size()) - 1);
@@ -1084,7 +1187,7 @@ void XaosEngine::DeliverEndElement() {
 }
 
 void XaosEngine::EndDocument() {
-  if (!error_.ok()) return;
+  if (failed_) return;
   if (inert_) {
     AccountPrivateArena();
     // Early-terminated filtering mode: the match is guaranteed; per-item
@@ -1095,8 +1198,8 @@ void XaosEngine::EndDocument() {
     return;
   }
   XAOS_CHECK_EQ(depth_, 1u) << "unbalanced events";
-  const MatchingPtr* root = FindMatch(stack_[0], kRootXNode);
-  root_structure_ = (root != nullptr) ? *root : nullptr;
+  root_structure_ = FindMatch(frames_[0], kRootXNode);
+  if (root_structure_ != nullptr) StructureStore::Retain(root_structure_);
   ProcessEnd();
   AccountPrivateArena();
   BuildResult(root_structure_);
@@ -1107,7 +1210,7 @@ void XaosEngine::EndDocument() {
   }
 }
 
-void XaosEngine::BuildResult(const MatchingPtr& root_structure) {
+void XaosEngine::BuildResult(Structure* root_structure) {
   result_ = QueryResult{};
   if (root_structure == nullptr || root_structure->dead() ||
       !root_structure->AllSlotsNonEmpty()) {
@@ -1128,26 +1231,27 @@ void XaosEngine::BuildResult(const MatchingPtr& root_structure) {
   // Marked traversal (Section 4.4): every structure reachable from a
   // satisfied root participates in at least one total matching, so each
   // output x-node's reachable structures are exactly the selected nodes.
-  std::unordered_set<const MatchingStructure*> visited;
+  std::unordered_set<const Structure*> visited;
   std::unordered_set<ElementId> emitted(emitted_ids_.begin(),
                                         emitted_ids_.end());
-  std::vector<const MatchingStructure*> pending{root_structure.get()};
-  visited.insert(root_structure.get());
+  std::vector<const Structure*> pending{root_structure};
+  visited.insert(root_structure);
   while (!pending.empty()) {
-    const MatchingStructure* m = pending.back();
+    const Structure* m = pending.back();
     pending.pop_back();
-    if (HasFlag(m->xnode(), kOutput) &&
-        emitted.insert(m->element().id).second) {
+    if (HasFlag(m->xnode, kOutput) &&
+        emitted.insert(m->node.position.id).second) {
       OutputItem item;
-      item.info = m->element();
-      auto it = captured_.find(m->element().id);
+      item.info = m->Info();
+      auto it = captured_.find(m->node.position.id);
       if (it != captured_.end()) item.captured_xml = it->second;
       result_.items.push_back(std::move(item));
     }
-    for (int i = 0; i < m->slot_count(); ++i) {
-      for (const MatchingPtr& child : m->slot(i)) {
-        if (visited.insert(child.get()).second) {
-          pending.push_back(child.get());
+    for (int i = 0; i < m->slot_count; ++i) {
+      for (const StructureLink* link = m->slot(i).head; link != nullptr;
+           link = link->next_in_slot) {
+        if (visited.insert(link->child).second) {
+          pending.push_back(link->child);
         }
       }
     }
@@ -1182,7 +1286,7 @@ TupleEnumeration XaosEngine::OutputTuples(size_t max_tuples) const {
     if (HasFlag(v, kOutput)) out_nodes.push_back(v);
   }
 
-  std::vector<const ElementInfo*> assignment(
+  std::vector<const Structure*> assignment(
       static_cast<size_t>(tree_->size()), nullptr);
   std::set<std::vector<ElementId>> seen;
   size_t explored = 0;
@@ -1192,8 +1296,8 @@ TupleEnumeration XaosEngine::OutputTuples(size_t max_tuples) const {
   // per slot, recursively; a complete choice is a total matching (x-tree
   // subtree domains are disjoint, so any per-slot combination is valid).
   // The work list holds (structure, next slot to decide) pairs.
-  std::function<bool(std::vector<std::pair<const MatchingStructure*, int>>&)>
-      run = [&](std::vector<std::pair<const MatchingStructure*, int>>& work)
+  std::function<bool(std::vector<std::pair<const Structure*, int>>&)>
+      run = [&](std::vector<std::pair<const Structure*, int>>& work)
       -> bool {
     if (++explored > explore_budget) {
       enumeration.complete = false;
@@ -1204,10 +1308,10 @@ TupleEnumeration XaosEngine::OutputTuples(size_t max_tuples) const {
       OutputTuple tuple;
       key.reserve(out_nodes.size());
       for (XNodeId v : out_nodes) {
-        const ElementInfo* info = assignment[static_cast<size_t>(v)];
-        XAOS_CHECK(info != nullptr);
-        key.push_back(info->id);
-        tuple.push_back(*info);
+        const Structure* match = assignment[static_cast<size_t>(v)];
+        XAOS_CHECK(match != nullptr);
+        key.push_back(match->node.position.id);
+        tuple.push_back(match->Info());
       }
       if (seen.insert(std::move(key)).second) {
         enumeration.tuples.push_back(std::move(tuple));
@@ -1219,7 +1323,7 @@ TupleEnumeration XaosEngine::OutputTuples(size_t max_tuples) const {
       return true;
     }
     auto [m, slot] = work.back();
-    if (slot == m->slot_count()) {
+    if (slot == m->slot_count) {
       work.pop_back();
       bool keep_going = run(work);
       work.push_back({m, slot});
@@ -1227,7 +1331,7 @@ TupleEnumeration XaosEngine::OutputTuples(size_t max_tuples) const {
     }
     // Boolean submatchings: output-free slots contribute nothing to the
     // projection; their (released) entries need not be enumerated.
-    XNodeId slot_child = Children(m->xnode())[static_cast<size_t>(slot)];
+    XNodeId slot_child = Children(m->xnode)[static_cast<size_t>(slot)];
     if (IsCountedXNode(slot_child)) {
       work.back().second = slot + 1;
       bool keep_going = run(work);
@@ -1236,21 +1340,22 @@ TupleEnumeration XaosEngine::OutputTuples(size_t max_tuples) const {
     }
     work.back().second = slot + 1;
     bool keep_going = true;
-    for (const MatchingPtr& child : m->slot(slot)) {
-      assignment[static_cast<size_t>(child->xnode())] = &child->element();
-      work.push_back({child.get(), 0});
+    for (const StructureLink* link = m->slot(slot).head; link != nullptr;
+         link = link->next_in_slot) {
+      const Structure* child = link->child;
+      assignment[static_cast<size_t>(child->xnode)] = child;
+      work.push_back({child, 0});
       keep_going = run(work);
       work.pop_back();
-      assignment[static_cast<size_t>(child->xnode())] = nullptr;
+      assignment[static_cast<size_t>(child->xnode)] = nullptr;
       if (!keep_going) break;
     }
     work.back().second = slot;
     return keep_going;
   };
 
-  assignment[kRootXNode] = &root_structure_->element();
-  std::vector<std::pair<const MatchingStructure*, int>> work{
-      {root_structure_.get(), 0}};
+  assignment[kRootXNode] = root_structure_;
+  std::vector<std::pair<const Structure*, int>> work{{root_structure_, 0}};
   run(work);
   return enumeration;
 }
@@ -1263,7 +1368,7 @@ std::vector<LookingForEntry> XaosEngine::DebugLookingForSet() const {
   }
   constexpr int kAbsent = -3;
   constexpr int kAny = LookingForEntry::kAnyLevel;  // -1
-  int top_level = stack_[depth_ - 1].info.level;
+  int top_level = static_cast<int>(frames_[depth_ - 1].node.position.level);
   std::vector<int> lf(static_cast<size_t>(tree_->size()), kAbsent);
 
   const query::XDag xdag(*tree_);
@@ -1273,8 +1378,8 @@ std::vector<LookingForEntry> XaosEngine::DebugLookingForSet() const {
     for (const query::XDagEdge& edge : xdag.incoming(v)) {
       XNodeId u = edge.from;
       int constraint = kAbsent;
-      bool top_has_u = FindMatch(stack_[depth_ - 1], u) != nullptr;
-      bool any_open_u = !open_by_xnode_[static_cast<size_t>(u)].empty();
+      bool top_has_u = FindMatch(frames_[depth_ - 1], u) != nullptr;
+      bool any_open_u = open_top_[static_cast<size_t>(u)] != nullptr;
       switch (edge.axis) {
         case Axis::kChild:
         case Axis::kAttribute:
@@ -1296,9 +1401,8 @@ std::vector<LookingForEntry> XaosEngine::DebugLookingForSet() const {
           }
           break;
         case Axis::kFollowingSibling: {
-          const Frame& top = stack_[depth_ - 1];
-          for (const MatchingPtr& p :
-               top.closed_by_xnode[static_cast<size_t>(u)]) {
+          for (const Structure* p :
+               closed_[depth_ - 1][static_cast<size_t>(u)]) {
             if (!p->dead()) {
               constraint = top_level + 1;
               break;

@@ -147,12 +147,15 @@ class XaosEngine : public xml::ContentHandler {
  public:
   // `tree` must outlive the engine. Node 0 of the tree must test for the
   // virtual root (which every tree built by BuildXTree does). `arena`
-  // backs the engine's matching structures, their slot/backref vectors and
-  // its captures, and must outlive the engine; evaluators pass the one
-  // arena all of their engines share. Null gives the engine a private
-  // arena.
+  // backs the engine's matching structures, their links and its captures,
+  // and must outlive the engine; evaluators pass the one arena all of their
+  // engines share. Null gives the engine a private arena.
   explicit XaosEngine(const query::XTree* tree, EngineOptions options = {},
                       util::PoolArena* arena = nullptr);
+  ~XaosEngine() override;
+
+  XaosEngine(const XaosEngine&) = delete;
+  XaosEngine& operator=(const XaosEngine&) = delete;
 
   // ContentHandler interface. StartDocument resets per-document state, so
   // one engine can process a sequence of documents.
@@ -178,9 +181,7 @@ class XaosEngine : public xml::ContentHandler {
                          const NodePosition& text_node);
   // True if DeliverStartElement reads its attribute views (attribute node
   // tests or subtree capture); otherwise an empty span may be passed.
-  bool reads_attributes() const {
-    return wants_attributes_ || options_.capture_output_subtrees;
-  }
+  bool reads_attributes() const { return wants_attributes_ || captures_; }
   // Redirects early items (EngineOptions::early_item_sink) into `buffer`
   // instead of the sink, or back to the sink when null. The fleet uses it
   // to restore per-event emission order after an engine-at-a-time replay.
@@ -213,7 +214,7 @@ class XaosEngine : public xml::ContentHandler {
   bool wants_attributes() const { return wants_attributes_; }
   bool wants_text() const { return wants_text_; }
   bool wants_siblings() const { return wants_siblings_; }
-  bool captures_subtrees() const { return options_.capture_output_subtrees; }
+  bool captures_subtrees() const { return captures_; }
 
   const query::XTree& tree() const { return *tree_; }
   const EngineStats& stats() const { return stats_; }
@@ -226,7 +227,7 @@ class XaosEngine : public xml::ContentHandler {
 
   // True if at least one total matching at Root exists. Valid after
   // EndDocument.
-  bool Matched() const { return result_.matched; }
+  bool Matched() const { return result().matched; }
 
   // True as soon as a total matching at Root is guaranteed regardless of
   // future events — typically long before EndDocument. Monotone:
@@ -239,9 +240,9 @@ class XaosEngine : public xml::ContentHandler {
   }
   // obs::NowNs() timestamp of the moment the match became guaranteed (or,
   // failing early confirmation, of EndDocument for a matching document).
-  // 0 when unmatched or when obs was disabled. Recorded only at the rare
-  // confirmation transition, so it adds no per-event cost; evaluators turn
-  // it into the per-subscription time-to-first-match histogram.
+  // 0 when unmatched or when obs was disabled. Recorded only at the rare confirmation transition, so it adds
+  // no per-event cost; evaluators turn it into the per-subscription
+  // time-to-first-match histogram.
   uint64_t match_confirm_ns() const { return confirm_ns_; }
   // True once the engine has stopped doing per-event work for the current
   // document (stop_after_confirmed_match triggered). Dispatchers can skip
@@ -262,17 +263,42 @@ class XaosEngine : public xml::ContentHandler {
   std::vector<LookingForEntry> DebugLookingForSet() const;
 
  private:
+  using Structure = MatchingStructure;
+
+  // One open document node: its record and the [begin, end) range of
+  // matches_ holding the x-nodes it matched (topological order).
   struct Frame {
-    ElementInfo info;
-    std::vector<query::XNodeId> xnodes;       // matched x-nodes (topo order)
-    std::vector<MatchingPtr> structures;      // parallel to xnodes
-    // Structures of already-closed children, per x-node; only maintained
-    // (and only for sibling-relevant x-nodes) when the query uses sibling
-    // axes. Sources of following-sibling relevance, targets of deferred
-    // following-sibling propagation, and candidates for preceding-sibling
-    // pulls.
-    std::vector<std::vector<MatchingPtr>> closed_by_xnode;
-    int capture_index = -1;                   // index into active_captures_
+    NodeRecord node;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+    int32_t capture_index = -1;  // index into active_captures_
+  };
+  // A match of an open node; holds a strong reference.
+  struct Match {
+    query::XNodeId xnode;
+    Structure* structure;
+  };
+  // A strong reference for the extent of a scope — the engine's holds
+  // across operations that can drop a structure's last other reference.
+  class Hold {
+   public:
+    Hold(StructureStore* store, Structure* m) : store_(store), m_(m) {
+      StructureStore::Retain(m);
+    }
+    Hold(Hold&& other) noexcept : store_(other.store_), m_(other.m_) {
+      other.m_ = nullptr;
+    }
+    Hold(const Hold&) = delete;
+    Hold& operator=(const Hold&) = delete;
+    Hold& operator=(Hold&&) = delete;
+    ~Hold() {
+      if (m_ != nullptr) store_->Release(m_);
+    }
+    Structure* get() const { return m_; }
+
+   private:
+    StructureStore* store_;
+    Structure* m_;
   };
 
   struct Capture {
@@ -341,14 +367,20 @@ class XaosEngine : public xml::ContentHandler {
   }
   std::span<const query::XNodeId> Children(query::XNodeId v) const {
     const XNodeRow& r = row(v);
-    return std::span<const query::XNodeId>(child_ids_.data() + r.children_begin,
+    return std::span<const query::XNodeId>(child_ids_ + r.children_begin,
                                            r.children_end - r.children_begin);
+  }
+  // The frame's matches.
+  std::span<const Match> Matches(const Frame& frame) const {
+    return std::span<const Match>(matches_.data() + frame.begin,
+                                  frame.end - frame.begin);
   }
 
   // Creates the frame for a new document node, matching it against
   // `candidates` (x-nodes whose name test the node passes, in x-dag
   // topological order), and pushes it onto the stack.
   void ProcessStart(query::DocNodeKind kind, std::string_view name,
+                    util::Symbol symbol,
                     std::span<const query::XNodeId> candidates,
                     std::string_view value, const NodePosition& position);
   // Closes the top frame: optimistic pulls, satisfaction checks,
@@ -367,31 +399,36 @@ class XaosEngine : public xml::ContentHandler {
   std::span<const query::XNodeId> CollectCandidates(query::DocNodeKind kind,
                                                     util::Symbol symbol) const;
 
+  // Calls `f` on each open match of x-node `u`, oldest first, over a
+  // snapshot of the list.
+  template <typename F>
+  void ForEachOpen(query::XNodeId u, F&& f);
+
   // Recursively retracts a structure that cannot be part of a total
   // matching (the undo of Section 4.3 / Table 2 step 23).
-  void Undo(MatchingStructure* m);
+  void Undo(Structure* m);
 
   // Pushes a satisfied structure into its parent-matchings (the forward
   // half of Section 4.3's propagation) and attempts confirmation. Safe to
   // call late for structures whose following-sibling slots filled after
   // their close (deferred completion).
-  void PropagateUp(const MatchingPtr& m);
+  void PropagateUp(Structure* m);
 
   // If `m` (a closed sibling-axis target) just became satisfied, runs its
   // deferred propagation.
-  void MaybeCompleteDeferred(const MatchingPtr& m);
+  void MaybeCompleteDeferred(Structure* m);
 
   // Removes `m` from its parents. In full mode (dead structure) all links
   // go; in retract mode only push-links go, optimistic links stay.
-  void CascadeRemoval(MatchingStructure* m, bool retract_only);
+  void CascadeRemoval(Structure* m, bool retract_only);
 
   // Un-propagates a closed structure whose refillable (following-sibling)
   // slot emptied; it may complete and re-propagate later.
-  void RetractPropagation(MatchingStructure* m);
+  void RetractPropagation(Structure* m);
 
   // True if slot `slot` of `parent` can still gain entries: it is a
   // following-sibling slot and the element's parent is still open.
-  bool SlotRefillable(const MatchingStructure& parent, int slot) const;
+  bool SlotRefillable(const Structure& parent, int slot) const;
 
   // True if entries of this x-node are counted rather than stored once
   // confirmed (its subtree contains no output node).
@@ -401,70 +438,49 @@ class XaosEngine : public xml::ContentHandler {
 
   // Marks `m` confirmed if it provably represents a total matching, and
   // cascades the confirmation into its parents.
-  void TryConfirm(MatchingStructure* m);
+  void TryConfirm(Structure* m);
 
   // --- earliest answering (see EngineOptions::enable_earliest_emission) ---
   // Marks `m` anchored (confirmed + reachable from the confirmed Root via
   // confirmed structures), emits its output if it is an output x-node, and
   // recursively anchors the confirmed entries of its non-counted slots.
-  void Anchor(MatchingStructure* m);
+  void Anchor(Structure* m);
   // Emits the output item for an anchored output structure exactly once
   // (capture buffers move into the item and are erased).
-  void EmitEarly(MatchingStructure* m);
+  void EmitEarly(Structure* m);
   // Releases `m`'s storage back to the arena and detaches it from its
   // parents if it can no longer influence the result: anchored, closed,
   // every non-counted slot drained to confirmed counts, and its x-node not
   // reclaim-blocked (sibling axes). Only active when reclaim_enabled_.
-  void MaybeReclaim(MatchingStructure* m);
+  void MaybeReclaim(Structure* m);
 
   // Links a child into a parent slot, propagating confirmation if the
-  // child is already confirmed. `optimistic` — see MatchingStructure::Link.
-  void LinkChild(const MatchingPtr& parent, int slot, const MatchingPtr& child,
+  // child is already confirmed. `optimistic` marks links made before the
+  // child's own satisfaction is known (backward-axis and sibling pulls);
+  // they are preserved when a push-propagation is retracted.
+  void LinkChild(Structure* parent, int slot, Structure* child,
                  bool optimistic);
 
   // Finds the structure matched to `xnode` in `frame`, or null.
-  static const MatchingPtr* FindMatch(const Frame& frame,
-                                      query::XNodeId xnode);
+  Structure* FindMatch(const Frame& frame, query::XNodeId xnode) const;
 
-  void BuildResult(const MatchingPtr& root_structure);
+  void BuildResult(Structure* root_structure);
   void ResetDocumentState();
   // Drops the per-document matching state: the frames this document used,
-  // the open-structure registry, captures and early items.
+  // the closed-sibling lists, captures and early items.
   void ClearMatchingState();
   // Sets the per-document arena figures in stats_ — private arena only;
   // an evaluator reports its shared arena itself.
   void AccountPrivateArena();
   void FailWith(Status status);
 
-  const query::XTree* tree_;
-  EngineOptions options_;
-
-  // Backing store for all matching structures, their internal vectors and
-  // captures: the owning evaluator's arena, or own_arena_ for an engine
-  // constructed on its own. own_arena_ is declared before every member that
-  // can hold a MatchingPtr (stack_, open_by_xnode_, active_captures_,
-  // root_structure_) so it is destroyed after them. Freed blocks recycle
-  // through size-classed free lists, so steady-state per-event allocation
-  // never reaches the heap.
-  std::unique_ptr<util::PoolArena> own_arena_;
-  util::PoolArena* arena_;
-
-  // --- immutable query-derived tables ---
-  std::vector<XNodeRow> rows_;            // by x-node id
-  std::vector<query::XNodeId> child_ids_;  // rows' children, concatenated
-  std::vector<InEdge> in_edges_;           // rows' x-dag in-edges
-  // Every candidate list, concatenated. Element / attribute name tests are
-  // indexed by interned Symbol (a symbol past the table or without named
-  // x-nodes gets the kind's wildcard list); each named list is merged with
-  // its kind's wildcard x-nodes at construction.
-  std::vector<query::XNodeId> candidates_;
-  std::vector<CandidateSpan> element_spans_;
-  std::vector<CandidateSpan> attribute_spans_;
-  CandidateSpan any_element_;
-  CandidateSpan any_attribute_;
-  CandidateSpan text_;
-  CandidateSpan root_;
-  std::vector<util::Symbol> mentioned_symbols_;
+  // ---- what every delivery reads, first so it shares the object's
+  // leading cache lines ----
+  size_t depth_ = 0;    // open frames
+  bool failed_ = false;  // error_ is non-OK
+  bool inert_ = false;   // stop_after_confirmed_match triggered
+  bool done_ = false;
+  bool early_match_ = false;
   bool wants_attributes_ = false;
   bool wants_text_ = false;
   bool wants_siblings_ = false;
@@ -473,26 +489,68 @@ class XaosEngine : public xml::ContentHandler {
   // enumeration needs the full structure graph).
   bool earliest_ = false;
   bool reclaim_enabled_ = false;
+  // Copies of the EngineOptions fields the hot path reads.
+  bool relevance_filter_ = true;
+  bool captures_ = false;
+  uint64_t max_live_structures_ = 0;
+  // Frame stack, indexed by depth_; spent frames keep nothing.
+  std::vector<Frame> frames_;
+  // Every open frame's matches, concatenated in stack order.
+  std::vector<Match> matches_;
+  // The Root structure of the document in progress (held by frame 0);
+  // used to detect early match confirmation.
+  Structure* live_root_ = nullptr;
+  // Backing store for all matching structures, their links and captures:
+  // the owning evaluator's arena, or own_arena_ for an engine constructed
+  // on its own. own_arena_ is declared before every member that can hold
+  // a structure so it is destroyed after them.
+  std::unique_ptr<util::PoolArena> own_arena_;
+  util::PoolArena* arena_;
+  StructureStore store_{arena_, &stats_};
 
-  // --- per-document state ---
-  // Frame stack. `stack_` is used as an arena indexed by `depth_` so that
-  // frame vectors keep their capacity across elements (allocation-free in
-  // steady state). Frames at index >= depth_ are spent and empty, except
-  // for the closed-sibling lists of frames below `stack_dirty_`: the
-  // number of frames this document has used, which bounds the per-document
-  // reset.
-  std::vector<Frame> stack_;
-  size_t depth_ = 0;
-  size_t stack_dirty_ = 0;
-  // Structures of currently open document nodes, per x-node (stack
-  // discipline: the newest open match is at the back).
-  std::vector<std::vector<MatchingPtr>> open_by_xnode_;
+  // --- query-derived tables, packed into one allocation (tables_) ---
+  // Newest open match per x-node, older ones chained through prev_open
+  // (the one mutable table); then rows by x-node id, the rows' children
+  // and x-dag in-edges, and every candidate list. Element / attribute
+  // name tests are indexed by interned Symbol (a symbol past the table or
+  // without named x-nodes gets the kind's wildcard list); each named list
+  // is merged with its kind's wildcard x-nodes at construction.
+  Structure** open_top_ = nullptr;
+  const XNodeRow* rows_ = nullptr;
+  const query::XNodeId* child_ids_ = nullptr;
+  const InEdge* in_edges_ = nullptr;
+  const CandidateSpan* element_spans_ = nullptr;
+  const CandidateSpan* attribute_spans_ = nullptr;
+  const query::XNodeId* candidates_ = nullptr;
+  uint32_t open_count_ = 0;
+  uint32_t element_span_count_ = 0;
+  uint32_t attribute_span_count_ = 0;
+  CandidateSpan any_element_;
+  CandidateSpan any_attribute_;
+  CandidateSpan text_;
+  CandidateSpan root_;
+  std::unique_ptr<uint64_t[]> tables_;
+
+  EngineStats stats_;
+
+  // --- colder state ---
+  const query::XTree* tree_;
+  EngineOptions options_;
+  std::vector<util::Symbol> mentioned_symbols_;
+  // ProcessEnd's processing order when a node matched many x-nodes.
+  std::vector<size_t> order_scratch_;
+  // Confirmation snapshots of back references (TryConfirm).
+  std::vector<std::pair<Structure*, uint32_t>> backref_scratch_;
+  // Closed-children lists of the frame at each depth, per x-node (sibling
+  // axes only): sources of following-sibling relevance, targets of
+  // deferred following-sibling propagation, candidates for
+  // preceding-sibling pulls. A depth's lists are cleared when the next
+  // node at that depth opens; closed_dirty_ bounds the per-document reset.
+  std::vector<std::vector<std::vector<Structure*>>> closed_;
+  size_t closed_dirty_ = 0;
   std::vector<CapturePtr> active_captures_;
   std::unordered_map<ElementId, std::string> captured_;
-  MatchingPtr root_structure_;
-  // The Root structure of the document in progress (owned by stack_[0]);
-  // used to detect early match confirmation.
-  MatchingStructure* live_root_ = nullptr;
+  Structure* root_structure_ = nullptr;  // held after EndDocument
   // Node numbering for the ContentHandler entry points; the Deliver*
   // entry points take positions from the caller instead.
   DocumentCursor own_cursor_;
@@ -503,17 +561,12 @@ class XaosEngine : public xml::ContentHandler {
   // restores document order.
   std::vector<OutputItem> early_items_;
   std::unordered_set<ElementId> emitted_ids_;
-  bool done_ = false;
-  bool early_match_ = false;
   uint64_t confirm_ns_ = 0;  // see match_confirm_ns()
-  bool inert_ = false;  // stop_after_confirmed_match triggered
   Status error_;
-  EngineStats stats_;
   QueryResult result_;
 
   // Non-null while a fleet collects early items (set_early_item_buffer).
   std::vector<OutputItem>* early_item_buffer_ = nullptr;
-  std::vector<size_t> order_scratch_;
 };
 
 }  // namespace xaos::core

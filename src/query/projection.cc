@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "query/xdag.h"
 #include "xpath/ast.h"
 
@@ -267,11 +266,6 @@ std::string ProjectionSpec::ToString() const {
 void ProjectionGate::SetSpec(ProjectionSpec spec) {
   spec_ = std::move(spec);
   keep_watermark_ = kNoWatermark;
-  if (spec_.keep_all && obs::Enabled()) {
-    obs::MetricsRegistry::Default()
-        .GetCounter("xaos_projection_disabled_total")
-        ->Increment();
-  }
 }
 
 bool ProjectionGate::ShouldSkipSubtree(std::string_view name,

@@ -1,17 +1,21 @@
 // A size-classed pool arena: bump allocation out of retained slabs with
 // per-size free lists, so a workload that repeatedly allocates and frees
-// objects of a few recurring sizes (matching structures, slot vectors,
+// blocks of a few recurring sizes (matching structures, their links,
 // captures) reaches a steady state with zero heap traffic — freed blocks
 // are recycled, slabs are kept for the arena's lifetime.
 //
 // Not thread-safe: each evaluator owns one arena shared by all of its
 // engines (core/multi_engine.h) and confined to the evaluator's thread; an
 // engine constructed on its own keeps a private one. ParallelRouter workers
-// own separate evaluators, so no two threads ever share an arena.
-// PoolAllocator adapts the arena to the std allocator interface so it can
-// back std::vector and std::allocate_shared (which preserves shared_ptr /
-// weak_ptr semantics and destructor timing — the engine's undo machinery
-// and byte accounting keep working unchanged on arena storage).
+// own separate evaluators, so no two threads ever share an arena. Callers
+// construct objects in the raw blocks themselves (placement new) and
+// return each block with its size.
+//
+// Under AddressSanitizer every block the arena is not lending out —
+// unused slab space and freed blocks alike — is poisoned, and a block is
+// unpoisoned only while allocated, so a stale pointer into recycled
+// storage faults at its first access instead of reading whatever the block
+// holds next. The build's sanitizer setting decides; there is no switch.
 
 #ifndef XAOS_UTIL_POOL_ARENA_H_
 #define XAOS_UTIL_POOL_ARENA_H_
@@ -21,6 +25,23 @@
 #include <memory>
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define XAOS_ARENA_POISON 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define XAOS_ARENA_POISON 1
+#endif
+#endif
+
+#ifdef XAOS_ARENA_POISON
+#include <sanitizer/asan_interface.h>
+#define XAOS_ARENA_POISON_REGION(p, n) ASAN_POISON_MEMORY_REGION(p, n)
+#define XAOS_ARENA_UNPOISON_REGION(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define XAOS_ARENA_POISON_REGION(p, n) ((void)(p), (void)(n))
+#define XAOS_ARENA_UNPOISON_REGION(p, n) ((void)(p), (void)(n))
+#endif
+
 namespace xaos::util {
 
 class PoolArena {
@@ -29,6 +50,12 @@ class PoolArena {
 
   PoolArena(const PoolArena&) = delete;
   PoolArena& operator=(const PoolArena&) = delete;
+  ~PoolArena() {
+    // Slabs go back to the heap readable.
+    for (const Slab& slab : slabs_) {
+      XAOS_ARENA_UNPOISON_REGION(slab.bytes.get(), slab.size);
+    }
+  }
 
   void* Allocate(size_t size) {
     size_t rounded = RoundUp(size);
@@ -36,6 +63,7 @@ class PoolArena {
     bytes_allocated_ += rounded;
     if (head != nullptr) {
       FreeNode* node = head;
+      XAOS_ARENA_UNPOISON_REGION(node, rounded);
       head = node->next;
       return node;
     }
@@ -43,15 +71,18 @@ class PoolArena {
     char* out = bump_;
     bump_ += rounded;
     bump_left_ -= rounded;
+    XAOS_ARENA_UNPOISON_REGION(out, rounded);
     return out;
   }
 
+  // Returns a block from Allocate(size); it must not be touched afterwards.
   void Deallocate(void* p, size_t size) {
     size_t rounded = RoundUp(size);
     FreeNode*& head = FreeListFor(rounded);
     FreeNode* node = static_cast<FreeNode*>(p);
     node->next = head;
     head = node;
+    XAOS_ARENA_POISON_REGION(node, rounded);
   }
 
   // Cumulative bytes served by Allocate (monotone; recycled blocks count
@@ -68,6 +99,7 @@ class PoolArena {
   };
 
   static constexpr size_t kAlignment = alignof(std::max_align_t);
+  static constexpr size_t kSmallMax = 512;
 
   static size_t RoundUp(size_t n) {
     if (n < sizeof(FreeNode)) n = sizeof(FreeNode);
@@ -75,8 +107,9 @@ class PoolArena {
   }
 
   FreeNode*& FreeListFor(size_t rounded) {
-    // A handful of distinct sizes occur in practice (one per structure
-    // shape plus vector capacity doublings), so a linear scan beats a map.
+    // Structures, links and captures are small: their lists are indexed
+    // directly. Larger sizes are rare, so a linear scan beats a map.
+    if (rounded <= kSmallMax) return small_[rounded / kAlignment];
     for (auto& [size, head] : classes_) {
       if (size == rounded) return head;
     }
@@ -88,8 +121,9 @@ class PoolArena {
     size_t size = slab_bytes_ > at_least ? slab_bytes_ : at_least;
     // Raw storage: every block is constructed before use, so skip the
     // zero-fill make_unique<char[]> would do.
-    slabs_.push_back(std::make_unique_for_overwrite<char[]>(size));
-    bump_ = slabs_.back().get();
+    slabs_.push_back(Slab{std::make_unique_for_overwrite<char[]>(size), size});
+    bump_ = slabs_.back().bytes.get();
+    XAOS_ARENA_POISON_REGION(bump_, size);
     bump_left_ = size;
     bytes_reserved_ += size;
   }
@@ -98,45 +132,20 @@ class PoolArena {
     size_t size;
     FreeNode* head;
   };
+  struct Slab {
+    std::unique_ptr<char[]> bytes;
+    size_t size;
+  };
 
   size_t slab_bytes_;
-  std::vector<SizeClass> classes_;
-  std::vector<std::unique_ptr<char[]>> slabs_;
+  FreeNode* small_[kSmallMax / kAlignment + 1] = {};  // by size / kAlignment
+  std::vector<SizeClass> classes_;                    // larger sizes
+  std::vector<Slab> slabs_;
   char* bump_ = nullptr;
   size_t bump_left_ = 0;
   uint64_t bytes_allocated_ = 0;
   uint64_t bytes_reserved_ = 0;
 };
-
-// std-allocator adapter over a PoolArena (the arena must outlive every
-// container and allocate_shared control block using it).
-template <typename T>
-class PoolAllocator {
- public:
-  using value_type = T;
-
-  explicit PoolAllocator(PoolArena* arena) : arena_(arena) {}
-  template <typename U>
-  PoolAllocator(const PoolAllocator<U>& other) : arena_(other.arena()) {}
-
-  T* allocate(size_t n) {
-    return static_cast<T*>(arena_->Allocate(n * sizeof(T)));
-  }
-  void deallocate(T* p, size_t n) { arena_->Deallocate(p, n * sizeof(T)); }
-
-  PoolArena* arena() const { return arena_; }
-
-  friend bool operator==(const PoolAllocator& a, const PoolAllocator& b) {
-    return a.arena_ == b.arena_;
-  }
-
- private:
-  PoolArena* arena_;
-};
-
-// A vector whose storage lives in a PoolArena.
-template <typename T>
-using ArenaVector = std::vector<T, PoolAllocator<T>>;
 
 }  // namespace xaos::util
 

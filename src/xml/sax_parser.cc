@@ -1,5 +1,6 @@
 #include "xml/sax_parser.h"
 
+#include <bit>
 #include <cstring>
 
 #include "obs/flight.h"
@@ -116,6 +117,34 @@ bool SaxParser::IsNameChar(unsigned char c) {
   return kNameChars.part[c];
 }
 
+namespace {
+
+// Equality of `n` <= 23 bytes without a library call: overlapping word
+// loads that stay inside both ranges.
+bool SameShortName(const char* a, const char* b, size_t n) {
+  auto word = [](const char* p) {
+    uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  };
+  auto half = [](const char* p) {
+    uint32_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  };
+  if (n >= 8) {
+    return word(a) == word(b) && word(a + n - 8) == word(b + n - 8) &&
+           (n <= 16 || word(a + 8) == word(b + 8));
+  }
+  if (n >= 4) return half(a) == half(b) && half(a + n - 4) == half(b + n - 4);
+  for (size_t i = 0; i < n; ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 util::Symbol SaxParser::ResolveName(std::string_view name) {
   // Names no compiled query interned all share kUnknownSymbol; the parser
   // never interns, so the global table stays bounded by the vocabulary.
@@ -123,21 +152,38 @@ util::Symbol SaxParser::ResolveName(std::string_view name) {
     const util::Symbol s = util::SymbolTable::Global().Lookup(n);
     return s == util::kInvalidSymbol ? util::kUnknownSymbol : s;
   };
-  if (name.size() <= sizeof(NameCacheSlot::bytes)) {
-    NameCacheSlot& slot =
-        name_cache_[(name.size() * 131 +
-                     static_cast<unsigned char>(name.front()) * 31 +
-                     static_cast<unsigned char>(name[name.size() / 2]) * 7 +
-                     static_cast<unsigned char>(name.back())) &
-                    (kNameCacheSlots - 1)];
-    if (slot.len == name.size() &&
-        std::memcmp(slot.bytes, name.data(), slot.len) == 0) {
-      return slot.symbol;
+  const size_t n = name.size();
+  if (n <= sizeof(NameCacheSlot::bytes)) {
+    // Set index: four letters (first, second, middle, last) and the
+    // length, each multiplied by its own odd constant, so names sharing a
+    // first letter, middle letter or length — XMark has many — still
+    // spread over the sets. Fixed positions only: no variable-length load.
+    const auto* bytes = reinterpret_cast<const unsigned char*>(name.data());
+    uint32_t h = static_cast<uint32_t>(n) * 0x9e3779b1u ^
+                 bytes[0] * 0x85ebca6bu ^ bytes[n > 1 ? 1 : 0] * 0x165667b1u ^
+                 bytes[n / 2] * 0xc2b2ae35u ^ bytes[n - 1] * 0x27d4eb2fu;
+    h ^= h >> 15;
+    NameCacheSlot* set =
+        &name_cache_[(h & ((1u << kNameCacheSetBits) - 1)) * kNameCacheWays];
+    // The hash doubles as a tag: the ways are tested branch-free on it, and
+    // bytes are compared only where it matches.
+    unsigned hits = 0;
+    for (size_t w = 0; w < kNameCacheWays; ++w) {
+      hits |= static_cast<unsigned>(set[w].tag == h) << w;
     }
+    for (; hits != 0; hits &= hits - 1) {
+      const NameCacheSlot& slot = set[std::countr_zero(hits)];
+      if (slot.len == n && SameShortName(slot.bytes, name.data(), n)) {
+        return slot.symbol;
+      }
+    }
+    // Miss: the new name enters the set first, the oldest leaves.
     const util::Symbol symbol = resolve(name);
-    slot.len = static_cast<uint8_t>(name.size());
-    std::memcpy(slot.bytes, name.data(), name.size());
-    slot.symbol = symbol;
+    for (size_t w = kNameCacheWays - 1; w > 0; --w) set[w] = set[w - 1];
+    set[0].tag = h;
+    set[0].len = static_cast<uint8_t>(n);
+    std::memcpy(set[0].bytes, name.data(), n);
+    set[0].symbol = symbol;
     return symbol;
   }
   return resolve(name);

@@ -250,19 +250,23 @@ class SaxParser {
   StructuralScanner scanner_;
 
   // Parser-local front for SymbolTable::Global(): element and attribute
-  // names repeat heavily within one document, so a tiny direct-mapped
-  // cache turns most lookups (hash + atomic probe + chain walk) into one
-  // memcmp against a cached spelling. Names outside the query vocabulary
-  // are cached too, as kUnknownSymbol. The cache lives as long as the
-  // parser — one document — so no entry outlives a subscription added
-  // between documents.
+  // names repeat heavily within one document, so a small 4-way
+  // set-associative cache (32 sets, first-in first-out within a set) turns
+  // lookups (hash + atomic probe + chain walk) into a memcmp against a
+  // cached spelling; a document's global lookups fall to about its
+  // distinct names. Names outside the query vocabulary are cached too, as
+  // kUnknownSymbol. The cache lives as long as the parser — one document —
+  // so no entry outlives a subscription added between documents; at 4 KB
+  // it keeps a parser per document cheap to construct.
   struct NameCacheSlot {
-    uint8_t len = 0;  // 0 = empty
+    uint32_t tag = 0;  // the name's set hash
+    uint8_t len = 0;   // 0 = empty
     char bytes[23];
     util::Symbol symbol = util::kInvalidSymbol;
   };
-  static constexpr size_t kNameCacheSlots = 64;  // power of two
-  NameCacheSlot name_cache_[kNameCacheSlots];
+  static constexpr size_t kNameCacheSetBits = 5;
+  static constexpr size_t kNameCacheWays = 4;
+  NameCacheSlot name_cache_[(size_t{1} << kNameCacheSetBits) * kNameCacheWays];
   // The Symbol a query vocabulary gives `name`, else kUnknownSymbol.
   util::Symbol ResolveName(std::string_view name);
 

@@ -407,5 +407,170 @@ TEST(HotPathCountersTest, SubscriptionSeriesCoverExactlyTheMatchedSet) {
   obs::SetEnabled(false);
 }
 
+// --- engines a document never reaches -------------------------------------
+
+// The counters an engine reports, byte figures left out.
+std::vector<uint64_t> Counts(const core::EngineStats& s) {
+  return {s.elements_total,          s.elements_discarded,
+          s.structures_created,      s.structures_undone,
+          s.structures_live_peak,    s.propagations,
+          s.optimistic_propagations, s.candidates_emitted_early,
+          s.candidates_reclaimed};
+}
+
+// What an engine that saw every event of `xml` reports, which an engine the
+// fleet delivered none of them to must report too.
+std::vector<uint64_t> StandaloneCounts(const core::Query& query,
+                                       const std::string& xml,
+                                       core::EngineOptions options) {
+  options.early_item_sink = nullptr;
+  core::XaosEngine engine(&query.trees().front(), options);
+  EXPECT_TRUE(xml::ParseString(xml, &engine).ok());
+  return Counts(engine.stats());
+}
+
+// Queries whose labels the untouched document never carries.
+constexpr const char* kMatchedDoc = "<r><a><b/><b/></a><c><a/></c></r>";
+constexpr const char* kUntouchedDoc = "<r><x><y/></x><y/></r>";
+
+// Requires evaluator `ev` (on queries `queries`) to report for the
+// untouched document exactly what a document without any of its labels
+// gives.
+void ExpectUntouched(const core::MultiQueryEvaluator& ev,
+                     const std::vector<core::Query>& queries,
+                     const core::EngineOptions& options) {
+  EXPECT_TRUE(ev.status().ok()) << ev.status();
+  EXPECT_TRUE(ev.MatchedQueries().empty());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_FALSE(ev.Matched(q)) << q;
+    EXPECT_FALSE(ev.MatchConfirmed(q)) << q;
+    const core::QueryResult result = ev.Result(q);
+    EXPECT_FALSE(result.matched) << q;
+    EXPECT_TRUE(result.items.empty()) << q;
+  }
+  for (size_t e = 0; e < ev.engine_count(); ++e) {
+    const core::XaosEngine& engine = *ev.engines()[e];
+    EXPECT_TRUE(engine.status().ok()) << e;
+    EXPECT_TRUE(engine.done()) << e;
+    EXPECT_FALSE(engine.Matched()) << e;
+    EXPECT_TRUE(engine.OutputTuples().tuples.empty()) << e;
+    EXPECT_EQ(Counts(engine.stats()),
+              StandaloneCounts(queries[e], kUntouchedDoc, options))
+        << "engine " << e;
+  }
+}
+
+std::vector<core::Query> UntouchedPool() {
+  std::vector<core::Query> queries;
+  for (const char* expression : {"//a/b", "//c[a]", "//b/ancestor::a"}) {
+    StatusOr<core::Query> query = core::Query::Compile(expression);
+    EXPECT_TRUE(query.ok()) << query.status();
+    queries.push_back(std::move(*query));
+  }
+  return queries;
+}
+
+// Parses `xml` through batched dispatch, aborting on a rejection.
+Status Feed(core::MultiQueryEvaluator* ev, const std::string& xml) {
+  core::BatchedDispatcher dispatcher(ev);
+  Status status = xml::ParseString(xml, &dispatcher);
+  if (!status.ok()) dispatcher.AbortDocument(status);
+  return status;
+}
+
+TEST(UntouchedEngineTest, MatchedThenUntouchedReportsTheEmptyDocument) {
+  const std::vector<core::Query> queries = UntouchedPool();
+  core::EngineOptions options;
+  options.enable_shared_index = false;
+  core::MultiQueryEvaluator ev(options);
+  for (const core::Query& query : queries) ev.AddQuery(query);
+
+  ASSERT_TRUE(Feed(&ev, kMatchedDoc).ok());
+  EXPECT_EQ(ev.MatchedQueries(), (std::vector<size_t>{0, 1, 2}));
+  EXPECT_FALSE(ev.engines()[0]->OutputTuples().tuples.empty());
+
+  ASSERT_TRUE(Feed(&ev, kUntouchedDoc).ok());
+  ExpectUntouched(ev, queries, options);
+
+  // Reached again, each engine resets and answers for the new document.
+  ASSERT_TRUE(Feed(&ev, kMatchedDoc).ok());
+  EXPECT_EQ(ev.MatchedQueries(), (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(Counts(ev.engines()[0]->stats()),
+            StandaloneCounts(queries[0], kMatchedDoc, options));
+}
+
+TEST(UntouchedEngineTest, AbortedDocumentThenUntouched) {
+  const std::vector<core::Query> queries = UntouchedPool();
+  core::EngineOptions options;
+  options.enable_shared_index = false;
+  core::MultiQueryEvaluator ev(options);
+  for (const core::Query& query : queries) ev.AddQuery(query);
+
+  // The engines are fed up to the malformed end tag, then abandoned.
+  EXPECT_EQ(Feed(&ev, "<r><a><b/><b/></a><c><a/></x></r>").code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(ev.status().code(), StatusCode::kParseError);
+  EXPECT_TRUE(ev.MatchedQueries().empty());
+
+  ASSERT_TRUE(Feed(&ev, kUntouchedDoc).ok());
+  ExpectUntouched(ev, queries, options);
+}
+
+TEST(UntouchedEngineTest, LiveStructureLimitTrippedThenUntouched) {
+  const std::vector<core::Query> queries = UntouchedPool();
+  core::EngineOptions options;
+  options.max_live_structures = 3;
+  core::MultiQueryEvaluator ev(options);
+  for (const core::Query& query : queries) ev.AddQuery(query);
+
+  ASSERT_TRUE(Feed(&ev, "<r><a><a><a><b/></a></a></a></r>").ok());
+  EXPECT_EQ(ev.status().code(), StatusCode::kResourceExhausted);
+
+  ASSERT_TRUE(Feed(&ev, kUntouchedDoc).ok());
+  ExpectUntouched(ev, queries, options);
+}
+
+TEST(UntouchedEngineTest, StopAfterConfirmedMatch) {
+  const std::vector<core::Query> queries = UntouchedPool();
+  core::EngineOptions options;
+  options.enable_shared_index = false;
+  options.stop_after_confirmed_match = true;
+  core::MultiQueryEvaluator ev(options);
+  for (const core::Query& query : queries) ev.AddQuery(query);
+
+  ASSERT_TRUE(Feed(&ev, kMatchedDoc).ok());
+  EXPECT_EQ(ev.MatchedQueries(), (std::vector<size_t>{0, 1, 2}));
+  EXPECT_TRUE(ev.MatchConfirmed(0));
+  EXPECT_TRUE(ev.engines()[0]->inert());
+
+  ASSERT_TRUE(Feed(&ev, kUntouchedDoc).ok());
+  ExpectUntouched(ev, queries, options);
+  EXPECT_FALSE(ev.engines()[0]->inert());
+
+  // An engine inert in an earlier document is delivered to again.
+  ASSERT_TRUE(Feed(&ev, kMatchedDoc).ok());
+  EXPECT_EQ(ev.MatchedQueries(), (std::vector<size_t>{0, 1, 2}));
+}
+
+TEST(UntouchedEngineTest, EarlyItemSinkHearsNothingFromUntouchedEngines) {
+  const std::vector<core::Query> queries = UntouchedPool();
+  std::vector<core::ElementId> sunk;
+  core::EngineOptions options;
+  options.enable_shared_index = false;
+  options.early_item_sink = [&sunk](const core::OutputItem& item) {
+    sunk.push_back(item.info.id);
+  };
+  core::MultiQueryEvaluator ev(options);
+  for (const core::Query& query : queries) ev.AddQuery(query);
+
+  ASSERT_TRUE(Feed(&ev, kMatchedDoc).ok());
+  EXPECT_FALSE(sunk.empty());
+  sunk.clear();
+
+  ASSERT_TRUE(Feed(&ev, kUntouchedDoc).ok());
+  EXPECT_TRUE(sunk.empty());
+  ExpectUntouched(ev, queries, options);
+}
+
 }  // namespace
 }  // namespace xaos

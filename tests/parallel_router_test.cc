@@ -8,6 +8,7 @@
 // thread starts. The TSan CI job runs this binary.
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <string>
 #include <thread>
@@ -209,6 +210,60 @@ TEST(ParallelRouterTest, RejectedDocumentsGetTheirOwnStatus) {
       EXPECT_EQ(routed[4].worker, routed[5].worker);
     }
   }
+}
+
+// Documents that reach no engine between documents that do: each worker's
+// engines skip their reset and finalization and must still answer exactly
+// like the sequential stack and the brute-force matcher, under every
+// per-engine mode.
+TEST(ParallelRouterTest, UntouchedEnginesBetweenReachedDocuments) {
+  const std::vector<std::string> expressions = {"//a/b", "//c[a]",
+                                                "//b/ancestor::a"};
+  const std::vector<core::Query> queries = CompileAll(expressions);
+  const std::string reached = "<r><a><b/><b/></a><c><a/></c></r>";
+  const std::string untouched = "<r><x><y/></x><y/></r>";
+  const std::string malformed = "<r><a><b/></a><c><a/></x></r>";
+  const std::string crowded =
+      "<r><a><a><a><a><a><a><a><a><b/></a></a></a></a></a></a></a></a></r>";
+  const std::vector<std::string> documents = {
+      reached, untouched, malformed, untouched, crowded, untouched,
+      reached, untouched, untouched, reached, crowded, untouched};
+
+  std::atomic<int> sunk{0};
+  std::vector<core::EngineOptions> modes(4);
+  for (core::EngineOptions& mode : modes) mode.enable_shared_index = false;
+  modes[1].stop_after_confirmed_match = true;
+  modes[2].max_live_structures = 6;
+  modes[3].early_item_sink = [&sunk](const core::OutputItem&) { ++sunk; };
+  for (size_t m = 0; m < modes.size(); ++m) {
+    const std::string route = "mode " + std::to_string(m);
+    const std::vector<RoutedOutcome> sequential =
+        test::RouteSequentially(queries, documents, modes[m]);
+    const std::vector<RoutedOutcome> routed =
+        test::RouteInParallel(queries, documents, 2, modes[m]);
+    ExpectSameOutcomes(sequential, routed, expressions, route);
+    for (size_t d = 0; d < documents.size(); ++d) {
+      if (documents[d] == malformed) {
+        EXPECT_EQ(routed[d].status.code(), StatusCode::kParseError) << route;
+        continue;
+      }
+      if (m == 2 && documents[d] == crowded) {
+        EXPECT_EQ(routed[d].status.code(), StatusCode::kResourceExhausted)
+            << route;
+        continue;
+      }
+      ASSERT_TRUE(routed[d].status.ok())
+          << route << " document " << d << ": " << routed[d].status;
+      const RoutedOutcome expected = BruteForce(queries, documents[d]);
+      EXPECT_EQ(expected.matched, routed[d].matched)
+          << route << " document " << d;
+      if (m != 1) {  // stop_after_confirmed_match reports no items
+        EXPECT_EQ(expected.items, routed[d].items)
+            << route << " document " << d;
+      }
+    }
+  }
+  EXPECT_GT(sunk.load(), 0);
 }
 
 TEST(ParallelRouterTest, WorkersElide) {

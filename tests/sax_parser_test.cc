@@ -248,6 +248,39 @@ TEST(SaxParserTest, ResolvesNamesWithoutInterning) {
   EXPECT_EQ(table.Name(util::kUnknownSymbol), util::kUnknownName);
 }
 
+// More names than the parser's name cache holds, of every cached length,
+// many sharing letters and lengths, each resolved again after evictions:
+// every symbol must still be the table's.
+TEST(SaxParserTest, NameCacheEvictionKeepsSymbolsExact) {
+  util::SymbolTable& table = util::SymbolTable::Global();
+  std::vector<std::string> names;
+  for (size_t length = 1; length <= 24; ++length) {
+    for (char c : std::string("abcdefghijklm")) {
+      std::string name(length, 'x');
+      name.front() = c;
+      name[length / 2] = static_cast<char>('a' + length % 26);
+      names.push_back(name);
+      if (c < 'e') table.Intern(name);  // some in the vocabulary
+    }
+  }
+  std::string doc = "<root>";
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const std::string& name : names) doc += "<" + name + "/>";
+  }
+  doc += "</root>";
+  SymbolRecorder recorder;
+  ASSERT_TRUE(ParseString(doc, &recorder).ok());
+  ASSERT_EQ(recorder.symbols.size(), 1 + 3 * names.size());
+  for (size_t i = 1; i < recorder.symbols.size(); ++i) {
+    const std::string& name = names[(i - 1) % names.size()];
+    const util::Symbol expected = table.Lookup(name);
+    EXPECT_EQ(recorder.symbols[i], expected == util::kInvalidSymbol
+                                       ? util::kUnknownSymbol
+                                       : expected)
+        << name;
+  }
+}
+
 TEST(SaxParserErrorTest, BadEntity) {
   EXPECT_FALSE(ParseError_("<a>&nope;</a>").ok());
   EXPECT_FALSE(ParseError_("<a>&#xZZ;</a>").ok());
