@@ -59,6 +59,18 @@ class TrapHandler : public xml::ContentHandler {
   int depth_ = 0;
 };
 
+// Parses `document` into `handler` in `chunk`-byte Feeds (0: one Feed).
+Status ParseChunked(std::string_view document, size_t chunk,
+                    xml::ContentHandler* handler,
+                    const xml::ParserOptions& options) {
+  xml::SaxParser parser(handler, options);
+  if (chunk == 0) chunk = document.size() + 1;
+  for (size_t at = 0; at < document.size(); at += chunk) {
+    XAOS_RETURN_IF_ERROR(parser.Feed(document.substr(at, chunk)));
+  }
+  return parser.Finish();
+}
+
 }  // namespace
 
 int RunSaxParserInput(const uint8_t* data, size_t size) {
@@ -351,60 +363,65 @@ int RunBatchedDispatchDiffInput(const uint8_t* data, size_t size) {
     oracles[q].items.assign(expected.begin(), expected.end());
   }
 
+  // Each backend under each chunk schedule: the whole document, 1 byte,
+  // 7 bytes and 64 KB per Feed.
   for (const bool shared : {true, false}) {
-    core::EngineOptions engine_options;
-    engine_options.enable_shared_index = shared;
-    core::MultiQueryEvaluator evaluator(engine_options);
-    core::MultiQueryEvaluator per_event(engine_options);
-    for (const core::Query& query : queries) {
-      evaluator.AddQuery(query);
-      per_event.AddQuery(query);
-    }
-    core::BatchedDispatchOptions dispatch_options;
-    dispatch_options.max_batch_events = batch_events;
-    dispatch_options.max_batch_text_bytes = 256;
-    core::BatchedDispatcher dispatcher(&evaluator, dispatch_options);
-
-    Status parse = xml::ParseString(document, &dispatcher, options);
-    // The same parser runs on every side.
-    if (parse.ok() != dom.ok()) __builtin_trap();
-    if (!parse.ok()) {
-      // Exercise the mid-stream abort path: buffered events must be
-      // discarded and the batch pool must stay reusable (no double
-      // release), elision state included.
-      dispatcher.AbortDocument(parse);
-      if (!xml::ParseString("<a><b/></a>", &dispatcher, options).ok() ||
-          !evaluator.status().ok()) {
-        __builtin_trap();
+    for (const size_t chunk :
+         {size_t{0}, size_t{1}, size_t{7}, size_t{64} << 10}) {
+      core::EngineOptions engine_options;
+      engine_options.enable_shared_index = shared;
+      core::MultiQueryEvaluator evaluator(engine_options);
+      core::MultiQueryEvaluator per_event(engine_options);
+      for (const core::Query& query : queries) {
+        evaluator.AddQuery(query);
+        per_event.AddQuery(query);
       }
-      continue;
-    }
-    if (!xml::ParseString(document, &per_event, options).ok()) {
-      __builtin_trap();
-    }
-    if (!evaluator.status().ok()) continue;
-    // Elision must leave node ids and the dispatch counters as per-event
-    // delivery leaves them.
-    if (evaluator.engines_skipped() != per_event.engines_skipped() ||
-        evaluator.AggregateStats().elements_total !=
-            per_event.AggregateStats().elements_total) {
-      __builtin_trap();
-    }
-    for (size_t q = 0; q < queries.size(); ++q) {
-      const core::QueryResult result = evaluator.Result(q);
-      const core::QueryResult twin = per_event.Result(q);
-      if (result.items.size() != twin.items.size()) __builtin_trap();
-      for (size_t i = 0; i < result.items.size(); ++i) {
-        if (result.items[i].info.id != twin.items[i].info.id) {
+      core::BatchedDispatchOptions dispatch_options;
+      dispatch_options.max_batch_events = batch_events;
+      dispatch_options.max_batch_text_bytes = 256;
+      core::BatchedDispatcher dispatcher(&evaluator, dispatch_options);
+
+      Status parse = ParseChunked(document, chunk, &dispatcher, options);
+      // The same parser runs on every side.
+      if (parse.ok() != dom.ok()) __builtin_trap();
+      if (!parse.ok()) {
+        // Exercise the mid-stream abort path: buffered events must be
+        // discarded and the batch pool must stay reusable (no double
+        // release), elision state included.
+        dispatcher.AbortDocument(parse);
+        if (!xml::ParseString("<a><b/></a>", &dispatcher, options).ok() ||
+            !evaluator.status().ok()) {
           __builtin_trap();
         }
+        continue;
       }
-      const Oracle& oracle = oracles[q];
-      if (!oracle.complete) continue;  // too expensive to oracle; skip it
-      if (evaluator.Matched(q) != oracle.matched) __builtin_trap();
-      if (evaluator.MatchConfirmed(q) != oracle.matched) __builtin_trap();
-      if (!(baseline::CanonicalFromResult(result) == oracle.items)) {
+      if (!xml::ParseString(document, &per_event, options).ok()) {
         __builtin_trap();
+      }
+      if (!evaluator.status().ok()) continue;
+      // Elision must leave node ids and the dispatch counters as per-event
+      // delivery leaves them.
+      if (evaluator.engines_skipped() != per_event.engines_skipped() ||
+          evaluator.AggregateStats().elements_total !=
+              per_event.AggregateStats().elements_total) {
+        __builtin_trap();
+      }
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const core::QueryResult result = evaluator.Result(q);
+        const core::QueryResult twin = per_event.Result(q);
+        if (result.items.size() != twin.items.size()) __builtin_trap();
+        for (size_t i = 0; i < result.items.size(); ++i) {
+          if (result.items[i].info.id != twin.items[i].info.id) {
+            __builtin_trap();
+          }
+        }
+        const Oracle& oracle = oracles[q];
+        if (!oracle.complete) continue;  // too expensive to oracle; skip it
+        if (evaluator.Matched(q) != oracle.matched) __builtin_trap();
+        if (evaluator.MatchConfirmed(q) != oracle.matched) __builtin_trap();
+        if (!(baseline::CanonicalFromResult(result) == oracle.items)) {
+          __builtin_trap();
+        }
       }
     }
   }

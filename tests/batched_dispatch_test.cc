@@ -754,28 +754,44 @@ ElisionOutcome ExpectElisionExact(const std::vector<std::string>& expressions,
     per_event_parse.projection_filter = per_event.projection_filter();
     EXPECT_NE(batched_parse.projection_filter, nullptr);
   }
-  const std::string route = "batched, budget " + std::to_string(batch_events);
+  // Every document under each chunk schedule: 1 byte, 7 bytes, 64 KB and
+  // the whole document in one Feed.
   for (const std::string& doc : documents) {
-    EXPECT_TRUE(xml::ParseString(doc, &dispatcher, batched_parse).ok());
-    EXPECT_TRUE(xml::ParseString(doc, &per_event, per_event_parse).ok());
-    ExpectEqualsBruteForce(batched, queries, BruteForce(queries, doc),
-                           route + ", " + doc);
-    for (size_t q = 0; q < queries.size(); ++q) {
-      const core::QueryResult want = per_event.Result(q);
-      const core::QueryResult got = batched.Result(q);
-      EXPECT_EQ(want.items.size(), got.items.size()) << route;
-      for (size_t i = 0; i < std::min(want.items.size(), got.items.size());
-           ++i) {
-        EXPECT_EQ(want.items[i].info.id, got.items[i].info.id)
-            << route << ", " << expressions[q] << " item " << i;
+    for (size_t chunk : {size_t{1}, size_t{7}, size_t{64} << 10, size_t{0}}) {
+      const std::string route = "batched, budget " +
+                                std::to_string(batch_events) + ", chunk " +
+                                std::to_string(chunk);
+      {
+        xml::SaxParser parser(&dispatcher, batched_parse);
+        Status status;
+        for (size_t at = 0; chunk != 0 && at < doc.size() && status.ok();
+             at += chunk) {
+          status = parser.Feed(std::string_view(doc).substr(at, chunk));
+        }
+        if (chunk == 0) status = parser.Feed(doc);
+        if (status.ok()) status = parser.Finish();
+        EXPECT_TRUE(status.ok()) << route << ": " << status;
       }
+      EXPECT_TRUE(xml::ParseString(doc, &per_event, per_event_parse).ok());
+      ExpectEqualsBruteForce(batched, queries, BruteForce(queries, doc),
+                             route + ", " + doc);
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const core::QueryResult want = per_event.Result(q);
+        const core::QueryResult got = batched.Result(q);
+        EXPECT_EQ(want.items.size(), got.items.size()) << route;
+        for (size_t i = 0; i < std::min(want.items.size(), got.items.size());
+             ++i) {
+          EXPECT_EQ(want.items[i].info.id, got.items[i].info.id)
+              << route << ", " << expressions[q] << " item " << i;
+        }
+      }
+      EXPECT_EQ(per_event.engines_skipped(), batched.engines_skipped())
+          << route << ", " << doc;
+      const core::EngineStats want = per_event.AggregateStats();
+      const core::EngineStats got = batched.AggregateStats();
+      EXPECT_EQ(want.elements_total, got.elements_total) << route;
+      EXPECT_EQ(want.elements_discarded, got.elements_discarded) << route;
     }
-    EXPECT_EQ(per_event.engines_skipped(), batched.engines_skipped())
-        << route << ", " << doc;
-    const core::EngineStats want = per_event.AggregateStats();
-    const core::EngineStats got = batched.AggregateStats();
-    EXPECT_EQ(want.elements_total, got.elements_total) << route;
-    EXPECT_EQ(want.elements_discarded, got.elements_discarded) << route;
   }
   ElisionOutcome outcome;
   outcome.events_elided = dispatcher.events_elided();
