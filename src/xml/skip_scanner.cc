@@ -257,13 +257,12 @@ SkipScanner::State SkipScanner::Scan(std::string_view input,
         if (first_gt < first_lt) {
           const uint64_t below =
               first_gt == 0 ? 0 : (~0ull >> (kBlk - first_gt));
-          quoted += static_cast<uint64_t>(
-              __builtin_popcountll(dq & ~inside & below));
+          quoted += ScannerPopcount(dq & ~inside & below);
           tag_gt = bs + first_gt;
           break;
         }
         if (first_lt < 64) return Error("'<' inside tag", i, consumed);
-        quoted += static_cast<uint64_t>(__builtin_popcountll(dq & ~inside));
+        quoted += ScannerPopcount(dq & ~inside);
         quote = (inside >> 63) != 0 ? '"' : 0;
         continue;
       }

@@ -202,7 +202,7 @@ TextFacts StructuralScanner::ScanTextGeneral(const char* base, size_t size,
     facts.all_ws = facts.all_ws && ((m.ws & keep) == keep);
     const uint64_t nl = m.newline & keep;
     if (nl != 0) {
-      facts.newlines += static_cast<uint32_t>(__builtin_popcountll(nl));
+      facts.newlines += ScannerPopcount(nl);
       facts.last_nl =
           bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
     }
@@ -254,11 +254,10 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
         scan.end = bs + first_gt - from;
         const uint64_t below =
             first_gt == 0 ? 0 : (~0ull >> (kBlock - first_gt));
-        scan.quoted_values += static_cast<uint64_t>(
-            __builtin_popcountll(closing & below));
+        scan.quoted_values += ScannerPopcount(closing & below);
         const uint64_t nl = m.newline & valid & below;
         if (nl != 0) {
-          scan.newlines += static_cast<uint32_t>(__builtin_popcountll(nl));
+          scan.newlines += ScannerPopcount(nl);
           scan.last_nl =
               bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
         }
@@ -280,10 +279,10 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
         continue;
       }
       scan.quoted_values +=
-          static_cast<uint64_t>(__builtin_popcountll(closing));
+          ScannerPopcount(closing);
       const uint64_t nl = m.newline & valid;
       if (nl != 0) {
-        scan.newlines += static_cast<uint32_t>(__builtin_popcountll(nl));
+        scan.newlines += ScannerPopcount(nl);
         scan.last_nl =
             bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
       }
@@ -326,7 +325,7 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
             valid & (bit == 0 ? 0 : (~0ull >> (kBlock - bit)));
         const uint64_t nl = m.newline & below;
         if (nl != 0) {
-          scan.newlines += static_cast<uint32_t>(__builtin_popcountll(nl));
+          scan.newlines += ScannerPopcount(nl);
           scan.last_nl =
               bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
         }
@@ -345,7 +344,7 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
     }
     const uint64_t nl = m.newline & valid;
     if (nl != 0) {
-      scan.newlines += static_cast<uint32_t>(__builtin_popcountll(nl));
+      scan.newlines += ScannerPopcount(nl);
       scan.last_nl =
           bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
     }

@@ -11,7 +11,7 @@
 // block yielding a set of 64-bit masks — bit i of a mask says byte i of the
 // block belongs to that class ('<', '>', '"', '\'', '&', ']', newline,
 // whitespace, forbidden control). The masks are the index stream: consumers
-// jump from structural position to structural position with ctz/popcount
+// jump from structural position to structural position with ctz and bit counts
 // instead of inspecting every character.
 //
 // One kernel per build produces the masks, chosen at compile time:
@@ -88,6 +88,16 @@ inline uint64_t ScannerPrefixXor(uint64_t x) {
   x ^= x << 16;
   x ^= x << 32;
   return x;
+}
+
+// Population count in portable shift-and-add form. The x86-64 baseline has
+// no POPCNT instruction, so __builtin_popcountll compiles to a call into
+// libgcc there; the scanner counts quote and newline bits on hot paths.
+inline uint32_t ScannerPopcount(uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return static_cast<uint32_t>((x * 0x0101010101010101ull) >> 56);
 }
 
 // --- Kernel identity -------------------------------------------------------
@@ -187,7 +197,7 @@ class StructuralScanner {
         facts.last_nl = std::string_view::npos;
         const uint64_t nl = m.newline & keep;
         if (nl != 0) {
-          facts.newlines = static_cast<uint32_t>(__builtin_popcountll(nl));
+          facts.newlines = ScannerPopcount(nl);
           facts.last_nl =
               bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
         }
@@ -231,12 +241,11 @@ class StructuralScanner {
             const uint64_t below =
                 first_gt == 0 ? 0
                               : (~0ull >> (kScannerBlockBytes - first_gt));
-            scan.quoted_values = static_cast<uint64_t>(
-                __builtin_popcountll(dq & ~inside & below));
+            scan.quoted_values = ScannerPopcount(dq & ~inside & below);
             const uint64_t nl = m.newline & valid & below;
             if (nl != 0) {
               scan.newlines =
-                  static_cast<uint32_t>(__builtin_popcountll(nl));
+                  ScannerPopcount(nl);
               scan.last_nl = bs + 63 -
                              static_cast<unsigned>(__builtin_clzll(nl)) -
                              from;
