@@ -97,6 +97,9 @@ struct MatchingStructure {
     // Output emitted and slot/backref storage returned early; never
     // re-linked.
     kReclaimed = 1 << 5,
+    // Reached by the result walk (XaosEngine::BuildResult), which clears
+    // it again before it returns.
+    kVisited = 1 << 6,
   };
 
   uint32_t strong;
@@ -130,6 +133,7 @@ struct MatchingStructure {
 
   bool has(Flag f) const { return (flags & f) != 0; }
   void set(Flag f) { flags |= f; }
+  void clear(Flag f) { flags = static_cast<uint8_t>(flags & ~f); }
   bool closed() const { return has(kClosed); }
   bool dead() const { return has(kDead); }
   bool confirmed() const { return has(kConfirmed); }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/timer.h"
@@ -1231,16 +1230,21 @@ void XaosEngine::BuildResult(Structure* root_structure) {
   // Marked traversal (Section 4.4): every structure reachable from a
   // satisfied root participates in at least one total matching, so each
   // output x-node's reachable structures are exactly the selected nodes.
-  std::unordered_set<const Structure*> visited;
-  std::unordered_set<ElementId> emitted(emitted_ids_.begin(),
-                                        emitted_ids_.end());
-  std::vector<const Structure*> pending{root_structure};
-  visited.insert(root_structure);
-  while (!pending.empty()) {
-    const Structure* m = pending.back();
-    pending.pop_back();
+  // Structures are marked kVisited in their own block and unmarked after
+  // the walk; items already emitted are found by binary search.
+  std::vector<ElementId> emitted;
+  emitted.reserve(result_.items.size());
+  for (const OutputItem& item : result_.items) emitted.push_back(item.info.id);
+  std::sort(emitted.begin(), emitted.end());
+  const size_t early = result_.items.size();
+  result_walk_.clear();
+  result_walk_.push_back(root_structure);
+  root_structure->set(Structure::kVisited);
+  for (size_t next = 0; next < result_walk_.size(); ++next) {
+    const Structure* m = result_walk_[next];
     if (HasFlag(m->xnode, kOutput) &&
-        emitted.insert(m->node.position.id).second) {
+        !std::binary_search(emitted.begin(), emitted.end(),
+                            m->node.position.id)) {
       OutputItem item;
       item.info = m->Info();
       auto it = captured_.find(m->node.position.id);
@@ -1250,16 +1254,27 @@ void XaosEngine::BuildResult(Structure* root_structure) {
     for (int i = 0; i < m->slot_count; ++i) {
       for (const StructureLink* link = m->slot(i).head; link != nullptr;
            link = link->next_in_slot) {
-        if (visited.insert(link->child).second) {
-          pending.push_back(link->child);
+        if (!link->child->has(Structure::kVisited)) {
+          link->child->set(Structure::kVisited);
+          result_walk_.push_back(link->child);
         }
       }
     }
   }
+  for (Structure* m : result_walk_) m->clear(Structure::kVisited);
   std::sort(result_.items.begin(), result_.items.end(),
             [](const OutputItem& a, const OutputItem& b) {
               return a.info.id < b.info.id;
             });
+  // Two output structures of one element yield one item.
+  if (result_.items.size() - early > 1) {
+    result_.items.erase(
+        std::unique(result_.items.begin(), result_.items.end(),
+                    [](const OutputItem& a, const OutputItem& b) {
+                      return a.info.id == b.info.id;
+                    }),
+        result_.items.end());
+  }
 }
 
 TupleEnumeration XaosEngine::OutputTuples(size_t max_tuples) const {

@@ -561,6 +561,8 @@ class XaosEngine : public xml::ContentHandler {
   // restores document order.
   std::vector<OutputItem> early_items_;
   std::unordered_set<ElementId> emitted_ids_;
+  // BuildResult's walk list, reused across documents.
+  std::vector<Structure*> result_walk_;
   uint64_t confirm_ns_ = 0;  // see match_confirm_ns()
   Status error_;
   QueryResult result_;
