@@ -85,7 +85,8 @@ void BM_ParseSkipAll(benchmark::State& state) {
   const std::string& doc = Document();
   class SkipBelowRoot : public xaos::xml::ProjectionFilter {
    public:
-    bool ShouldSkipSubtree(std::string_view, size_t open_depth) override {
+    bool ShouldSkipSubtree(const xaos::xml::QName&,
+                           size_t open_depth) override {
       return open_depth > 0;
     }
   };

@@ -8,8 +8,9 @@ namespace xaos::core {
 
 BatchedDispatcher::BatchedDispatcher(MultiQueryEvaluator* evaluator,
                                      Options options)
-    : evaluator_(evaluator),
-      batcher_(this, options.max_batch_events, options.max_batch_text_bytes) {}
+    : xml::EventBatcher(this, options.max_batch_events,
+                        options.max_batch_text_bytes),
+      evaluator_(evaluator) {}
 
 xml::EventBatch* BatchedDispatcher::AcquireBatch() {
   if (free_.empty()) {
@@ -32,20 +33,20 @@ void BatchedDispatcher::ReleaseToPool(xml::EventBatch* batch) {
 }
 
 void BatchedDispatcher::StartDocument() {
-  batcher_.set_lean_payload(!evaluator_->wants_text_events());
-  batcher_.set_element_interest(evaluator_->element_interest());
-  batcher_.StartDocument();
-  elided_base_ = batcher_.events_elided();
+  writer_.set_lean_payload(!evaluator_->wants_text_events());
+  writer_.set_element_interest(evaluator_->element_interest());
+  writer_.StartDocument();
+  elided_base_ = writer_.events_elided();
 }
 
 void BatchedDispatcher::EndDocument() {
-  batcher_.EndDocument();
+  writer_.EndDocument();
   ExportElided();
 }
 
 void BatchedDispatcher::ExportElided() {
   if (!obs::Enabled()) return;
-  const uint64_t elided = batcher_.events_elided();
+  const uint64_t elided = writer_.events_elided();
   static obs::Counter* counter = obs::MetricsRegistry::Default().GetCounter(
       "xaos_capture_events_elided_total");
   counter->Increment(elided - elided_base_);
@@ -67,9 +68,9 @@ void BatchedDispatcher::PublishBatch(xml::EventBatch* batch) {
 
 void BatchedDispatcher::AbortDocument(const Status& cause) {
   // Publishes the current batch with the abort marker (discarded above),
-  // then resets the evaluator. Order matters: the batcher must let go of
+  // then resets the evaluator. Order matters: the writer must let go of
   // its in-flight batch before the next document starts filling a new one.
-  batcher_.AbortDocument();
+  writer_.AbortDocument();
   evaluator_->AbortDocument(cause);
   ExportElided();
 }

@@ -1,27 +1,29 @@
-// Sequential batched dispatch: the driver between a SAX producer and an
+// Sequential batched dispatch: the driver between the parser and an
 // evaluator's batch loop, used by every sequential production path
 // (EvaluateStreaming, xaos_grep, pubsub_router).
 //
-// BatchedDispatcher interposes an EventBatcher: parser callbacks append
-// fixed-size records into a pooled EventBatch, and each full batch is
-// replayed in one call through MultiQueryEvaluator::ReplayBatch into
+// BatchedDispatcher is an xml::EventBatcher whose sink replays: a SaxParser
+// given a dispatcher writes EventBatch records straight into its
+// RecordWriter (xml/event_batch.h), and each full batch is replayed in one
+// call through MultiQueryEvaluator::ReplayBatch into
 // EngineFleet::ReplayRun — the same two-pass replay an evaluator fed event
 // by event runs on one-event runs. Results are therefore identical to
-// feeding the evaluator directly; only the instant at which buffered events
-// reach the evaluator shifts — by at most one batch, and Flush() hands over
-// the buffer on demand when a caller wants a mid-stream verdict at an exact
-// event boundary.
+// feeding the evaluator directly; only the instant at which buffered
+// records reach the evaluator shifts — by at most one batch, and Flush()
+// hands over the buffer on demand when a caller wants a mid-stream verdict
+// at an exact event boundary.
 //
-// Capture is element-level elided whenever that is exact: at each
+// Records are element-level elided whenever that is exact: at each
 // StartDocument the dispatcher installs the evaluator's element interest
-// (EngineFleet::element_interest) into its EventBatcher, so elements that
-// index no engine, their ends and every text run reach the batch only as
-// numbering gaps and payload-free elided-start records
-// (xml/event_batch.h). Node ids, parent ids, levels and ordinals stay
-// byte-identical to a full capture, as do engines_skipped() and the
-// engines' statistics. With a shared matcher, an always-dispatch engine
-// (wildcards, sibling axes, subtree capture) or an engine reading text,
-// the interest is null and every event is captured.
+// (EngineFleet::element_interest) into its writer, and the parser, which
+// reads it back, writes no record for elements that index no engine, their
+// ends or any text run — they reach the batch only as numbering gaps and
+// payload-free elided-start records. Node ids, parent ids, levels and
+// ordinals stay byte-identical to a full capture, as do engines_skipped()
+// and the engines' statistics. With a shared matcher, an always-dispatch
+// engine (wildcards, sibling axes, subtree capture) or an engine reading
+// text, the interest is null and every element gets a record; text runs
+// still travel as gaps whenever no engine reads text.
 //
 // Batches come from a small internal free pool and return to it after
 // replay, so steady-state dispatch performs no heap allocation. An aborting
@@ -49,55 +51,34 @@ struct BatchedDispatchOptions {
   size_t max_batch_text_bytes = 32 * 1024;
 };
 
-class BatchedDispatcher : public xml::ContentHandler,
-                          private xml::EventBatcher::Sink {
+class BatchedDispatcher : public xml::EventBatcher,
+                          private xml::RecordWriter::Sink {
  public:
   using Options = BatchedDispatchOptions;
 
   explicit BatchedDispatcher(MultiQueryEvaluator* evaluator,
                              Options options = {});
 
-  // ContentHandler: every event is captured into the current batch; full
-  // batches replay synchronously into the evaluator. Payload capture and
-  // elision are re-decided per document: when no engine reads character
-  // data or end-element names, those events are recorded lean (no byte
-  // copy), and when the evaluator exposes an element interest, events it
-  // would deliver to nobody are elided.
+  // Payload capture and elision are re-decided per document: when no
+  // engine reads character data or end-element names, ends are recorded
+  // without names and text runs as gaps, and when the evaluator exposes an
+  // element interest, elements it would deliver to nobody are elided.
   void StartDocument() override;
   void EndDocument() override;
-  void StartElement(const xml::QName& name,
-                    xml::AttributeSpan attributes) override {
-    batcher_.StartElement(name, attributes);
-  }
-  void EndElement(std::string_view name) override {
-    batcher_.EndElement(name);
-  }
-  void Characters(std::string_view text) override {
-    batcher_.Characters(text);
-  }
-  void SkippedSubtree(const xml::SkipReport& report) override {
-    batcher_.SkippedSubtree(report);
-  }
 
-  // Replays buffered events now, so the evaluator's mid-stream state
-  // (MatchConfirmed, early item sinks) reflects everything fed so far.
-  void Flush() { batcher_.Flush(); }
-
-  // Abandons the in-progress document: buffered events are discarded (the
+  // Abandons the in-progress document: buffered records are discarded (the
   // aborting batch returns to the pool unreplayed — a partial capture must
   // not reach the engines) and the evaluator's AbortDocument runs with
   // `cause`. The dispatcher stays reusable for further documents.
   void AbortDocument(const Status& cause);
 
   uint64_t batches_replayed() const { return batches_replayed_; }
-  // Events captured as no record of their own (cumulative; see
-  // xml::EventBatcher::events_elided). Exported per document as
+  // events_elided() (inherited) is exported per document as
   // xaos_capture_events_elided_total when obs is on.
-  uint64_t events_elided() const { return batcher_.events_elided(); }
   size_t pool_free_for_test() const { return free_.size(); }
 
  private:
-  // xml::EventBatcher::Sink
+  // xml::RecordWriter::Sink
   xml::EventBatch* AcquireBatch() override;
   void PublishBatch(xml::EventBatch* batch) override;
 
@@ -106,7 +87,6 @@ class BatchedDispatcher : public xml::ContentHandler,
   void ExportElided();
 
   MultiQueryEvaluator* evaluator_;
-  xml::EventBatcher batcher_;
   std::vector<std::unique_ptr<xml::EventBatch>> pool_;  // owns every batch
   std::vector<xml::EventBatch*> free_;
   std::vector<xml::AttributeView> attr_scratch_;

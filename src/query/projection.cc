@@ -268,7 +268,7 @@ void ProjectionGate::SetSpec(ProjectionSpec spec) {
   keep_watermark_ = kNoWatermark;
 }
 
-bool ProjectionGate::ShouldSkipSubtree(std::string_view name,
+bool ProjectionGate::ShouldSkipSubtree(const xml::QName& name,
                                        size_t open_depth) {
   if (spec_.keep_all) return false;
   if (keep_watermark_ != kNoWatermark) {
@@ -284,7 +284,11 @@ bool ProjectionGate::ShouldSkipSubtree(std::string_view name,
     keep_subtree = level.any_keep_subtree;
   }
   if (!keep_subtree && !level.names.empty()) {
-    util::Symbol s = util::SymbolTable::Global().Lookup(name);
+    // The parser hands over the symbol it resolved; names outside every
+    // query's vocabulary resolve to kUnknownSymbol, which no level lists.
+    const util::Symbol s = name.symbol != util::kInvalidSymbol
+                               ? name.symbol
+                               : util::SymbolTable::Global().Lookup(name.text);
     if (s != util::kInvalidSymbol) {
       auto it = level.names.find(s);
       if (it != level.names.end()) {

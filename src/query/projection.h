@@ -100,7 +100,7 @@ class ProjectionGate : public xml::ProjectionFilter {
 
   void StartDocument() override { keep_watermark_ = kNoWatermark; }
 
-  bool ShouldSkipSubtree(std::string_view name, size_t open_depth) override;
+  bool ShouldSkipSubtree(const xml::QName& name, size_t open_depth) override;
 
  private:
   static constexpr size_t kNoWatermark = static_cast<size_t>(-1);

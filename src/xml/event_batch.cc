@@ -3,26 +3,15 @@
 #include <algorithm>
 #include <limits>
 
+#include "obs/timer.h"
+
 namespace xaos::xml {
 
 void EventBatch::AddStartElement(const QName& name, AttributeSpan attributes) {
-  BatchedEvent event;
-  event.kind = BatchedEvent::Kind::kStartElement;
-  event.symbol = name.symbol;
-  event.text_offset = AppendText(name.text);
-  event.text_size = static_cast<uint32_t>(name.text.size());
-  event.attr_begin = static_cast<uint32_t>(attributes_.size());
-  event.attr_count = static_cast<uint32_t>(attributes.size());
+  BeginStartElement(name.symbol, name.text);
   for (const AttributeView& attr : attributes) {
-    BatchedAttribute record;
-    record.name_offset = AppendText(attr.name);
-    record.name_size = static_cast<uint32_t>(attr.name.size());
-    record.value_offset = AppendText(attr.value);
-    record.value_size = static_cast<uint32_t>(attr.value.size());
-    record.symbol = attr.symbol;
-    attributes_.push_back(record);
+    AddAttribute(attr.name, attr.value, attr.symbol);
   }
-  events_.push_back(event);
 }
 
 void EventBatch::AddEndElement(std::string_view name, bool copy_payload) {
@@ -35,13 +24,11 @@ void EventBatch::AddEndElement(std::string_view name, bool copy_payload) {
   events_.push_back(event);
 }
 
-void EventBatch::AddCharacters(std::string_view text, bool copy_payload) {
+void EventBatch::AddCharacters(std::string_view text) {
   BatchedEvent event;
   event.kind = BatchedEvent::Kind::kCharacters;
-  if (copy_payload) {
-    event.text_offset = AppendText(text);
-    event.text_size = static_cast<uint32_t>(text.size());
-  }
+  event.text_offset = AppendText(text);
+  event.text_size = static_cast<uint32_t>(text.size());
   events_.push_back(event);
 }
 
@@ -53,61 +40,132 @@ void EventBatch::AddElidedStart(uint32_t attr_count) {
 }
 
 void EventBatch::AddGap(uint32_t node_ids, uint32_t elements,
-                        uint32_t elided) {
+                        uint32_t elided, uint32_t bytes) {
   BatchedEvent event;
   event.kind = BatchedEvent::Kind::kGap;
   event.text_offset = node_ids;
+  event.text_size = bytes;
   event.attr_begin = elements;
   event.attr_count = elided;
   events_.push_back(event);
 }
 
-void EventBatcher::StartDocument() {
+void EventBatch::AddComment(std::string_view text) {
+  BatchedEvent event;
+  event.kind = BatchedEvent::Kind::kComment;
+  event.text_offset = AppendText(text);
+  event.text_size = static_cast<uint32_t>(text.size());
+  events_.push_back(event);
+}
+
+void EventBatch::AddProcessingInstruction(std::string_view target,
+                                          std::string_view data) {
+  BatchedEvent event;
+  event.kind = BatchedEvent::Kind::kProcessingInstruction;
+  event.text_offset = AppendText(target);
+  event.text_size = static_cast<uint32_t>(target.size());
+  event.attr_begin = AppendText(data);
+  event.attr_count = static_cast<uint32_t>(data.size());
+  events_.push_back(event);
+}
+
+void EventBatch::Replay(ContentHandler* handler,
+                        std::vector<AttributeView>* attr_scratch) const {
+  for (const BatchedEvent& e : events_) {
+    switch (e.kind) {
+      case BatchedEvent::Kind::kStartDocument:
+        handler->StartDocument();
+        break;
+      case BatchedEvent::Kind::kEndDocument:
+        handler->EndDocument();
+        break;
+      case BatchedEvent::Kind::kStartElement: {
+        attr_scratch->clear();
+        for (uint32_t a = 0; a < e.attr_count; ++a) {
+          const BatchedAttribute& attr = attributes_[e.attr_begin + a];
+          attr_scratch->push_back({Slice(attr.name_offset, attr.name_size),
+                                   Slice(attr.value_offset, attr.value_size),
+                                   attr.symbol});
+        }
+        handler->StartElement(QName(Slice(e.text_offset, e.text_size),
+                                    e.symbol),
+                              AttributeSpan(*attr_scratch));
+        break;
+      }
+      case BatchedEvent::Kind::kEndElement:
+        handler->EndElement(Slice(e.text_offset, e.text_size));
+        break;
+      case BatchedEvent::Kind::kCharacters:
+        handler->Characters(Slice(e.text_offset, e.text_size));
+        break;
+      case BatchedEvent::Kind::kGap:
+        handler->SkippedSubtree(
+            SkipReport{e.gap_elements(), e.gap_node_ids(), e.gap_bytes()});
+        break;
+      case BatchedEvent::Kind::kComment:
+        handler->Comment(Slice(e.text_offset, e.text_size));
+        break;
+      case BatchedEvent::Kind::kProcessingInstruction:
+        handler->ProcessingInstruction(Slice(e.text_offset, e.text_size),
+                                       Slice(e.attr_begin, e.attr_count));
+        break;
+      case BatchedEvent::Kind::kElidedStart:
+        // Written only under an element interest, which plain handlers
+        // never install.
+        break;
+    }
+  }
+}
+
+void RecordWriter::StartDocument() {
   interest_ = next_interest_;
   ResetElision();
   Current()->AddStartDocument();
   PublishIfFull();
 }
 
-void EventBatcher::EndDocument() {
-  if (interest_ != nullptr) AppendGap(pending_);
+void RecordWriter::EndDocument() {
+  FlushPending();
   ResetElision();
   Current()->AddEndDocument();
   PublishCurrent();
 }
 
-bool EventBatcher::Keeps(const QName& name, AttributeSpan attributes) const {
-  if (Keeps(name.symbol)) return true;
-  for (const AttributeView& attr : attributes) {
-    if (Keeps(attr.symbol)) return true;
+void RecordWriter::StartElement(const QName& name, AttributeSpan attributes) {
+  bool keep = interest_ == nullptr || Keeps(name.symbol);
+  for (size_t a = 0; !keep && a < attributes.size(); ++a) {
+    keep = Keeps(attributes[a].symbol);
   }
-  return false;
+  if (!keep) {
+    ElidedStart(static_cast<uint32_t>(attributes.size()));
+    return;
+  }
+  EventBatch* batch = BeginStart(name.symbol, name.text);
+  for (const AttributeView& attr : attributes) {
+    batch->AddAttribute(attr.name, attr.value, attr.symbol);
+  }
+  EndRecord();
 }
 
-void EventBatcher::StartElement(const QName& name, AttributeSpan attributes) {
+EventBatch* RecordWriter::BeginStart(util::Symbol symbol,
+                                     std::string_view name) {
   if (interest_ != nullptr) {
-    const uint32_t attr_count = static_cast<uint32_t>(attributes.size());
-    if (!Keeps(name, attributes)) {
-      open_.push_back(Open{attr_count, pending_});
-      pending_ = Gap{};
-      return;
-    }
     // Kept: first give the cursor every elided ancestor, outermost first.
     for (size_t d = recorded_depth_; d < open_.size(); ++d) {
       AppendGap(open_[d].before);
       Current()->AddElidedStart(open_[d].attr_count);
       PublishIfFull();
     }
-    AppendGap(pending_);
-    pending_ = Gap{};
-    open_.push_back(Open{attr_count, Gap{}});
+    open_.push_back(Open{0, Gap{}});
     recorded_depth_ = open_.size();
   }
-  Current()->AddStartElement(name, attributes);
-  PublishIfFull();
+  FlushPending();
+  EventBatch* batch = Current();
+  batch->BeginStartElement(symbol, name);
+  return batch;
 }
 
-void EventBatcher::EndElement(std::string_view name) {
+void RecordWriter::EndElement(std::string_view name) {
   if (interest_ != nullptr) {
     if (open_.size() > recorded_depth_) {
       // Elided, and nothing below it was kept: the whole element folds
@@ -117,6 +175,7 @@ void EventBatcher::EndElement(std::string_view name) {
       gap.node_ids += 1 + top.attr_count + pending_.node_ids;
       gap.elements += 1 + pending_.elements;
       gap.elided += 1 + pending_.elided;
+      gap.bytes += pending_.bytes;
       pending_ = gap;
       open_.pop_back();
       events_elided_ += 2;
@@ -129,33 +188,43 @@ void EventBatcher::EndElement(std::string_view name) {
   PublishIfFull();
 }
 
-void EventBatcher::Characters(std::string_view text) {
-  if (interest_ != nullptr) {
-    ++pending_.node_ids;
-    ++events_elided_;
-    return;
-  }
-  Current()->AddCharacters(text, !lean_payload_);
+void RecordWriter::WriteCharacters(std::string_view text) {
+  FlushPending();
+  Current()->AddCharacters(text);
   PublishIfFull();
 }
 
-void EventBatcher::SkippedSubtree(const SkipReport& report) {
-  if (interest_ != nullptr) {
+void RecordWriter::Skip(const SkipReport& report) {
+  if (interest_ != nullptr || lean_payload_) {
     pending_.node_ids += report.node_ids;
     pending_.elements += report.elements;
-    ++events_elided_;
+    pending_.bytes += report.bytes;
+    if (interest_ != nullptr) ++events_elided_;
     return;
   }
-  AppendGap(Gap{report.node_ids, report.elements, 0});
+  AppendGap(Gap{report.node_ids, report.elements, 0, report.bytes});
 }
 
-void EventBatcher::AbortDocument() {
+void RecordWriter::Comment(std::string_view text) {
+  FlushPending();
+  Current()->AddComment(text);
+  PublishIfFull();
+}
+
+void RecordWriter::ProcessingInstruction(std::string_view target,
+                                         std::string_view data) {
+  FlushPending();
+  Current()->AddProcessingInstruction(target, data);
+  PublishIfFull();
+}
+
+void RecordWriter::AbortDocument() {
   ResetElision();
   Current()->MarkAbortsDocument();
   PublishCurrent();
 }
 
-void EventBatcher::AppendGap(Gap gap) {
+void RecordWriter::AppendGap(Gap gap) {
   auto take = [](uint64_t* count) {
     const uint64_t n = std::min<uint64_t>(
         *count, std::numeric_limits<uint32_t>::max());
@@ -165,32 +234,32 @@ void EventBatcher::AppendGap(Gap gap) {
   while (gap.node_ids != 0 || gap.elements != 0 || gap.elided != 0) {
     const uint32_t node_ids = take(&gap.node_ids);
     const uint32_t elements = take(&gap.elements);
-    Current()->AddGap(node_ids, elements, take(&gap.elided));
+    const uint32_t elided = take(&gap.elided);
+    Current()->AddGap(node_ids, elements, elided, take(&gap.bytes));
     PublishIfFull();
   }
 }
 
-void EventBatcher::ResetElision() {
+void RecordWriter::ResetElision() {
   open_.clear();
   recorded_depth_ = 0;
   pending_ = Gap{};
 }
 
-void EventBatcher::PublishIfFull() {
-  if (current_ == nullptr) return;
-  if (current_->event_count() >= max_events_ ||
-      current_->text_bytes() >= max_text_bytes_) {
-    PublishCurrent();
-  }
-}
-
-void EventBatcher::PublishCurrent() {
+void RecordWriter::PublishCurrent() {
   if (current_ == nullptr ||
       (current_->empty() && !current_->aborts_document())) {
     return;
   }
-  sink_->PublishBatch(current_);
+  EventBatch* batch = current_;
   current_ = nullptr;
+  if (timers_ == nullptr) {
+    sink_->PublishBatch(batch);
+    return;
+  }
+  const uint64_t start = obs::NowNs();
+  sink_->PublishBatch(batch);
+  timers_->Add(obs::Phase::kMatch, obs::NowNs() - start);
 }
 
 }  // namespace xaos::xml

@@ -1,24 +1,27 @@
-// Batched event capture: the parser's event stream as replayable records.
+// EventBatch records: the parser's output.
 //
-// The live events a SaxParser emits are non-owning: name/value/text views
-// point into the parser's transient buffers and die when the callback
-// returns. Batched dispatch (core/batched_dispatch.h) captures them into an
-// EventBatch so an evaluator replays a run of events in one call: one flat
-// `std::string` text arena owns every byte the batch references, events and
-// attributes are fixed-size records holding (offset, size) slices into that
-// arena plus the resolved name Symbol the parser already paid for. A batch
-// is self-contained and reused via Clear() without releasing its arena
-// capacity — steady-state capture does no heap allocation. Capture and
-// replay run on one thread: no batch crosses threads (each
-// core::ParallelRouter worker captures and replays its own documents).
+// SaxParser writes the document as fixed-size records into pooled
+// EventBatches (core/batched_dispatch.h replays each full batch into an
+// evaluator in one call): one flat `std::string` text arena owns every byte
+// the batch references, events and attributes are fixed-size records
+// holding (offset, size) slices into that arena plus the resolved name
+// Symbol the parser already paid for. A batch is self-contained and reused
+// via Clear() without releasing its arena capacity — steady-state capture
+// does no heap allocation. Capture and replay run on one thread: no batch
+// crosses threads (each core::ParallelRouter worker captures and replays
+// its own documents).
 //
-// EventBatcher is the ContentHandler that fills batches: it forwards every
-// event into the current batch and asks its sink to publish when the batch
-// reaches the configured event- or byte-budget, or when the document ends.
+// RecordWriter is the one place records are written. It owns the current
+// batch, publishes it to its Sink at the configured record or byte budget
+// and at document end, and keeps the numbering bookkeeping below. The
+// parser calls it directly; EventBatcher adapts ContentHandler callbacks to
+// it for producers that only speak callbacks (tests, DOM replay, perfbench's
+// traced capture); EventBatch::Replay turns records back into callbacks for
+// plain handlers.
 //
 // Element-level elision. A consumer that only ever acts on elements with
 // certain names (an EngineFleet with no wildcard, sibling, capture or text
-// engine and no shared automaton) can hand the batcher an ElementInterest.
+// engine and no shared automaton) hands the writer an ElementInterest.
 // A start-element whose name and attribute names all fall outside it gets
 // no record, nor does its end or any text run; their node ids and element
 // ordinals collect into a pending numbering gap instead. Node numbering is
@@ -35,9 +38,12 @@
 // The gap before each record equals the ids and elements a full capture
 // would have consumed in between, so every recorded node's id, parent id,
 // level and ordinal is byte-identical to a full capture. A projection skip
-// (SkippedSubtree) is a gap of ids and elements none of which count as
-// elided: its own kGap record without an interest, part of the pending gap
-// with one.
+// is a gap of ids and elements none of which count as elided: its own kGap
+// record without an interest, part of the pending gap with one.
+//
+// Text runs as gaps. When no consumer reads character data (lean payload),
+// a text run is one node id in the pending gap, with or without an
+// interest; end-element records then carry no name bytes either.
 
 #ifndef XAOS_XML_EVENT_BATCH_H_
 #define XAOS_XML_EVENT_BATCH_H_
@@ -48,6 +54,10 @@
 
 #include "util/symbol_table.h"
 #include "xml/sax_event.h"
+
+namespace xaos::obs {
+class PhaseTimers;
+}  // namespace xaos::obs
 
 namespace xaos::xml {
 
@@ -67,6 +77,11 @@ struct BatchedEvent {
     // events elided at capture (see the header comment). The counts live
     // in the record's own fields, read through the gap_* accessors.
     kGap,
+    // Written only for plain ContentHandlers that asked for them
+    // (ParserOptions::report_comments / report_processing_instructions):
+    // text slice = comment / PI target, attr_begin/attr_count = PI data.
+    kComment,
+    kProcessingInstruction,
   };
 
   Kind kind = Kind::kStartDocument;
@@ -77,10 +92,12 @@ struct BatchedEvent {
   uint32_t attr_count = 0;
 
   // kGap: node ids, start-elements, and the start-elements among them that
-  // were elided (projection skips consume ids and elements, not elisions).
+  // were elided (projection skips consume ids and elements, not elisions),
+  // and the raw bytes a projection skip covered.
   uint32_t gap_node_ids() const { return text_offset; }
   uint32_t gap_elements() const { return attr_begin; }
   uint32_t gap_elided() const { return attr_count; }
+  uint32_t gap_bytes() const { return text_size; }
 };
 
 // Symbol-indexed keep flags for element-level elision: a nonzero entry
@@ -130,16 +147,41 @@ class EventBatch {
   // --- capture side (single producer) ---
   void AddStartDocument() { AddSimple(BatchedEvent::Kind::kStartDocument); }
   void AddEndDocument() { AddSimple(BatchedEvent::Kind::kEndDocument); }
+  // A start-element record; its attributes follow through AddAttribute.
+  void BeginStartElement(util::Symbol symbol, std::string_view name) {
+    BatchedEvent event;
+    event.kind = BatchedEvent::Kind::kStartElement;
+    event.symbol = symbol;
+    event.text_offset = AppendText(name);
+    event.text_size = static_cast<uint32_t>(name.size());
+    event.attr_begin = static_cast<uint32_t>(attributes_.size());
+    events_.push_back(event);
+  }
+  // Appends an attribute to the last start-element record.
+  void AddAttribute(std::string_view name, std::string_view value,
+                    util::Symbol symbol) {
+    BatchedAttribute record;
+    record.name_offset = AppendText(name);
+    record.name_size = static_cast<uint32_t>(name.size());
+    record.value_offset = AppendText(value);
+    record.value_size = static_cast<uint32_t>(value.size());
+    record.symbol = symbol;
+    attributes_.push_back(record);
+    ++events_.back().attr_count;
+  }
   void AddStartElement(const QName& name, AttributeSpan attributes);
-  // `copy_payload` false records the event without copying its bytes into
-  // the arena (an empty slice): lean capture for consumers that declared
-  // they never read end-element names or character data. The event record
-  // itself is always kept — replay must consume exactly one text id per
-  // Characters and keep the element stack balanced.
+  // `copy_payload` false records the end without copying its name into the
+  // arena (an empty slice): lean capture for consumers that declared they
+  // never read end-element names. The record itself is always kept — it
+  // keeps replay's element stack balanced.
   void AddEndElement(std::string_view name, bool copy_payload = true);
-  void AddCharacters(std::string_view text, bool copy_payload = true);
+  void AddCharacters(std::string_view text);
   void AddElidedStart(uint32_t attr_count);
-  void AddGap(uint32_t node_ids, uint32_t elements, uint32_t elided);
+  void AddGap(uint32_t node_ids, uint32_t elements, uint32_t elided,
+              uint32_t bytes);
+  void AddComment(std::string_view text);
+  void AddProcessingInstruction(std::string_view target,
+                                std::string_view data);
 
   // --- replay side (any number of concurrent consumers) ---
   // Raw read access for batch loops (EngineFleet::ReplayRun): consumers walk
@@ -150,6 +192,11 @@ class EventBatch {
   std::string_view text_slice(uint32_t offset, uint32_t size) const {
     return Slice(offset, size);
   }
+  // Replays the records as ContentHandler callbacks (a kGap becomes one
+  // SkippedSubtree). `attr_scratch` is reusable storage for attribute
+  // views.
+  void Replay(ContentHandler* handler,
+              std::vector<AttributeView>* attr_scratch) const;
 
  private:
   void AddSimple(BatchedEvent::Kind kind) {
@@ -174,10 +221,11 @@ class EventBatch {
   uint64_t sequence_ = 0;
 };
 
-// ContentHandler that captures the stream into batches and hands each full
-// batch to a sink. The sink owns batch allocation/recycling so the batcher
-// stays agnostic of the transport (rings, pools, tests).
-class EventBatcher : public ContentHandler {
+// The single record writer: the current batch, the publish budgets, and the
+// elision and gap bookkeeping described in the header comment. The sink
+// owns batch allocation and recycling, so the writer stays agnostic of the
+// transport (pools, tests).
+class RecordWriter {
  public:
   class Sink {
    public:
@@ -189,47 +237,91 @@ class EventBatcher : public ContentHandler {
   };
 
   // A batch is published when it holds `max_events` records or its arena
-  // reached `max_text_bytes` (soft: the event that crosses the line still
+  // reached `max_text_bytes` (soft: the record that crosses the line still
   // joins the batch), and always at EndDocument. The check runs after every
   // appended record, so a batch never holds more than `max_events`.
-  EventBatcher(Sink* sink, size_t max_events, size_t max_text_bytes)
+  RecordWriter(Sink* sink, size_t max_events, size_t max_text_bytes)
       : sink_(sink), max_events_(max_events), max_text_bytes_(max_text_bytes) {}
 
-  void StartDocument() override;
-  void EndDocument() override;
-  void StartElement(const QName& name, AttributeSpan attributes) override;
-  void EndElement(std::string_view name) override;
-  void Characters(std::string_view text) override;
-  void SkippedSubtree(const SkipReport& report) override;
-
-  // Abandons the in-progress document: the current batch (acquired if none
-  // is open) is marked as aborting and published, so the consumer sees the
-  // abort in stream order after the events already published.
-  void AbortDocument();
-
-  // Publishes the current batch (if it holds any events) without closing
-  // the document — lets a sequential driver drain buffered events so
-  // mid-stream verdicts (MatchConfirmed) stay observable. A pending
-  // elision gap stays pending (it delivers nothing, so it moves no verdict;
-  // engines_skipped() catches up at the next record).
-  void Flush() { PublishCurrent(); }
-
-  // Lean payload capture: when every consumer has declared it never reads
-  // end-element names or character data (no text predicates, no subtree
-  // captures), those events are recorded without copying their bytes into
-  // the arena. Event counts and ordering — and therefore replay-side node
-  // ids — are unaffected. Takes effect from the next event.
+  // Lean payload: every consumer declared it never reads end-element names
+  // or character data, so ends carry no name bytes and text runs travel as
+  // gaps. Node ids and ordinals are unaffected. Takes effect from the next
+  // record.
   void set_lean_payload(bool lean) { lean_payload_ = lean; }
   bool lean_payload() const { return lean_payload_; }
-
-  // Element-level elision (see the header comment): null captures every
-  // event. The interest is not owned and must stay valid while in use.
-  // Takes effect at the next StartDocument.
+  // Element-level elision: null writes every element. The interest is not
+  // owned and must stay valid while in use. Takes effect at the next
+  // StartDocument.
   void set_element_interest(const ElementInterest* interest) {
     next_interest_ = interest;
   }
+  // When set, time spent in the sink's PublishBatch (replay) is charged to
+  // obs::Phase::kMatch; the parser charges the rest of its calls to parse.
+  void set_phase_timers(obs::PhaseTimers* timers) { timers_ = timers; }
+
+  // --- what this document's records carry ---
+  // The interest in force since the last StartDocument (null: none).
+  const ElementInterest* interest() const { return interest_; }
+  // True when a text run gets no record of its own (TextGap instead).
+  bool text_as_gaps() const { return interest_ != nullptr || lean_payload_; }
+  // Whether the interest keeps `symbol`. Only meaningful with an interest.
+  bool Keeps(util::Symbol symbol) const {
+    return symbol < 0 ||  // unresolved: it could be any name
+           (static_cast<size_t>(symbol) < interest_->size() &&
+            (*interest_)[static_cast<size_t>(symbol)] != 0);
+  }
+
+  // --- document boundaries ---
+  void StartDocument();
+  void EndDocument();
+  // Abandons the in-progress document: the current batch (acquired if none
+  // is open) is marked as aborting and published, so the consumer sees the
+  // abort in stream order after the records already published.
+  void AbortDocument();
+  // Publishes the current batch (if it holds any records) without closing
+  // the document. A pending gap stays pending (it delivers nothing, so it
+  // moves no verdict).
+  void Flush() { PublishCurrent(); }
+
+  // --- elements and text ---
+  // A start-element that gets no record (the interest keeps neither its
+  // name nor any attribute name).
+  void ElidedStart(uint32_t attr_count) {
+    open_.push_back(Open{attr_count, pending_});
+    pending_ = Gap{};
+  }
+  // A kept start-element: writes the elided ancestors and gap it needs,
+  // then opens its record. Append its attributes to the returned batch
+  // (EventBatch::AddAttribute), then call EndRecord().
+  EventBatch* BeginStart(util::Symbol symbol, std::string_view name);
+  void EndRecord() { PublishIfFull(); }
+  void EndElement(std::string_view name);
+  // A reported character-data run: a record, or a gap when text_as_gaps().
+  void Characters(std::string_view text) {
+    if (text_as_gaps()) {
+      TextGap();
+      return;
+    }
+    WriteCharacters(text);
+  }
+  // A reported text run that gets no record (text_as_gaps() only).
+  void TextGap() {
+    ++pending_.node_ids;
+    if (interest_ != nullptr) ++events_elided_;
+  }
+  // A projection skip (xml/skip_scanner.h).
+  void Skip(const SkipReport& report);
+  // Comments and PIs, for plain-handler replay only.
+  void Comment(std::string_view text);
+  void ProcessingInstruction(std::string_view target, std::string_view data);
+
+  // The callback-shaped start: elided unless the interest keeps the name or
+  // an attribute name.
+  void StartElement(const QName& name, AttributeSpan attributes);
+
   // Events that got no record of their own (cumulative): elided starts and
-  // their ends, text runs and projection skips folded into gaps.
+  // their ends, and text runs and projection skips folded into gaps while
+  // an interest was in force.
   uint64_t events_elided() const { return events_elided_; }
 
  private:
@@ -238,6 +330,7 @@ class EventBatcher : public ContentHandler {
     uint64_t node_ids = 0;
     uint64_t elements = 0;
     uint64_t elided = 0;
+    uint64_t bytes = 0;
   };
   // An element open while an interest is active.
   struct Open {
@@ -249,31 +342,77 @@ class EventBatcher : public ContentHandler {
     if (current_ == nullptr) current_ = sink_->AcquireBatch();
     return current_;
   }
-  bool Keeps(util::Symbol symbol) const {
-    return symbol < 0 ||  // unresolved: it could be any name
-           (static_cast<size_t>(symbol) < interest_->size() &&
-            (*interest_)[static_cast<size_t>(symbol)] != 0);
-  }
-  bool Keeps(const QName& name, AttributeSpan attributes) const;
+  void WriteCharacters(std::string_view text);
   // Writes `gap` as kGap records (split where a count passes 32 bits).
   void AppendGap(Gap gap);
+  void FlushPending() {
+    if (pending_.node_ids != 0 || pending_.elements != 0) {
+      AppendGap(pending_);
+      pending_ = Gap{};
+    }
+  }
   void ResetElision();
-  void PublishIfFull();
+  void PublishIfFull() {
+    if (current_->event_count() >= max_events_ ||
+        current_->text_bytes() >= max_text_bytes_) {
+      PublishCurrent();
+    }
+  }
   void PublishCurrent();
 
   Sink* sink_;
   const size_t max_events_;
   const size_t max_text_bytes_;
   bool lean_payload_ = false;
+  obs::PhaseTimers* timers_ = nullptr;
   EventBatch* current_ = nullptr;
 
-  // --- element-level elision ---
   const ElementInterest* next_interest_ = nullptr;
   const ElementInterest* interest_ = nullptr;  // this document's
   std::vector<Open> open_;
   size_t recorded_depth_ = 0;  // open_[0, recorded_depth_) have records
   Gap pending_;
   uint64_t events_elided_ = 0;
+};
+
+// The ContentHandler adapter over a RecordWriter: each callback becomes the
+// writer call it names. A SaxParser given an EventBatcher (or a subclass
+// such as core::BatchedDispatcher) skips the callbacks and writes into
+// record_writer() directly.
+class EventBatcher : public ContentHandler {
+ public:
+  using Sink = RecordWriter::Sink;
+
+  EventBatcher(Sink* sink, size_t max_events, size_t max_text_bytes)
+      : writer_(sink, max_events, max_text_bytes) {}
+
+  void StartDocument() override { writer_.StartDocument(); }
+  void EndDocument() override { writer_.EndDocument(); }
+  void StartElement(const QName& name, AttributeSpan attributes) override {
+    writer_.StartElement(name, attributes);
+  }
+  void EndElement(std::string_view name) override {
+    writer_.EndElement(name);
+  }
+  void Characters(std::string_view text) override {
+    writer_.Characters(text);
+  }
+  void SkippedSubtree(const SkipReport& report) override {
+    writer_.Skip(report);
+  }
+  RecordWriter* record_writer() override { return &writer_; }
+
+  void AbortDocument() { writer_.AbortDocument(); }
+  void Flush() { writer_.Flush(); }
+  void set_lean_payload(bool lean) { writer_.set_lean_payload(lean); }
+  bool lean_payload() const { return writer_.lean_payload(); }
+  void set_element_interest(const ElementInterest* interest) {
+    writer_.set_element_interest(interest);
+  }
+  uint64_t events_elided() const { return writer_.events_elided(); }
+
+ protected:
+  RecordWriter writer_;
 };
 
 }  // namespace xaos::xml

@@ -2,9 +2,12 @@
 //
 // The χαoς paper (Section 2.2) drives its algorithm from SAX-style start/end
 // element events carrying the element name and level. This header defines
-// the event vocabulary produced by xml::SaxParser and dom::DomReplayer and
-// consumed by ContentHandler implementations (core::XaosEngine,
-// dom::DomBuilder, ...).
+// the callback vocabulary consumed by ContentHandler implementations
+// (core::XaosEngine, dom::DomBuilder, ...). xml::SaxParser's own output is
+// EventBatch records (xml/event_batch.h): a handler that consumes records
+// (core::BatchedDispatcher) receives them directly, and every other handler
+// gets these callbacks replayed from them; dom::DomReplayer calls them
+// directly.
 //
 // Names travel as views paired with Symbols (util/symbol_table.h): the
 // parser resolves each element/attribute name against the compiled query
@@ -25,6 +28,8 @@
 #include "util/symbol_table.h"
 
 namespace xaos::xml {
+
+class RecordWriter;
 
 // An element or attribute name: the spelling plus (optionally) its
 // resolved Symbol. Implicitly convertible from and to string_view so
@@ -117,6 +122,12 @@ class ContentHandler {
     (void)target;
     (void)data;
   }
+
+  // A handler that consumes EventBatch records (xml/event_batch.h) returns
+  // the writer it fills. SaxParser then writes elements, text and skips
+  // into it directly and calls only StartDocument/EndDocument here; every
+  // other handler gets callbacks replayed from records. Default: null.
+  virtual RecordWriter* record_writer() { return nullptr; }
 };
 
 // A materialized event, convenient for tests and for recording/replaying

@@ -1,6 +1,6 @@
 #include "xml/sax_parser.h"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
 
 #include "obs/flight.h"
@@ -16,48 +16,6 @@ namespace {
 // Longest markup introducer we must see in full before we can classify the
 // construct: "<![CDATA[".
 constexpr size_t kMaxIntroducer = 9;
-
-// Forwards every event to the wrapped handler, charging the time spent
-// inside it to Phase::kMatch. The parser subtracts this from each Feed's
-// wall time to get the parse share (see ParserOptions::phase_timers).
-class MatchTimingHandler : public ContentHandler {
- public:
-  MatchTimingHandler(ContentHandler* inner, obs::PhaseTimers* timers)
-      : inner_(inner), timers_(timers) {}
-
-  void StartDocument() override { Timed([&] { inner_->StartDocument(); }); }
-  void EndDocument() override { Timed([&] { inner_->EndDocument(); }); }
-  void StartElement(const QName& name, AttributeSpan attributes) override {
-    Timed([&] { inner_->StartElement(name, attributes); });
-  }
-  void EndElement(std::string_view name) override {
-    Timed([&] { inner_->EndElement(name); });
-  }
-  void Characters(std::string_view text) override {
-    Timed([&] { inner_->Characters(text); });
-  }
-  void Comment(std::string_view text) override {
-    Timed([&] { inner_->Comment(text); });
-  }
-  void ProcessingInstruction(std::string_view target,
-                             std::string_view data) override {
-    Timed([&] { inner_->ProcessingInstruction(target, data); });
-  }
-  void SkippedSubtree(const SkipReport& report) override {
-    Timed([&] { inner_->SkippedSubtree(report); });
-  }
-
- private:
-  template <typename Fn>
-  void Timed(Fn&& fn) {
-    uint64_t start = obs::NowNs();
-    fn();
-    timers_->Add(obs::Phase::kMatch, obs::NowNs() - start);
-  }
-
-  ContentHandler* inner_;
-  obs::PhaseTimers* timers_;
-};
 
 // Name-character membership tables: ScanName runs for every element and
 // attribute name, so the per-byte test is one indexed load instead of a
@@ -81,15 +39,45 @@ constexpr NameCharTable MakeNameCharTable() {
 
 constexpr NameCharTable kNameChars = MakeNameCharTable();
 
+// Record budgets for plain handlers; every Feed() also flushes.
+constexpr size_t kReplayBatchEvents = 256;
+constexpr size_t kReplayBatchBytes = 32 * 1024;
+
 }  // namespace
 
-SaxParser::SaxParser(ContentHandler* handler, ParserOptions options)
-    : handler_(handler), options_(options) {
-  if (options_.phase_timers != nullptr) {
-    timing_wrapper_ =
-        std::make_unique<MatchTimingHandler>(handler, options_.phase_timers);
-    handler_ = timing_wrapper_.get();
+// Plain handlers: the parser's records are replayed into the handler as
+// callbacks whenever the batcher publishes.
+class SaxParser::HandlerReplay final : public RecordWriter::Sink {
+ public:
+  explicit HandlerReplay(ContentHandler* handler)
+      : handler_(handler),
+        batcher_(this, kReplayBatchEvents, kReplayBatchBytes) {}
+
+  EventBatcher* batcher() { return &batcher_; }
+
+  EventBatch* AcquireBatch() override { return &batch_; }
+  void PublishBatch(EventBatch* batch) override {
+    batch->Replay(handler_, &scratch_);
+    batch->Clear();
   }
+
+ private:
+  ContentHandler* handler_;
+  EventBatch batch_;
+  std::vector<AttributeView> scratch_;
+  EventBatcher batcher_;
+};
+
+SaxParser::SaxParser(ContentHandler* handler, ParserOptions options)
+    : options_(options) {
+  records_ = handler->record_writer();
+  target_ = handler;
+  if (records_ == nullptr) {
+    replay_ = std::make_unique<HandlerReplay>(handler);
+    target_ = replay_->batcher();
+    records_ = target_->record_writer();
+  }
+  records_->set_phase_timers(options_.phase_timers);
   projection_filter_ = options_.projection_filter;
   if (projection_filter_ != nullptr &&
       (!options_.coalesce_text || options_.report_comments ||
@@ -105,6 +93,12 @@ SaxParser::SaxParser(ContentHandler* handler, ParserOptions options)
   }
 }
 
+SaxParser::~SaxParser() {
+  // The writer may outlive this parser (a dispatcher's does); it must not
+  // keep timing into this parser's timers.
+  records_->set_phase_timers(nullptr);
+}
+
 bool SaxParser::IsWhitespace(char c) {
   return c == ' ' || c == '\t' || c == '\r' || c == '\n';
 }
@@ -117,34 +111,6 @@ bool SaxParser::IsNameChar(unsigned char c) {
   return kNameChars.part[c];
 }
 
-namespace {
-
-// Equality of `n` <= 23 bytes without a library call: overlapping word
-// loads that stay inside both ranges.
-bool SameShortName(const char* a, const char* b, size_t n) {
-  auto word = [](const char* p) {
-    uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  };
-  auto half = [](const char* p) {
-    uint32_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-  };
-  if (n >= 8) {
-    return word(a) == word(b) && word(a + n - 8) == word(b + n - 8) &&
-           (n <= 16 || word(a + 8) == word(b + 8));
-  }
-  if (n >= 4) return half(a) == half(b) && half(a + n - 4) == half(b + n - 4);
-  for (size_t i = 0; i < n; ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 util::Symbol SaxParser::ResolveName(std::string_view name) {
   // Names no compiled query interned all share kUnknownSymbol; the parser
   // never interns, so the global table stays bounded by the vocabulary.
@@ -153,40 +119,43 @@ util::Symbol SaxParser::ResolveName(std::string_view name) {
     return s == util::kInvalidSymbol ? util::kUnknownSymbol : s;
   };
   const size_t n = name.size();
-  if (n <= sizeof(NameCacheSlot::bytes)) {
-    // Set index: four letters (first, second, middle, last) and the
-    // length, each multiplied by its own odd constant, so names sharing a
-    // first letter, middle letter or length — XMark has many — still
-    // spread over the sets. Fixed positions only: no variable-length load.
-    const auto* bytes = reinterpret_cast<const unsigned char*>(name.data());
-    uint32_t h = static_cast<uint32_t>(n) * 0x9e3779b1u ^
-                 bytes[0] * 0x85ebca6bu ^ bytes[n > 1 ? 1 : 0] * 0x165667b1u ^
-                 bytes[n / 2] * 0xc2b2ae35u ^ bytes[n - 1] * 0x27d4eb2fu;
-    h ^= h >> 15;
-    NameCacheSlot* set =
-        &name_cache_[(h & ((1u << kNameCacheSetBits) - 1)) * kNameCacheWays];
-    // The hash doubles as a tag: the ways are tested branch-free on it, and
-    // bytes are compared only where it matches.
-    unsigned hits = 0;
-    for (size_t w = 0; w < kNameCacheWays; ++w) {
-      hits |= static_cast<unsigned>(set[w].tag == h) << w;
-    }
-    for (; hits != 0; hits &= hits - 1) {
-      const NameCacheSlot& slot = set[std::countr_zero(hits)];
-      if (slot.len == n && SameShortName(slot.bytes, name.data(), n)) {
-        return slot.symbol;
-      }
-    }
-    // Miss: the new name enters the set first, the oldest leaves.
-    const util::Symbol symbol = resolve(name);
-    for (size_t w = kNameCacheWays - 1; w > 0; --w) set[w] = set[w - 1];
-    set[0].tag = h;
-    set[0].len = static_cast<uint8_t>(n);
-    std::memcpy(set[0].bytes, name.data(), n);
-    set[0].symbol = symbol;
-    return symbol;
+  if (n > 16) return resolve(name);
+  // The key: the name's bytes as two zero-padded little-endian words. Word
+  // loads may run past the name but not past buffer_; near its end the
+  // bytes are staged first.
+  const char* p = name.data();
+  char staged[16];
+  if (p + 16 > buffer_.data() + buffer_.size()) {
+    std::memset(staged, 0, sizeof(staged));
+    std::memcpy(staged, p, n);
+    p = staged;
   }
-  return resolve(name);
+  auto word = [](const char* at) {
+    uint64_t v;
+    std::memcpy(&v, at, sizeof(v));
+    return v;
+  };
+  uint64_t head = word(p);
+  uint64_t tail = 0;
+  if (n < 8) {
+    head &= (uint64_t{1} << (8 * n)) - 1;
+  } else if (n > 8) {
+    tail = word(p + n - 8) >> (8 * (16 - n));
+  }
+  const uint64_t h = ((head ^ (tail * 0x9e3779b97f4a7c15ull) ^ n) *
+                      0xff51afd7ed558ccdull) >>
+                     (64 - kNameCacheBits);
+  NameCacheSlot* set = &name_cache_[h & ~uint64_t{1}];
+  for (size_t w = 0; w < 2; ++w) {
+    if (set[w].head == head && set[w].tail == tail && set[w].len == n) {
+      return set[w].symbol;
+    }
+  }
+  // Miss: the new name enters the set first, the older one leaves.
+  const util::Symbol symbol = resolve(name);
+  set[1] = set[0];
+  set[0] = NameCacheSlot{head, tail, static_cast<uint32_t>(n), symbol};
+  return symbol;
 }
 
 size_t SaxParser::ScanName(std::string_view s, size_t i) {
@@ -201,37 +170,19 @@ size_t SaxParser::ScanName(std::string_view s, size_t i) {
   return n - i;
 }
 
-void SaxParser::Consume(size_t n) {
-  // Jump newline to newline with memchr instead of classifying every byte;
-  // only the tail after the last newline contributes to the column.
-  const char* p = buffer_.data() + pos_;
-  size_t remaining = n;
-  while (remaining > 0) {
-    const char* nl = static_cast<const char*>(std::memchr(p, '\n', remaining));
-    if (nl == nullptr) {
-      column_ += static_cast<int>(remaining);
-      break;
-    }
-    ++line_;
-    column_ = 1;
-    remaining -= static_cast<size_t>(nl - p) + 1;
-    p = nl + 1;
-  }
-  pos_ += n;
-  seen_any_content_ = true;
+int SaxParser::line() const {
+  return static_cast<int>(1 + lines_before_ +
+                          CountNewlines(buffer_.data(), pos_));
 }
 
-void SaxParser::ConsumeCounted(size_t n, uint32_t newlines, size_t last_nl) {
-  // The structural scan already counted the span's newlines; fold them in
-  // without re-reading a single byte.
-  if (newlines > 0) {
-    line_ += static_cast<int>(newlines);
-    column_ = static_cast<int>(n - last_nl);
-  } else {
-    column_ += static_cast<int>(n);
+int SaxParser::column() const {
+  const void* last_nl =
+      pos_ == 0 ? nullptr : memrchr(buffer_.data(), '\n', pos_);
+  if (last_nl != nullptr) {
+    return static_cast<int>(buffer_.data() + pos_ -
+                            static_cast<const char*>(last_nl));
   }
-  pos_ += n;
-  seen_any_content_ = true;
+  return static_cast<int>(1 + column_before_ + pos_);
 }
 
 void SaxParser::MaterializeTextView() {
@@ -255,8 +206,8 @@ SaxParser::Progress SaxParser::FailLimit(std::string message) {
 }
 
 SaxParser::Progress SaxParser::FailWith(StatusCode code, std::string message) {
-  error_ = Status(code, message + " at line " + std::to_string(line_) +
-                            ", column " + std::to_string(column_));
+  error_ = Status(code, message + " at line " + std::to_string(line()) +
+                            ", column " + std::to_string(column()));
   if (obs::Enabled()) {
     obs::MetricsRegistry::Default()
         .GetCounter("xaos_parse_errors_total")
@@ -268,7 +219,9 @@ SaxParser::Progress SaxParser::FailWith(StatusCode code, std::string message) {
 void SaxParser::StartDocument() {
   started_document_ = true;
   if (projection_filter_ != nullptr) projection_filter_->StartDocument();
-  handler_->StartDocument();
+  target_->StartDocument();
+  interest_ = records_->interest();
+  text_gaps_ = records_->text_as_gaps();
 }
 
 Status SaxParser::Feed(std::string_view chunk) {
@@ -277,7 +230,7 @@ Status SaxParser::Feed(std::string_view chunk) {
     return InvalidArgumentError("Feed() after Finish()");
   }
   // Phase split: everything in this call is parse time except what the
-  // timing wrapper attributes to the match phase meanwhile.
+  // writer charges to the match phase meanwhile (replaying batches).
   uint64_t start = 0, match_before = 0;
   obs::PhaseTimers* timers = options_.phase_timers;
   if (timers != nullptr) {
@@ -299,8 +252,17 @@ Status SaxParser::Feed(std::string_view chunk) {
   // Compacting/growing buffer_ invalidates any zero-copy pending-text view
   // into it (copy the view out first) and every cached block mask.
   MaterializeTextView();
-  // Compact the consumed prefix before growing the buffer.
+  // Compact the consumed prefix before growing the buffer, keeping its
+  // newline count for line() and column().
   if (pos_ > 0) {
+    const void* last_nl = memrchr(buffer_.data(), '\n', pos_);
+    if (last_nl == nullptr) {
+      column_before_ += pos_;
+    } else {
+      lines_before_ += CountNewlines(buffer_.data(), pos_);
+      column_before_ = static_cast<size_t>(
+          buffer_.data() + pos_ - static_cast<const char*>(last_nl) - 1);
+    }
     buffer_.erase(0, pos_);
     pos_ = 0;
   }
@@ -316,6 +278,8 @@ Status SaxParser::Feed(std::string_view chunk) {
     p = FailLimit("unterminated token exceeds " +
                   std::to_string(limits.max_token_bytes) + " bytes");
   }
+  // A plain handler has seen every event of this Feed when it returns.
+  if (replay_ != nullptr) records_->Flush();
   if (timers != nullptr) {
     uint64_t total = obs::NowNs() - start;
     uint64_t match = timers->Ns(obs::Phase::kMatch) - match_before;
@@ -329,6 +293,7 @@ Status SaxParser::Finish() {
   if (!error_.ok()) return error_;
   if (finished_) return Status::Ok();
   if (!started_document_) StartDocument();
+  if (replay_ != nullptr) records_->Flush();
   finished_ = true;
   if (skip_active_) {
     Fail("unexpected end of document inside a skipped subtree");
@@ -343,7 +308,7 @@ Status SaxParser::Finish() {
       if (Status s = AppendText(rest, /*decode=*/false); !s.ok()) {
         return error_ = s;
       }
-      Consume(rest.size());
+      Advance(rest.size());
     } else {
       Fail("unexpected end of document inside markup");
       return error_;
@@ -359,6 +324,7 @@ Status SaxParser::Finish() {
     text_view_ = {};
     text_accum_.clear();
     text_all_ws_ = true;
+    text_has_bytes_ = false;
   }
   if (!open_offsets_.empty()) {
     Fail("unexpected end of document: unclosed element <" +
@@ -375,7 +341,7 @@ Status SaxParser::Finish() {
     start = obs::NowNs();
     match_before = timers->Ns(obs::Phase::kMatch);
   }
-  handler_->EndDocument();
+  target_->EndDocument();
   if (timers != nullptr) {
     uint64_t total = obs::NowNs() - start;
     uint64_t match = timers->Ns(obs::Phase::kMatch) - match_before;
@@ -404,12 +370,22 @@ Status SaxParser::Finish() {
 
 void SaxParser::EmitPendingTextSlow() {
   text_pending_ = false;
+  if (text_gaps_) {
+    if (text_has_bytes_ &&
+        (options_.report_whitespace_text || !text_all_ws_)) {
+      ++text_event_count_;
+      records_->TextGap();
+    }
+    text_has_bytes_ = false;
+    text_all_ws_ = true;
+    return;
+  }
   std::string_view text =
       text_in_view_ ? text_view_ : std::string_view(text_accum_);
   if (!text.empty() &&
       (options_.report_whitespace_text || !text_all_ws_)) {
     ++text_event_count_;
-    handler_->Characters(text);
+    records_->Characters(text);
   }
   text_in_view_ = false;
   text_view_ = {};
@@ -430,6 +406,31 @@ Status SaxParser::AppendTextPiece(std::string_view raw, bool decode,
   if (has_ctl) {
     Fail("control character in character data");
     return error_;
+  }
+  if (text_gaps_) {
+    // No record will carry the text: keep only whether the run is
+    // non-empty and all whitespace, decoding references just to check them.
+    if (decode && has_amp && !raw.empty()) {
+      StatusOr<std::string> decoded =
+          DecodeReferences(raw, &entity_references_);
+      if (!decoded.ok()) {
+        Fail(decoded.status().message());
+        return error_;
+      }
+      if (options_.limits.max_entity_references > 0 &&
+          entity_references_ > options_.limits.max_entity_references) {
+        FailLimit("entity-reference budget of " +
+                  std::to_string(options_.limits.max_entity_references) +
+                  " exceeded");
+        return error_;
+      }
+      all_ws = IsAllXmlWhitespace(*decoded);
+    }
+    text_all_ws_ = text_all_ws_ && all_ws;
+    text_has_bytes_ = text_has_bytes_ || !raw.empty();
+    text_pending_ = true;
+    if (!options_.coalesce_text) EmitPendingText();
+    return Status::Ok();
   }
   if (decode && has_amp && !raw.empty()) {
     StatusOr<std::string> decoded = DecodeReferences(raw, &entity_references_);
@@ -491,7 +492,7 @@ SaxParser::Progress SaxParser::PumpSkip() {
   SkipScanner::State state = skip_scanner_.Scan(rest, &consumed);
   // Consume before reporting an error so line/column point at the
   // offending construct, as they do in normal parse mode.
-  if (consumed > 0) Consume(consumed);
+  if (consumed > 0) Advance(consumed);
   switch (state) {
     case SkipScanner::State::kScanning:
       return Progress::kNeedMore;
@@ -526,7 +527,7 @@ SaxParser::Progress SaxParser::DeliverSkip(const SkipReport& report) {
     obs::flight::Emit(span);
   }
   skip_begin_ns_ = 0;
-  handler_->SkippedSubtree(report);
+  records_->Skip(report);
   return Progress::kOk;
 }
 
@@ -535,7 +536,7 @@ SaxParser::Progress SaxParser::ParseText() {
   size_t avail = buffer_.size() - pos_;
   // One classification pass answers every question this function used to
   // make separate passes for: run end, '&', ']', control bytes,
-  // whitespace-ness, newline accounting.
+  // whitespace-ness.
   TextFacts facts = scanner_.ScanText(buffer_.data(), buffer_.size(), pos_);
   bool saw_lt = facts.first_lt != std::string_view::npos;
   size_t run = saw_lt ? facts.first_lt : avail;
@@ -584,7 +585,7 @@ SaxParser::Progress SaxParser::ParseText() {
       !s.ok()) {
     return Progress::kError;
   }
-  ConsumeCounted(text.size(), facts.newlines, facts.last_nl);
+  Advance(text.size());
   return saw_lt ? Progress::kOk : Progress::kNeedMore;
 }
 
@@ -616,7 +617,7 @@ SaxParser::Progress SaxParser::ParseMarkup() {
     return Fail("unsupported markup declaration");
   }
   // Start tag: one structural scan over the body finds the quote-aware '>'
-  // and, in the same pass, counts quoted attribute values and newlines.
+  // and, in the same pass, counts quoted attribute values.
   // Deferred mode: a stray '<' fails only once a '>' confirms the tag was
   // malformed rather than merely incomplete (the historic contract).
   TagScan scan = scanner_.ScanTag(buffer_.data(), buffer_.size(), pos_ + 1,
@@ -654,19 +655,22 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
                      std::to_string(limits.max_depth) + " exceeded");
   }
 
+  // The one filter: skip the subtree, elide the element, or keep it.
+  const util::Symbol symbol = ResolveName(name);
   if (projection_filter_ != nullptr &&
-      projection_filter_->ShouldSkipSubtree(name, open_offsets_.size())) {
+      projection_filter_->ShouldSkipSubtree(QName(name, symbol),
+                                            open_offsets_.size())) {
     // The whole subtree is irrelevant: account for the start tag, then let
     // the skip scanner race to the matching end tag. The element is never
-    // pushed onto the open-element stack and emits no events.
+    // pushed onto the open-element stack and gets no record.
     SkipReport initial;
     initial.elements = 1;
-    // The tag scan already paired the quotes; no re-scan of the body.
-    initial.node_ids = 1 + scan.quoted_values;
+    // One node id per attribute value (quote pairs are values on any tag
+    // the full parser accepts).
+    initial.node_ids = 1 + SkipScanner::CountQuotedValues(body);
     initial.bytes = tag_end + 1;
     EmitPendingText();
-    ConsumeCounted(tag_end + 1, scan.newlines,
-                   scan.newlines > 0 ? scan.last_nl + 1 : scan.last_nl);
+    Advance(tag_end + 1);
     if (self_closing) return DeliverSkip(initial);
     skip_scanner_.Begin(initial, open_offsets_.size(), limits.max_depth,
                         options_.report_whitespace_text);
@@ -674,12 +678,13 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
     if (obs::flight::Active()) skip_begin_ns_ = obs::NowNs();
     return Progress::kOk;
   }
+  bool keep = interest_ == nullptr || records_->Keeps(symbol);
 
-  // Attributes. Views point into `body` (and thus buffer_) or into reused
-  // decode slots; both stay valid until the StartElement callback returns,
-  // which happens before Consume() advances past this tag.
+  // Attributes, checked in full whether the element is kept or elided.
+  // Names and raw values view `body` (and thus buffer_), which stays valid
+  // until the record is written below; decoded values go to attr_decoded_.
   attributes_.clear();
-  size_t decode_used = 0;
+  attr_decoded_.clear();
   size_t i = name_len;
   while (true) {
     size_t ws = i;
@@ -733,7 +738,7 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
     if (value_facts.has_ctl) {
       return Fail("control character in attribute value");
     }
-    std::string_view value_view = raw_value;
+    RawAttribute attr{attr_name, raw_value, util::kInvalidSymbol, false, 0, 0};
     if (value_facts.has_amp) {
       StatusOr<std::string> value =
           DecodeReferences(raw_value, &entity_references_);
@@ -744,39 +749,49 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
             "entity-reference budget of " +
             std::to_string(limits.max_entity_references) + " exceeded");
       }
-      if (decode_used == attr_decode_slots_.size()) {
-        attr_decode_slots_.emplace_back();
-      }
-      std::string& slot = attr_decode_slots_[decode_used++];
-      slot.assign(*value);
-      value_view = slot;
+      attr.decoded = true;
+      attr.decoded_offset = static_cast<uint32_t>(attr_decoded_.size());
+      attr.decoded_size = static_cast<uint32_t>(value->size());
+      attr_decoded_.append(*value);
     }
-    util::Symbol attr_symbol = ResolveName(attr_name);
+    attr.symbol = ResolveName(attr_name);
     // Resolved ids make uniqueness an integer compare (vocabulary names are
     // equal iff their Symbols are); names outside the vocabulary all share
     // kUnknownSymbol and fall back to comparing bytes.
-    for (const AttributeView& existing : attributes_) {
-      if (existing.symbol == attr_symbol &&
-          (attr_symbol != util::kUnknownSymbol || existing.name == attr_name)) {
+    for (const RawAttribute& existing : attributes_) {
+      if (existing.symbol == attr.symbol &&
+          (attr.symbol != util::kUnknownSymbol || existing.name == attr_name)) {
         return Fail("duplicate attribute '" + std::string(attr_name) + "'");
       }
     }
-    attributes_.push_back({attr_name, value_view, attr_symbol});
+    keep = keep || records_->Keeps(attr.symbol);
+    attributes_.push_back(attr);
     i = value_end + 1;
   }
 
   EmitPendingText();
-  handler_->StartElement(QName(name, ResolveName(name)),
-                         AttributeSpan(attributes_));
+  if (keep) {
+    EventBatch* batch = records_->BeginStart(symbol, name);
+    for (const RawAttribute& attr : attributes_) {
+      batch->AddAttribute(
+          attr.name,
+          attr.decoded ? std::string_view(attr_decoded_)
+                             .substr(attr.decoded_offset, attr.decoded_size)
+                       : attr.raw_value,
+          attr.symbol);
+    }
+    records_->EndRecord();
+  } else {
+    records_->ElidedStart(static_cast<uint32_t>(attributes_.size()));
+  }
   ++element_count_;
   if (self_closing) {
-    handler_->EndElement(name);
+    records_->EndElement(name);
     if (open_offsets_.empty()) seen_root_ = true;
   } else {
     PushOpenName(name);
   }
-  ConsumeCounted(tag_end + 1, scan.newlines,
-                 scan.newlines > 0 ? scan.last_nl + 1 : scan.last_nl);
+  Advance(tag_end + 1);
   return Progress::kOk;
 }
 
@@ -785,18 +800,16 @@ SaxParser::Progress SaxParser::ParseEndTag(size_t tag_end) {
   std::string_view body = rest.substr(2, tag_end - 2);
   // Fast path: the body is byte-identical to the open element's name — the
   // canonical well-formed shape. That name already passed Name syntax and
-  // the length limit at its start tag, and a Name cannot contain newlines,
-  // so one memcmp replaces the per-byte name walk, the trailing-whitespace
-  // check and the newline count. Any other shape (trailing whitespace,
-  // mismatch, empty stack) falls through to the validating path below.
+  // the length limit at its start tag, so one memcmp replaces the per-byte
+  // name walk and the trailing-whitespace check. Any other shape (trailing
+  // whitespace, mismatch, empty stack) falls through to the validating
+  // path below.
   if (!open_offsets_.empty() && body == TopOpenName()) {
     EmitPendingText();
-    handler_->EndElement(body);
+    records_->EndElement(body);
     PopOpenName();
     if (open_offsets_.empty()) seen_root_ = true;
-    pos_ += tag_end + 1;
-    column_ += static_cast<int>(tag_end) + 1;
-    seen_any_content_ = true;
+    Advance(tag_end + 1);
     return Progress::kOk;
   }
   size_t name_len = ScanName(body, 0);
@@ -819,10 +832,10 @@ SaxParser::Progress SaxParser::ParseEndTag(size_t tag_end) {
                 ">, found </" + std::string(name) + ">");
   }
   EmitPendingText();
-  handler_->EndElement(name);
+  records_->EndElement(name);
   PopOpenName();
   if (open_offsets_.empty()) seen_root_ = true;
-  Consume(tag_end + 1);
+  Advance(tag_end + 1);
   return Progress::kOk;
 }
 
@@ -838,10 +851,12 @@ SaxParser::Progress SaxParser::ParseComment() {
     return Fail("comment must not end with '-'");
   }
   if (options_.report_comments) {
+    // A reported comment splits the text run for every consumer; only a
+    // plain handler gets a record of it.
     EmitPendingText();
-    handler_->Comment(text);
+    if (replay_ != nullptr) records_->Comment(text);
   }
-  Consume(end + 3);
+  Advance(end + 3);
   return Progress::kOk;
 }
 
@@ -862,7 +877,7 @@ SaxParser::Progress SaxParser::ParseCData() {
       !s.ok()) {
     return Progress::kError;
   }
-  Consume(end + 3);
+  Advance(end + 3);
   return Progress::kOk;
 }
 
@@ -892,9 +907,9 @@ SaxParser::Progress SaxParser::ParsePi() {
     }
   } else if (options_.report_processing_instructions) {
     EmitPendingText();
-    handler_->ProcessingInstruction(target, data);
+    if (replay_ != nullptr) records_->ProcessingInstruction(target, data);
   }
-  Consume(end + 2);
+  Advance(end + 2);
   return Progress::kOk;
 }
 
@@ -926,7 +941,7 @@ SaxParser::Progress SaxParser::ParseDoctype() {
         break;
       case '>':
         if (bracket_depth == 0) {
-          Consume(i + 1);
+          Advance(i + 1);
           return Progress::kOk;
         }
         break;

@@ -1,10 +1,22 @@
 // A from-scratch streaming (push) XML parser.
 //
-// The parser accepts input in arbitrary chunks via Feed() and emits SAX-style
-// events to a ContentHandler as soon as they are complete, so memory use is
+// The parser accepts input in arbitrary chunks via Feed(), so memory use is
 // bounded by the largest single token (tag/comment/CDATA section), not the
 // document size. This is the event source the χαoς engine consumes
 // (paper Section 2.2, Figure 1).
+//
+// Its output is EventBatch records (xml/event_batch.h), written through one
+// RecordWriter. Given a handler that consumes records (an EventBatcher,
+// such as core::BatchedDispatcher), the parser writes into that handler's
+// writer; any other ContentHandler gets the records replayed as callbacks,
+// at the writer's budgets and at the end of every Feed() and Finish().
+//
+// One filter decides each element after its name is resolved: the
+// projection filter may skip the whole subtree, the writer's element
+// interest may elide the element (no record, only a numbering gap), or it
+// is kept. An elided element still gets every check a kept one gets —
+// name syntax, attribute syntax and limits, references, duplicates, the
+// end-tag match — but no attribute record and no decoded value is written.
 //
 // Supported: elements, attributes, character data, CDATA sections, comments,
 // processing instructions, the XML declaration, a skipped DOCTYPE, the five
@@ -18,13 +30,13 @@
 #define XAOS_XML_SAX_PARSER_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "util/status.h"
+#include "xml/event_batch.h"
 #include "xml/sax_event.h"
 #include "xml/skip_scanner.h"
 #include "xml/structural_scanner.h"
@@ -73,16 +85,17 @@ struct ParserOptions {
   bool report_processing_instructions = false;
   // Guardrails against resource-exhausting input (see ParserLimits).
   ParserLimits limits;
-  // Optional phase accounting (obs/timer.h): when set, time spent inside
-  // handler callbacks is attributed to Phase::kMatch and the remainder of
-  // each Feed()/Finish() to Phase::kParse, splitting the single streaming
-  // pass into the paper's parse vs. match phases. Costs two clock reads per
-  // delivered event; leave null (the default) for zero overhead.
+  // Optional phase accounting (obs/timer.h): when set, time spent replaying
+  // published batches (into the evaluator, or as callbacks) is attributed
+  // to Phase::kMatch and the remainder of each Feed()/Finish() to
+  // Phase::kParse, splitting the single streaming pass into the paper's
+  // parse vs. match phases. Costs two clock reads per published batch;
+  // leave null (the default) for zero overhead.
   obs::PhaseTimers* phase_timers = nullptr;
   // Optional document projection (xml/skip_scanner.h): when set, each start
   // tag is offered to the filter, and a subtree it proves irrelevant is
   // skipped by a raw scanner — no attribute parsing, entity decoding or
-  // events; the handler receives one SkippedSubtree() instead. Ignored
+  // records; one kGap record (one SkippedSubtree()) stands for it. Ignored
   // (with xaos_projection_disabled_total incremented) when combined with
   // options it cannot preserve exactly: coalesce_text off (node-id
   // assignment would become chunk-dependent) or reported comments/PIs
@@ -104,6 +117,7 @@ struct ParserOptions {
 class SaxParser {
  public:
   explicit SaxParser(ContentHandler* handler, ParserOptions options = {});
+  ~SaxParser();
 
   SaxParser(const SaxParser&) = delete;
   SaxParser& operator=(const SaxParser&) = delete;
@@ -116,11 +130,12 @@ class SaxParser {
   Status Finish();
 
   // 1-based position of the next unconsumed input character; used in error
-  // messages.
-  int line() const { return line_; }
-  int column() const { return column_; }
+  // messages. Computed on demand from the newlines of the consumed input.
+  int line() const;
+  int column() const;
 
-  // Number of start-element events emitted so far.
+  // Number of start tags parsed so far, kept or elided (a projection skip
+  // counts none).
   uint64_t element_count() const { return element_count_; }
 
   // Bytes accepted through Feed() so far.
@@ -128,14 +143,17 @@ class SaxParser {
 
  private:
   enum class Progress { kOk, kNeedMore, kError };
+  class HandlerReplay;
 
-  // Resets the projection filter, then reports StartDocument.
+  // Resets the projection filter, reports StartDocument, then reads back
+  // what the writer wants for this document (element interest, text as
+  // gaps).
   void StartDocument();
   Progress Pump();                      // parse as much of buffer_ as possible
   Progress ParseText();                 // content until '<'
   Progress ParseMarkup();               // dispatch on "<...": tag/comment/...
   // `scan` is the structural scan of the tag body (rest[1..tag_end)); it
-  // carries the quoted-value count and newline accounting for the tag.
+  // carries the quoted-value count for the tag.
   Progress ParseStartTag(size_t tag_end, bool self_closing,
                          const TagScan& scan);
   Progress ParseEndTag(size_t tag_end);
@@ -145,7 +163,7 @@ class SaxParser {
   Progress ParseDoctype();
   Progress PumpSkip();                  // advance an active subtree skip
   // Completes a skip: updates projection counters, marks the root seen when
-  // the skipped subtree was the document element, and notifies the handler.
+  // the skipped subtree was the document element, and writes the gap.
   Progress DeliverSkip(const SkipReport& report);
 
   // Record a well-formedness error (kParseError) / a limit rejection
@@ -153,7 +171,7 @@ class SaxParser {
   Progress Fail(std::string message);
   Progress FailLimit(std::string message);
   Progress FailWith(StatusCode code, std::string message);
-  // Flush pending text to the handler. Called once per markup event, and
+  // Flush pending text to the writer. Called once per markup event, and
   // usually with nothing pending — the guard stays inline.
   void EmitPendingText() {
     if (text_pending_) EmitPendingTextSlow();
@@ -169,10 +187,12 @@ class SaxParser {
   // Copies a zero-copy pending-text view into text_accum_. Must run before
   // anything mutates buffer_ (the view points into it).
   void MaterializeTextView();
-  void Consume(size_t n);               // advance pos_, track line/column
-  // Consume() with the newline accounting precomputed by a structural scan
-  // of the consumed span: `newlines` '\n's, the last at offset `last_nl`.
-  void ConsumeCounted(size_t n, uint32_t newlines, size_t last_nl);
+  // Advances past `n` consumed bytes. Positions are not tracked per token:
+  // line() and column() recount newlines only when asked.
+  void Advance(size_t n) {
+    pos_ += n;
+    seen_any_content_ = true;
+  }
 
   // Validating helpers.
   static bool IsNameStartChar(unsigned char c);
@@ -196,15 +216,24 @@ class SaxParser {
     open_offsets_.pop_back();
   }
 
-  ContentHandler* handler_;
   ParserOptions options_;
-  // When options_.phase_timers is set, handler_ points at this wrapper,
-  // which times callbacks into the match phase before forwarding to the
-  // user's handler.
-  std::unique_ptr<ContentHandler> timing_wrapper_;
+  // Plain handlers: the batcher whose records are replayed into them.
+  std::unique_ptr<HandlerReplay> replay_;
+  // Takes StartDocument/EndDocument: the caller's record-consuming handler,
+  // or replay_'s batcher.
+  ContentHandler* target_;
+  RecordWriter* records_;  // target_'s writer
+  // This document's element interest (null: every element is kept) and
+  // whether text runs travel as gaps; read from records_ at StartDocument.
+  const ElementInterest* interest_ = nullptr;
+  bool text_gaps_ = false;
 
   std::string buffer_;     // unconsumed input (suffix of the stream)
   size_t pos_ = 0;         // consumed prefix of buffer_
+  // Newlines consumed before buffer_[0], and the bytes consumed since the
+  // last of them: the base line() and column() count from.
+  uint64_t lines_before_ = 0;
+  uint64_t column_before_ = 0;
 
   // Pending character data. The common case — one contiguous raw run, no
   // references to decode — is held as a zero-copy view into buffer_
@@ -212,11 +241,13 @@ class SaxParser {
   // second piece coalesces onto it, a piece needs reference decoding, or
   // the next Feed() is about to mutate buffer_. text_all_ws_ tracks
   // whether the pending run (after decoding) is entirely XML whitespace,
-  // maintained incrementally so emission never rescans the text.
+  // maintained incrementally so emission never rescans the text. When text
+  // travels as gaps, only text_has_bytes_ and text_all_ws_ are kept.
   std::string text_accum_;     // pending character data (decoded)
   std::string_view text_view_;
   bool text_in_view_ = false;
   bool text_all_ws_ = true;
+  bool text_has_bytes_ = false;
   bool text_pending_ = false;  // a (possibly empty) run is pending
 
   // Stack of open element names as one arena string plus start offsets:
@@ -230,44 +261,49 @@ class SaxParser {
   bool finished_ = false;
 
   Status error_;
-  int line_ = 1;
-  int column_ = 1;
   uint64_t element_count_ = 0;
   uint64_t bytes_fed_ = 0;
   uint64_t text_event_count_ = 0;
   uint64_t entity_references_ = 0;  // decoded so far (limits budget)
 
   // Per-start-tag scratch, reused across tags so steady-state parsing does
-  // no per-attribute heap allocation: `attributes_` holds views into
-  // buffer_ (or into a reused decode slot when the raw value contains
-  // references).
-  std::vector<AttributeView> attributes_;
-  // Deque: slot strings must not move while attributes_ views into them.
-  std::deque<std::string> attr_decode_slots_;
+  // no per-attribute heap allocation. Names and raw values view buffer_;
+  // a value with references is decoded into attr_decoded_ at
+  // [decoded_offset, +decoded_size).
+  struct RawAttribute {
+    std::string_view name;
+    std::string_view raw_value;
+    util::Symbol symbol;
+    bool decoded;
+    uint32_t decoded_offset;
+    uint32_t decoded_size;
+  };
+  std::vector<RawAttribute> attributes_;
+  std::string attr_decoded_;
 
   // Vectorized structural front-end shared by every hot loop below; the
   // skip scanner owns a sibling instance with its own mask cache.
   StructuralScanner scanner_;
 
   // Parser-local front for SymbolTable::Global(): element and attribute
-  // names repeat heavily within one document, so a small 4-way
-  // set-associative cache (32 sets, first-in first-out within a set) turns
-  // lookups (hash + atomic probe + chain walk) into a memcmp against a
-  // cached spelling; a document's global lookups fall to about its
-  // distinct names. Names outside the query vocabulary are cached too, as
-  // kUnknownSymbol. The cache lives as long as the parser — one document —
-  // so no entry outlives a subscription added between documents; at 4 KB
-  // it keeps a parser per document cheap to construct.
+  // names repeat heavily within one document, so a 2-way set-associative
+  // cache keyed by the name's bytes as two words turns a lookup (hash +
+  // atomic probe + chain walk) into two word compares; a document's global
+  // lookups fall to about its distinct names. Names up to 16 bytes are
+  // cached (longer ones go to the table), including names outside the
+  // query vocabulary, as kUnknownSymbol. The cache lives as long as the
+  // parser — one document — so no entry outlives a subscription added
+  // between documents.
   struct NameCacheSlot {
-    uint32_t tag = 0;  // the name's set hash
-    uint8_t len = 0;   // 0 = empty
-    char bytes[23];
+    uint64_t head = 0;  // bytes [0, 8), zero-padded
+    uint64_t tail = 0;  // bytes [8, 16), zero-padded
+    uint32_t len = 0;   // 0 = empty
     util::Symbol symbol = util::kInvalidSymbol;
   };
-  static constexpr size_t kNameCacheSetBits = 5;
-  static constexpr size_t kNameCacheWays = 4;
-  NameCacheSlot name_cache_[(size_t{1} << kNameCacheSetBits) * kNameCacheWays];
-  // The Symbol a query vocabulary gives `name`, else kUnknownSymbol.
+  static constexpr size_t kNameCacheBits = 9;
+  NameCacheSlot name_cache_[size_t{1} << kNameCacheBits];
+  // The Symbol a query vocabulary gives `name` (a view into buffer_), else
+  // kUnknownSymbol.
   util::Symbol ResolveName(std::string_view name);
 
   // Document projection. Null unless options_.projection_filter is set and

@@ -30,8 +30,10 @@
 namespace xaos::xml {
 
 // Per-start-tag relevance oracle the evaluator installs via
-// ParserOptions::projection_filter. `open_depth` is the number of elements
-// already open when the tag appears (the document element sits at 0).
+// ParserOptions::projection_filter. `name` carries the Symbol the parser
+// resolved (kInvalidSymbol when the caller did not resolve it).
+// `open_depth` is the number of elements already open when the tag appears
+// (the document element sits at 0).
 // Returning true asserts that no node in the element's subtree — the
 // element itself, its attributes, text, and descendants — can contribute to
 // any match; the parser then skips the subtree without events.
@@ -44,7 +46,7 @@ class ProjectionFilter {
   // that: a batching handler replays it later, while the parser is already
   // consulting the filter for the document's first tags.
   virtual void StartDocument() {}
-  virtual bool ShouldSkipSubtree(std::string_view name, size_t open_depth) = 0;
+  virtual bool ShouldSkipSubtree(const QName& name, size_t open_depth) = 0;
 };
 
 // Resumable scanner over one skipped subtree. The parser seeds it with the

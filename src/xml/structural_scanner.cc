@@ -1,5 +1,6 @@
 #include "xml/structural_scanner.h"
 
+#include <algorithm>
 #include <cstring>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -133,6 +134,30 @@ ScannerBackend DefaultScannerBackend() { return ScannerBackend::kScalar; }
 
 #endif  // XAOS_HAVE_SSE2
 
+size_t CountNewlines(const char* p, size_t n) {
+  size_t count = 0;
+  size_t i = 0;
+#if defined(XAOS_HAVE_SSE2)
+  // Byte lanes count matches (a match is -1) for up to 255 vectors, then
+  // fold into the total with a sum of absolute differences.
+  const __m128i newline = _mm_set1_epi8('\n');
+  while (n - i >= 16) {
+    const size_t vectors = std::min<size_t>((n - i) / 16, 255);
+    __m128i lanes = _mm_setzero_si128();
+    for (size_t v = 0; v < vectors; ++v, i += 16) {
+      const __m128i bytes =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
+      lanes = _mm_sub_epi8(lanes, _mm_cmpeq_epi8(bytes, newline));
+    }
+    const __m128i sums = _mm_sad_epu8(lanes, _mm_setzero_si128());
+    count += static_cast<size_t>(_mm_cvtsi128_si32(sums)) +
+             static_cast<size_t>(_mm_extract_epi16(sums, 4));
+  }
+#endif
+  for (; i < n; ++i) count += p[i] == '\n';
+  return count;
+}
+
 const char* ScannerBackendName(ScannerBackend backend) {
   switch (backend) {
     case ScannerBackend::kScalar:
@@ -182,7 +207,7 @@ void StructuralScanner::ClassifyTail(const char* p, size_t len,
 
 TextFacts StructuralScanner::ScanTextGeneral(const char* base, size_t size,
                                              size_t from) const {
-  TextFacts facts{kNpos, false, false, false, true, 0, kNpos};
+  TextFacts facts{kNpos, false, false, false, true};
   BlockMasks scratch;
   for (size_t bs = from & ~(kBlock - 1); bs < size; bs += kBlock) {
     const BlockMasks& m = Block(base, size, bs, &scratch);
@@ -200,12 +225,6 @@ TextFacts StructuralScanner::ScanTextGeneral(const char* base, size_t size,
     facts.has_rbracket |= (m.rbracket & keep) != 0;
     facts.has_ctl |= (m.ctl & keep) != 0;
     facts.all_ws = facts.all_ws && ((m.ws & keep) == keep);
-    const uint64_t nl = m.newline & keep;
-    if (nl != 0) {
-      facts.newlines += ScannerPopcount(nl);
-      facts.last_nl =
-          bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
-    }
     if (lt != 0) break;
   }
   return facts;
@@ -214,7 +233,7 @@ TextFacts StructuralScanner::ScanTextGeneral(const char* base, size_t size,
 TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
                                           size_t from,
                                           bool immediate_lt) const {
-  TagScan scan{TagScan::Kind::kNeedMore, 0, 0, 0, kNpos};
+  TagScan scan{TagScan::Kind::kNeedMore, 0};
   size_t bad_lt = kNpos;
   char quote = 0;
   BlockMasks scratch;
@@ -242,7 +261,6 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
       const uint64_t dq = m.dquote & valid;
       const uint64_t inside =
           ScannerPrefixXor(dq) ^ (quote != 0 ? ~0ull : 0ull);
-      const uint64_t closing = dq & ~inside;
       const uint64_t gt_eff = m.gt & valid & ~inside;
       const uint64_t lt_eff = m.lt & valid & ~inside;
       const unsigned first_gt =
@@ -252,15 +270,6 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
       if (first_gt < first_lt) {
         scan.kind = TagScan::Kind::kEnd;
         scan.end = bs + first_gt - from;
-        const uint64_t below =
-            first_gt == 0 ? 0 : (~0ull >> (kBlock - first_gt));
-        scan.quoted_values += ScannerPopcount(closing & below);
-        const uint64_t nl = m.newline & valid & below;
-        if (nl != 0) {
-          scan.newlines += ScannerPopcount(nl);
-          scan.last_nl =
-              bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
-        }
         return scan;
       }
       if (first_lt < 64) {
@@ -277,14 +286,6 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
           return scan;
         }
         continue;
-      }
-      scan.quoted_values +=
-          ScannerPopcount(closing);
-      const uint64_t nl = m.newline & valid;
-      if (nl != 0) {
-        scan.newlines += ScannerPopcount(nl);
-        scan.last_nl =
-            bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
       }
       quote = (inside >> 63) != 0 ? '"' : 0;
       continue;
@@ -309,7 +310,6 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
         if ((quote == '"' && (m.dquote & b) != 0) ||
             (quote == '\'' && (m.squote & b) != 0)) {
           quote = 0;
-          ++scan.quoted_values;
         }
         continue;
       }
@@ -321,14 +321,6 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
         }
         scan.kind = TagScan::Kind::kEnd;
         scan.end = pos - from;
-        const uint64_t below =
-            valid & (bit == 0 ? 0 : (~0ull >> (kBlock - bit)));
-        const uint64_t nl = m.newline & below;
-        if (nl != 0) {
-          scan.newlines += ScannerPopcount(nl);
-          scan.last_nl =
-              bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
-        }
         return scan;
       }
       if ((m.lt & b) != 0) {
@@ -341,12 +333,6 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
         continue;
       }
       quote = (m.dquote & b) != 0 ? '"' : '\'';
-    }
-    const uint64_t nl = m.newline & valid;
-    if (nl != 0) {
-      scan.newlines += ScannerPopcount(nl);
-      scan.last_nl =
-          bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
     }
   }
   return scan;

@@ -3,12 +3,11 @@
 // Both the full SAX parse and the projection skip-scan spend their per-byte
 // budget answering the same handful of questions: where is the next '<',
 // does this text run contain '&' / ']' / a forbidden control byte, is it
-// all whitespace, where does this start tag end once quoted attribute
-// values are honored, and how many newlines went by (for byte-exact error
-// positions). Before this module each question was a separate pass (memchr
-// probes, find(), byte loops). The structural scanner answers all of them
-// from ONE classification pass: input is processed in 64-byte blocks, each
-// block yielding a set of 64-bit masks — bit i of a mask says byte i of the
+// all whitespace, and where does this start tag end once quoted attribute
+// values are honored. Before this module each question was a separate pass
+// (memchr probes, find(), byte loops). The structural scanner answers all
+// of them from ONE classification pass: input is processed in 64-byte
+// blocks, each block yielding a set of 64-bit masks — bit i of a mask says byte i of the
 // block belongs to that class ('<', '>', '"', '\'', '&', ']', newline,
 // whitespace, forbidden control). The masks are the index stream: consumers
 // jump from structural position to structural position with ctz and bit counts
@@ -23,8 +22,8 @@
 //     tested against (ClassifyBlockScalar).
 //
 // The kernel fills one BlockMasks struct, and all higher-level logic
-// (prefix masking at the first '<', quote-state tracking across blocks,
-// newline accounting) is kernel-independent driver code in this module —
+// (prefix masking at the first '<', quote-state tracking across blocks) is
+// kernel-independent driver code in this module —
 // so the two kernels can only disagree if one mis-classifies a byte, which
 // is exactly what the differential tests and fuzz_scanner_diff check.
 //
@@ -92,7 +91,7 @@ inline uint64_t ScannerPrefixXor(uint64_t x) {
 
 // Population count in portable shift-and-add form. The x86-64 baseline has
 // no POPCNT instruction, so __builtin_popcountll compiles to a call into
-// libgcc there; the scanner counts quote and newline bits on hot paths.
+// libgcc there; the skip scanner counts quote bits on a hot path.
 inline uint32_t ScannerPopcount(uint64_t x) {
   x -= (x >> 1) & 0x5555555555555555ull;
   x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
@@ -109,6 +108,10 @@ const char* ScannerBackendName(ScannerBackend backend);
 // Reported by the xaos_scanner_backend gauge and bench provenance.
 ScannerBackend DefaultScannerBackend();
 
+// Number of '\n' bytes in [p, p + n). Error positions are computed from
+// these counts over consumed input, never per token.
+size_t CountNewlines(const char* p, size_t n);
+
 // --- Drivers ---------------------------------------------------------------
 
 // Facts about a character-data run: everything ParseText() needs to know,
@@ -121,8 +124,6 @@ struct TextFacts {
   bool has_rbracket;   // ']' present (gates the literal-"]]>" check)
   bool has_ctl;        // forbidden control byte present
   bool all_ws;         // every byte is XML whitespace
-  uint32_t newlines;   // '\n' count
-  size_t last_nl;      // offset of the last '\n', or npos
 };
 
 // Result of scanning a start-tag body for its terminating '>' while
@@ -135,9 +136,6 @@ struct TagScan {
   };
   Kind kind;
   size_t end;
-  uint64_t quoted_values;  // attribute values closed before the '>'
-  uint32_t newlines;       // '\n' count in [0, end) — only valid for kEnd
-  size_t last_nl;          // offset of the last '\n' in [0, end), or npos
 };
 
 // Facts about one attribute value span: the three validations the parser
@@ -193,14 +191,6 @@ class StructuralScanner {
         facts.has_rbracket = (m.rbracket & keep) != 0;
         facts.has_ctl = (m.ctl & keep) != 0;
         facts.all_ws = (m.ws & keep) == keep;
-        facts.newlines = 0;
-        facts.last_nl = std::string_view::npos;
-        const uint64_t nl = m.newline & keep;
-        if (nl != 0) {
-          facts.newlines = ScannerPopcount(nl);
-          facts.last_nl =
-              bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
-        }
         return facts;
       }
     }
@@ -236,20 +226,7 @@ class StructuralScanner {
               static_cast<unsigned>(__builtin_ctzll(gt_eff));
           if (lt_eff == 0 ||
               first_gt < static_cast<unsigned>(__builtin_ctzll(lt_eff))) {
-            TagScan scan{TagScan::Kind::kEnd, bs + first_gt - from, 0, 0,
-                         std::string_view::npos};
-            const uint64_t below =
-                first_gt == 0 ? 0
-                              : (~0ull >> (kScannerBlockBytes - first_gt));
-            scan.quoted_values = ScannerPopcount(dq & ~inside & below);
-            const uint64_t nl = m.newline & valid & below;
-            if (nl != 0) {
-              scan.newlines =
-                  ScannerPopcount(nl);
-              scan.last_nl = bs + 63 -
-                             static_cast<unsigned>(__builtin_clzll(nl)) -
-                             from;
-            }
+            TagScan scan{TagScan::Kind::kEnd, bs + first_gt - from};
             return scan;
           }
         }
