@@ -275,7 +275,7 @@ void EngineFleet::Replay(const Source& source, uint32_t begin, uint32_t end) {
         ++depth_;
         break;
       case Kind::kGap: {
-        // A projection skip and/or elided events (xml::EventBatcher).
+        // A projection skip and/or elided events (xml::RecordWriter).
         const xml::BatchedEvent& gap = source.record(e);
         cursor_.SkipSubtree(gap.gap_node_ids(), gap.gap_elements());
         CountSkipped(uint64_t{gap.gap_elided()} * engines_.size());

@@ -43,7 +43,7 @@
 // and no engine reading text — an element whose name and attribute names
 // index no engine reaches nobody. element_interest() then exposes the
 // indexed symbols so a batching producer can elide such elements at
-// capture (xml::EventBatcher::set_element_interest). The first pass turns
+// capture (xml::RecordWriter::set_element_interest). The first pass turns
 // the producer's records back into exactly what per-event delivery would
 // have done: a kElidedStart pushes the cursor and an empty delivered set, a
 // kGap advances the cursor, and both count their elided elements as
@@ -122,8 +122,8 @@ class EngineFleet {
   size_t engine_count() const { return engines_.size(); }
   // True when at least one engine consumes character data or end-element
   // names (text predicates or subtree captures). When false, a batching
-  // producer may capture those events lean — record without payload bytes
-  // (xml::EventBatcher::set_lean_payload).
+  // producer may record lean — ends without names, text runs as gaps
+  // (xml::RecordWriter::set_lean_payload).
   bool wants_text_events() {
     Finalize();
     return !text_engines_.empty();

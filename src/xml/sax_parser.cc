@@ -407,49 +407,23 @@ Status SaxParser::AppendTextPiece(std::string_view raw, bool decode,
     Fail("control character in character data");
     return error_;
   }
-  if (text_gaps_) {
-    // No record will carry the text: keep only whether the run is
-    // non-empty and all whitespace, decoding references just to check them.
-    if (decode && has_amp && !raw.empty()) {
-      StatusOr<std::string> decoded =
-          DecodeReferences(raw, &entity_references_);
-      if (!decoded.ok()) {
-        Fail(decoded.status().message());
-        return error_;
-      }
-      if (options_.limits.max_entity_references > 0 &&
-          entity_references_ > options_.limits.max_entity_references) {
-        FailLimit("entity-reference budget of " +
-                  std::to_string(options_.limits.max_entity_references) +
-                  " exceeded");
-        return error_;
-      }
-      all_ws = IsAllXmlWhitespace(*decoded);
-    }
-    text_all_ws_ = text_all_ws_ && all_ws;
-    text_has_bytes_ = text_has_bytes_ || !raw.empty();
-    text_pending_ = true;
-    if (!options_.coalesce_text) EmitPendingText();
-    return Status::Ok();
-  }
-  if (decode && has_amp && !raw.empty()) {
-    StatusOr<std::string> decoded = DecodeReferences(raw, &entity_references_);
-    if (!decoded.ok()) {
-      Fail(decoded.status().message());
-      return error_;
-    }
-    if (options_.limits.max_entity_references > 0 &&
-        entity_references_ > options_.limits.max_entity_references) {
-      FailLimit("entity-reference budget of " +
-                std::to_string(options_.limits.max_entity_references) +
-                " exceeded");
-      return error_;
-    }
-    MaterializeTextView();
-    text_accum_ += *decoded;
+  std::string decoded;
+  const bool decoding = decode && has_amp && !raw.empty();
+  if (decoding) {
+    if (DecodeChecked(raw, &decoded) != Progress::kOk) return error_;
     // References may decode to whitespace (&#32;) or not (&amp;); only the
     // decoded bytes decide.
-    text_all_ws_ = text_all_ws_ && IsAllXmlWhitespace(*decoded);
+    all_ws = IsAllXmlWhitespace(decoded);
+  }
+  if (text_gaps_) {
+    // No record will carry the text: keep only whether the run is
+    // non-empty and all whitespace.
+    text_has_bytes_ = text_has_bytes_ || !raw.empty();
+    text_all_ws_ = text_all_ws_ && all_ws;
+  } else if (decoding) {
+    MaterializeTextView();
+    text_accum_ += decoded;
+    text_all_ws_ = text_all_ws_ && all_ws;
   } else if (!text_pending_) {
     // First (and in the common case only) piece of the run: keep it as a
     // view into buffer_ and skip the copy entirely.
@@ -464,6 +438,19 @@ Status SaxParser::AppendTextPiece(std::string_view raw, bool decode,
   text_pending_ = true;
   if (!options_.coalesce_text) EmitPendingText();
   return Status::Ok();
+}
+
+SaxParser::Progress SaxParser::DecodeChecked(std::string_view raw,
+                                             std::string* out) {
+  StatusOr<std::string> decoded = DecodeReferences(raw, &entity_references_);
+  if (!decoded.ok()) return Fail(decoded.status().message());
+  const uint64_t budget = options_.limits.max_entity_references;
+  if (budget > 0 && entity_references_ > budget) {
+    return FailLimit("entity-reference budget of " + std::to_string(budget) +
+                     " exceeded");
+  }
+  *out = std::move(*decoded);
+  return Progress::kOk;
 }
 
 Status SaxParser::AppendText(std::string_view raw, bool decode) {
@@ -740,19 +727,14 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
     }
     RawAttribute attr{attr_name, raw_value, util::kInvalidSymbol, false, 0, 0};
     if (value_facts.has_amp) {
-      StatusOr<std::string> value =
-          DecodeReferences(raw_value, &entity_references_);
-      if (!value.ok()) return Fail(value.status().message());
-      if (limits.max_entity_references > 0 &&
-          entity_references_ > limits.max_entity_references) {
-        return FailLimit(
-            "entity-reference budget of " +
-            std::to_string(limits.max_entity_references) + " exceeded");
+      std::string value;
+      if (DecodeChecked(raw_value, &value) != Progress::kOk) {
+        return Progress::kError;
       }
       attr.decoded = true;
       attr.decoded_offset = static_cast<uint32_t>(attr_decoded_.size());
-      attr.decoded_size = static_cast<uint32_t>(value->size());
-      attr_decoded_.append(*value);
+      attr.decoded_size = static_cast<uint32_t>(value.size());
+      attr_decoded_.append(value);
     }
     attr.symbol = ResolveName(attr_name);
     // Resolved ids make uniqueness an integer compare (vocabulary names are

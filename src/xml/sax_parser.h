@@ -184,6 +184,9 @@ class SaxParser {
   Status AppendTextPiece(std::string_view raw, bool decode, bool has_amp,
                          bool has_ctl, bool all_ws);
   Status AppendText(std::string_view raw, bool decode);
+  // Decodes the references in `raw` into *out, charging them to the
+  // entity-reference budget; a bad reference or an exhausted budget fails.
+  Progress DecodeChecked(std::string_view raw, std::string* out);
   // Copies a zero-copy pending-text view into text_accum_. Must run before
   // anything mutates buffer_ (the view points into it).
   void MaterializeTextView();

@@ -425,8 +425,8 @@ TEST(BatchedAbortTest, AbortMidBatchDiscardsBufferedEvents) {
 }
 
 TEST(BatchedAbortTest, ReentrantAbortDoesNotDoubleReleaseBatch) {
-  // Regression: EventBatcher::PublishCurrent still holds current_ while the
-  // sink replays the batch, so an AbortDocument raised from *inside* the
+  // Regression: the record writer used to hold current_ while the sink
+  // replayed the batch, so an AbortDocument raised from *inside* the
   // replay (here: an earliest-emission sink) re-publishes the same batch
   // pointer. Without the pool guard the batch would enter the free list
   // twice and later be handed to two writers.
