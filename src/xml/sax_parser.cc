@@ -39,6 +39,10 @@ constexpr NameCharTable MakeNameCharTable() {
 
 constexpr NameCharTable kNameChars = MakeNameCharTable();
 
+// First prefix of a chunk appended behind a token that straddles the
+// chunk boundary; it doubles until the token completes.
+constexpr size_t kCarryPrefixBytes = 4096;
+
 // Record budgets for plain handlers; every Feed() also flushes.
 constexpr size_t kReplayBatchEvents = 256;
 constexpr size_t kReplayBatchBytes = 32 * 1024;
@@ -121,11 +125,11 @@ util::Symbol SaxParser::ResolveName(std::string_view name) {
   const size_t n = name.size();
   if (n > 16) return resolve(name);
   // The key: the name's bytes as two zero-padded little-endian words. Word
-  // loads may run past the name but not past buffer_; near its end the
-  // bytes are staged first.
+  // loads may run past the name but not past the parse window; near its
+  // end the bytes are staged first.
   const char* p = name.data();
   char staged[16];
-  if (p + 16 > buffer_.data() + buffer_.size()) {
+  if (p + 16 > data_ + size_) {
     std::memset(staged, 0, sizeof(staged));
     std::memcpy(staged, p, n);
     p = staged;
@@ -171,18 +175,34 @@ size_t SaxParser::ScanName(std::string_view s, size_t i) {
 }
 
 int SaxParser::line() const {
-  return static_cast<int>(1 + lines_before_ +
-                          CountNewlines(buffer_.data(), pos_));
+  return static_cast<int>(1 + lines_before_ + CountNewlines(data_, pos_));
 }
 
 int SaxParser::column() const {
-  const void* last_nl =
-      pos_ == 0 ? nullptr : memrchr(buffer_.data(), '\n', pos_);
+  const void* last_nl = pos_ == 0 ? nullptr : memrchr(data_, '\n', pos_);
   if (last_nl != nullptr) {
-    return static_cast<int>(buffer_.data() + pos_ -
-                            static_cast<const char*>(last_nl));
+    return static_cast<int>(data_ + pos_ - static_cast<const char*>(last_nl));
   }
   return static_cast<int>(1 + column_before_ + pos_);
+}
+
+void SaxParser::FoldConsumed(size_t n) {
+  const void* last_nl = n == 0 ? nullptr : memrchr(data_, '\n', n);
+  if (last_nl == nullptr) {
+    column_before_ += n;
+  } else {
+    lines_before_ += CountNewlines(data_, n);
+    column_before_ =
+        static_cast<size_t>(data_ + n - static_cast<const char*>(last_nl) - 1);
+  }
+}
+
+void SaxParser::SetWindow(const char* data, size_t size, size_t pos) {
+  data_ = data;
+  size_ = size;
+  pos_ = pos;
+  scanner_.InvalidateCache();
+  skip_scanner_.InvalidateScannerCache();
 }
 
 void SaxParser::MaterializeTextView() {
@@ -249,32 +269,59 @@ Status SaxParser::Feed(std::string_view chunk) {
     return error_;
   }
   if (!started_document_) StartDocument();
-  // Compacting/growing buffer_ invalidates any zero-copy pending-text view
-  // into it (copy the view out first) and every cached block mask.
-  MaterializeTextView();
-  // Compact the consumed prefix before growing the buffer, keeping its
-  // newline count for line() and column().
+  Progress p = Progress::kOk;
+  size_t chunk_pos = 0;  // where parsing continues inside `chunk`
+  bool in_chunk = true;
+  // Between calls the window is buffer_; drop its consumed prefix.
   if (pos_ > 0) {
-    const void* last_nl = memrchr(buffer_.data(), '\n', pos_);
-    if (last_nl == nullptr) {
-      column_before_ += pos_;
-    } else {
-      lines_before_ += CountNewlines(buffer_.data(), pos_);
-      column_before_ = static_cast<size_t>(
-          buffer_.data() + pos_ - static_cast<const char*>(last_nl) - 1);
-    }
+    MaterializeTextView();
+    FoldConsumed(pos_);
     buffer_.erase(0, pos_);
-    pos_ = 0;
+    SetWindow(buffer_.data(), buffer_.size(), 0);
   }
-  buffer_.append(chunk.data(), chunk.size());
-  scanner_.InvalidateCache();
-  skip_scanner_.InvalidateScannerCache();
-  Progress p = Pump();
+  if (size_ > 0) {
+    // A token straddles the boundary: finish it in buffer_, appending the
+    // chunk a growing prefix at a time, until parsing has moved past the
+    // carried bytes; the rest of the chunk is then parsed in place.
+    const size_t carry = buffer_.size();
+    size_t take = kCarryPrefixBytes;
+    in_chunk = false;
+    while (chunk_pos < chunk.size()) {
+      // Appending may move buffer_: no pending-text view may point into it.
+      MaterializeTextView();
+      const size_t n = std::min(chunk.size() - chunk_pos, take);
+      buffer_.append(chunk.data() + chunk_pos, n);
+      chunk_pos += n;
+      SetWindow(buffer_.data(), buffer_.size(), pos_);
+      p = Pump();
+      if (p == Progress::kError) break;
+      if (pos_ >= carry && chunk_pos < chunk.size()) {
+        MaterializeTextView();
+        FoldConsumed(carry);
+        chunk_pos = pos_ - carry;
+        in_chunk = true;
+        break;
+      }
+      take *= 2;
+    }
+  }
+  if (in_chunk && p != Progress::kError) {
+    SetWindow(chunk.data(), chunk.size(), chunk_pos);
+    p = Pump();
+  }
+  if (in_chunk) {
+    // The chunk dies with this call: keep pending text and the unconsumed
+    // tail (one incomplete token) in buffer_.
+    MaterializeTextView();
+    FoldConsumed(pos_);
+    buffer_.assign(data_ + pos_, size_ - pos_);
+    SetWindow(buffer_.data(), buffer_.size(), 0);
+  }
   // Whatever Pump left unconsumed is one incomplete token (plus a few
   // held-back text bytes); bound it so a stream that never closes a
   // construct cannot grow the buffer without limit.
   if (p != Progress::kError && limits.max_token_bytes > 0 &&
-      buffer_.size() - pos_ > limits.max_token_bytes) {
+      size_ - pos_ > limits.max_token_bytes) {
     p = FailLimit("unterminated token exceeds " +
                   std::to_string(limits.max_token_bytes) + " bytes");
   }
@@ -299,10 +346,10 @@ Status SaxParser::Finish() {
     Fail("unexpected end of document inside a skipped subtree");
     return error_;
   }
-  if (pos_ < buffer_.size()) {
+  if (pos_ < size_) {
     // Leftover input that Pump() could not complete. Either it is trailing
     // text (legal only if whitespace at top level) or an unterminated token.
-    std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
+    std::string_view rest(data_ + pos_, size_ - pos_);
     if (rest.find('<') == std::string_view::npos &&
         rest.find('&') == std::string_view::npos) {
       if (Status s = AppendText(rest, /*decode=*/false); !s.ok()) {
@@ -426,7 +473,7 @@ Status SaxParser::AppendTextPiece(std::string_view raw, bool decode,
     text_all_ws_ = text_all_ws_ && all_ws;
   } else if (!text_pending_) {
     // First (and in the common case only) piece of the run: keep it as a
-    // view into buffer_ and skip the copy entirely.
+    // view into the parse window and skip the copy entirely.
     text_view_ = raw;
     text_in_view_ = true;
     text_all_ws_ = all_ws;
@@ -462,9 +509,9 @@ Status SaxParser::AppendText(std::string_view raw, bool decode) {
 }
 
 SaxParser::Progress SaxParser::Pump() {
-  while (pos_ < buffer_.size()) {
+  while (pos_ < size_) {
     Progress p = skip_active_          ? PumpSkip()
-                 : (buffer_[pos_] == '<') ? ParseMarkup()
+                 : (data_[pos_] == '<') ? ParseMarkup()
                                           : ParseText();
     if (p != Progress::kOk) {
       return p == Progress::kNeedMore ? Progress::kOk : p;
@@ -474,7 +521,7 @@ SaxParser::Progress SaxParser::Pump() {
 }
 
 SaxParser::Progress SaxParser::PumpSkip() {
-  std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
+  std::string_view rest(data_ + pos_, size_ - pos_);
   size_t consumed = 0;
   SkipScanner::State state = skip_scanner_.Scan(rest, &consumed);
   // Consume before reporting an error so line/column point at the
@@ -519,12 +566,12 @@ SaxParser::Progress SaxParser::DeliverSkip(const SkipReport& report) {
 }
 
 SaxParser::Progress SaxParser::ParseText() {
-  const char* from = buffer_.data() + pos_;
-  size_t avail = buffer_.size() - pos_;
+  const char* from = data_ + pos_;
+  size_t avail = size_ - pos_;
   // One classification pass answers every question this function used to
   // make separate passes for: run end, '&', ']', control bytes,
   // whitespace-ness.
-  TextFacts facts = scanner_.ScanText(buffer_.data(), buffer_.size(), pos_);
+  TextFacts facts = scanner_.ScanText(data_, size_, pos_);
   bool saw_lt = facts.first_lt != std::string_view::npos;
   size_t run = saw_lt ? facts.first_lt : avail;
   std::string_view text(from, run);
@@ -564,7 +611,7 @@ SaxParser::Progress SaxParser::ParseText() {
     // The facts described the untrimmed span; rescan the (chunk-boundary,
     // so cold) trimmed remainder, keeping the buffer's block grid.
     if (text.size() != held) {
-      facts = scanner_.ScanText(buffer_.data(), pos_ + text.size(), pos_);
+      facts = scanner_.ScanText(data_, pos_ + text.size(), pos_);
     }
   }
   if (Status s = AppendTextPiece(text, /*decode=*/true, facts.has_amp,
@@ -577,14 +624,14 @@ SaxParser::Progress SaxParser::ParseText() {
 }
 
 SaxParser::Progress SaxParser::ParseMarkup() {
-  std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
+  std::string_view rest(data_ + pos_, size_ - pos_);
   // Wait for enough characters to classify the construct unambiguously.
   if (rest.size() < 2) return Progress::kNeedMore;
   if (rest[1] == '/') {
     // End tags cannot contain quoted values, so the raw '>' mask answers
     // directly — and the block is almost always already classified (the
     // text scan that found this '<' touched it).
-    size_t gt = scanner_.NextGt(buffer_.data(), buffer_.size(), pos_ + 2);
+    size_t gt = scanner_.NextGt(data_, size_, pos_ + 2);
     if (gt == std::string_view::npos) return Progress::kNeedMore;
     return ParseEndTag(gt + 2);
   }
@@ -607,7 +654,7 @@ SaxParser::Progress SaxParser::ParseMarkup() {
   // and, in the same pass, counts quoted attribute values.
   // Deferred mode: a stray '<' fails only once a '>' confirms the tag was
   // malformed rather than merely incomplete (the historic contract).
-  TagScan scan = scanner_.ScanTag(buffer_.data(), buffer_.size(), pos_ + 1,
+  TagScan scan = scanner_.ScanTag(data_, size_, pos_ + 1,
                                   /*immediate_lt=*/false);
   if (scan.kind == TagScan::Kind::kNeedMore) return Progress::kNeedMore;
   if (scan.kind == TagScan::Kind::kBadLt) return Fail("'<' inside tag");
@@ -620,7 +667,7 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
                                              bool self_closing,
                                              const TagScan& scan) {
   // rest[0] == '<', rest[tag_end] == '>'.
-  std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
+  std::string_view rest(data_ + pos_, size_ - pos_);
   std::string_view body =
       rest.substr(1, tag_end - 1 - (self_closing ? 1 : 0));
 
@@ -668,7 +715,7 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
   bool keep = interest_ == nullptr || records_->Keeps(symbol);
 
   // Attributes, checked in full whether the element is kept or elided.
-  // Names and raw values view `body` (and thus buffer_), which stays valid
+  // Names and raw values view `body` (and thus the window), which stays valid
   // until the record is written below; decoded values go to attr_decoded_.
   attributes_.clear();
   attr_decoded_.clear();
@@ -716,8 +763,7 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
     // One classification pass replaces the three validation probes
     // ('<', forbidden control byte, '&').
     ValueFacts value_facts = scanner_.ScanValue(
-        buffer_.data(), buffer_.size(),
-        static_cast<size_t>(raw_value.data() - buffer_.data()),
+        data_, size_, static_cast<size_t>(raw_value.data() - data_),
         raw_value.size());
     if (value_facts.has_lt) {
       return Fail("'<' in attribute value");
@@ -778,7 +824,7 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
 }
 
 SaxParser::Progress SaxParser::ParseEndTag(size_t tag_end) {
-  std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
+  std::string_view rest(data_ + pos_, size_ - pos_);
   std::string_view body = rest.substr(2, tag_end - 2);
   // Fast path: the body is byte-identical to the open element's name — the
   // canonical well-formed shape. That name already passed Name syntax and
@@ -822,7 +868,7 @@ SaxParser::Progress SaxParser::ParseEndTag(size_t tag_end) {
 }
 
 SaxParser::Progress SaxParser::ParseComment() {
-  std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
+  std::string_view rest(data_ + pos_, size_ - pos_);
   size_t end = rest.find("-->", 4);
   if (end == std::string_view::npos) return Progress::kNeedMore;
   std::string_view text = rest.substr(4, end - 4);
@@ -843,7 +889,7 @@ SaxParser::Progress SaxParser::ParseComment() {
 }
 
 SaxParser::Progress SaxParser::ParseCData() {
-  std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
+  std::string_view rest(data_ + pos_, size_ - pos_);
   size_t end = rest.find("]]>", 9);
   if (end == std::string_view::npos) return Progress::kNeedMore;
   if (open_offsets_.empty()) {
@@ -853,7 +899,7 @@ SaxParser::Progress SaxParser::ParseCData() {
   // CDATA content may legally contain '<' and '&', so only the control-byte
   // and whitespace facts matter (and no decoding happens).
   CDataFacts facts =
-      scanner_.ScanCData(buffer_.data(), buffer_.size(), pos_ + 9, end - 9);
+      scanner_.ScanCData(data_, size_, pos_ + 9, end - 9);
   if (Status s = AppendTextPiece(text, /*decode=*/false, /*has_amp=*/false,
                                  facts.has_ctl, facts.all_ws);
       !s.ok()) {
@@ -864,7 +910,7 @@ SaxParser::Progress SaxParser::ParseCData() {
 }
 
 SaxParser::Progress SaxParser::ParsePi() {
-  std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
+  std::string_view rest(data_ + pos_, size_ - pos_);
   size_t end = rest.find("?>", 2);
   if (end == std::string_view::npos) return Progress::kNeedMore;
   std::string_view body = rest.substr(2, end - 2);
@@ -896,7 +942,7 @@ SaxParser::Progress SaxParser::ParsePi() {
 }
 
 SaxParser::Progress SaxParser::ParseDoctype() {
-  std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
+  std::string_view rest(data_ + pos_, size_ - pos_);
   if (seen_root_ || !open_offsets_.empty()) {
     return Fail("DOCTYPE after the document element started");
   }

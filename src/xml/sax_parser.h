@@ -188,8 +188,13 @@ class SaxParser {
   // entity-reference budget; a bad reference or an exhausted budget fails.
   Progress DecodeChecked(std::string_view raw, std::string* out);
   // Copies a zero-copy pending-text view into text_accum_. Must run before
-  // anything mutates buffer_ (the view points into it).
+  // the window it points into changes or dies.
   void MaterializeTextView();
+  // Adds the newlines of data_[0, n) to the base of line() and column(),
+  // before the window moves past them.
+  void FoldConsumed(size_t n);
+  // Parses [data, data + size) from `pos` on; drops cached block masks.
+  void SetWindow(const char* data, size_t size, size_t pos);
   // Advances past `n` consumed bytes. Positions are not tracked per token:
   // line() and column() recount newlines only when asked.
   void Advance(size_t n) {
@@ -231,18 +236,25 @@ class SaxParser {
   const ElementInterest* interest_ = nullptr;
   bool text_gaps_ = false;
 
-  std::string buffer_;     // unconsumed input (suffix of the stream)
-  size_t pos_ = 0;         // consumed prefix of buffer_
-  // Newlines consumed before buffer_[0], and the bytes consumed since the
+  // The parse window [data_, data_ + size_): the caller's chunk while one
+  // is parsed in place, else buffer_, which holds what a chunk left
+  // unconsumed (one incomplete token, or held-back text bytes) and, while
+  // a token straddles a chunk boundary, that token's start plus a prefix
+  // of the next chunk.
+  std::string buffer_;
+  const char* data_ = nullptr;
+  size_t size_ = 0;
+  size_t pos_ = 0;  // consumed prefix of the window
+  // Newlines consumed before data_[0], and the bytes consumed since the
   // last of them: the base line() and column() count from.
   uint64_t lines_before_ = 0;
   uint64_t column_before_ = 0;
 
   // Pending character data. The common case — one contiguous raw run, no
-  // references to decode — is held as a zero-copy view into buffer_
+  // references to decode — is held as a zero-copy view into the window
   // (text_in_view_); it is materialized into text_accum_ only when a
   // second piece coalesces onto it, a piece needs reference decoding, or
-  // the next Feed() is about to mutate buffer_. text_all_ws_ tracks
+  // the window is about to change. text_all_ws_ tracks
   // whether the pending run (after decoding) is entirely XML whitespace,
   // maintained incrementally so emission never rescans the text. When text
   // travels as gaps, only text_has_bytes_ and text_all_ws_ are kept.
@@ -270,7 +282,7 @@ class SaxParser {
   uint64_t entity_references_ = 0;  // decoded so far (limits budget)
 
   // Per-start-tag scratch, reused across tags so steady-state parsing does
-  // no per-attribute heap allocation. Names and raw values view buffer_;
+  // no per-attribute heap allocation. Names and raw values view the window;
   // a value with references is decoded into attr_decoded_ at
   // [decoded_offset, +decoded_size).
   struct RawAttribute {
@@ -305,8 +317,8 @@ class SaxParser {
   };
   static constexpr size_t kNameCacheBits = 9;
   NameCacheSlot name_cache_[size_t{1} << kNameCacheBits];
-  // The Symbol a query vocabulary gives `name` (a view into buffer_), else
-  // kUnknownSymbol.
+  // The Symbol a query vocabulary gives `name` (a view into the parse
+  // window), else kUnknownSymbol.
   util::Symbol ResolveName(std::string_view name);
 
   // Document projection. Null unless options_.projection_filter is set and
