@@ -7,13 +7,6 @@
 
 namespace xaos::xml {
 
-void EventBatch::AddStartElement(const QName& name, AttributeSpan attributes) {
-  BeginStartElement(name.symbol, name.text);
-  for (const AttributeView& attr : attributes) {
-    AddAttribute(attr.name, attr.value, attr.symbol);
-  }
-}
-
 void EventBatch::AddEndElement(std::string_view name, bool copy_payload) {
   BatchedEvent event;
   event.kind = BatchedEvent::Kind::kEndElement;

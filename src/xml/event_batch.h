@@ -169,7 +169,6 @@ class EventBatch {
     attributes_.push_back(record);
     ++events_.back().attr_count;
   }
-  void AddStartElement(const QName& name, AttributeSpan attributes);
   // `copy_payload` false records the end without copying its name into the
   // arena (an empty slice): lean capture for consumers that declared they
   // never read end-element names. The record itself is always kept — it
@@ -248,7 +247,6 @@ class RecordWriter {
   // gaps. Node ids and ordinals are unaffected. Takes effect from the next
   // record.
   void set_lean_payload(bool lean) { lean_payload_ = lean; }
-  bool lean_payload() const { return lean_payload_; }
   // Element-level elision: null writes every element. The interest is not
   // owned and must stay valid while in use. Takes effect at the next
   // StartDocument.
@@ -402,10 +400,8 @@ class EventBatcher : public ContentHandler {
   }
   RecordWriter* record_writer() override { return &writer_; }
 
-  void AbortDocument() { writer_.AbortDocument(); }
   void Flush() { writer_.Flush(); }
   void set_lean_payload(bool lean) { writer_.set_lean_payload(lean); }
-  bool lean_payload() const { return writer_.lean_payload(); }
   void set_element_interest(const ElementInterest* interest) {
     writer_.set_element_interest(interest);
   }

@@ -660,12 +660,11 @@ SaxParser::Progress SaxParser::ParseMarkup() {
   if (scan.kind == TagScan::Kind::kBadLt) return Fail("'<' inside tag");
   size_t end = 1 + scan.end;
   bool self_closing = end >= 2 && rest[end - 1] == '/';
-  return ParseStartTag(end, self_closing, scan);
+  return ParseStartTag(end, self_closing);
 }
 
 SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
-                                             bool self_closing,
-                                             const TagScan& scan) {
+                                             bool self_closing) {
   // rest[0] == '<', rest[tag_end] == '>'.
   std::string_view rest(data_ + pos_, size_ - pos_);
   std::string_view body =

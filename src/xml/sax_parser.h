@@ -149,13 +149,11 @@ class SaxParser {
   // what the writer wants for this document (element interest, text as
   // gaps).
   void StartDocument();
-  Progress Pump();                      // parse as much of buffer_ as possible
+  Progress Pump();                      // parse as much of the window as possible
   Progress ParseText();                 // content until '<'
   Progress ParseMarkup();               // dispatch on "<...": tag/comment/...
-  // `scan` is the structural scan of the tag body (rest[1..tag_end)); it
-  // carries the quoted-value count for the tag.
-  Progress ParseStartTag(size_t tag_end, bool self_closing,
-                         const TagScan& scan);
+  // rest[0] == '<' and rest[tag_end] == '>' (rest: the unconsumed window).
+  Progress ParseStartTag(size_t tag_end, bool self_closing);
   Progress ParseEndTag(size_t tag_end);
   Progress ParseComment();
   Progress ParseCData();
