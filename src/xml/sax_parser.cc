@@ -314,7 +314,11 @@ Status SaxParser::Feed(std::string_view chunk) {
     // tail (one incomplete token) in buffer_.
     MaterializeTextView();
     FoldConsumed(pos_);
-    buffer_.assign(data_ + pos_, size_ - pos_);
+    if (pos_ < size_) {
+      buffer_.assign(data_ + pos_, size_ - pos_);
+    } else {
+      buffer_.clear();
+    }
     SetWindow(buffer_.data(), buffer_.size(), 0);
   }
   // Whatever Pump left unconsumed is one incomplete token (plus a few
