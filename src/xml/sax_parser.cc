@@ -654,8 +654,7 @@ SaxParser::Progress SaxParser::ParseMarkup() {
     if (StartsWith(rest, "<!DOCTYPE")) return ParseDoctype();
     return Fail("unsupported markup declaration");
   }
-  // Start tag: one structural scan over the body finds the quote-aware '>'
-  // and, in the same pass, counts quoted attribute values.
+  // Start tag: one structural scan over the body finds the quote-aware '>'.
   // Deferred mode: a stray '<' fails only once a '>' confirms the tag was
   // malformed rather than merely incomplete (the historic contract).
   TagScan scan = scanner_.ScanTag(data_, size_, pos_ + 1,
@@ -718,8 +717,9 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
   bool keep = interest_ == nullptr || records_->Keeps(symbol);
 
   // Attributes, checked in full whether the element is kept or elided.
-  // Names and raw values view `body` (and thus the window), which stays valid
-  // until the record is written below; decoded values go to attr_decoded_.
+  // Names and raw values view `body` (and thus the window), which stays
+  // valid until the record is written below; decoded values go to
+  // attr_decoded_.
   attributes_.clear();
   attr_decoded_.clear();
   size_t i = name_len;

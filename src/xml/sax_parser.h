@@ -149,7 +149,8 @@ class SaxParser {
   // what the writer wants for this document (element interest, text as
   // gaps).
   void StartDocument();
-  Progress Pump();                      // parse as much of the window as possible
+  Progress Pump();                      // parse as much of the window as
+                                        // possible
   Progress ParseText();                 // content until '<'
   Progress ParseMarkup();               // dispatch on "<...": tag/comment/...
   // rest[0] == '<' and rest[tag_end] == '>' (rest: the unconsumed window).

@@ -7,11 +7,11 @@
 // values are honored. Before this module each question was a separate pass
 // (memchr probes, find(), byte loops). The structural scanner answers all
 // of them from ONE classification pass: input is processed in 64-byte
-// blocks, each block yielding a set of 64-bit masks — bit i of a mask says byte i of the
-// block belongs to that class ('<', '>', '"', '\'', '&', ']', newline,
-// whitespace, forbidden control). The masks are the index stream: consumers
-// jump from structural position to structural position with ctz and bit counts
-// instead of inspecting every character.
+// blocks, each block yielding a set of 64-bit masks — bit i of a mask says
+// byte i of the block belongs to that class ('<', '>', '"', '\'', '&', ']',
+// newline, whitespace, forbidden control). The masks are the index stream:
+// consumers jump from structural position to structural position with ctz
+// and bit counts instead of inspecting every character.
 //
 // One kernel per build produces the masks, chosen at compile time:
 //   * sse2   — x86 vector compares + movemask, 4 x 16 bytes per block. SSE2
