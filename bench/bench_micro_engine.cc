@@ -171,14 +171,13 @@ int main(int argc, char** argv) {
     bench::AddEngineStats(&reporter, stats);
   }
 
-  // --- dispatch-only rows ---------------------------------------------------
+  // --- dispatch-only row -----------------------------------------------------
   // A pool of never-matching subscriptions: the label index wakes no engine
-  // for any event, so the measured cost is pure dispatch — SAX delivery,
-  // candidate lookup, cursor upkeep. Per-event (one virtual hop per event)
-  // vs batched (pooled EventBatch replay through the devirtualized run
-  // loop) isolates exactly the overhead the batched path removes.
+  // for any event, so the measured cost is pure dispatch — parse, record
+  // capture (every element is elided), batch replay and cursor upkeep.
   {
     constexpr int kZeroMatchSubs = 512;
+    const char* const label = "dispatch_batched";
     std::vector<core::Query> queries;
     for (int i = 0; i < kZeroMatchSubs; ++i) {
       std::string expression =
@@ -193,16 +192,10 @@ int main(int argc, char** argv) {
     }
     core::EngineOptions options;
     options.enable_shared_index = false;
-    core::MultiQueryEvaluator per_event(options);
     core::MultiQueryEvaluator batched(options);
-    for (const core::Query& query : queries) {
-      per_event.AddQuery(query);
-      batched.AddQuery(query);
-    }
-    core::BatchedDispatcher dispatcher(&batched);
+    for (const core::Query& query : queries) batched.AddQuery(query);
     // Warmup retains parser buffers, dispatch scratch and the batch pool.
-    if (!xml::ParseString(doc, &per_event).ok() ||
-        !xml::ParseString(doc, &dispatcher).ok()) {
+    if (!xml::ParseString(doc, &batched).ok()) {
       std::fprintf(stderr, "dispatch_only: warmup parse failed\n");
       return 1;
     }
@@ -216,58 +209,38 @@ int main(int argc, char** argv) {
       elements = counter.AggregateStats().elements_total;
     }
 
-    struct Mode {
-      const char* label;
-      xml::ContentHandler* handler;
-      core::MultiQueryEvaluator* evaluator;
-    };
-    const Mode modes[] = {
-        {"dispatch_per_event", &per_event, &per_event},
-        {"dispatch_batched", &dispatcher, &batched},
-    };
-    double per_event_mean = 0.0;
-    for (const Mode& mode : modes) {
-      std::vector<double> times;
-      uint64_t allocs = 0;
-      for (int rep = 0; rep < repetitions; ++rep) {
-        uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-        times.push_back(bench::TimeSeconds([&] {
-          if (!xml::ParseString(doc, mode.handler).ok()) std::abort();
-        }));
-        allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
-      }
-      for (int q = 0; q < kZeroMatchSubs; ++q) {
-        if (mode.evaluator->Matched(static_cast<size_t>(q))) {
-          std::fprintf(stderr, "%s: zero-match pool matched query %d\n",
-                       mode.label, q);
-          return 1;
-        }
-      }
-      bench::Series series = bench::Summarize(times);
-      if (mode.handler == &per_event) per_event_mean = series.mean;
-      uint64_t events = elements * static_cast<uint64_t>(repetitions);
-      double allocs_per_event =
-          events == 0
-              ? 0.0
-              : static_cast<double>(allocs) / static_cast<double>(events);
-      double speedup = (series.mean > 0 && per_event_mean > 0)
-                           ? per_event_mean / series.mean
-                           : 0.0;
-      std::printf("%-26s %-10.4f %-12.0f %-12.4f %-12s %-12d\n", mode.label,
-                  series.mean,
-                  series.mean > 0
-                      ? static_cast<double>(elements) / series.mean
-                      : 0.0,
-                  allocs_per_event, "-", 0);
-      reporter.AddResult(mode.label, series, megabytes);
-      reporter.AddResultMetric(
-          "elements_per_s",
-          series.mean > 0 ? static_cast<double>(elements) / series.mean
-                          : 0.0);
-      reporter.AddResultMetric("allocations_per_event", allocs_per_event);
-      reporter.AddResultMetric("subscriptions", kZeroMatchSubs);
-      reporter.AddResultMetric("speedup_vs_per_event", speedup);
+    std::vector<double> times;
+    uint64_t allocs = 0;
+    for (int rep = 0; rep < repetitions; ++rep) {
+      uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+      times.push_back(bench::TimeSeconds([&] {
+        if (!xml::ParseString(doc, &batched).ok()) std::abort();
+      }));
+      allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
     }
+    for (int q = 0; q < kZeroMatchSubs; ++q) {
+      if (batched.Matched(static_cast<size_t>(q))) {
+        std::fprintf(stderr, "%s: zero-match pool matched query %d\n", label,
+                     q);
+        return 1;
+      }
+    }
+    bench::Series series = bench::Summarize(times);
+    uint64_t events = elements * static_cast<uint64_t>(repetitions);
+    double allocs_per_event =
+        events == 0 ? 0.0
+                    : static_cast<double>(allocs) / static_cast<double>(events);
+    std::printf("%-26s %-10.4f %-12.0f %-12.4f %-12s %-12d\n", label,
+                series.mean,
+                series.mean > 0 ? static_cast<double>(elements) / series.mean
+                                : 0.0,
+                allocs_per_event, "-", 0);
+    reporter.AddResult(label, series, megabytes);
+    reporter.AddResultMetric(
+        "elements_per_s",
+        series.mean > 0 ? static_cast<double>(elements) / series.mean : 0.0);
+    reporter.AddResultMetric("allocations_per_event", allocs_per_event);
+    reporter.AddResultMetric("subscriptions", kZeroMatchSubs);
   }
 
   if (!json_out.empty() && !reporter.WriteJson(json_out)) return 1;

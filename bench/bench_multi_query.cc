@@ -191,29 +191,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Batched dispatch over the same per-engine pool: the identical
-    // evaluator configuration fed through pooled EventBatch replay
-    // (devirtualized run loop) instead of one virtual call per event.
-    core::MultiQueryEvaluator batched_multi(indexed_options);
-    for (const core::Query& query : queries) batched_multi.AddQuery(query);
-    core::BatchedDispatcher batched_dispatcher(&batched_multi);
-    std::vector<double> batched_times;
-    for (int rep = 0; rep < repetitions; ++rep) {
-      batched_times.push_back(bench::TimeSeconds([&] {
-        if (!xml::ParseString(doc, &batched_dispatcher).ok()) std::abort();
-      }));
-    }
-    for (int q = 0; q < subs; ++q) {
-      if (batched_multi.Matched(static_cast<size_t>(q)) !=
-          naive_matched[static_cast<size_t>(q)]) {
-        std::fprintf(stderr,
-                     "VERDICT MISMATCH at %d subscriptions, query %d (%s): "
-                     "naive vs batched\n",
-                     subs, q, expressions[static_cast<size_t>(q)].c_str());
-        return 1;
-      }
-    }
-
     // One instrumented pass over the same pool: per-subscription match
     // latency and time-to-first-match (each matched subscription contributes
     // one sample), reduced to exact percentiles across subscriptions. Runs
@@ -286,28 +263,13 @@ int main(int argc, char** argv) {
     reporter.AddResultMetric("match_latency_p99_ns", latency_p99);
     reporter.AddResultMetric("ttfm_p50_ns", ttfm_p50);
     reporter.AddResultMetric("ttfm_p99_ns", ttfm_p99);
+    reporter.AddResultMetric(
+        "batches_per_doc", static_cast<double>(multi.batches_replayed()) /
+                               std::max(repetitions, 1));
     std::printf("  latency across %zu matched subs: p50 %.0f us, "
                 "p99 %.0f us (first match p99 %.0f us)\n",
                 latencies.size(), latency_p50 / 1e3, latency_p99 / 1e3,
                 ttfm_p99 / 1e3);
-
-    bench::Series batched_series = bench::Summarize(batched_times);
-    double batched_speedup = batched_series.mean > 0
-                                 ? indexed.mean / batched_series.mean
-                                 : 0.0;
-    std::snprintf(label, sizeof(label), "batched/subs=%d", subs);
-    std::printf("%-20s %-10.4f %-10.2f %-10llu %-14s %-10.2f\n", label,
-                batched_series.mean, megabytes / batched_series.mean,
-                static_cast<unsigned long long>(indexed_count), "-",
-                batched_speedup);
-    reporter.AddResult(label, batched_series, megabytes);
-    reporter.AddResultMetric("subscriptions", subs);
-    reporter.AddResultMetric("matched", static_cast<double>(indexed_count));
-    reporter.AddResultMetric("speedup_vs_per_event", batched_speedup);
-    reporter.AddResultMetric(
-        "batches_per_doc",
-        static_cast<double>(batched_dispatcher.batches_replayed()) /
-            std::max(repetitions, 1));
   }
 
   // --- Zipf-popularity scaling: shared-prefix automaton vs per-engine ------
@@ -348,29 +310,6 @@ int main(int argc, char** argv) {
       shared_times.push_back(bench::TimeSeconds([&] {
         if (!xml::ParseString(doc, &shared).ok()) std::abort();
       }));
-    }
-
-    // The same shared-backend pool fed through batched dispatch: both rows
-    // run the same fleet and stepping code, so this row against zipf-shared
-    // prices capture + replay against per-event feeding.
-    core::MultiQueryEvaluator batched_shared;
-    for (const core::Query& query : queries) batched_shared.AddQuery(query);
-    core::BatchedDispatcher zipf_dispatcher(&batched_shared);
-    std::vector<double> batched_times;
-    for (int rep = 0; rep < repetitions; ++rep) {
-      batched_times.push_back(bench::TimeSeconds([&] {
-        if (!xml::ParseString(doc, &zipf_dispatcher).ok()) std::abort();
-      }));
-    }
-    for (int q = 0; q < subs; ++q) {
-      if (batched_shared.Matched(static_cast<size_t>(q)) !=
-          indexed.Matched(static_cast<size_t>(q))) {
-        std::fprintf(stderr,
-                     "VERDICT MISMATCH at %d zipf subscriptions, query %d "
-                     "(%s): indexed vs batched\n",
-                     subs, q, expressions[static_cast<size_t>(q)].c_str());
-        return 1;
-      }
     }
 
     uint64_t matched = 0;
@@ -418,35 +357,18 @@ int main(int argc, char** argv) {
                              static_cast<double>(shared.alias_count()));
     reporter.AddResultMetric("shared_states",
                              static_cast<double>(shared.shared_state_count()));
+    reporter.AddResultMetric(
+        "batches_per_doc", static_cast<double>(shared.batches_replayed()) /
+                               static_cast<double>(repetitions));
     std::printf("  zipf pool: %zu shared subs (%zu aliases) -> %zu automaton "
                 "states, %.2fx over per-engine indexed\n",
                 shared.shared_subscription_count(), shared.alias_count(),
                 shared.shared_state_count(), speedup);
 
-    bench::Series batched_series = bench::Summarize(batched_times);
-    double batched_speedup = batched_series.mean > 0
-                                 ? shared_series.mean / batched_series.mean
-                                 : 0.0;
-    std::snprintf(label, sizeof(label), "zipf-batched/subs=%d", subs);
-    std::printf("%-20s %-10.4f %-10.2f %-10llu %-14s %-10.2f\n", label,
-                batched_series.mean, megabytes / batched_series.mean,
-                static_cast<unsigned long long>(matched), "-",
-                batched_speedup);
-    reporter.AddResult(label, batched_series, megabytes);
-    reporter.AddResultMetric("subscriptions", subs);
-    reporter.AddResultMetric("matched", static_cast<double>(matched));
-    reporter.AddResultMetric("speedup_vs_per_event", batched_speedup);
-    reporter.AddResultMetric(
-        "batches_per_doc",
-        static_cast<double>(zipf_dispatcher.batches_replayed()) /
-            static_cast<double>(repetitions));
-    std::printf("  batched dispatch: %.2fx over the per-event shared path\n",
-                batched_speedup);
-
     // Dispatch-rate row: tokenization excluded. The document's events are
-    // captured once (lean, as BatchedDispatcher would for this pool), then
-    // the identical stream replays through the batch loop — the isolated
-    // cost of the match path.
+    // captured once (lean, as the evaluator's own writer would for this
+    // pool), then the identical stream replays through the batch loop — the
+    // isolated cost of the match path.
     {
       core::MultiQueryEvaluator dispatch_eval;
       for (const core::Query& query : queries) dispatch_eval.AddQuery(query);

@@ -1,7 +1,7 @@
 // Document-parallel routing throughput: a stream of documents routed
 // through core::ParallelRouter at 1, 2 and 4 workers, against the
-// sequential production path — one MultiQueryEvaluator behind a
-// BatchedDispatcher, projection on — over the same stream. Three pool
+// sequential production path — one MultiQueryEvaluator, projection on —
+// over the same stream. Three pool
 // shapes, one per regime the pub/sub path meets:
 //
 //   xmark   1k label-driven templates + never-matching synthetic
@@ -168,8 +168,7 @@ class Mode {
 // The sequential production path.
 class Sequential : public Mode {
  public:
-  explicit Sequential(const std::vector<core::Query>& queries)
-      : dispatcher_(&evaluator_) {
+  explicit Sequential(const std::vector<core::Query>& queries) {
     for (const core::Query& query : queries) evaluator_.AddQuery(query);
     options_.projection_filter = evaluator_.projection_filter();
   }
@@ -177,15 +176,14 @@ class Sequential : public Mode {
   void Pass(const std::vector<std::string>& documents,
             const Outcome& outcome) override {
     for (size_t d = 0; d < documents.size(); ++d) {
-      Status status = xml::ParseString(documents[d], &dispatcher_, options_);
-      if (!status.ok()) dispatcher_.AbortDocument(status);
+      Status status = xml::ParseString(documents[d], &evaluator_, options_);
+      if (!status.ok()) evaluator_.AbortDocument(status);
       outcome(d, evaluator_);
     }
   }
 
  private:
   core::MultiQueryEvaluator evaluator_;
-  core::BatchedDispatcher dispatcher_;
   xml::ParserOptions options_;
 };
 

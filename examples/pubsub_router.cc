@@ -145,15 +145,15 @@ int main(int argc, char** argv) {
     subscriptions.push_back(std::move(sub));
     queries.push_back(std::move(*query));
   }
-  // The sequential stack: one evaluator fed through batched dispatch. Each
-  // router worker builds the same stack from the same queries.
+  // The sequential stack: one evaluator, which consumes the parser's
+  // records itself. Each router worker builds the same stack from the same
+  // queries.
   xaos::core::MultiQueryEvaluator evaluator(engine_options);
   for (size_t q = 0; q < queries.size(); ++q) {
     // The subscription name labels the latency series
     // (`xaos_sub_match_latency_ns{subscription="<name>"}`).
     evaluator.AddQuery(queries[q], subscriptions[q].name);
   }
-  xaos::core::BatchedDispatcher dispatcher(&evaluator);
   // With "//"-anchored subscriptions in the pool the union degrades to
   // keep-all; the "projection:" line makes that visible. The query set is
   // analysed once in either mode (the router's workers share one analysis),
@@ -239,10 +239,10 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < documents.size(); ++i) {
       uint64_t start = xaos::obs::NowNs();
       xaos::Status status =
-          xaos::xml::ParseString(documents[i], &dispatcher, parser_options);
+          xaos::xml::ParseString(documents[i], &evaluator, parser_options);
       // A rejected document is closed out; the evaluator stays usable for
       // the rest of the stream.
-      if (!status.ok()) dispatcher.AbortDocument(status);
+      if (!status.ok()) evaluator.AbortDocument(status);
       on_outcome(i, evaluator, xaos::obs::NowNs() - start);
     }
     evaluators.push_back(&evaluator);

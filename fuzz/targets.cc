@@ -7,7 +7,6 @@
 
 #include "baseline/brute_force_matcher.h"
 #include "baseline/compare.h"
-#include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
 #include "dom/dom_builder.h"
 #include "query/xtree.h"
@@ -226,8 +225,8 @@ int RunScannerDiffInput(const uint8_t* data, size_t size) {
     xml::ClassifyBlock(staged, &got);
     if (got.lt != want.lt || got.gt != want.gt || got.dquote != want.dquote ||
         got.squote != want.squote || got.amp != want.amp ||
-        got.rbracket != want.rbracket || got.newline != want.newline ||
-        got.ws != want.ws || got.ctl != want.ctl) {
+        got.rbracket != want.rbracket || got.ws != want.ws ||
+        got.ctl != want.ctl) {
       __builtin_trap();
     }
   }
@@ -370,51 +369,29 @@ int RunBatchedDispatchDiffInput(const uint8_t* data, size_t size) {
          {size_t{0}, size_t{1}, size_t{7}, size_t{64} << 10}) {
       core::EngineOptions engine_options;
       engine_options.enable_shared_index = shared;
-      core::MultiQueryEvaluator evaluator(engine_options);
-      core::MultiQueryEvaluator per_event(engine_options);
-      for (const core::Query& query : queries) {
-        evaluator.AddQuery(query);
-        per_event.AddQuery(query);
-      }
       core::BatchedDispatchOptions dispatch_options;
       dispatch_options.max_batch_events = batch_events;
       dispatch_options.max_batch_text_bytes = 256;
-      core::BatchedDispatcher dispatcher(&evaluator, dispatch_options);
+      core::MultiQueryEvaluator evaluator(engine_options, dispatch_options);
+      for (const core::Query& query : queries) evaluator.AddQuery(query);
 
-      Status parse = ParseChunked(document, chunk, &dispatcher, options);
+      Status parse = ParseChunked(document, chunk, &evaluator, options);
       // The same parser runs on every side.
       if (parse.ok() != dom.ok()) __builtin_trap();
       if (!parse.ok()) {
         // Exercise the mid-stream abort path: buffered events must be
         // discarded and the batch pool must stay reusable (no double
         // release), elision state included.
-        dispatcher.AbortDocument(parse);
-        if (!xml::ParseString("<a><b/></a>", &dispatcher, options).ok() ||
+        evaluator.AbortDocument(parse);
+        if (!xml::ParseString("<a><b/></a>", &evaluator, options).ok() ||
             !evaluator.status().ok()) {
           __builtin_trap();
         }
         continue;
       }
-      if (!xml::ParseString(document, &per_event, options).ok()) {
-        __builtin_trap();
-      }
       if (!evaluator.status().ok()) continue;
-      // Elision must leave node ids and the dispatch counters as per-event
-      // delivery leaves them.
-      if (evaluator.engines_skipped() != per_event.engines_skipped() ||
-          evaluator.AggregateStats().elements_total !=
-              per_event.AggregateStats().elements_total) {
-        __builtin_trap();
-      }
       for (size_t q = 0; q < queries.size(); ++q) {
         const core::QueryResult result = evaluator.Result(q);
-        const core::QueryResult twin = per_event.Result(q);
-        if (result.items.size() != twin.items.size()) __builtin_trap();
-        for (size_t i = 0; i < result.items.size(); ++i) {
-          if (result.items[i].info.id != twin.items[i].info.id) {
-            __builtin_trap();
-          }
-        }
         const Oracle& oracle = oracles[q];
         if (!oracle.complete) continue;  // too expensive to oracle; skip it
         if (evaluator.Matched(q) != oracle.matched) __builtin_trap();

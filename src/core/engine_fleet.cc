@@ -63,8 +63,8 @@ void EngineFleet::AddSymbolTargets(util::Symbol symbol,
                                    std::string_view name) {
   util::Symbol s = symbol;
   if (s == util::kInvalidSymbol) {
-    // Event source without symbols (replay paths). A name the table has
-    // never seen cannot be mentioned by any engine.
+    // A producer without symbols (DOM replay). A name the table has never
+    // seen cannot be mentioned by any engine.
     s = util::SymbolTable::Global().Lookup(name);
   }
   if (s < 0 || static_cast<size_t>(s) >= by_symbol_.size()) return;
@@ -85,12 +85,12 @@ void EngineFleet::StartDocument() {
 }
 
 namespace {
-
 using Kind = xml::BatchedEvent::Kind;
+}  // namespace
 
 // Events [0, n) are the records of a captured batch. Attribute views are
 // decoded into caller-provided scratch, valid until the next call.
-class BatchSource {
+class EngineFleet::BatchSource {
  public:
   BatchSource(const xml::EventBatch& batch,
               std::vector<xml::AttributeView>* attr_scratch)
@@ -127,51 +127,6 @@ class BatchSource {
   const xml::EventBatch& batch_;
   std::vector<xml::AttributeView>* attr_scratch_;
 };
-
-// Event 0 is the one event of a per-event call, passed through as the
-// caller's views: nothing is copied.
-class LiveSource {
- public:
-  LiveSource(Kind kind, const xml::QName& name, xml::AttributeSpan attributes,
-             std::string_view text)
-      : kind_(kind), name_(name), attributes_(attributes), text_(text) {}
-
-  Kind kind(uint32_t) const { return kind_; }
-  // Only elision records are read as records, and a live event never is
-  // one.
-  xml::BatchedEvent record(uint32_t) const { return {}; }
-  std::string_view text(uint32_t) const { return text_; }
-  const xml::QName& name(uint32_t) const { return name_; }
-  xml::AttributeSpan attributes(uint32_t) const { return attributes_; }
-
- private:
-  Kind kind_;
-  xml::QName name_;
-  xml::AttributeSpan attributes_;
-  std::string_view text_;
-};
-
-}  // namespace
-
-void EngineFleet::StartElement(const xml::QName& name,
-                               xml::AttributeSpan attributes) {
-  Replay(LiveSource(Kind::kStartElement, name, attributes, {}), 0, 1);
-}
-
-void EngineFleet::EndElement(std::string_view /*name*/) {
-  Replay(LiveSource(Kind::kEndElement, xml::QName(), {}, {}), 0, 1);
-}
-
-void EngineFleet::Characters(std::string_view text) {
-  Replay(LiveSource(Kind::kCharacters, xml::QName(), {}, text), 0, 1);
-}
-
-void EngineFleet::ReplayRun(const xml::EventBatch& batch, size_t begin,
-                            size_t end,
-                            std::vector<xml::AttributeView>* attr_scratch) {
-  Replay(BatchSource(batch, attr_scratch), static_cast<uint32_t>(begin),
-         static_cast<uint32_t>(end));
-}
 
 void EngineFleet::BreakRun() {
   if (run_length_ > 0 && obs::Enabled()) {
@@ -221,8 +176,12 @@ void EngineFleet::CollectStartTargets(const xml::QName& name,
   }
 }
 
-template <typename Source>
-void EngineFleet::Replay(const Source& source, uint32_t begin, uint32_t end) {
+void EngineFleet::ReplayRun(const xml::EventBatch& batch, size_t begin_index,
+                            size_t end_index,
+                            std::vector<xml::AttributeView>* attr_scratch) {
+  const BatchSource source(batch, attr_scratch);
+  const uint32_t begin = static_cast<uint32_t>(begin_index);
+  const uint32_t end = static_cast<uint32_t>(end_index);
   // Pass 1: event order. The cursor, the shared matcher and the dispatch
   // state advance here; engines only get recorded deliveries.
   for (uint32_t e = begin; e < end; ++e) {
@@ -289,8 +248,7 @@ void EngineFleet::Replay(const Source& source, uint32_t begin, uint32_t end) {
   if (!run_records_.empty()) FlushRun(source);
 }
 
-template <typename Source>
-void EngineFleet::RecordDeliveries(const Source& source, Kind kind,
+void EngineFleet::RecordDeliveries(const BatchSource& source, Kind kind,
                                    uint32_t event, const NodePosition& node,
                                    const std::vector<int>& targets) {
   if (engines_.size() == 1) {
@@ -312,8 +270,7 @@ void EngineFleet::RecordDeliveries(const Source& source, Kind kind,
   }
 }
 
-template <typename Source>
-void EngineFleet::FlushRun(const Source& source) {
+void EngineFleet::FlushRun(const BatchSource& source) {
   run_deliveries_peak_ = std::max(run_deliveries_peak_, run_engines_.size());
   // Group record indices by engine with a counting sort over the touched
   // engines: segments follow first-delivery order, and each keeps its
@@ -351,8 +308,7 @@ void EngineFleet::FlushRun(const Source& source) {
   run_touched_.clear();
 }
 
-template <typename Source>
-void EngineFleet::FeedEngine(const Source& source, uint32_t idx,
+void EngineFleet::FeedEngine(const BatchSource& source, uint32_t idx,
                              uint32_t begin, uint32_t end,
                              bool buffer_early_items) {
   XaosEngine* engine = engines_[idx];
@@ -386,8 +342,7 @@ void EngineFleet::FeedEngine(const Source& source, uint32_t idx,
   if (buffer_early_items) engine->set_early_item_buffer(nullptr);
 }
 
-template <typename Source>
-void EngineFleet::DeliverEvent(XaosEngine* engine, const Source& source,
+void EngineFleet::DeliverEvent(XaosEngine* engine, const BatchSource& source,
                                Kind kind, uint32_t event,
                                const NodePosition& node) {
   switch (kind) {

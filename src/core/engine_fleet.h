@@ -1,6 +1,9 @@
 // Label-indexed multi-engine dispatch, replayed one engine at a time.
 //
-// A fleet drives N XaosEngines from one SAX stream. Instead of fanning
+// A fleet drives N XaosEngines from one stream of EventBatch records
+// (xml/event_batch.h); ReplayRun is its only event input, and the owning
+// MultiQueryEvaluator brackets each document with StartDocument and
+// EndDocument (or AbortDocument). Instead of fanning
 // every event out to every engine (O(N) per event), the fleet keeps an
 // inverted index from interned label Symbols to the engines whose x-trees
 // mention that label: a start-element only reaches (a) engines mentioning
@@ -48,7 +51,7 @@
 // have done: a kElidedStart pushes the cursor and an empty delivered set, a
 // kGap advances the cursor, and both count their elided elements as
 // skipped by every engine. Projection skips are gaps too, and stay
-// uncounted, as SkipSubtree leaves them.
+// uncounted: a skipped subtree is irrelevant to every engine.
 
 #ifndef XAOS_CORE_ENGINE_FLEET_H_
 #define XAOS_CORE_ENGINE_FLEET_H_
@@ -90,21 +93,10 @@ class EngineFleet {
   // cost out of the timed path.
   void Finalize();
 
-  // Event interface, mirroring ContentHandler (the owning evaluator
-  // forwards its callbacks here). Each element or character event is
-  // replayed as a one-event run through the same two passes as ReplayRun.
+  // Document boundaries: StartDocument resets the cursor, the matcher and
+  // every engine; EndDocument finalizes them.
   void StartDocument();
-  void StartElement(const xml::QName& name, xml::AttributeSpan attributes);
-  void EndElement(std::string_view name);
-  void Characters(std::string_view text);
   void EndDocument();
-
-  // A projection skip (xml/skip_scanner.h) replaced a subtree's events:
-  // advance the cursor so downstream ids match a full parse. No engine is
-  // notified — a skipped subtree is irrelevant to all of them.
-  void SkipSubtree(const xml::SkipReport& report) {
-    cursor_.SkipSubtree(report.node_ids, report.elements);
-  }
 
   // Replays batch events [begin, end) — which must not contain
   // document-boundary events — in the two passes described above. Every
@@ -151,9 +143,13 @@ class EngineFleet {
   const DocumentCursor& cursor() const { return cursor_; }
 
  private:
+  // The records of the batch being replayed, plus attribute-view scratch
+  // (engine_fleet.cc).
+  class BatchSource;
+
   // An event of the current run delivered to at least one engine.
   struct RunRecord {
-    uint32_t event;          // index into the event source
+    uint32_t event;          // index into the batch's records
     uint32_t first;          // start of its delivery list in run_engines_
     NodePosition node;       // element / text run position (unused for ends)
     xml::BatchedEvent::Kind kind;  // the event's kind, read in pass 1
@@ -180,32 +176,21 @@ class EngineFleet {
   void CollectStartTargets(const xml::QName& name,
                            xml::AttributeSpan attributes);
 
-  // The two replay passes, generic over where events come from: a
-  // BatchSource (records of a captured batch) or a LiveSource (the one
-  // event of a per-event call), both defined in engine_fleet.cc. Events
-  // are addressed by their index in the source. Always inlined: a
-  // per-event call then folds to the one case its event kind needs.
-  template <typename Source>
-  [[gnu::always_inline]] inline void Replay(const Source& source,
-                                            uint32_t begin, uint32_t end);
   // Appends one event's deliveries to the run, first replaying the part
   // recorded so far if the new list would pass kMaxRunDeliveries. A fleet
   // of one engine is fed the event at once instead.
-  template <typename Source>
-  void RecordDeliveries(const Source& source, xml::BatchedEvent::Kind kind,
-                        uint32_t event, const NodePosition& node,
+  void RecordDeliveries(const BatchSource& source,
+                        xml::BatchedEvent::Kind kind, uint32_t event,
+                        const NodePosition& node,
                         const std::vector<int>& targets);
   // The second pass over the recorded (non-empty) run; leaves it empty.
-  template <typename Source>
-  void FlushRun(const Source& source);
+  void FlushRun(const BatchSource& source);
   // Feeds engine `idx` the recorded events run_order_[begin, end).
-  template <typename Source>
-  void FeedEngine(const Source& source, uint32_t idx, uint32_t begin,
+  void FeedEngine(const BatchSource& source, uint32_t idx, uint32_t begin,
                   uint32_t end, bool buffer_early_items);
-  // Feeds event `event` of kind `kind` to one engine at the recorded `node`
-  // position.
-  template <typename Source>
-  static void DeliverEvent(XaosEngine* engine, const Source& source,
+  // Feeds record `event` of kind `kind` to one engine at the recorded
+  // `node` position.
+  static void DeliverEvent(XaosEngine* engine, const BatchSource& source,
                            xml::BatchedEvent::Kind kind, uint32_t event,
                            const NodePosition& node);
   // Releases buffered early items to their sinks in per-event order.

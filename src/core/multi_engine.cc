@@ -4,8 +4,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "core/batched_dispatch.h"
-
 #include "dom/dom_replayer.h"
 #include "obs/flight.h"
 #include "obs/json.h"
@@ -109,8 +107,11 @@ Query Query::FromTrees(std::vector<query::XTree> trees,
   return query;
 }
 
-MultiQueryEvaluator::MultiQueryEvaluator(EngineOptions options)
-    : options_(options),
+MultiQueryEvaluator::MultiQueryEvaluator(EngineOptions options,
+                                         BatchedDispatchOptions batching)
+    : xml::EventBatcher(this, batching.max_batch_events,
+                        batching.max_batch_text_bytes),
+      options_(options),
       // Subtree capture and live-structure limits are per-engine semantics
       // the merged automaton does not reproduce; such pools stay on the
       // per-engine path wholesale.
@@ -177,6 +178,72 @@ void MultiQueryEvaluator::EnsureSharedIndex() {
 }
 
 void MultiQueryEvaluator::StartDocument() {
+  writer_.set_lean_payload(!wants_text_events());
+  writer_.set_element_interest(element_interest());
+  writer_.StartDocument();
+  elided_base_ = writer_.events_elided();
+}
+
+void MultiQueryEvaluator::EndDocument() {
+  writer_.EndDocument();
+  ExportElided();
+}
+
+void MultiQueryEvaluator::AbortDocument(const Status& cause) {
+  // Publishes the current batch with the abort marker (discarded by
+  // PublishBatch), then resets the dispatch state. Order matters: the
+  // writer must let go of its in-flight batch before the next document
+  // starts filling a new one.
+  writer_.AbortDocument();
+  abort_status_ =
+      cause.ok() ? InternalError("document aborted without a cause") : cause;
+  fleet_.AbortDocument();
+  ExportElided();
+}
+
+void MultiQueryEvaluator::ExportElided() {
+  if (!obs::Enabled()) return;
+  const uint64_t elided = writer_.events_elided();
+  static obs::Counter* counter = obs::MetricsRegistry::Default().GetCounter(
+      "xaos_capture_events_elided_total");
+  counter->Increment(elided - elided_base_);
+  elided_base_ = elided;
+}
+
+xml::EventBatch* MultiQueryEvaluator::AcquireBatch() {
+  if (free_.empty()) {
+    pool_.push_back(std::make_unique<xml::EventBatch>());
+    return pool_.back().get();
+  }
+  xml::EventBatch* batch = free_.back();
+  free_.pop_back();
+  return batch;
+}
+
+void MultiQueryEvaluator::ReleaseToPool(xml::EventBatch* batch) {
+  // Guard against double-release: an AbortDocument firing while the batch
+  // is mid-publish (abort cause raised by replay-side observers) would
+  // publish the same pointer again; a duplicate free-list entry would hand
+  // one batch to two writers later.
+  if (std::find(free_.begin(), free_.end(), batch) != free_.end()) return;
+  batch->Clear();
+  free_.push_back(batch);
+}
+
+void MultiQueryEvaluator::PublishBatch(xml::EventBatch* batch) {
+  if (batch->aborts_document()) {
+    // Partial capture of an abandoned document: never replay it.
+    // AbortDocument, our caller, does the bookkeeping.
+    ReleaseToPool(batch);
+    return;
+  }
+  batch->set_sequence(++sequence_);
+  ReplayBatch(*batch, &attr_scratch_);
+  ++batches_replayed_;
+  ReleaseToPool(batch);
+}
+
+void MultiQueryEvaluator::BeginDocument() {
   abort_status_ = Status::Ok();
   if (obs::Enabled() || obs::flight::Active()) {
     ++doc_ordinal_;
@@ -190,7 +257,7 @@ void MultiQueryEvaluator::StartDocument() {
   fleet_.StartDocument();
 }
 
-void MultiQueryEvaluator::EndDocument() {
+void MultiQueryEvaluator::FinishDocument() {
   fleet_.EndDocument();
   if (obs::Enabled() || obs::flight::Active()) FinishDocumentObservability();
 }
@@ -298,33 +365,10 @@ void MultiQueryEvaluator::FinishDocumentObservability() {
   }
 }
 
-void MultiQueryEvaluator::AbortDocument(const Status& cause) {
-  abort_status_ =
-      cause.ok() ? InternalError("document aborted without a cause") : cause;
-  fleet_.AbortDocument();
-}
-
-void MultiQueryEvaluator::StartElement(const xml::QName& name,
-                                       xml::AttributeSpan attributes) {
-  fleet_.StartElement(name, attributes);
-}
-
-void MultiQueryEvaluator::EndElement(std::string_view name) {
-  fleet_.EndElement(name);
-}
-
-void MultiQueryEvaluator::Characters(std::string_view text) {
-  fleet_.Characters(text);
-}
-
-void MultiQueryEvaluator::SkippedSubtree(const xml::SkipReport& report) {
-  fleet_.SkipSubtree(report);
-}
-
-// Document-boundary events go through the virtual handlers (they carry
-// per-document setup/teardown); maximal interior runs go through the
-// non-virtual ReplayRun loop. One kReplay flight span covers the whole
-// batch, and the batch counts into xaos_dispatch_batches_total.
+// Document-boundary records run the per-document reset and finalization;
+// maximal interior runs go through the fleet's ReplayRun loop. One kReplay
+// flight span covers the whole batch, and the batch counts into
+// xaos_dispatch_batches_total.
 void MultiQueryEvaluator::ReplayBatch(
     const xml::EventBatch& batch,
     std::vector<xml::AttributeView>* attr_scratch) {
@@ -346,12 +390,12 @@ void MultiQueryEvaluator::ReplayBatch(
   while (i < n) {
     const xml::BatchedEvent::Kind kind = events[i].kind;
     if (kind == xml::BatchedEvent::Kind::kStartDocument) {
-      StartDocument();
+      BeginDocument();
       ++i;
       continue;
     }
     if (kind == xml::BatchedEvent::Kind::kEndDocument) {
-      EndDocument();
+      FinishDocument();
       ++i;
       continue;
     }
@@ -497,8 +541,7 @@ StatusOr<QueryResult> EvaluateStreaming(std::string_view xpath,
                                         EngineOptions options) {
   XAOS_ASSIGN_OR_RETURN(Query query, Query::Compile(xpath));
   StreamingEvaluator evaluator(query, options);
-  BatchedDispatcher dispatcher(&evaluator);
-  XAOS_RETURN_IF_ERROR(xml::ParseString(xml_text, &dispatcher));
+  XAOS_RETURN_IF_ERROR(xml::ParseString(xml_text, &evaluator));
   XAOS_RETURN_IF_ERROR(evaluator.status());
   return evaluator.Result();
 }

@@ -4,6 +4,31 @@
 // through the label-indexed dispatch fleet (engine_fleet.h), unioning each
 // query's disjuncts (paper Section 5.2). StreamingEvaluator is that
 // evaluator holding exactly one query.
+//
+// One way in. The evaluator is an xml::EventBatcher: it owns the
+// RecordWriter its input is written into, a SaxParser given the evaluator
+// writes EventBatch records straight into it (xml/event_batch.h), and a
+// callback producer (DOM replay, tests) reaches the same writer through
+// EventBatcher's ContentHandler overrides. Each full batch is replayed in
+// one call through ReplayBatch into EngineFleet::ReplayRun, the fleet's
+// only event input. Records are element-level elided whenever that is
+// exact: at each StartDocument the evaluator installs its element interest
+// (EngineFleet::element_interest) into the writer, which then writes no
+// record for elements that index no engine, their ends or any text run —
+// they reach the batch only as numbering gaps and payload-free
+// elided-start records. Node ids, parent ids, levels and ordinals stay
+// byte-identical to a full capture, as do engines_skipped() and the
+// engines' statistics. With a shared matcher, an always-dispatch engine
+// (wildcards, sibling axes, subtree capture) or an engine reading text, the
+// interest is null and every element gets a record; text runs still travel
+// as gaps whenever no engine reads text.
+//
+// Batches come from a small internal free pool, grown on first use and
+// returned to after replay, so steady-state evaluation performs no heap
+// allocation for records. An aborting batch (mid-stream producer failure)
+// is returned unreplayed; the pool return is guarded against
+// double-release, which an AbortDocument re-entering mid-publish would
+// otherwise cause.
 
 #ifndef XAOS_CORE_MULTI_ENGINE_H_
 #define XAOS_CORE_MULTI_ENGINE_H_
@@ -25,9 +50,18 @@
 #include "query/xtree.h"
 #include "util/pool_arena.h"
 #include "util/statusor.h"
+#include "xml/event_batch.h"
 #include "xml/sax_event.h"
 
 namespace xaos::core {
+
+// Record budgets of an evaluator's writer: large enough to amortize the
+// replay-loop entry, small enough to keep mid-stream verdict latency at
+// sub-document granularity.
+struct BatchedDispatchOptions {
+  size_t max_batch_events = 256;
+  size_t max_batch_text_bytes = 32 * 1024;
+};
 
 // A compiled query: the original expression plus one x-tree per or-free
 // disjunct. Queries are immutable and reusable across documents and
@@ -69,41 +103,49 @@ class Query {
 //   * alias:   a byte-identical repeat of an earlier expression adds no
 //     matching state at all — verdicts fan out from the first copy.
 //
-// The evaluator is itself a ContentHandler: feed it parser or replayer
-// events, or whole captured batches through ReplayBatch. Reusable: each
-// StartDocument resets all engines and the shared matcher.
-class MultiQueryEvaluator : public xml::ContentHandler {
+// The evaluator consumes records (see the header comment): hand it to a
+// SaxParser, feed it ContentHandler callbacks, or replay captured batches
+// through ReplayBatch. Reusable: each document's kStartDocument record
+// resets all engines and the shared matcher.
+class MultiQueryEvaluator : public xml::EventBatcher,
+                            private xml::RecordWriter::Sink {
  public:
-  explicit MultiQueryEvaluator(EngineOptions options = {});
+  explicit MultiQueryEvaluator(EngineOptions options = {},
+                               BatchedDispatchOptions batching = {});
 
   // Registers a subscription and returns its index (stable; used to read
-  // per-query results). Queries join at the next StartDocument: one added
-  // since the last StartDocument reports not matched, not confirmed and an
-  // empty result. Add queries between documents, not while one is being
-  // fed: a BatchedDispatcher reads the element interest when the parser
-  // starts a document, so that document may be captured elided for the
-  // old query set. `label` names the subscription in exported latency series
+  // per-query results). Queries join at the next document: one added
+  // since the last document started reports not matched, not confirmed and
+  // an empty result. Add queries between documents, not while one is being
+  // fed: StartDocument installs the element interest, so that document may
+  // be captured elided for the old query set. `label` names the
+  // subscription in exported latency series
   // (`xaos_sub_match_latency_ns{subscription="<label>"}`); empty derives
   // "q<index>".
   size_t AddQuery(const Query& query, std::string_view label = {});
   size_t query_count() const { return queries_.size(); }
   const std::string& query_label(size_t q) const { return queries_[q].label; }
 
+  // Opens a document in the writer after installing what its records
+  // carry: when no engine reads character data or end-element names, ends
+  // are recorded without names and text runs as gaps, and when the fleet
+  // exposes an element interest, elements it would deliver to nobody are
+  // elided.
   void StartDocument() override;
+  // Closes the document: the last batch is published and replayed, so
+  // every engine has finished the document when this returns.
   void EndDocument() override;
-  void StartElement(const xml::QName& name,
-                    xml::AttributeSpan attributes) override;
-  void EndElement(std::string_view name) override;
-  void Characters(std::string_view text) override;
-  void SkippedSubtree(const xml::SkipReport& report) override;
 
-  // Batched dispatch: replays a whole captured EventBatch, handling any
-  // document-boundary events the batch contains; interior runs go through
-  // EngineFleet::ReplayRun, the replay the ContentHandler callbacks run as
-  // one-event runs. `attr_scratch` is per-caller reusable attribute-view
+  // Replays a whole captured EventBatch: kStartDocument and kEndDocument
+  // records run the evaluator's per-document reset and finalization, and
+  // interior runs go through EngineFleet::ReplayRun. The evaluator's own
+  // writer publishes here; a caller that captured batches itself may
+  // replay them too. `attr_scratch` is per-caller reusable attribute-view
   // storage.
   void ReplayBatch(const xml::EventBatch& batch,
                    std::vector<xml::AttributeView>* attr_scratch);
+  // Batches the evaluator's own writer published and replayed (cumulative).
+  uint64_t batches_replayed() const { return batches_replayed_; }
 
   // True when any engine reads character data or end-element names; false
   // lets a batching producer skip copying those payloads (lean capture).
@@ -142,9 +184,10 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   void AdoptProjectionSpec(const MultiQueryEvaluator& other);
 
   // Abandons the current document after a mid-stream producer failure
-  // (parse error, limit rejection, I/O error). `cause` is what status()
-  // reports until the next StartDocument; the evaluator stays reusable
-  // for further documents.
+  // (parse error, limit rejection, I/O error): buffered records are
+  // discarded unreplayed (a partial capture must not reach the engines) and
+  // the per-document dispatch state is reset. `cause` is what status()
+  // reports until the next document starts; the evaluator stays reusable.
   void AbortDocument(const Status& cause);
 
   // The abort cause of an abandoned document, else the first engine error.
@@ -152,6 +195,9 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   // Whether query `q` matched. Valid after EndDocument.
   bool Matched(size_t q) const;
   // True as soon as query `q`'s match is guaranteed (usable mid-stream).
+  // Records reach the engines a batch at a time, so the verdict reflects
+  // the last replayed batch; a callback feeder that reads it at an exact
+  // event calls Flush() first.
   bool MatchConfirmed(size_t q) const;
   // Query `q`'s result, disjuncts unioned. Valid after EndDocument.
   QueryResult Result(size_t q) const;
@@ -175,6 +221,7 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   }
   // The per-engine dispatch fleet (introspection: tests, benches).
   const EngineFleet& fleet() const { return fleet_; }
+  size_t pool_free_for_test() const { return free_.size(); }
 
   // --- shared-backend introspection (tests, benches, obs) ---
   // Subscriptions routed through the shared automaton (aliases of shared
@@ -213,6 +260,24 @@ class MultiQueryEvaluator : public xml::ContentHandler {
     obs::Histogram* first_match = nullptr;
   };
 
+  // StartDocument installs both for every document; a caller's setting
+  // would be overwritten.
+  using xml::EventBatcher::set_element_interest;
+  using xml::EventBatcher::set_lean_payload;
+
+  // xml::RecordWriter::Sink: batches from the pool, replayed on publish.
+  xml::EventBatch* AcquireBatch() override;
+  void PublishBatch(xml::EventBatch* batch) override;
+  void ReleaseToPool(xml::EventBatch* batch);
+  // Adds this document's elided events to xaos_capture_events_elided_total.
+  void ExportElided();
+
+  // Replay-side document boundaries, run by ReplayBatch on kStartDocument
+  // and kEndDocument records: the engine and matcher reset, and the
+  // finalization plus the observability fold.
+  void BeginDocument();
+  void FinishDocument();
+
   // The registry latency/high-water series report into.
   obs::MetricsRegistry& metrics_registry() const;
   // Once per document with obs or the flight recorder on: O(queries +
@@ -239,8 +304,8 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   EngineOptions options_;
   std::vector<QuerySlot> queries_;
   std::vector<uint32_t> routes_;  // route word per query
-  // queries_.size() at the last StartDocument: later queries have seen no
-  // document yet.
+  // queries_.size() at the last document start: later queries have seen
+  // no document yet.
   size_t live_queries_ = 0;
   // Canonical query of each shared-index subscription id.
   std::vector<uint32_t> shared_queries_;
@@ -250,11 +315,11 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   // confined to this evaluator's thread (each ParallelRouter worker owns
   // its own evaluator); declared before engines_ so it outlives them.
   util::PoolArena arena_;
-  uint64_t arena_baseline_ = 0;  // arena_.bytes_allocated() at StartDocument
+  uint64_t arena_baseline_ = 0;  // arena_.bytes_allocated() at doc start
   std::vector<std::unique_ptr<XaosEngine>> engines_;
   EngineFleet fleet_;
   // Shared-prefix backend: the builder accumulates shareable subscriptions
-  // at AddQuery; the index/matcher are (re)built lazily at StartDocument.
+  // at AddQuery; the index/matcher are (re)built lazily at document start.
   bool shared_enabled_ = false;
   SharedIndexBuilder shared_builder_;
   std::unique_ptr<SharedIndex> shared_index_;
@@ -271,7 +336,15 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   mutable size_t gate_built_for_ = 0;  // query count the spec unions over
   Status abort_status_;  // non-OK while the last document was abandoned
   uint64_t doc_ordinal_ = 0;   // documents started (flight attribution)
-  uint64_t doc_begin_ns_ = 0;  // StartDocument timestamp when observing
+  uint64_t doc_begin_ns_ = 0;  // document start timestamp when observing
+
+  // Record pool (see the header comment).
+  std::vector<std::unique_ptr<xml::EventBatch>> pool_;  // owns every batch
+  std::vector<xml::EventBatch*> free_;
+  std::vector<xml::AttributeView> attr_scratch_;
+  uint64_t sequence_ = 0;
+  uint64_t batches_replayed_ = 0;
+  uint64_t elided_base_ = 0;  // events_elided() at StartDocument / export
 };
 
 // Evaluates one compiled query: a MultiQueryEvaluator holding exactly that

@@ -76,7 +76,7 @@ void ParallelRouter::Drain() {
 uint64_t ParallelRouter::events_elided() const {
   uint64_t total = 0;
   for (const std::unique_ptr<Worker>& worker : workers_) {
-    total += worker->dispatcher.events_elided();
+    total += worker->evaluator.events_elided();
   }
   return total;
 }
@@ -98,9 +98,9 @@ void ParallelRouter::Run(Worker* worker, size_t index) {
       named = true;
       obs::flight::SetCurrentThreadName("worker/" + std::to_string(index));
     }
-    Status status = xml::ParseString(job.document, &worker->dispatcher,
+    Status status = xml::ParseString(job.document, &worker->evaluator,
                                      worker->parser_options);
-    if (!status.ok()) worker->dispatcher.AbortDocument(status);
+    if (!status.ok()) worker->evaluator.AbortDocument(status);
     {
       // Tickets leave the queue in order, so every earlier document is
       // already held by a worker and the turnstile always advances.

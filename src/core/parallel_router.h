@@ -4,9 +4,9 @@
 // The publish/subscribe configuration routes a stream of independent
 // documents, so the unit of parallel work is the document. Each worker owns
 // a complete sequential stack: a MultiQueryEvaluator built from the same
-// compiled Query objects (their x-trees are shared read-only), the
-// BatchedDispatcher in front of it, and its own xml::ParserOptions whose
-// projection filter is that evaluator's own (a ProjectionFilter keeps
+// compiled Query objects (their x-trees are shared read-only), which
+// consumes the parser's records itself, and its own xml::ParserOptions
+// whose projection filter is that evaluator's own (a ProjectionFilter keeps
 // per-document state, so workers never share one). A worker parses a whole
 // document into its stack: batched capture, element elision, replay and
 // AbortDocument run exactly as on the sequential path, so a rejected
@@ -48,7 +48,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
 #include "xml/sax_parser.h"
 
@@ -96,7 +95,7 @@ class ParallelRouter {
     return workers_[worker]->evaluator;
   }
   // Events batched capture elided, summed over the workers (cumulative; see
-  // BatchedDispatcher::events_elided).
+  // xml::EventBatcher::events_elided).
   uint64_t events_elided() const;
   // The projection every worker installs: worker 0 analyses it once for
   // the shared query set, the others adopt it. Not while documents are in
@@ -107,11 +106,9 @@ class ParallelRouter {
 
  private:
   struct Worker {
-    explicit Worker(const EngineOptions& options)
-        : evaluator(options), dispatcher(&evaluator) {}
+    explicit Worker(const EngineOptions& options) : evaluator(options) {}
 
     MultiQueryEvaluator evaluator;
-    BatchedDispatcher dispatcher;
     xml::ParserOptions parser_options;
     std::thread thread;
   };

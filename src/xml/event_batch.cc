@@ -43,25 +43,6 @@ void EventBatch::AddGap(uint32_t node_ids, uint32_t elements,
   events_.push_back(event);
 }
 
-void EventBatch::AddComment(std::string_view text) {
-  BatchedEvent event;
-  event.kind = BatchedEvent::Kind::kComment;
-  event.text_offset = AppendText(text);
-  event.text_size = static_cast<uint32_t>(text.size());
-  events_.push_back(event);
-}
-
-void EventBatch::AddProcessingInstruction(std::string_view target,
-                                          std::string_view data) {
-  BatchedEvent event;
-  event.kind = BatchedEvent::Kind::kProcessingInstruction;
-  event.text_offset = AppendText(target);
-  event.text_size = static_cast<uint32_t>(target.size());
-  event.attr_begin = AppendText(data);
-  event.attr_count = static_cast<uint32_t>(data.size());
-  events_.push_back(event);
-}
-
 void EventBatch::Replay(ContentHandler* handler,
                         std::vector<AttributeView>* attr_scratch) const {
   for (const BatchedEvent& e : events_) {
@@ -95,13 +76,6 @@ void EventBatch::Replay(ContentHandler* handler,
         handler->SkippedSubtree(
             SkipReport{e.gap_elements(), e.gap_node_ids(), e.gap_bytes()});
         break;
-      case BatchedEvent::Kind::kComment:
-        handler->Comment(Slice(e.text_offset, e.text_size));
-        break;
-      case BatchedEvent::Kind::kProcessingInstruction:
-        handler->ProcessingInstruction(Slice(e.text_offset, e.text_size),
-                                       Slice(e.attr_begin, e.attr_count));
-        break;
       case BatchedEvent::Kind::kElidedStart:
         // Written only under an element interest, which plain handlers
         // never install.
@@ -111,6 +85,9 @@ void EventBatch::Replay(ContentHandler* handler,
 }
 
 void RecordWriter::StartDocument() {
+  // A batch still open here holds records of a document that failed
+  // without AbortDocument; they must never reach the consumer.
+  if (current_ != nullptr) current_->Clear();
   interest_ = next_interest_;
   ResetElision();
   Current()->AddStartDocument();
@@ -196,19 +173,6 @@ void RecordWriter::Skip(const SkipReport& report) {
     return;
   }
   AppendGap(Gap{report.node_ids, report.elements, 0, report.bytes});
-}
-
-void RecordWriter::Comment(std::string_view text) {
-  FlushPending();
-  Current()->AddComment(text);
-  PublishIfFull();
-}
-
-void RecordWriter::ProcessingInstruction(std::string_view target,
-                                         std::string_view data) {
-  FlushPending();
-  Current()->AddProcessingInstruction(target, data);
-  PublishIfFull();
 }
 
 void RecordWriter::AbortDocument() {

@@ -1,8 +1,8 @@
 // EventBatch records: the parser's output.
 //
 // SaxParser writes the document as fixed-size records into pooled
-// EventBatches (core/batched_dispatch.h replays each full batch into an
-// evaluator in one call): one flat `std::string` text arena owns every byte
+// EventBatches (core::MultiQueryEvaluator replays each full batch into its
+// engines in one call): one flat `std::string` text arena owns every byte
 // the batch references, events and attributes are fixed-size records
 // holding (offset, size) slices into that arena plus the resolved name
 // Symbol the parser already paid for. A batch is self-contained and reused
@@ -77,11 +77,6 @@ struct BatchedEvent {
     // events elided at capture (see the header comment). The counts live
     // in the record's own fields, read through the gap_* accessors.
     kGap,
-    // Written only for plain ContentHandlers that asked for them
-    // (ParserOptions::report_comments / report_processing_instructions):
-    // text slice = comment / PI target, attr_begin/attr_count = PI data.
-    kComment,
-    kProcessingInstruction,
   };
 
   Kind kind = Kind::kStartDocument;
@@ -178,9 +173,6 @@ class EventBatch {
   void AddElidedStart(uint32_t attr_count);
   void AddGap(uint32_t node_ids, uint32_t elements, uint32_t elided,
               uint32_t bytes);
-  void AddComment(std::string_view text);
-  void AddProcessingInstruction(std::string_view target,
-                                std::string_view data);
 
   // --- replay side (any number of concurrent consumers) ---
   // Raw read access for batch loops (EngineFleet::ReplayRun): consumers walk
@@ -270,6 +262,9 @@ class RecordWriter {
   }
 
   // --- document boundaries ---
+  // Records of an earlier document that ended neither in EndDocument nor
+  // in AbortDocument (a failed parse) and are still unpublished are
+  // dropped here, so they never reach the consumer.
   void StartDocument();
   void EndDocument();
   // Abandons the in-progress document: the current batch (acquired if none
@@ -309,9 +304,6 @@ class RecordWriter {
   }
   // A projection skip (xml/skip_scanner.h).
   void Skip(const SkipReport& report);
-  // Comments and PIs, for plain-handler replay only.
-  void Comment(std::string_view text);
-  void ProcessingInstruction(std::string_view target, std::string_view data);
 
   // The callback-shaped start: elided unless the interest keeps the name or
   // an attribute name.
@@ -374,9 +366,10 @@ class RecordWriter {
 };
 
 // The ContentHandler adapter over a RecordWriter: each callback becomes the
-// writer call it names. A SaxParser given an EventBatcher (or a subclass
-// such as core::BatchedDispatcher) skips the callbacks and writes into
-// record_writer() directly.
+// writer call it names, so callback producers (DOM replay, tests) reach
+// the same writer the parser fills. A SaxParser given an EventBatcher (or
+// a subclass such as core::MultiQueryEvaluator) skips the callbacks and
+// writes into record_writer() directly.
 class EventBatcher : public ContentHandler {
  public:
   using Sink = RecordWriter::Sink;

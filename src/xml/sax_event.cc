@@ -30,10 +30,6 @@ std::string EventToString(const Event& event) {
       return "</" + event.name + ">";
     case Event::Kind::kCharacters:
       return "text(\"" + event.text + "\")";
-    case Event::Kind::kComment:
-      return "comment(\"" + event.text + "\")";
-    case Event::Kind::kProcessingInstruction:
-      return "pi(" + event.name + ", \"" + event.text + "\")";
   }
   return "?";
 }
@@ -57,12 +53,6 @@ void ReplayEvents(const std::vector<Event>& events, ContentHandler* handler) {
         break;
       case Event::Kind::kCharacters:
         handler->Characters(event.text);
-        break;
-      case Event::Kind::kComment:
-        handler->Comment(event.text);
-        break;
-      case Event::Kind::kProcessingInstruction:
-        handler->ProcessingInstruction(event.name, event.text);
         break;
     }
   }

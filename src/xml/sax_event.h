@@ -5,9 +5,9 @@
 // the callback vocabulary consumed by ContentHandler implementations
 // (core::XaosEngine, dom::DomBuilder, ...). xml::SaxParser's own output is
 // EventBatch records (xml/event_batch.h): a handler that consumes records
-// (core::BatchedDispatcher) receives them directly, and every other handler
-// gets these callbacks replayed from them; dom::DomReplayer calls them
-// directly.
+// (core::MultiQueryEvaluator) receives them directly, and every other
+// handler gets these callbacks replayed from them; dom::DomReplayer calls
+// them directly.
 //
 // Names travel as views paired with Symbols (util/symbol_table.h): the
 // parser resolves each element/attribute name against the compiled query
@@ -106,8 +106,8 @@ class ContentHandler {
   virtual void EndElement(std::string_view name) { (void)name; }
 
   // Character data; references are resolved. May be invoked multiple times
-  // for one contiguous run unless the producer coalesces (SaxParser does
-  // when ParserOptions::coalesce_text is set).
+  // for one contiguous run unless the producer coalesces (SaxParser always
+  // does).
   virtual void Characters(std::string_view text) { (void)text; }
 
   // Invoked in place of the event stream of a subtree the producer skipped
@@ -115,13 +115,6 @@ class ContentHandler {
   // installed (xml/skip_scanner.h); handlers that track dense node ids
   // advance them by `report.node_ids`. Default: ignore.
   virtual void SkippedSubtree(const SkipReport& report) { (void)report; }
-
-  virtual void Comment(std::string_view text) { (void)text; }
-  virtual void ProcessingInstruction(std::string_view target,
-                                     std::string_view data) {
-    (void)target;
-    (void)data;
-  }
 
   // A handler that consumes EventBatch records (xml/event_batch.h) returns
   // the writer it fills. SaxParser then writes elements, text and skips
@@ -139,13 +132,11 @@ struct Event {
     kStartElement,
     kEndElement,
     kCharacters,
-    kComment,
-    kProcessingInstruction,
   };
 
   Kind kind;
-  std::string name;                    // element name or PI target
-  std::string text;                    // characters / comment / PI data
+  std::string name;                    // element name
+  std::string text;                    // characters
   std::vector<Attribute> attributes;   // start-element only
 
   friend bool operator==(const Event& a, const Event& b) {
@@ -181,14 +172,6 @@ class EventRecorder : public ContentHandler {
   }
   void Characters(std::string_view text) override {
     events_.push_back({Event::Kind::kCharacters, "", std::string(text), {}});
-  }
-  void Comment(std::string_view text) override {
-    events_.push_back({Event::Kind::kComment, "", std::string(text), {}});
-  }
-  void ProcessingInstruction(std::string_view target,
-                             std::string_view data) override {
-    events_.push_back({Event::Kind::kProcessingInstruction,
-                       std::string(target), std::string(data), {}});
   }
 
   const std::vector<Event>& events() const { return events_; }

@@ -82,19 +82,6 @@ SaxParser::SaxParser(ContentHandler* handler, ParserOptions options)
     records_ = target_->record_writer();
   }
   records_->set_phase_timers(options_.phase_timers);
-  projection_filter_ = options_.projection_filter;
-  if (projection_filter_ != nullptr &&
-      (!options_.coalesce_text || options_.report_comments ||
-       options_.report_processing_instructions)) {
-    // Skipping cannot reproduce these event streams exactly (see
-    // ParserOptions::projection_filter); fall back to a full parse.
-    projection_filter_ = nullptr;
-    if (obs::Enabled()) {
-      obs::MetricsRegistry::Default()
-          .GetCounter("xaos_projection_disabled_total")
-          ->Increment();
-    }
-  }
 }
 
 SaxParser::~SaxParser() {
@@ -238,7 +225,8 @@ SaxParser::Progress SaxParser::FailWith(StatusCode code, std::string message) {
 
 void SaxParser::StartDocument() {
   started_document_ = true;
-  if (projection_filter_ != nullptr) projection_filter_->StartDocument();
+  ProjectionFilter* filter = options_.projection_filter;
+  if (filter != nullptr) filter->StartDocument();
   target_->StartDocument();
   interest_ = records_->interest();
   text_gaps_ = records_->text_as_gaps();
@@ -422,8 +410,7 @@ Status SaxParser::Finish() {
 void SaxParser::EmitPendingTextSlow() {
   text_pending_ = false;
   if (text_gaps_) {
-    if (text_has_bytes_ &&
-        (options_.report_whitespace_text || !text_all_ws_)) {
+    if (text_has_bytes_ && !text_all_ws_) {
       ++text_event_count_;
       records_->TextGap();
     }
@@ -433,8 +420,7 @@ void SaxParser::EmitPendingTextSlow() {
   }
   std::string_view text =
       text_in_view_ ? text_view_ : std::string_view(text_accum_);
-  if (!text.empty() &&
-      (options_.report_whitespace_text || !text_all_ws_)) {
+  if (!text.empty() && !text_all_ws_) {
     ++text_event_count_;
     records_->Characters(text);
   }
@@ -487,7 +473,6 @@ Status SaxParser::AppendTextPiece(std::string_view raw, bool decode,
     text_all_ws_ = text_all_ws_ && all_ws;
   }
   text_pending_ = true;
-  if (!options_.coalesce_text) EmitPendingText();
   return Status::Ok();
 }
 
@@ -693,8 +678,9 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
 
   // The one filter: skip the subtree, elide the element, or keep it.
   const util::Symbol symbol = ResolveName(name);
-  if (projection_filter_ != nullptr &&
-      projection_filter_->ShouldSkipSubtree(QName(name, symbol),
+  ProjectionFilter* filter = options_.projection_filter;
+  if (filter != nullptr &&
+      filter->ShouldSkipSubtree(QName(name, symbol),
                                             open_offsets_.size())) {
     // The whole subtree is irrelevant: account for the start tag, then let
     // the skip scanner race to the matching end tag. The element is never
@@ -708,8 +694,7 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
     EmitPendingText();
     Advance(tag_end + 1);
     if (self_closing) return DeliverSkip(initial);
-    skip_scanner_.Begin(initial, open_offsets_.size(), limits.max_depth,
-                        options_.report_whitespace_text);
+    skip_scanner_.Begin(initial, open_offsets_.size(), limits.max_depth);
     skip_active_ = true;
     if (obs::flight::Active()) skip_begin_ns_ = obs::NowNs();
     return Progress::kOk;
@@ -881,12 +866,6 @@ SaxParser::Progress SaxParser::ParseComment() {
   if (!text.empty() && text.back() == '-') {
     return Fail("comment must not end with '-'");
   }
-  if (options_.report_comments) {
-    // A reported comment splits the text run for every consumer; only a
-    // plain handler gets a record of it.
-    EmitPendingText();
-    if (replay_ != nullptr) records_->Comment(text);
-  }
   Advance(end + 3);
   return Progress::kOk;
 }
@@ -925,20 +904,13 @@ SaxParser::Progress SaxParser::ParsePi() {
                      " bytes");
   }
   std::string_view target = body.substr(0, name_len);
-  std::string_view data = body.substr(name_len);
-  while (!data.empty() && IsWhitespace(data.front())) data.remove_prefix(1);
 
   bool is_xml_decl = target.size() == 3 &&
                      (target[0] == 'x' || target[0] == 'X') &&
                      (target[1] == 'm' || target[1] == 'M') &&
                      (target[2] == 'l' || target[2] == 'L');
-  if (is_xml_decl) {
-    if (seen_any_content_) {
-      return Fail("XML declaration not at start of document");
-    }
-  } else if (options_.report_processing_instructions) {
-    EmitPendingText();
-    if (replay_ != nullptr) records_->ProcessingInstruction(target, data);
+  if (is_xml_decl && seen_any_content_) {
+    return Fail("XML declaration not at start of document");
   }
   Advance(end + 2);
   return Progress::kOk;

@@ -7,8 +7,8 @@
 //
 // Its output is EventBatch records (xml/event_batch.h), written through one
 // RecordWriter. Given a handler that consumes records (an EventBatcher,
-// such as core::BatchedDispatcher), the parser writes into that handler's
-// writer; any other ContentHandler gets the records replayed as callbacks,
+// such as core::MultiQueryEvaluator), the parser writes into that
+// handler's writer; any other ContentHandler gets the records replayed as callbacks,
 // at the writer's budgets and at the end of every Feed() and Finish().
 //
 // One filter decides each element after its name is resolved: the
@@ -73,16 +73,12 @@ struct ParserLimits {
   uint64_t max_total_bytes = 0;
 };
 
+// Event shape is fixed: adjacent character runs (CDATA sections included)
+// are coalesced into one Characters() call, runs consisting solely of
+// whitespace are dropped (the χαoς data model, paper Section 2.1, ignores
+// inter-element whitespace), and comments and processing instructions are
+// checked but never reported.
 struct ParserOptions {
-  // Merge adjacent character runs (including across CDATA boundaries) into a
-  // single Characters() call.
-  bool coalesce_text = true;
-  // Deliver character runs consisting solely of whitespace. Off by default:
-  // the χαoς data model (paper Section 2.1) ignores inter-element whitespace.
-  bool report_whitespace_text = false;
-  // Deliver Comment() / ProcessingInstruction() events.
-  bool report_comments = false;
-  bool report_processing_instructions = false;
   // Guardrails against resource-exhausting input (see ParserLimits).
   ParserLimits limits;
   // Optional phase accounting (obs/timer.h): when set, time spent replaying
@@ -95,11 +91,8 @@ struct ParserOptions {
   // Optional document projection (xml/skip_scanner.h): when set, each start
   // tag is offered to the filter, and a subtree it proves irrelevant is
   // skipped by a raw scanner — no attribute parsing, entity decoding or
-  // records; one kGap record (one SkippedSubtree()) stands for it. Ignored
-  // (with xaos_projection_disabled_total incremented) when combined with
-  // options it cannot preserve exactly: coalesce_text off (node-id
-  // assignment would become chunk-dependent) or reported comments/PIs
-  // (their events would be lost inside skips). Must outlive the parser.
+  // records; one kGap record (one SkippedSubtree()) stands for it. Must
+  // outlive the parser.
   ProjectionFilter* projection_filter = nullptr;
 };
 
@@ -320,9 +313,7 @@ class SaxParser {
   // window), else kUnknownSymbol.
   util::Symbol ResolveName(std::string_view name);
 
-  // Document projection. Null unless options_.projection_filter is set and
-  // compatible with the event options (see ParserOptions).
-  ProjectionFilter* projection_filter_ = nullptr;
+  // Document projection (options_.projection_filter).
   SkipScanner skip_scanner_;
   bool skip_active_ = false;  // Pump routes input to skip_scanner_
   uint64_t skip_begin_ns_ = 0;  // flight-recorder skip-span start

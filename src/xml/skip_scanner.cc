@@ -54,13 +54,11 @@ bool ReferenceIsWhitespace(std::string_view body) {
 }  // namespace
 
 void SkipScanner::Begin(const SkipReport& initial, size_t base_open_depth,
-                        int max_depth, bool count_whitespace_runs) {
+                        int max_depth) {
   report_ = initial;
   base_open_depth_ = base_open_depth;
   max_depth_ = max_depth;
   depth_ = 1;
-  count_ws_runs_ = count_whitespace_runs;
-  run_has_content_ = false;
   run_non_ws_ = false;
   limit_error_ = false;
   error_message_.clear();
@@ -114,9 +112,7 @@ void SkipScanner::ClassifyText(std::string_view run) {
 }
 
 void SkipScanner::ProcessCData(std::string_view content) {
-  if (content.empty()) return;
-  run_has_content_ = true;
-  if (count_ws_runs_ || run_non_ws_) return;
+  if (content.empty() || run_non_ws_) return;
   if (!scanner_.ScanCData(content.data(), content.size(), 0, content.size())
            .all_ws) {
     run_non_ws_ = true;

@@ -63,11 +63,8 @@ class SkipScanner {
   // carries that tag's element/id/byte counts; `base_open_depth` is the
   // open-element count outside the skip (the skipped root would sit at that
   // depth); `max_depth` is ParserLimits::max_depth, still enforced inside
-  // the skip. `count_whitespace_runs` mirrors
-  // ParserOptions::report_whitespace_text: when set, all-whitespace text
-  // runs would have been reported and so consume a node id.
-  void Begin(const SkipReport& initial, size_t base_open_depth, int max_depth,
-             bool count_whitespace_runs);
+  // the skip.
+  void Begin(const SkipReport& initial, size_t base_open_depth, int max_depth);
 
   // Scans as much of `input` as possible. Sets *consumed to the byte count
   // the caller should consume (on kError: the offset of the offending
@@ -100,9 +97,7 @@ class SkipScanner {
   // Hot per-run/per-tag paths, inlined: the byte-level classification only
   // runs while a run's whitespace-ness is still undecided.
   void ProcessText(std::string_view run) {
-    if (run.empty()) return;
-    run_has_content_ = true;
-    if (count_ws_runs_ || run_non_ws_) return;
+    if (run.empty() || run_non_ws_) return;
     const char c0 = run.front();
     if (c0 != ' ' && c0 != '\t' && c0 != '\r' && c0 != '\n' && c0 != '&') {
       run_non_ws_ = true;  // decisive first byte: the common real-text case
@@ -111,10 +106,7 @@ class SkipScanner {
     ClassifyText(run);
   }
   void FlushRun() {
-    if (run_has_content_ && (count_ws_runs_ || run_non_ws_)) {
-      ++report_.node_ids;
-    }
-    run_has_content_ = false;
+    if (run_non_ws_) ++report_.node_ids;
     run_non_ws_ = false;
   }
   void ClassifyText(std::string_view run);
@@ -130,12 +122,10 @@ class SkipScanner {
   size_t base_open_depth_ = 0;
   int max_depth_ = 0;
   uint64_t depth_ = 0;  // open elements inside the skip, including its root
-  bool count_ws_runs_ = false;
   // Classification of the current (possibly still growing) text run,
   // mirroring the full parser's coalesced pending-text accumulator: a run
-  // consumes a node id iff it is non-empty and (count_ws_runs_ || not all
-  // whitespace after reference decoding).
-  bool run_has_content_ = false;
+  // consumes a node id iff it is not all whitespace after reference
+  // decoding.
   bool run_non_ws_ = false;
   bool limit_error_ = false;
   std::string error_message_;

@@ -16,7 +16,7 @@ constexpr size_t kBlock = kScannerBlockBytes;
 
 // ---------------------------------------------------------------------------
 // Scalar kernel: the oracle. One class-bit table lookup per byte, scattered
-// into the nine masks. Deliberately simple — the SSE2 kernel must match its
+// into the eight masks. Deliberately simple — the SSE2 kernel must match its
 // output bit-for-bit on every possible byte.
 
 enum : uint16_t {
@@ -26,9 +26,8 @@ enum : uint16_t {
   kClassSq = 1u << 3,
   kClassAmp = 1u << 4,
   kClassRb = 1u << 5,
-  kClassNl = 1u << 6,
-  kClassWs = 1u << 7,
-  kClassCtl = 1u << 8,
+  kClassWs = 1u << 6,
+  kClassCtl = 1u << 7,
 };
 
 constexpr uint16_t ClassOf(unsigned char c) {
@@ -39,7 +38,6 @@ constexpr uint16_t ClassOf(unsigned char c) {
   if (c == '\'') cls |= kClassSq;
   if (c == '&') cls |= kClassAmp;
   if (c == ']') cls |= kClassRb;
-  if (c == '\n') cls |= kClassNl;
   if (c == ' ' || c == '\t' || c == '\r' || c == '\n') cls |= kClassWs;
   if (c < 0x20 && c != 0x09 && c != 0x0A && c != 0x0D) cls |= kClassCtl;
   return cls;
@@ -67,7 +65,7 @@ void ClassifyBlockScalar(const char* p, BlockMasks* out) {
     const uint64_t cls =
         kClassTable.entries[static_cast<unsigned char>(p[i])];
     // Most bytes (name and text characters) are class 0 — one predictable
-    // branch skips them. Classed bytes update all nine masks branchlessly:
+    // branch skips them. Classed bytes update all eight masks branchlessly:
     // a chain of data-dependent `if`s here mispredicts on every structural
     // byte, which the SSE2 kernel never pays.
     if (cls == 0) continue;
@@ -78,9 +76,8 @@ void ClassifyBlockScalar(const char* p, BlockMasks* out) {
     m.squote |= bit * ((cls >> 3) & 1);
     m.amp |= bit * ((cls >> 4) & 1);
     m.rbracket |= bit * ((cls >> 5) & 1);
-    m.newline |= bit * ((cls >> 6) & 1);
-    m.ws |= bit * ((cls >> 7) & 1);
-    m.ctl |= bit * ((cls >> 8) & 1);
+    m.ws |= bit * ((cls >> 6) & 1);
+    m.ctl |= bit * ((cls >> 7) & 1);
   }
   *out = m;
 }
@@ -115,7 +112,6 @@ void ClassifyBlock(const char* p, BlockMasks* out) {
     m.squote |= mask_eq('\'') << shift;
     m.amp |= mask_eq('&') << shift;
     m.rbracket |= mask_eq(']') << shift;
-    m.newline |= nl << shift;
     m.ws |= (tab | nl | cr | sp) << shift;
     m.ctl |= (below20 & ~(tab | nl | cr)) << shift;
   }
@@ -200,7 +196,6 @@ void StructuralScanner::ClassifyTail(const char* p, size_t len,
   out->squote &= keep;
   out->amp &= keep;
   out->rbracket &= keep;
-  out->newline &= keep;
   out->ws &= keep;
   out->ctl &= keep;
 }

@@ -9,7 +9,7 @@
 // of them from ONE classification pass: input is processed in 64-byte
 // blocks, each block yielding a set of 64-bit masks — bit i of a mask says
 // byte i of the block belongs to that class ('<', '>', '"', '\'', '&', ']',
-// newline, whitespace, forbidden control). The masks are the index stream:
+// whitespace, forbidden control). The masks are the index stream:
 // consumers jump from structural position to structural position with ctz
 // and bit counts instead of inspecting every character.
 //
@@ -58,7 +58,6 @@ struct BlockMasks {
   uint64_t squote;    // '\''
   uint64_t amp;       // '&'
   uint64_t rbracket;  // ']'
-  uint64_t newline;   // '\n'
   uint64_t ws;        // XML whitespace: space, tab, CR, LF
   uint64_t ctl;       // C0 control other than tab/LF/CR (forbidden in Char)
 };

@@ -53,14 +53,6 @@ void XmlWriter::WriteText(std::string_view text) {
   last_was_text_ = true;
 }
 
-void XmlWriter::WriteComment(std::string_view text) {
-  CloseStartTagIfOpen();
-  if (!last_was_text_) Newline();
-  out_->append("<!--");
-  out_->append(text);
-  out_->append("-->");
-}
-
 void XmlWriter::EndElement() {
   XAOS_CHECK(!open_.empty()) << "EndElement with no open element";
   std::string name = open_.back();

@@ -39,7 +39,6 @@ class XmlWriter {
 
   // Writes escaped character data.
   void WriteText(std::string_view text);
-  void WriteComment(std::string_view text);
 
   // Opens + closes an element holding only `text`.
   void WriteTextElement(std::string_view name, std::string_view text);

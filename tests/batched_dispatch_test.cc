@@ -1,15 +1,17 @@
-// Batched dispatch tests. Verdicts and document-order items of both
-// feeding routes — BatchedDispatcher -> ReplayBatch -> EngineFleet::ReplayRun,
-// and per-event ContentHandler delivery — are checked against the
-// brute-force matcher over the DOM, an independent algorithm, across the
-// axis corpus, chunked feeds, single-event batches, random workloads and
-// ParallelRouter workers. The two routes are compared with each other only
-// where brute force has no answer: captured XML bytes, the order early
-// items reach the earliest-emission sink, node ids, and the dispatch
-// counters (engines_skipped, EngineStats) that capture-time element elision
-// must leave unchanged. Plus the pool-return double-release regression for
-// mid-batch aborts, the projection filter's reset, and the shared
-// matcher's set-interner reset.
+// Batched dispatch tests. Verdicts and document-order items of the one
+// route into an evaluator — parser records -> ReplayBatch ->
+// EngineFleet::ReplayRun — are checked against the brute-force matcher over
+// the DOM, an independent algorithm, across the axis corpus, chunked feeds,
+// single-event batches, random workloads and ParallelRouter workers. Where
+// brute force has no answer, the references are: standalone XaosEngines
+// (captured XML bytes), single-record batches, which replay every event as
+// a run of its own (the order early items reach the earliest-emission sink,
+// inert-engine skips), and a twin evaluator fed the records captured in
+// full (node ids and the dispatch counters — engines_skipped, EngineStats —
+// that capture-time element elision must leave unchanged). Plus the
+// pool-return double-release regression for mid-batch aborts, a failed
+// parse's records, the projection filter's reset, and the shared matcher's
+// set-interner reset.
 
 #include <algorithm>
 #include <cstdint>
@@ -21,10 +23,10 @@
 
 #include "baseline/brute_force_matcher.h"
 #include "baseline/compare.h"
-#include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
 #include "core/parallel_router.h"
 #include "core/shared_index.h"
+#include "core/xaos_engine.h"
 #include "dom/dom_builder.h"
 #include "gen/random_workload.h"
 #include "gtest/gtest.h"
@@ -124,80 +126,108 @@ void ExpectEqualsBruteForce(const Evaluator& evaluator,
   }
 }
 
-// Runs `expressions` over `xml` through a BatchedDispatcher in front of a
-// MultiQueryEvaluator and through per-event delivery into another, and
-// requires both to equal brute force. `batch_events` shrinks the batch
-// budget so documents span many batches; `chunk` feeds the parser in
-// chunk-byte slices (0 = one shot).
-void ExpectBothRoutesMatchBruteForce(
-    const std::vector<std::string>& expressions, const std::string& xml,
-    size_t chunk = 0, size_t batch_events = 8) {
-  std::vector<core::Query> queries = CompileAll(expressions);
-  ASSERT_EQ(queries.size(), expressions.size());
-  core::MultiQueryEvaluator batched;
-  core::MultiQueryEvaluator per_event;
-  for (const core::Query& query : queries) {
-    batched.AddQuery(query);
-    per_event.AddQuery(query);
+// Feeds `evaluator` the parser's records captured in full — no element
+// elision, no lean payload — through ReplayBatch: the reference the
+// evaluator's own elided records must match in node ids, the dispatch
+// counters and EngineStats.
+class FullCapture : public xml::EventBatcher,
+                    private xml::RecordWriter::Sink {
+ public:
+  explicit FullCapture(core::MultiQueryEvaluator* evaluator)
+      : xml::EventBatcher(this, 256, 32 * 1024), evaluator_(evaluator) {}
+
+ private:
+  xml::EventBatch* AcquireBatch() override { return &batch_; }
+  void PublishBatch(xml::EventBatch* batch) override {
+    if (!batch->aborts_document()) evaluator_->ReplayBatch(*batch, &scratch_);
+    batch->Clear();
   }
 
-  core::BatchedDispatchOptions dispatch_options;
-  dispatch_options.max_batch_events = batch_events;
-  core::BatchedDispatcher dispatcher(&batched, dispatch_options);
-  ParseInto(xml, &dispatcher, chunk);
-  ParseInto(xml, &per_event, chunk);
-  EXPECT_GT(dispatcher.batches_replayed(), 0u);
+  core::MultiQueryEvaluator* evaluator_;
+  xml::EventBatch batch_;
+  std::vector<xml::AttributeView> scratch_;
+};
+
+core::BatchedDispatchOptions Budget(size_t batch_events) {
+  core::BatchedDispatchOptions options;
+  options.max_batch_events = batch_events;
+  return options;
+}
+
+// Runs `expressions` over `xml` through a MultiQueryEvaluator and requires
+// it to equal brute force. `batch_events` shrinks the batch budget so
+// documents span many batches; `chunk` feeds the parser in chunk-byte
+// slices (0 = one shot).
+void ExpectMatchesBruteForce(const std::vector<std::string>& expressions,
+                             const std::string& xml, size_t chunk = 0,
+                             size_t batch_events = 8) {
+  std::vector<core::Query> queries = CompileAll(expressions);
+  ASSERT_EQ(queries.size(), expressions.size());
+  core::MultiQueryEvaluator evaluator({}, Budget(batch_events));
+  for (const core::Query& query : queries) evaluator.AddQuery(query);
+  ParseInto(xml, &evaluator, chunk);
+  EXPECT_GT(evaluator.batches_replayed(), 0u);
 
   const std::vector<Expected> expected = BruteForce(queries, xml);
-  ExpectEqualsBruteForce(batched, queries, expected, "batched");
-  ExpectEqualsBruteForce(per_event, queries, expected, "per-event");
+  ExpectEqualsBruteForce(evaluator, queries, expected, "batched");
   for (size_t q = 0; q < queries.size(); ++q) {
     // Confirmation is monotone and complete by document end.
-    EXPECT_EQ(batched.Matched(q), batched.MatchConfirmed(q))
+    EXPECT_EQ(evaluator.Matched(q), evaluator.MatchConfirmed(q))
         << expressions[q];
   }
 }
 
 TEST(BatchedDifferentialTest, AxisCorpus) {
-  ExpectBothRoutesMatchBruteForce(AxisExpressions(), kAxisDoc);
+  ExpectMatchesBruteForce(AxisExpressions(), kAxisDoc);
+  // DOM replay (the paper's χαoς(DOM) configuration) reaches the same
+  // record writer through the evaluator's ContentHandler adapter.
+  const std::vector<std::string> expressions = AxisExpressions();
+  const std::vector<core::Query> queries = CompileAll(expressions);
+  const std::vector<Expected> expected = BruteForce(queries, kAxisDoc);
+  StatusOr<dom::Document> doc = dom::ParseToDocument(kAxisDoc);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  for (size_t q = 0; q < expressions.size(); ++q) {
+    StatusOr<core::QueryResult> result =
+        core::EvaluateOnDocument(expressions[q], *doc);
+    ASSERT_TRUE(result.ok()) << expressions[q] << ": " << result.status();
+    EXPECT_EQ(expected[q].matched, result->matched) << expressions[q];
+    EXPECT_EQ(expected[q].items, baseline::CanonicalFromResult(*result))
+        << expressions[q];
+  }
 }
 
 TEST(BatchedDifferentialTest, ChunkedFeeds) {
   // Chunked feeds shift where batch publishes land relative to element
   // boundaries; results must not care.
   for (size_t chunk : {1u, 7u, 64u}) {
-    ExpectBothRoutesMatchBruteForce(AxisExpressions(), kAxisDoc, chunk);
+    ExpectMatchesBruteForce(AxisExpressions(), kAxisDoc, chunk);
   }
 }
 
 TEST(BatchedDifferentialTest, SingleEventBatches) {
   // Degenerate budget: one event per batch maximizes boundary crossings.
-  ExpectBothRoutesMatchBruteForce(AxisExpressions(), kAxisDoc, /*chunk=*/0,
-                                  /*batch_events=*/1);
+  ExpectMatchesBruteForce(AxisExpressions(), kAxisDoc, /*chunk=*/0,
+                          /*batch_events=*/1);
 }
 
 TEST(BatchedDifferentialTest, CapturesAreByteIdentical) {
   // Subtree capture disables the shared backend and keeps engines in the
   // always-dispatch set; captured XML must match byte-for-byte (brute force
-  // yields no captures, so the per-event route is the reference here).
+  // yields no captures, so a standalone engine per query, numbering nodes
+  // with its own cursor, is the reference here).
   std::vector<std::string> expressions = {"//b/c", "//e", "/a/b"};
   std::vector<core::Query> queries = CompileAll(expressions);
   ASSERT_EQ(queries.size(), expressions.size());
   core::EngineOptions options;
   options.capture_output_subtrees = true;
-  core::MultiQueryEvaluator batched(options);
-  core::MultiQueryEvaluator per_event(options);
-  for (const core::Query& query : queries) {
-    batched.AddQuery(query);
-    per_event.AddQuery(query);
-  }
-  core::BatchedDispatchOptions dispatch_options;
-  dispatch_options.max_batch_events = 4;
-  core::BatchedDispatcher dispatcher(&batched, dispatch_options);
-  ParseInto(kAxisDoc, &dispatcher, 0);
-  ParseInto(kAxisDoc, &per_event, 0);
+  core::MultiQueryEvaluator batched(options, Budget(4));
+  for (const core::Query& query : queries) batched.AddQuery(query);
+  ParseInto(kAxisDoc, &batched, 0);
   for (size_t q = 0; q < queries.size(); ++q) {
-    core::QueryResult expected = per_event.Result(q);
+    ASSERT_EQ(queries[q].trees().size(), 1u) << expressions[q];
+    core::XaosEngine engine(&queries[q].trees()[0], options);
+    ParseInto(kAxisDoc, &engine, 0);
+    const core::QueryResult& expected = engine.result();
     core::QueryResult actual = batched.Result(q);
     ASSERT_EQ(expected.items.size(), actual.items.size()) << expressions[q];
     for (size_t i = 0; i < expected.items.size(); ++i) {
@@ -209,48 +239,42 @@ TEST(BatchedDifferentialTest, CapturesAreByteIdentical) {
 }
 
 TEST(BatchedDifferentialTest, EarliestEmissionOrderMatches) {
-  // Early items reach the sink in the same order on both routes: batched
-  // replay feeds engines one at a time, but buffers their early items and
-  // releases them in per-event order. Brute force has no notion of
-  // emission order.
+  // Early items reach the sink in per-event order: batched replay feeds
+  // engines one at a time, but buffers their early items and releases them
+  // by (event, engine). Single-record batches replay each event as a run
+  // of its own, the reference order. Brute force has no notion of emission
+  // order.
   StatusOr<core::Query> query = core::Query::Compile("//b | //c");
   ASSERT_TRUE(query.ok());
-  auto run = [&](const std::string& xml, bool batched_path,
-                 size_t batch_events) {
+  auto run = [&](const std::string& xml, size_t batch_events) {
     std::vector<core::ElementId> emitted;
     core::EngineOptions options;
     options.enable_shared_index = false;  // the sink is an engine feature
     options.early_item_sink = [&](const core::OutputItem& item) {
       emitted.push_back(item.info.id);
     };
-    core::MultiQueryEvaluator evaluator(options);
+    core::MultiQueryEvaluator evaluator(options, Budget(batch_events));
     evaluator.AddQuery(*query);
-    if (batched_path) {
-      core::BatchedDispatchOptions dispatch_options;
-      dispatch_options.max_batch_events = batch_events;
-      core::BatchedDispatcher dispatcher(&evaluator, dispatch_options);
-      ParseInto(xml, &dispatcher, 0);
-    } else {
-      ParseInto(xml, &evaluator, 0);
-    }
+    ParseInto(xml, &evaluator, 0);
     return emitted;
   };
-  std::vector<core::ElementId> per_event = run(kAxisDoc, false, 0);
+  std::vector<core::ElementId> per_event = run(kAxisDoc, 1);
   EXPECT_FALSE(per_event.empty());
-  EXPECT_EQ(per_event, run(kAxisDoc, true, 4));
+  EXPECT_EQ(per_event, run(kAxisDoc, 4));
+  EXPECT_EQ(per_event, run(kAxisDoc, 256));
 
   // Both disjunct engines emit within one batch; the //b engine comes
   // first in the fleet, yet the //c item of the earlier event goes first.
   const std::string interleaved = "<r><c/><b/><c/></r>";
   const std::vector<core::ElementId> expected = {2, 3, 4};
-  EXPECT_EQ(run(interleaved, false, 0), expected);
-  EXPECT_EQ(run(interleaved, true, 256), expected);
+  EXPECT_EQ(run(interleaved, 1), expected);
+  EXPECT_EQ(run(interleaved, 256), expected);
 }
 
 TEST(BatchedDifferentialTest, StopAfterConfirmedMatchSkipsAlike) {
   // Engines that turn inert mid-run (stop_after_confirmed_match) have
   // their remaining starts counted as skipped, exactly as per-event
-  // delivery skips them.
+  // delivery (single-record batches) skips them.
   std::vector<std::string> expressions = AxisExpressions();
   std::string doc = "<a>";
   for (int i = 0; i < 40; ++i) {
@@ -264,18 +288,15 @@ TEST(BatchedDifferentialTest, StopAfterConfirmedMatchSkipsAlike) {
     core::EngineOptions options;
     options.enable_shared_index = false;
     options.stop_after_confirmed_match = true;
-    core::MultiQueryEvaluator batched(options);
-    core::MultiQueryEvaluator per_event(options);
+    core::MultiQueryEvaluator batched(options, Budget(batch_events));
+    core::MultiQueryEvaluator per_event(options, Budget(1));
     for (const core::Query& query : queries) {
       batched.AddQuery(query);
       per_event.AddQuery(query);
     }
-    core::BatchedDispatchOptions dispatch_options;
-    dispatch_options.max_batch_events = batch_events;
-    core::BatchedDispatcher dispatcher(&batched, dispatch_options);
     // Two documents: inertness must reset between them.
     for (int round = 0; round < 2; ++round) {
-      ParseInto(doc, &dispatcher, 0);
+      ParseInto(doc, &batched, 0);
       ParseInto(doc, &per_event, 0);
       for (size_t q = 0; q < queries.size(); ++q) {
         EXPECT_EQ(expected[q].matched, batched.Matched(q))
@@ -295,46 +316,43 @@ TEST(BatchedDifferentialTest, ReplayScratchStaysUnderCap) {
   // deliveries in one run; the run is split at the cap instead.
   core::EngineOptions options;
   options.enable_shared_index = false;
-  core::MultiQueryEvaluator batched(options);
-  core::MultiQueryEvaluator per_event(options);
+  core::MultiQueryEvaluator batched(options, Budget(256));
+  core::MultiQueryEvaluator full(options);
   for (int i = 0; i < 300; ++i) {
     StatusOr<core::Query> query =
         core::Query::Compile("//b/c" + std::to_string(i));
     ASSERT_TRUE(query.ok());
     batched.AddQuery(*query);
-    per_event.AddQuery(*query);
+    full.AddQuery(*query);
   }
   std::string doc = "<r>";
   for (int i = 0; i < 300; ++i) {
     doc += i % 7 == 0 ? "<b><c" + std::to_string(i) + "/></b>" : "<b/>";
   }
   doc += "</r>";
-  core::BatchedDispatchOptions dispatch_options;
-  dispatch_options.max_batch_events = 256;
-  core::BatchedDispatcher dispatcher(&batched, dispatch_options);
-  ParseInto(doc, &dispatcher, 0);
-  ParseInto(doc, &per_event, 0);
+  ParseInto(doc, &batched, 0);
+  FullCapture full_capture(&full);
+  ParseInto(doc, &full_capture, 0);
   const size_t peak = batched.fleet().run_deliveries_peak();
   EXPECT_GT(peak, 0u);
   EXPECT_LE(peak, core::EngineFleet::kMaxRunDeliveries);
   for (size_t q = 0; q < 300; ++q) {
     EXPECT_EQ(q % 7 == 0, batched.Matched(q)) << q;
-    EXPECT_EQ(q % 7 == 0, per_event.Matched(q)) << q;
+    EXPECT_EQ(q % 7 == 0, full.Matched(q)) << q;
   }
-  EXPECT_EQ(per_event.engines_skipped(), batched.engines_skipped());
+  EXPECT_EQ(full.engines_skipped(), batched.engines_skipped());
 }
 
 TEST(BatchedDifferentialTest, FlushExposesMidStreamVerdicts) {
   StatusOr<core::Query> query = core::Query::Compile("/a/b/c");
   ASSERT_TRUE(query.ok());
-  core::MultiQueryEvaluator evaluator;
+  // 1024 records: nothing publishes on its own.
+  core::MultiQueryEvaluator evaluator({}, Budget(1024));
   size_t q = evaluator.AddQuery(*query);
-  core::BatchedDispatchOptions options;
-  options.max_batch_events = 1024;  // nothing publishes on its own
-  core::BatchedDispatcher dispatcher(&evaluator, options);
-  xml::SaxParser parser(&dispatcher);
+  xml::SaxParser parser(&evaluator);
   ASSERT_TRUE(parser.Feed("<a><b><c/>").ok());
-  dispatcher.Flush();
+  EXPECT_FALSE(evaluator.MatchConfirmed(q));
+  evaluator.Flush();
   EXPECT_TRUE(evaluator.MatchConfirmed(q));
   ASSERT_TRUE(parser.Feed("</b></a>").ok());
   ASSERT_TRUE(parser.Finish().ok());
@@ -365,8 +383,8 @@ TEST_P(BatchedRandomDifferentialTest, MatchesBruteForce) {
     documents.push_back(workload->document);
   }
   for (const std::string& document : documents) {
-    ExpectBothRoutesMatchBruteForce(expressions, document, /*chunk=*/0,
-                                    /*batch_events=*/64);
+    ExpectMatchesBruteForce(expressions, document, /*chunk=*/0,
+                            /*batch_events=*/64);
   }
 }
 
@@ -386,8 +404,7 @@ TEST(BatchedParallelTest, WorkersMatchBruteForce) {
   const std::vector<Expected> expected = BruteForce(queries, kAxisDoc);
 
   for (int workers : {1, 2, 4}) {
-    // Each worker runs a BatchedDispatcher of its own: these are the
-    // batches its evaluator replays.
+    // Each worker's evaluator consumes its own parser's records.
     core::ParallelRouter router(
         workers, [&](size_t, const core::MultiQueryEvaluator& evaluator) {
           ExpectEqualsBruteForce(evaluator, queries, expected,
@@ -404,23 +421,20 @@ TEST(BatchedParallelTest, WorkersMatchBruteForce) {
 TEST(BatchedAbortTest, AbortMidBatchDiscardsBufferedEvents) {
   StatusOr<core::Query> query = core::Query::Compile("/a/b/c");
   ASSERT_TRUE(query.ok());
-  core::MultiQueryEvaluator evaluator;
+  // 1024 records: the whole document stays buffered.
+  core::MultiQueryEvaluator evaluator({}, Budget(1024));
   size_t q = evaluator.AddQuery(*query);
-  core::BatchedDispatchOptions options;
-  options.max_batch_events = 1024;  // keep the whole document buffered
-  core::BatchedDispatcher dispatcher(&evaluator, options);
 
-  xml::SaxParser parser(&dispatcher);
+  xml::SaxParser parser(&evaluator);
   ASSERT_TRUE(parser.Feed("<a><b><c/></b>").ok());
-  dispatcher.AbortDocument(InternalError("producer died"));
+  evaluator.AbortDocument(InternalError("producer died"));
   // The buffered partial capture never reached the engines.
-  EXPECT_EQ(dispatcher.batches_replayed(), 0u);
+  EXPECT_EQ(evaluator.batches_replayed(), 0u);
   EXPECT_FALSE(evaluator.Matched(q));
   EXPECT_FALSE(evaluator.status().ok());
 
-  // The dispatcher and its pool stay reusable.
-  core::BatchedDispatcher fresh_parse_helper(&evaluator);
-  ParseInto("<a><b><c/></b></a>", &fresh_parse_helper, 0);
+  // The evaluator and its pool stay reusable.
+  ParseInto("<a><b><c/></b></a>", &evaluator, 0);
   EXPECT_TRUE(evaluator.Matched(q));
 }
 
@@ -434,33 +448,29 @@ TEST(BatchedAbortTest, ReentrantAbortDoesNotDoubleReleaseBatch) {
   ASSERT_TRUE(query.ok());
   core::EngineOptions options;
   options.enable_shared_index = false;  // engine backend drives the sink
-  core::MultiQueryEvaluator evaluator(options);
+  core::MultiQueryEvaluator evaluator(options, Budget(4));
   size_t q = evaluator.AddQuery(*query);
 
-  core::BatchedDispatchOptions dispatch_options;
-  dispatch_options.max_batch_events = 4;
-  core::BatchedDispatcher dispatcher(&evaluator, dispatch_options);
   bool aborted = false;
   // Rebuild the evaluator's sink after construction is impossible (options
   // are copied), so drive the abort from the parse loop instead: feed
   // events until the first batch replayed, then abort mid-document.
-  xml::SaxParser parser(&dispatcher);
+  xml::SaxParser parser(&evaluator);
   // 4 events fill the batch: StartDocument, <a>, <x>, <c> — the last one
   // triggers the publish + replay.
   ASSERT_TRUE(parser.Feed("<a><x><c>").ok());
-  ASSERT_GE(dispatcher.batches_replayed(), 1u);
-  dispatcher.AbortDocument(InternalError("mid-batch failure"));
+  ASSERT_GE(evaluator.batches_replayed(), 1u);
+  evaluator.AbortDocument(InternalError("mid-batch failure"));
   aborted = true;
   EXPECT_TRUE(aborted);
   // One distinct batch may sit in the free pool per acquisition; duplicate
   // entries would exceed the number of batches ever created.
-  EXPECT_LE(dispatcher.pool_free_for_test(), 2u);
+  EXPECT_LE(evaluator.pool_free_for_test(), 2u);
 
   // Reuse after the abort: correctness proves no two "free" handles alias
   // the same arena.
   for (int doc = 0; doc < 3; ++doc) {
-    core::BatchedDispatcher reuse(&evaluator, dispatch_options);
-    ParseInto("<a><x><c/></x></a>", &reuse, 0);
+    ParseInto("<a><x><c/></x></a>", &evaluator, 0);
     EXPECT_TRUE(evaluator.Matched(q));
   }
 }
@@ -532,34 +542,27 @@ TEST(SharedMatcherResetTest, ResetMidDocumentMatchesBruteForce) {
   const std::string doc = DeepDocument(kDepth);
   const std::vector<Expected> expected = BruteForce(queries, doc);
 
-  for (const bool batched : {true, false}) {
-    const std::string route = batched ? "batched" : "per-event";
-    core::MultiQueryEvaluator evaluator;
-    for (const core::Query& query : queries) evaluator.AddQuery(query);
-    ASSERT_EQ(evaluator.shared_subscription_count(), queries.size());
-    core::BatchedDispatchOptions dispatch_options;
-    dispatch_options.max_batch_events = 1;  // bound checked per event
-    core::BatchedDispatcher dispatcher(&evaluator, dispatch_options);
-    xml::ContentHandler* entry =
-        batched ? static_cast<xml::ContentHandler*>(&dispatcher) : &evaluator;
+  // One record per batch: the bound is checked after every event.
+  core::MultiQueryEvaluator evaluator({}, Budget(1));
+  for (const core::Query& query : queries) evaluator.AddQuery(query);
+  ASSERT_EQ(evaluator.shared_subscription_count(), queries.size());
 
-    // A minimal first document builds the matcher so its limit can be
-    // pinned before the deep document arrives.
-    ParseInto("<zzz/>", entry, 0);
-    core::SharedMatcher* matcher = evaluator.shared_matcher_for_test();
-    ASSERT_NE(matcher, nullptr);
-    matcher->set_flat_set_limit_for_test(kLimit);
+  // A minimal first document builds the matcher so its limit can be
+  // pinned before the deep document arrives.
+  ParseInto("<zzz/>", &evaluator, 0);
+  core::SharedMatcher* matcher = evaluator.shared_matcher_for_test();
+  ASSERT_NE(matcher, nullptr);
+  matcher->set_flat_set_limit_for_test(kLimit);
 
-    BoundCheckingHandler checked(entry, &evaluator, kLimit);
-    // Twice: the second document starts from the rebased universe.
-    for (int round = 0; round < 2; ++round) {
-      ParseInto(doc, &checked, 0);
-      ExpectEqualsBruteForce(evaluator, queries, expected,
-                             route + " round " + std::to_string(round));
-    }
-    EXPECT_GT(matcher->universe_resets(), 0u) << route;
-    EXPECT_EQ(checked.max_depth(), static_cast<size_t>(kDepth));
+  BoundCheckingHandler checked(&evaluator, &evaluator, kLimit);
+  // Twice: the second document starts from the rebased universe.
+  for (int round = 0; round < 2; ++round) {
+    ParseInto(doc, &checked, 0);
+    ExpectEqualsBruteForce(evaluator, queries, expected,
+                           "round " + std::to_string(round));
   }
+  EXPECT_GT(matcher->universe_resets(), 0u);
+  EXPECT_EQ(checked.max_depth(), static_cast<size_t>(kDepth));
 }
 
 TEST(SharedMatcherResetTest, InternedSetsStayBoundedAcrossDocuments) {
@@ -583,18 +586,15 @@ TEST(SharedMatcherResetTest, InternedSetsStayBoundedAcrossDocuments) {
     }
   }
   const std::vector<core::Query> queries = CompileAll(expressions);
-  core::MultiQueryEvaluator evaluator;
+  core::MultiQueryEvaluator evaluator({}, Budget(1));
   for (const core::Query& query : queries) evaluator.AddQuery(query);
   ASSERT_EQ(evaluator.shared_subscription_count(), queries.size());
-  core::BatchedDispatchOptions dispatch_options;
-  dispatch_options.max_batch_events = 1;
-  core::BatchedDispatcher dispatcher(&evaluator, dispatch_options);
-  ParseInto("<zzz/>", &dispatcher, 0);
+  ParseInto("<zzz/>", &evaluator, 0);
   core::SharedMatcher* matcher = evaluator.shared_matcher_for_test();
   ASSERT_NE(matcher, nullptr);
   matcher->set_flat_set_limit_for_test(kLimit);
 
-  BoundCheckingHandler checked(&dispatcher, &evaluator, kLimit);
+  BoundCheckingHandler checked(&evaluator, &evaluator, kLimit);
   // Random trees of ~40 elements, up to 10 deep.
   auto random_document = [&] {
     std::string doc;
@@ -639,8 +639,7 @@ TEST(SharedMatcherResetTest, StepCacheHitsAccumulate) {
   std::string doc = "<a>";
   for (int i = 0; i < 200; ++i) doc += "<b><c/></b>";
   doc += "</a>";
-  core::BatchedDispatcher dispatcher(&batched);
-  ParseInto(doc, &dispatcher, 0);
+  ParseInto(doc, &batched, 0);
   core::SharedMatcher* matcher = batched.shared_matcher_for_test();
   ASSERT_NE(matcher, nullptr);
   EXPECT_EQ(matcher->universe_resets(), 0u);
@@ -712,6 +711,41 @@ TEST(ElisionCaptureTest, RecordsGapsAndElidedAncestors) {
   }
 }
 
+TEST(BatchedAbortTest, FailedParseRecordsNeverReachTheNextDocument) {
+  // Regression: a parse that failed without AbortDocument left its
+  // unpublished records in the writer, and the next document's first
+  // publish replayed them ahead of its own.
+  const std::string failing = "<r><a><b/></a><c></x></c></r>";
+  const std::string next = "<z><y/></z>";
+  RecordingSink sink;
+  xml::EventBatcher batcher(&sink, 256, 32 * 1024);
+  EXPECT_FALSE(xml::ParseString(failing, &batcher).ok());
+  ASSERT_TRUE(xml::ParseString(next, &batcher).ok());
+  using Kind = xml::BatchedEvent::Kind;
+  std::vector<Kind> kinds;
+  for (const xml::BatchedEvent& record : sink.records) {
+    kinds.push_back(record.kind);
+  }
+  EXPECT_EQ(kinds, (std::vector<Kind>{Kind::kStartDocument,
+                                      Kind::kStartElement, Kind::kStartElement,
+                                      Kind::kEndElement, Kind::kEndElement,
+                                      Kind::kEndDocument}));
+
+  // The same through an evaluator: the early-item sink fired during the
+  // second parse for the failed document's <a>.
+  StatusOr<core::Query> query = core::Query::Compile("//a[b]");
+  ASSERT_TRUE(query.ok());
+  int early_items = 0;
+  core::EngineOptions options;
+  options.early_item_sink = [&](const core::OutputItem&) { ++early_items; };
+  core::StreamingEvaluator evaluator(*query, options);
+  EXPECT_FALSE(xml::ParseString(failing, &evaluator).ok());
+  early_items = 0;
+  ASSERT_TRUE(xml::ParseString(next, &evaluator).ok());
+  EXPECT_EQ(early_items, 0);
+  EXPECT_FALSE(evaluator.Result().matched);
+}
+
 // Engine-backed subscriptions only: no shared matcher, so elision is on
 // whenever no engine is always-dispatch or reads text.
 core::EngineOptions EngineBacked() {
@@ -725,12 +759,12 @@ struct ElisionOutcome {
   std::string off_reason;  // empty when elision was on
 };
 
-// Runs `expressions` over each of `documents` in turn, through a
-// BatchedDispatcher (which elides whenever that is exact) and per-event
-// into a twin evaluator, with each evaluator's own projection filter when
-// `projection`. Requires verdicts and items (ordinals) to equal brute
-// force, and item node ids, engines_skipped() and the EngineStats element
-// counts to equal the per-event twin's after every document.
+// Runs `expressions` over each of `documents` in turn, through an
+// evaluator (which elides whenever that is exact) and through a twin fed
+// the records captured in full, with each evaluator's own projection
+// filter when `projection`. Requires verdicts and items (ordinals) to equal
+// brute force, and item node ids, engines_skipped() and the EngineStats
+// element counts to equal the full-capture twin's after every document.
 ElisionOutcome ExpectElisionExact(const std::vector<std::string>& expressions,
                                   const std::vector<std::string>& documents,
                                   size_t batch_events,
@@ -738,20 +772,18 @@ ElisionOutcome ExpectElisionExact(const std::vector<std::string>& expressions,
                                   bool projection = false) {
   std::vector<core::Query> queries = CompileAll(expressions);
   EXPECT_EQ(queries.size(), expressions.size());
-  core::MultiQueryEvaluator batched(options);
-  core::MultiQueryEvaluator per_event(options);
+  core::MultiQueryEvaluator batched(options, Budget(batch_events));
+  core::MultiQueryEvaluator full(options);
   for (const core::Query& query : queries) {
     batched.AddQuery(query);
-    per_event.AddQuery(query);
+    full.AddQuery(query);
   }
-  core::BatchedDispatchOptions dispatch_options;
-  dispatch_options.max_batch_events = batch_events;
-  core::BatchedDispatcher dispatcher(&batched, dispatch_options);
+  FullCapture full_capture(&full);
   xml::ParserOptions batched_parse;
-  xml::ParserOptions per_event_parse;
+  xml::ParserOptions full_parse;
   if (projection) {
     batched_parse.projection_filter = batched.projection_filter();
-    per_event_parse.projection_filter = per_event.projection_filter();
+    full_parse.projection_filter = full.projection_filter();
     EXPECT_NE(batched_parse.projection_filter, nullptr);
   }
   // Every document under each chunk schedule: 1 byte, 7 bytes, 64 KB and
@@ -762,7 +794,7 @@ ElisionOutcome ExpectElisionExact(const std::vector<std::string>& expressions,
                                 std::to_string(batch_events) + ", chunk " +
                                 std::to_string(chunk);
       {
-        xml::SaxParser parser(&dispatcher, batched_parse);
+        xml::SaxParser parser(&batched, batched_parse);
         Status status;
         for (size_t at = 0; chunk != 0 && at < doc.size() && status.ok();
              at += chunk) {
@@ -772,11 +804,11 @@ ElisionOutcome ExpectElisionExact(const std::vector<std::string>& expressions,
         if (status.ok()) status = parser.Finish();
         EXPECT_TRUE(status.ok()) << route << ": " << status;
       }
-      EXPECT_TRUE(xml::ParseString(doc, &per_event, per_event_parse).ok());
+      EXPECT_TRUE(xml::ParseString(doc, &full_capture, full_parse).ok());
       ExpectEqualsBruteForce(batched, queries, BruteForce(queries, doc),
                              route + ", " + doc);
       for (size_t q = 0; q < queries.size(); ++q) {
-        const core::QueryResult want = per_event.Result(q);
+        const core::QueryResult want = full.Result(q);
         const core::QueryResult got = batched.Result(q);
         EXPECT_EQ(want.items.size(), got.items.size()) << route;
         for (size_t i = 0; i < std::min(want.items.size(), got.items.size());
@@ -785,16 +817,16 @@ ElisionOutcome ExpectElisionExact(const std::vector<std::string>& expressions,
               << route << ", " << expressions[q] << " item " << i;
         }
       }
-      EXPECT_EQ(per_event.engines_skipped(), batched.engines_skipped())
+      EXPECT_EQ(full.engines_skipped(), batched.engines_skipped())
           << route << ", " << doc;
-      const core::EngineStats want = per_event.AggregateStats();
+      const core::EngineStats want = full.AggregateStats();
       const core::EngineStats got = batched.AggregateStats();
       EXPECT_EQ(want.elements_total, got.elements_total) << route;
       EXPECT_EQ(want.elements_discarded, got.elements_discarded) << route;
     }
   }
   ElisionOutcome outcome;
-  outcome.events_elided = dispatcher.events_elided();
+  outcome.events_elided = batched.events_elided();
   const char* reason = batched.elision_off_reason();
   outcome.off_reason = reason != nullptr ? reason : "";
   return outcome;
@@ -891,6 +923,20 @@ TEST(ElisionTest, OffWhereItWouldNotBeExact) {
   }
 }
 
+TEST(ElisionTest, ParseStringTakesTheElidedRecordPath) {
+  // Handing the evaluator itself to the parser is the production path:
+  // records are written straight into its writer, <c> is elided.
+  const std::vector<std::string> expressions = {"//b/ancestor::a"};
+  std::vector<core::Query> queries = CompileAll(expressions);
+  core::MultiQueryEvaluator evaluator;
+  for (const core::Query& query : queries) evaluator.AddQuery(query);
+  const std::string doc = "<a><b><c/></b><b/></a>";
+  ASSERT_TRUE(xml::ParseString(doc, &evaluator).ok());
+  EXPECT_GT(evaluator.events_elided(), 0u);
+  ExpectEqualsBruteForce(evaluator, queries, BruteForce(queries, doc),
+                         "ParseString");
+}
+
 TEST(ElisionTest, FirstDocumentSeesTheSharedMatcher) {
   // The shared index is built at the first document's StartDocument. If
   // the interest were read before it, the first document would be elided
@@ -899,13 +945,12 @@ TEST(ElisionTest, FirstDocumentSeesTheSharedMatcher) {
   std::vector<core::Query> queries = CompileAll(expressions);
   core::MultiQueryEvaluator evaluator;
   for (const core::Query& query : queries) evaluator.AddQuery(query);
-  core::BatchedDispatcher dispatcher(&evaluator);
   const std::string doc = "<a><x><b/></x></a>";
-  ParseInto(doc, &dispatcher, 0);
+  ParseInto(doc, &evaluator, 0);
   ExpectEqualsBruteForce(evaluator, queries, BruteForce(queries, doc),
                          "first document");
   EXPECT_TRUE(evaluator.Matched(0));
-  EXPECT_EQ(dispatcher.events_elided(), 0u);
+  EXPECT_EQ(evaluator.events_elided(), 0u);
 }
 
 TEST(ElisionTest, AbortMidElidedStretchThenCleanDocument) {
@@ -914,31 +959,29 @@ TEST(ElisionTest, AbortMidElidedStretchThenCleanDocument) {
   const std::string clean = "<a><x><b/>t</x><y/><b/></a>";
   const std::vector<Expected> expected = BruteForce(queries, clean);
   for (size_t budget : {1u, 3u, 256u}) {
-    core::MultiQueryEvaluator batched(EngineBacked());
-    core::MultiQueryEvaluator per_event(EngineBacked());
+    core::MultiQueryEvaluator batched(EngineBacked(), Budget(budget));
+    core::MultiQueryEvaluator full(EngineBacked());
     for (const core::Query& query : queries) {
       batched.AddQuery(query);
-      per_event.AddQuery(query);
+      full.AddQuery(query);
     }
-    core::BatchedDispatchOptions dispatch_options;
-    dispatch_options.max_batch_events = budget;
-    core::BatchedDispatcher dispatcher(&batched, dispatch_options);
     {
       // <x> and <y> are open, elided and unrecorded when the producer
       // gives up.
-      xml::SaxParser parser(&dispatcher);
+      xml::SaxParser parser(&batched);
       ASSERT_TRUE(parser.Feed("<a><b/><x>t<y>").ok());
-      dispatcher.AbortDocument(InternalError("producer died"));
+      batched.AbortDocument(InternalError("producer died"));
     }
     const uint64_t skipped_before = batched.engines_skipped();
-    ParseInto(clean, &dispatcher, 0);
-    ParseInto(clean, &per_event, 0);
+    ParseInto(clean, &batched, 0);
+    FullCapture full_capture(&full);
+    ParseInto(clean, &full_capture, 0);
     ExpectEqualsBruteForce(batched, queries, expected,
                            "after abort, budget " + std::to_string(budget));
     EXPECT_EQ(batched.engines_skipped() - skipped_before,
-              per_event.engines_skipped());
+              full.engines_skipped());
     EXPECT_EQ(batched.AggregateStats().elements_total,
-              per_event.AggregateStats().elements_total);
+              full.AggregateStats().elements_total);
   }
 }
 
@@ -965,8 +1008,8 @@ TEST(ElisionTest, RandomWorkloadsMatchBruteForce) {
 // --- projection filter reset ------------------------------------------------
 
 TEST(BatchedProjectionTest, FilterResetsWhenTheParserStartsADocument) {
-  // Regression: the evaluator used to reset its projection gate in its own
-  // StartDocument, which the dispatcher replays only when the first batch
+  // Regression: the evaluator used to reset its projection gate in its
+  // replay-side document start, which runs only when the first batch
   // publishes. With a 3-record budget that is just after <a> opened: the
   // reset dropped the gate's kept-subtree watermark, so <q> (and the <b>
   // inside it) was skipped and /r/a//b missed its match.
@@ -974,18 +1017,15 @@ TEST(BatchedProjectionTest, FilterResetsWhenTheParserStartsADocument) {
   for (const bool shared : {true, false}) {
     core::EngineOptions options;
     options.enable_shared_index = shared;
-    core::MultiQueryEvaluator evaluator(options);
+    core::MultiQueryEvaluator evaluator(options, Budget(3));
     StatusOr<core::Query> query = core::Query::Compile("/r/a//b");
     ASSERT_TRUE(query.ok());
     evaluator.AddQuery(*query);
-    core::BatchedDispatchOptions dispatch_options;
-    dispatch_options.max_batch_events = 3;
-    core::BatchedDispatcher dispatcher(&evaluator, dispatch_options);
     xml::ParserOptions parse;
     parse.projection_filter = evaluator.projection_filter();
     ASSERT_NE(parse.projection_filter, nullptr);
     for (int round = 0; round < 2; ++round) {
-      ASSERT_TRUE(xml::ParseString(doc, &dispatcher, parse).ok());
+      ASSERT_TRUE(xml::ParseString(doc, &evaluator, parse).ok());
       EXPECT_TRUE(evaluator.Matched(0)) << "shared " << shared;
     }
   }

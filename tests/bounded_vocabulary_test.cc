@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "baseline/brute_force_matcher.h"
-#include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
 #include "core/parallel_router.h"
 #include "dom/dom_builder.h"
@@ -266,11 +265,9 @@ void StreamThroughEvaluator(core::EngineOptions options) {
   for (const core::Query& query : queries) evaluator.AddQuery(query);
   EXPECT_EQ(evaluator.shared_subscription_count() > 0,
             options.enable_shared_index);
-  // The production event path: captured batches, devirtualized replay.
-  core::BatchedDispatcher dispatcher(&evaluator);
   std::vector<Observed> observed;
   for (const std::string& xml : DistinctNameStream()) {
-    Status status = xml::ParseString(xml, &dispatcher);
+    Status status = xml::ParseString(xml, &evaluator);
     EXPECT_TRUE(status.ok()) << status;
     observed.push_back(Observe(evaluator));
   }

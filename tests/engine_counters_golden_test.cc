@@ -6,9 +6,8 @@
 // count below, for engines a document reaches and for the ones it never
 // reaches alike. Byte figures (structure_memory, arena_*) are not pinned.
 //
-// Two pools, both through the production path (SaxParser into a
-// BatchedDispatcher into one MultiQueryEvaluator, AbortDocument on a
-// rejected document):
+// Two pools, both through the production path (SaxParser into one
+// MultiQueryEvaluator, AbortDocument on a rejected document):
 //   * hostile: 300 distinct random 6-node-test paths over 26 tag names
 //     (the paper's generator) and 16 generated documents carrying unknown
 //     names, one malformed and one over the depth limit;
@@ -26,7 +25,6 @@
 
 #include "baseline/brute_force_matcher.h"
 #include "baseline/compare.h"
-#include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
 #include "dom/dom_builder.h"
 #include "gen/random_workload.h"
@@ -146,7 +144,6 @@ std::string RunPool(const Pool& pool) {
     evaluator.AddQuery(*query);
     queries.push_back(std::move(*query));
   }
-  core::BatchedDispatcher dispatcher(&evaluator);
   xml::ParserOptions parser_options;
   parser_options.limits.max_depth = kMaxDepth;
   parser_options.projection_filter = evaluator.projection_filter();
@@ -154,8 +151,8 @@ std::string RunPool(const Pool& pool) {
   std::ostringstream dump;
   for (size_t d = 0; d < pool.documents.size(); ++d) {
     const std::string& text = pool.documents[d];
-    Status status = xml::ParseString(text, &dispatcher, parser_options);
-    if (!status.ok()) dispatcher.AbortDocument(status);
+    Status status = xml::ParseString(text, &evaluator, parser_options);
+    if (!status.ok()) evaluator.AbortDocument(status);
     dump << pool.name << " document " << d << ": "
          << StatusCodeToString(evaluator.status().code()) << "\n";
     for (size_t e = 0; e < evaluator.engine_count(); ++e) {

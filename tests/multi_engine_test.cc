@@ -11,7 +11,6 @@
 
 #include "baseline/brute_force_matcher.h"
 #include "baseline/compare.h"
-#include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
 #include "dom/dom_builder.h"
 #include "gen/random_workload.h"
@@ -154,7 +153,7 @@ TEST(StreamingEvaluatorTest, NeverRoutesThroughTheSharedAutomaton) {
 }
 
 // An `or` query runs one engine per disjunct; a node both disjuncts select
-// appears once. Direct and batched feeding both equal the brute-force union.
+// appears once, and the result equals the brute-force union.
 TEST(StreamingEvaluatorTest, OrUnionEqualsBruteForce) {
   const std::string xml =
       "<r><a><b/><c/></a><a><b/></a><a><c/></a><a><d/></a>"
@@ -174,25 +173,19 @@ TEST(StreamingEvaluatorTest, OrUnionEqualsBruteForce) {
   // Four `a`s match, two of them through both disjuncts.
   ASSERT_EQ(expected.size(), 4u);
 
-  core::StreamingEvaluator direct(*query);
-  ASSERT_TRUE(xml::ParseString(xml, &direct).ok());
-  core::StreamingEvaluator batched(*query);
-  core::BatchedDispatcher dispatcher(&batched);
-  ASSERT_TRUE(xml::ParseString(xml, &dispatcher).ok());
-  for (const core::StreamingEvaluator* evaluator : {&direct, &batched}) {
-    ASSERT_TRUE(evaluator->status().ok()) << evaluator->status();
-    EXPECT_TRUE(evaluator->Result().matched);
-    EXPECT_TRUE(evaluator->MatchConfirmed());
-    EXPECT_EQ(baseline::CanonicalFromResult(evaluator->Result()),
-              std::vector<CanonicalItem>(expected.begin(), expected.end()));
-  }
+  core::StreamingEvaluator evaluator(*query);
+  ASSERT_TRUE(xml::ParseString(xml, &evaluator).ok());
+  ASSERT_TRUE(evaluator.status().ok()) << evaluator.status();
+  EXPECT_TRUE(evaluator.Result().matched);
+  EXPECT_TRUE(evaluator.MatchConfirmed());
+  EXPECT_EQ(baseline::CanonicalFromResult(evaluator.Result()),
+            std::vector<CanonicalItem>(expected.begin(), expected.end()));
 }
 
 // --- names outside the query vocabulary ------------------------------------
 
-// Runs `expressions` through one MultiQueryEvaluator on the batched path
-// (per-engine or shared backend) over `document`; returns every query's
-// item names.
+// Runs `expressions` through one MultiQueryEvaluator (per-engine or shared
+// backend) over `document`; returns every query's item names.
 std::vector<std::vector<std::string>> RouteItemNames(
     const std::vector<std::string>& expressions, const std::string& document,
     bool shared_index) {
@@ -204,8 +197,7 @@ std::vector<std::vector<std::string>> RouteItemNames(
     EXPECT_TRUE(query.ok()) << expression;
     if (query.ok()) multi.AddQuery(*query);
   }
-  core::BatchedDispatcher dispatcher(&multi);
-  EXPECT_TRUE(xml::ParseString(document, &dispatcher).ok()) << document;
+  EXPECT_TRUE(xml::ParseString(document, &multi).ok()) << document;
   std::vector<std::vector<std::string>> names;
   for (size_t q = 0; q < multi.query_count(); ++q) {
     names.push_back(multi.Result(q).ItemNames());
@@ -240,11 +232,10 @@ TEST(UnknownNameTest, SubscriptionAddedBetweenDocumentsMatches) {
     core::EngineOptions options;
     options.enable_shared_index = shared;
     core::MultiQueryEvaluator multi(options);
-    core::BatchedDispatcher dispatcher(&multi);
     StatusOr<core::Query> root = core::Query::Compile("//late_root" + s);
     ASSERT_TRUE(root.ok());
     multi.AddQuery(*root);
-    ASSERT_TRUE(xml::ParseString(doc, &dispatcher).ok());
+    ASSERT_TRUE(xml::ParseString(doc, &multi).ok());
     EXPECT_TRUE(multi.Matched(0));
     EXPECT_EQ(util::SymbolTable::Global().Lookup("late_elem" + s),
               util::kInvalidSymbol);
@@ -256,7 +247,7 @@ TEST(UnknownNameTest, SubscriptionAddedBetweenDocumentsMatches) {
     ASSERT_TRUE(child.ok() && attr.ok());
     size_t q_child = multi.AddQuery(*child);
     size_t q_attr = multi.AddQuery(*attr);
-    ASSERT_TRUE(xml::ParseString(doc, &dispatcher).ok());
+    ASSERT_TRUE(xml::ParseString(doc, &multi).ok());
     EXPECT_TRUE(multi.Matched(0)) << "shared=" << shared;
     EXPECT_TRUE(multi.Matched(q_child)) << "shared=" << shared;
     EXPECT_TRUE(multi.Matched(q_attr)) << "shared=" << shared;
@@ -357,7 +348,6 @@ TEST(HotPathCountersTest, SubscriptionSeriesCoverExactlyTheMatchedSet) {
   core::EngineOptions options;
   options.metrics_registry = &registry;
   core::MultiQueryEvaluator multi(options);
-  core::BatchedDispatcher dispatcher(&multi);
   auto label = [](size_t q) {
     std::string text = "s";
     text += std::to_string(q);
@@ -373,7 +363,7 @@ TEST(HotPathCountersTest, SubscriptionSeriesCoverExactlyTheMatchedSet) {
   std::vector<uint64_t> matches(expressions.size(), 0);
   for (const char* doc :
        {"<a><b><c/></b></a>", "<a><b><d/></b></a>", "<x/>"}) {
-    ASSERT_TRUE(xml::ParseString(doc, &dispatcher).ok()) << doc;
+    ASSERT_TRUE(xml::ParseString(doc, &multi).ok()) << doc;
     size_t matched = 0;
     for (size_t q = 0; q < expressions.size(); ++q) {
       if (multi.Matched(q)) {
@@ -470,11 +460,10 @@ std::vector<core::Query> UntouchedPool() {
   return queries;
 }
 
-// Parses `xml` through batched dispatch, aborting on a rejection.
+// Parses `xml` into `ev`, aborting on a rejection.
 Status Feed(core::MultiQueryEvaluator* ev, const std::string& xml) {
-  core::BatchedDispatcher dispatcher(ev);
-  Status status = xml::ParseString(xml, &dispatcher);
-  if (!status.ok()) dispatcher.AbortDocument(status);
+  Status status = xml::ParseString(xml, ev);
+  if (!status.ok()) ev->AbortDocument(status);
   return status;
 }
 

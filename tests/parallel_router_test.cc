@@ -1,6 +1,6 @@
 // ParallelRouter tests: routing a stream of documents through N workers must
 // be observationally identical to the sequential production path (one
-// MultiQueryEvaluator behind a BatchedDispatcher) and to the brute-force
+// MultiQueryEvaluator fed by the parser) and to the brute-force
 // matcher — same verdicts and canonical items per document and query — with
 // every outcome delivered in submission order. Rejected documents carry
 // their own Status and leave their worker reusable, workers run batched

@@ -3,8 +3,8 @@
 // parse_status.golden, recorded before the parser wrote records itself.
 // Each input runs under four chunk schedules — 1 byte, 7 bytes, 64 KB and
 // the whole document — and through a plain ContentHandler and the
-// production stack (a BatchedDispatcher in front of an engine-backed
-// MultiQueryEvaluator), once with unanchored queries (element elision on,
+// production stack (an engine-backed MultiQueryEvaluator fed by the parser,
+// three records per batch), once with unanchored queries (element elision on,
 // nothing projected) and once with rooted ones (projection skips too), so
 // an error inside an elided or skipped element is pinned as well.
 //
@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
 #include "gen/random_workload.h"
 #include "gtest/gtest.h"
@@ -184,7 +183,10 @@ std::unique_ptr<core::MultiQueryEvaluator> Evaluator(
     const std::vector<std::string>& expressions) {
   core::EngineOptions engine_options;
   engine_options.enable_shared_index = false;
-  auto evaluator = std::make_unique<core::MultiQueryEvaluator>(engine_options);
+  core::BatchedDispatchOptions budget;
+  budget.max_batch_events = 3;
+  auto evaluator =
+      std::make_unique<core::MultiQueryEvaluator>(engine_options, budget);
   for (const std::string& expression : expressions) {
     StatusOr<core::Query> query = core::Query::Compile(expression);
     EXPECT_TRUE(query.ok()) << expression;
@@ -200,17 +202,11 @@ std::string Dump() {
       Evaluator({"//b/c", "//r//x3", "//a/d", "//a[@x]"});
   std::unique_ptr<core::MultiQueryEvaluator> project =
       Evaluator({"/a/b/c", "/r/x1/x3", "/root/b/c", "/a[@x]", "/doc/a/b"});
-  core::BatchedDispatchOptions dispatch_options;
-  dispatch_options.max_batch_events = 3;
-  core::BatchedDispatcher elide_dispatcher(elide.get(), dispatch_options);
-  core::BatchedDispatcher project_dispatcher(project.get(), dispatch_options);
   struct Stack {
     const char* name;
     core::MultiQueryEvaluator* evaluator;
-    core::BatchedDispatcher* dispatcher;
   };
-  const Stack stacks[] = {{"elide", elide.get(), &elide_dispatcher},
-                          {"project", project.get(), &project_dispatcher}};
+  const Stack stacks[] = {{"elide", elide.get()}, {"project", project.get()}};
 
   std::ostringstream dump;
   const std::vector<Case> cases = Cases();
@@ -230,8 +226,8 @@ std::string Dump() {
       for (const Stack& stack : stacks) {
         xml::ParserOptions production = c.options;
         production.projection_filter = stack.evaluator->projection_filter();
-        Status status = Parse(c.document, chunk, stack.dispatcher, production);
-        if (!status.ok()) stack.dispatcher->AbortDocument(status);
+        Status status = Parse(c.document, chunk, stack.evaluator, production);
+        if (!status.ok()) stack.evaluator->AbortDocument(status);
         dump << c.name << " " << stack.name << " " << schedule << ": "
              << status.ToString() << "\n";
       }

@@ -499,23 +499,6 @@ TEST(ProjectionAbortTest, ParallelRouterAbortDuringSkipRecovers) {
   }
 }
 
-// Incompatible parser options must disable projection, not corrupt results.
-TEST(ProjectionOptionsTest, IncompatibleOptionsIgnoreFilter) {
-  auto query = core::Query::Compile("/a/keep");
-  ASSERT_TRUE(query.ok());
-  const std::string doc = "<a><skip><i/></skip><keep/></a>";
-  for (int mode = 0; mode < 3; ++mode) {
-    core::StreamingEvaluator evaluator(*query);
-    xml::ParserOptions options;
-    options.projection_filter = evaluator.projection_filter();
-    if (mode == 0) options.coalesce_text = false;
-    if (mode == 1) options.report_comments = true;
-    if (mode == 2) options.report_processing_instructions = true;
-    ASSERT_TRUE(xml::ParseString(doc, &evaluator, options).ok());
-    EXPECT_TRUE(evaluator.Result().matched);
-  }
-}
-
 TEST(ProjectionMetricsTest, CountersAdvanceOnSkips) {
   obs::SetEnabled(true);  // no-op when compiled out
   if (!obs::Enabled()) GTEST_SKIP() << "observability compiled out";

@@ -79,30 +79,9 @@ TEST(SaxParserTest, WhitespaceOnlyTextDroppedByDefault) {
                                       "</doc>"}));
 }
 
-TEST(SaxParserTest, WhitespaceReportedWhenRequested) {
-  ParserOptions options;
-  options.report_whitespace_text = true;
-  EXPECT_EQ(Parse("<a> <b/></a>", options),
-            (std::vector<std::string>{"<doc>", "<a>", "text(\" \")", "<b>",
-                                      "</b>", "</a>", "</doc>"}));
-}
-
-TEST(SaxParserTest, CommentsSkippedByDefaultReportedOnRequest) {
-  EXPECT_EQ(Parse("<a><!-- note --></a>"),
-            (std::vector<std::string>{"<doc>", "<a>", "</a>", "</doc>"}));
-  ParserOptions options;
-  options.report_comments = true;
-  EXPECT_EQ(Parse("<a><!-- note --></a>", options),
-            (std::vector<std::string>{"<doc>", "<a>", "comment(\" note \")",
-                                      "</a>", "</doc>"}));
-}
-
-TEST(SaxParserTest, ProcessingInstructions) {
-  ParserOptions options;
-  options.report_processing_instructions = true;
-  EXPECT_EQ(Parse("<a><?target some data?></a>", options),
-            (std::vector<std::string>{"<doc>", "<a>",
-                                      "pi(target, \"some data\")", "</a>",
+TEST(SaxParserTest, CommentsAndProcessingInstructionsSkipped) {
+  EXPECT_EQ(Parse("<a>x<!-- note -->y<?target some data?>z</a>"),
+            (std::vector<std::string>{"<doc>", "<a>", "text(\"xyz\")", "</a>",
                                       "</doc>"}));
 }
 
@@ -113,28 +92,18 @@ TEST(SaxParserTest, XmlDeclarationAndDoctypeSkipped) {
             (std::vector<std::string>{"<doc>", "<a>", "</a>", "</doc>"}));
 }
 
-TEST(SaxParserTest, TextCoalescingOff) {
-  ParserOptions options;
-  options.coalesce_text = false;
-  EXPECT_EQ(Parse("<a>x<![CDATA[y]]></a>", options),
-            (std::vector<std::string>{"<doc>", "<a>", "text(\"x\")",
-                                      "text(\"y\")", "</a>", "</doc>"}));
-}
-
 // --- chunked feeding -------------------------------------------------------
 
 TEST(SaxParserTest, ByteAtATimeFeedingMatchesOneShot) {
   const std::string doc =
       "<?xml version=\"1.0\"?><a x=\"1&amp;2\"><!--c--><b>t&#65;xt"
       "<![CDATA[raw]]></b> <c/></a>";
-  ParserOptions options;
-  options.report_comments = true;
 
   EventRecorder one_shot;
-  ASSERT_TRUE(ParseString(doc, &one_shot, options).ok());
+  ASSERT_TRUE(ParseString(doc, &one_shot).ok());
 
   EventRecorder chunked;
-  SaxParser parser(&chunked, options);
+  SaxParser parser(&chunked);
   for (char c : doc) {
     ASSERT_TRUE(parser.Feed(std::string_view(&c, 1)).ok());
   }

@@ -14,7 +14,6 @@
 
 #include "baseline/brute_force_matcher.h"
 #include "baseline/compare.h"
-#include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
 #include "core/parallel_router.h"
 #include "core/shared_index.h"
@@ -237,6 +236,7 @@ TEST(SharedDifferentialTest, ReuseAndAbortAcrossDocuments) {
   multi.StartElement(a, {});
   multi.StartElement(b, {});
   multi.StartElement(c, {});
+  multi.Flush();  // records reach the automaton a batch at a time
   EXPECT_TRUE(multi.MatchConfirmed(q));
   multi.AbortDocument(InternalError("producer died"));
   EXPECT_FALSE(multi.Matched(q));
@@ -439,9 +439,6 @@ TEST(SharedStreamTest, ReusedEvaluatorMatchesBruteForceEveryDocument) {
     full.AddQuery(query);
     bool_only.AddQuery(query);
   }
-  // Both evaluators take the production route: batched dispatch.
-  core::BatchedDispatcher full_dispatcher(&full);
-  core::BatchedDispatcher bool_dispatcher(&bool_only);
 
   for (size_t d = 0; d < stream.size(); ++d) {
     if (d == 3) {
@@ -453,16 +450,15 @@ TEST(SharedStreamTest, ReusedEvaluatorMatchesBruteForceEveryDocument) {
     }
     const StreamDocument& doc = stream[d];
     const std::string context = "document " + std::to_string(d);
-    for (core::BatchedDispatcher* dispatcher :
-         {&full_dispatcher, &bool_dispatcher}) {
+    for (core::MultiQueryEvaluator* evaluator : {&full, &bool_only}) {
       if (doc.aborted) {
-        xml::SaxParser parser(dispatcher);
+        xml::SaxParser parser(evaluator);
         ASSERT_TRUE(parser.Feed(doc.xml).ok()) << context;
-        dispatcher->Flush();
+        evaluator->Flush();
         ASSERT_TRUE(full.MatchConfirmed(0)) << context;  // /a/b/c
-        dispatcher->AbortDocument(InternalError("producer died"));
+        evaluator->AbortDocument(InternalError("producer died"));
       } else {
-        ASSERT_TRUE(xml::ParseString(doc.xml, dispatcher).ok()) << context;
+        ASSERT_TRUE(xml::ParseString(doc.xml, evaluator).ok()) << context;
       }
     }
     ASSERT_EQ(full.status().ok(), !doc.aborted) << context;

@@ -24,7 +24,7 @@ namespace {
 bool MasksEqual(const BlockMasks& a, const BlockMasks& b) {
   return a.lt == b.lt && a.gt == b.gt && a.dquote == b.dquote &&
          a.squote == b.squote && a.amp == b.amp && a.rbracket == b.rbracket &&
-         a.newline == b.newline && a.ws == b.ws && a.ctl == b.ctl;
+         a.ws == b.ws && a.ctl == b.ctl;
 }
 
 // The compiled kernel must match the scalar kernel on the given block.

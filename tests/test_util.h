@@ -9,7 +9,6 @@
 
 #include "baseline/compare.h"
 #include "baseline/navigational_engine.h"
-#include "core/batched_dispatch.h"
 #include "core/multi_engine.h"
 #include "core/parallel_router.h"
 #include "dom/dom_builder.h"
@@ -124,20 +123,19 @@ inline std::vector<RoutedOutcome> RouteInParallel(
 }
 
 // The sequential production path over the same stream: one
-// MultiQueryEvaluator behind a BatchedDispatcher, projection on, a rejected
-// document closed with AbortDocument.
+// MultiQueryEvaluator, projection on, a rejected document closed with
+// AbortDocument.
 inline std::vector<RoutedOutcome> RouteSequentially(
     const std::vector<core::Query>& queries,
     const std::vector<std::string>& documents,
     core::EngineOptions options = {}, xml::ParserOptions parser_options = {}) {
   core::MultiQueryEvaluator evaluator(options);
   for (const core::Query& query : queries) evaluator.AddQuery(query);
-  core::BatchedDispatcher dispatcher(&evaluator);
   parser_options.projection_filter = evaluator.projection_filter();
   std::vector<RoutedOutcome> outcomes;
   for (const std::string& document : documents) {
-    Status status = xml::ParseString(document, &dispatcher, parser_options);
-    if (!status.ok()) dispatcher.AbortDocument(status);
+    Status status = xml::ParseString(document, &evaluator, parser_options);
+    if (!status.ok()) evaluator.AbortDocument(status);
     outcomes.push_back(CopyOutcome(evaluator));
   }
   return outcomes;

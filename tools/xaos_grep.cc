@@ -351,7 +351,6 @@ int main(int argc, char** argv) {
   }
 
   xaos::core::StreamingEvaluator evaluator(*query, engine_options);
-  xaos::core::BatchedDispatcher dispatcher(&evaluator);
   if (!options.no_projection) {
     parser_options.projection_filter = evaluator.projection_filter();
   }
@@ -361,13 +360,13 @@ int main(int argc, char** argv) {
   bool any_error = false;
   for (const std::string& path : options.files) {
     xaos::Status status =
-        xaos::xml::ParseFile(path, &dispatcher, 1 << 16, parser_options);
+        xaos::xml::ParseFile(path, &evaluator, 1 << 16, parser_options);
     if (!status.ok()) {
       // Close out the abandoned document so the evaluator is clean for the
       // remaining files; one bad input must not mask the others.
       std::fprintf(stderr, "%s: %s\n", path.c_str(),
                    status.ToString().c_str());
-      dispatcher.AbortDocument(status);
+      evaluator.AbortDocument(status);
       any_error = true;
       continue;
     }
