@@ -124,14 +124,14 @@ size_t MultiQueryEvaluator::AddQuery(const Query& query,
   const uint32_t q = static_cast<uint32_t>(queries_.size());
   XAOS_CHECK(q < kEngineRoute) << "too many queries for a route word";
   QuerySlot slot;
-  slot.trees = query.trees_;
   slot.begin = engines_.size();
   slot.end = slot.begin;
   slot.label = label.empty() ? "q" + std::to_string(q) : std::string(label);
 
   // Byte-identical repeat of an earlier expression: alias its verdicts, add
-  // no matching state. Compositions without an expression (FromTrees) can
-  // have distinct trees behind an empty string, so they never alias.
+  // no matching state and hold no trees. Compositions without an expression
+  // (FromTrees) can have distinct trees behind an empty string, so they
+  // never alias.
   if (!query.expression().empty()) {
     auto [it, inserted] = by_expression_.try_emplace(query.expression(), q);
     if (!inserted) {
@@ -147,8 +147,11 @@ size_t MultiQueryEvaluator::AddQuery(const Query& query,
     }
   }
 
-  if (shared_enabled_ && SharedIndexBuilder::Shareable(*slot.trees)) {
-    const uint32_t shared_id = shared_builder_.AddSubscription(*slot.trees);
+  // The shared builder copies a chain into its trie, so a shared slot
+  // holds no trees either; only engines point into a query's trees.
+  const std::vector<query::XTree>& trees = query.trees();
+  if (shared_enabled_ && SharedIndexBuilder::Shareable(trees)) {
+    const uint32_t shared_id = shared_builder_.AddSubscription(trees);
     shared_queries_.push_back(q);
     ++shared_subscriptions_;
     queries_.push_back(std::move(slot));
@@ -156,6 +159,7 @@ size_t MultiQueryEvaluator::AddQuery(const Query& query,
     return q;
   }
 
+  slot.trees = query.trees_;
   for (const query::XTree& tree : *slot.trees) {
     engines_.push_back(
         std::make_unique<XaosEngine>(&tree, options_, &arena_));

@@ -103,6 +103,10 @@ class Query {
 //   * alias:   a byte-identical repeat of an earlier expression adds no
 //     matching state at all — verdicts fan out from the first copy.
 //
+// Only engine-backed queries keep their x-trees (the engines point into
+// them); a shared or alias subscription keeps none once the caller drops
+// its Query, so set-up memory grows with distinct subscriptions.
+//
 // The evaluator consumes records (see the header comment): hand it to a
 // SaxParser, feed it ContentHandler callbacks, or replay captured batches
 // through ReplayBatch. Reusable: each document's kStartDocument record
@@ -247,6 +251,9 @@ class MultiQueryEvaluator : public xml::EventBatcher,
 
   // Cold per-query record; verdict reads go through routes_.
   struct QuerySlot {
+    // Engine-backed canonical queries only: their engines point into these.
+    // Shared and alias slots hold none, so held memory grows with distinct
+    // engine-backed subscriptions, not with subscriptions.
     std::shared_ptr<const std::vector<query::XTree>> trees;
     size_t begin = 0;  // engine-backed: engines occupy [begin, end)
     size_t end = 0;

@@ -14,133 +14,158 @@ using Conjunction = std::vector<LocationPath>;
 // A disjunction of conjunctions (DNF).
 using Dnf = std::vector<Conjunction>;
 
-constexpr int kNoLimitGuard = 1 << 20;  // hard cap against blow-up mid-expansion
+// The expansion consumes its input: a part is moved to where it lands and
+// copied only where a disjunction makes it land in several alternatives.
+// Every list it builds (a DNF, a step's alternatives, a path's expansions,
+// the union) has at least as many entries as any list it is built from, and
+// the final list is the longest, so failing as soon as any list would exceed
+// `max_paths` rejects exactly the expressions whose full expansion would.
+class Expander {
+ public:
+  explicit Expander(int max_paths)
+      : max_paths_(static_cast<size_t>(max_paths < 0 ? 0 : max_paths)) {}
 
-StatusOr<std::vector<LocationPath>> ExpandPath(const LocationPath& path,
-                                               int max_paths);
+  Status CheckSize(size_t n) const {
+    if (n <= max_paths_) return Status::Ok();
+    return ResourceExhaustedError(
+        "or-expansion exceeds the limit of " + std::to_string(max_paths_) +
+        " disjuncts");
+  }
 
-// Expands a predicate expression into DNF with or-free paths.
-StatusOr<Dnf> ExpandPred(const PredExpr& pred, int max_paths) {
-  switch (pred.kind) {
-    case PredExpr::Kind::kPath: {
-      XAOS_ASSIGN_OR_RETURN(std::vector<LocationPath> paths,
-                            ExpandPath(pred.path, max_paths));
-      Dnf dnf;
-      for (LocationPath& p : paths) {
-        dnf.push_back(Conjunction{std::move(p)});
-      }
-      return dnf;
-    }
-    case PredExpr::Kind::kOr: {
-      Dnf dnf;
-      for (const PredExpr& child : pred.children) {
-        XAOS_ASSIGN_OR_RETURN(Dnf child_dnf, ExpandPred(child, max_paths));
-        for (Conjunction& conj : child_dnf) {
-          dnf.push_back(std::move(conj));
+  // Replaces the L entries of `items` by the L * R combinations
+  // items[i] (+) factors[j], i-major, where `append(item, factor, last)`
+  // extends an item by a factor and may move from the factor when `last`
+  // (its final use) is set. An item is moved into its last combination.
+  template <typename Item, typename Factor, typename Append>
+  Status CrossProduct(std::vector<Item>* items, std::vector<Factor>* factors,
+                      Append append) const {
+    const size_t left = items->size();
+    const size_t right = factors->size();
+    XAOS_RETURN_IF_ERROR(CheckSize(left * right));
+    std::vector<Item> next;
+    next.reserve(left * right);
+    for (size_t i = 0; i < left; ++i) {
+      for (size_t j = 0; j < right; ++j) {
+        if (j + 1 == right) {
+          next.push_back(std::move((*items)[i]));
+        } else {
+          next.push_back((*items)[i]);
         }
-        if (static_cast<int>(dnf.size()) > kNoLimitGuard) {
-          return ResourceExhaustedError("or-expansion too large");
-        }
+        append(&next.back(), &(*factors)[j], i + 1 == left);
       }
-      return dnf;
     }
-    case PredExpr::Kind::kAnd: {
-      Dnf dnf{Conjunction{}};
-      for (const PredExpr& child : pred.children) {
-        XAOS_ASSIGN_OR_RETURN(Dnf child_dnf, ExpandPred(child, max_paths));
-        Dnf next;
-        for (const Conjunction& left : dnf) {
-          for (const Conjunction& right : child_dnf) {
-            Conjunction merged = left;
-            merged.insert(merged.end(), right.begin(), right.end());
-            next.push_back(std::move(merged));
-            if (static_cast<int>(next.size()) > kNoLimitGuard) {
-              return ResourceExhaustedError("or-expansion too large");
+    *items = std::move(next);
+    return Status::Ok();
+  }
+
+  // Expands a predicate expression into DNF with or-free paths.
+  StatusOr<Dnf> ExpandPred(PredExpr pred) const {
+    switch (pred.kind) {
+      case PredExpr::Kind::kPath: {
+        XAOS_ASSIGN_OR_RETURN(std::vector<LocationPath> paths,
+                              ExpandPath(std::move(pred.path)));
+        Dnf dnf;
+        dnf.reserve(paths.size());
+        for (LocationPath& p : paths) {
+          dnf.emplace_back().push_back(std::move(p));
+        }
+        return dnf;
+      }
+      case PredExpr::Kind::kOr: {
+        Dnf dnf;
+        for (PredExpr& child : pred.children) {
+          XAOS_ASSIGN_OR_RETURN(Dnf child_dnf, ExpandPred(std::move(child)));
+          XAOS_RETURN_IF_ERROR(CheckSize(dnf.size() + child_dnf.size()));
+          for (Conjunction& conj : child_dnf) dnf.push_back(std::move(conj));
+        }
+        return dnf;
+      }
+      case PredExpr::Kind::kAnd: {
+        Dnf dnf(1);
+        for (PredExpr& child : pred.children) {
+          XAOS_ASSIGN_OR_RETURN(Dnf child_dnf, ExpandPred(std::move(child)));
+          XAOS_RETURN_IF_ERROR(CrossProduct(
+              &dnf, &child_dnf,
+              [](Conjunction* conj, Conjunction* right, bool last) {
+                for (LocationPath& p : *right) {
+                  if (last) {
+                    conj->push_back(std::move(p));
+                  } else {
+                    conj->push_back(p);
+                  }
+                }
+              }));
+        }
+        return dnf;
+      }
+    }
+    return InternalError("unknown PredExpr kind");
+  }
+
+  // Expands one step into alternatives whose predicates are or-free kPath
+  // conjunctions.
+  StatusOr<std::vector<Step>> ExpandStep(Step step) const {
+    std::vector<PredExpr> predicates = std::move(step.predicates);
+    step.predicates.clear();
+    std::vector<Step> alternatives;
+    alternatives.push_back(std::move(step));
+    for (PredExpr& pred : predicates) {
+      XAOS_ASSIGN_OR_RETURN(Dnf dnf, ExpandPred(std::move(pred)));
+      XAOS_RETURN_IF_ERROR(CrossProduct(
+          &alternatives, &dnf, [](Step* alt, Conjunction* conj, bool last) {
+            for (LocationPath& p : *conj) {
+              PredExpr& leaf = alt->predicates.emplace_back();
+              leaf.kind = PredExpr::Kind::kPath;
+              if (last) {
+                leaf.path = std::move(p);
+              } else {
+                leaf.path = p;
+              }
             }
-          }
-        }
-        dnf = std::move(next);
-      }
-      return dnf;
+          }));
     }
+    return alternatives;
   }
-  return InternalError("unknown PredExpr kind");
-}
 
-// Expands one step into alternatives whose predicates are or-free kPath
-// conjunctions.
-StatusOr<std::vector<Step>> ExpandStep(const Step& step, int max_paths) {
-  std::vector<Step> alternatives;
-  Step bare = step;
-  bare.predicates.clear();
-  alternatives.push_back(std::move(bare));
-
-  for (const PredExpr& pred : step.predicates) {
-    XAOS_ASSIGN_OR_RETURN(Dnf dnf, ExpandPred(pred, max_paths));
-    std::vector<Step> next;
-    for (const Step& alt : alternatives) {
-      for (const Conjunction& conj : dnf) {
-        Step combined = alt;
-        for (const LocationPath& p : conj) {
-          PredExpr leaf;
-          leaf.kind = PredExpr::Kind::kPath;
-          leaf.path = p;
-          combined.predicates.push_back(std::move(leaf));
-        }
-        next.push_back(std::move(combined));
-        if (static_cast<int>(next.size()) > kNoLimitGuard) {
-          return ResourceExhaustedError("or-expansion too large");
-        }
-      }
+  StatusOr<std::vector<LocationPath>> ExpandPath(LocationPath path) const {
+    std::vector<LocationPath> results(1);
+    results[0].absolute = path.absolute;
+    results[0].steps.reserve(path.steps.size());
+    for (Step& step : path.steps) {
+      XAOS_ASSIGN_OR_RETURN(std::vector<Step> alternatives,
+                            ExpandStep(std::move(step)));
+      XAOS_RETURN_IF_ERROR(CrossProduct(
+          &results, &alternatives,
+          [](LocationPath* prefix, Step* alt, bool last) {
+            if (last) {
+              prefix->steps.push_back(std::move(*alt));
+            } else {
+              prefix->steps.push_back(*alt);
+            }
+          }));
     }
-    alternatives = std::move(next);
+    return results;
   }
-  return alternatives;
-}
 
-StatusOr<std::vector<LocationPath>> ExpandPath(const LocationPath& path,
-                                               int max_paths) {
-  std::vector<LocationPath> results;
-  LocationPath seed;
-  seed.absolute = path.absolute;
-  results.push_back(std::move(seed));
-
-  for (const Step& step : path.steps) {
-    XAOS_ASSIGN_OR_RETURN(std::vector<Step> step_alts,
-                          ExpandStep(step, max_paths));
-    std::vector<LocationPath> next;
-    for (const LocationPath& prefix : results) {
-      for (const Step& alt : step_alts) {
-        LocationPath extended = prefix;
-        extended.steps.push_back(alt);
-        next.push_back(std::move(extended));
-        if (static_cast<int>(next.size()) > kNoLimitGuard) {
-          return ResourceExhaustedError("or-expansion too large");
-        }
-      }
-    }
-    results = std::move(next);
-  }
-  (void)max_paths;
-  return results;
-}
+ private:
+  size_t max_paths_;
+};
 
 }  // namespace
 
 StatusOr<std::vector<xpath::LocationPath>> ExpandOrs(
-    const xpath::Expression& expression, int max_paths) {
+    xpath::Expression expression, int max_paths) {
+  const Expander expander(max_paths);
   std::vector<LocationPath> all;
-  for (const LocationPath& branch : expression.union_branches) {
+  for (LocationPath& branch : expression.union_branches) {
     XAOS_ASSIGN_OR_RETURN(std::vector<LocationPath> expanded,
-                          ExpandPath(branch, max_paths));
-    for (LocationPath& p : expanded) {
-      all.push_back(std::move(p));
+                          expander.ExpandPath(std::move(branch)));
+    XAOS_RETURN_IF_ERROR(expander.CheckSize(all.size() + expanded.size()));
+    if (all.empty()) {
+      all = std::move(expanded);
+    } else {
+      for (LocationPath& p : expanded) all.push_back(std::move(p));
     }
-  }
-  if (static_cast<int>(all.size()) > max_paths) {
-    return ResourceExhaustedError(
-        "or-expansion produced " + std::to_string(all.size()) +
-        " disjuncts, exceeding the limit of " + std::to_string(max_paths));
   }
   return all;
 }

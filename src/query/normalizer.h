@@ -16,11 +16,15 @@
 namespace xaos::query {
 
 // Expands all `or`s in `expression` (including union branches) into a list
-// of or-free location paths whose union is equivalent. The expansion is
-// worst-case exponential in the number of `or`s; if more than `max_paths`
-// disjuncts would be produced, returns ResourceExhausted.
+// of or-free location paths whose union is equivalent, consuming
+// `expression`: parts without a disjunction are moved into the output, and
+// only parts a disjunction multiplies are copied. The expansion is
+// worst-case exponential in the number of `or`s; it is bounded as it runs,
+// returning ResourceExhausted as soon as any intermediate list of
+// disjuncts, step alternatives or paths exceeds `max_paths` — which happens
+// exactly when the full expansion would exceed it.
 StatusOr<std::vector<xpath::LocationPath>> ExpandOrs(
-    const xpath::Expression& expression, int max_paths = 64);
+    xpath::Expression expression, int max_paths = 64);
 
 }  // namespace xaos::query
 

@@ -1,5 +1,7 @@
 #include "query/xtree_builder.h"
 
+#include <utility>
+
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "query/normalizer.h"
@@ -158,7 +160,7 @@ StatusOr<std::vector<XTree>> CompileToXTrees(std::string_view expression,
   XAOS_ASSIGN_OR_RETURN(xpath::Expression parsed,
                         xpath::ParseExpression(expression));
   XAOS_ASSIGN_OR_RETURN(std::vector<LocationPath> paths,
-                        ExpandOrs(parsed, max_paths));
+                        ExpandOrs(std::move(parsed), max_paths));
   std::vector<XTree> trees;
   trees.reserve(paths.size());
   for (const LocationPath& path : paths) {

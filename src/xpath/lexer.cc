@@ -56,9 +56,11 @@ std::string TokenKindToString(TokenKind kind) {
 
 StatusOr<std::vector<Token>> Tokenize(std::string_view expression) {
   std::vector<Token> tokens;
+  // Every token but kEnd spans at least one byte: one allocation.
+  tokens.reserve(expression.size() + 1);
   size_t i = 0;
-  auto push = [&](TokenKind kind, std::string text, size_t pos) {
-    tokens.push_back({kind, std::move(text), static_cast<int>(pos)});
+  auto push = [&](TokenKind kind, std::string_view text, size_t pos) {
+    tokens.push_back({kind, text, static_cast<int>(pos)});
   };
   while (i < expression.size()) {
     char c = expression[i];
@@ -137,8 +139,8 @@ StatusOr<std::vector<Token>> Tokenize(std::string_view expression) {
           return ParseError("unterminated literal at offset " +
                             std::to_string(start));
         }
-        push(TokenKind::kLiteral,
-             std::string(expression.substr(i + 1, end - i - 1)), start);
+        push(TokenKind::kLiteral, expression.substr(i + 1, end - i - 1),
+             start);
         i = end + 1;
         continue;
       }
@@ -151,7 +153,7 @@ StatusOr<std::vector<Token>> Tokenize(std::string_view expression) {
              IsNameChar(static_cast<unsigned char>(expression[i + n]))) {
         ++n;
       }
-      push(TokenKind::kName, std::string(expression.substr(i, n)), start);
+      push(TokenKind::kName, expression.substr(i, n), start);
       i += n;
       continue;
     }

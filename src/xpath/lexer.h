@@ -11,7 +11,8 @@
 
 namespace xaos::xpath {
 
-// Tokenizes `expression`. The returned vector always ends with a kEnd token.
+// Tokenizes `expression`. The returned vector always ends with a kEnd token;
+// token texts are views into `expression`.
 StatusOr<std::vector<Token>> Tokenize(std::string_view expression);
 
 }  // namespace xaos::xpath

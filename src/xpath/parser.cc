@@ -74,7 +74,9 @@ class Parser {
     return ParseError(message + " at offset " +
                       std::to_string(Peek().position) + " (found " +
                       TokenKindToString(Peek().kind) +
-                      (Peek().text.empty() ? "" : " '" + Peek().text + "'") +
+                      (Peek().text.empty()
+                           ? ""
+                           : " '" + std::string(Peek().text) + "'") +
                       ")");
   }
 
@@ -134,7 +136,7 @@ class Parser {
                Peek(1).kind == TokenKind::kDoubleColon) {
       Axis axis;
       if (!LookupAxis(Peek().text, &axis)) {
-        return Error("unknown axis '" + Peek().text + "'");
+        return Error("unknown axis '" + std::string(Peek().text) + "'");
       }
       step.axis = axis;
       Advance();  // axis name

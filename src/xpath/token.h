@@ -4,6 +4,7 @@
 #define XAOS_XPATH_TOKEN_H_
 
 #include <string>
+#include <string_view>
 
 namespace xaos::xpath {
 
@@ -29,7 +30,9 @@ enum class TokenKind {
 
 struct Token {
   TokenKind kind;
-  std::string text;  // name or literal body
+  // Name or literal body (punctuation tokens: their spelling), a view into
+  // the tokenized expression, which must outlive the token.
+  std::string_view text;
   int position = 0;  // byte offset in the expression, for error messages
 };
 

@@ -4,6 +4,8 @@
 // random workload generator — plus presence tests for the hot-path
 // observability counters.
 
+#include <malloc.h>
+
 #include <memory>
 #include <set>
 #include <string>
@@ -127,6 +129,70 @@ TEST(MultiQueryEvaluatorTest, ReuseAcrossDocuments) {
   EXPECT_TRUE(multi.Matched(q));
   ASSERT_TRUE(xml::ParseString("<a><b/><c/></a>", &multi).ok());
   EXPECT_FALSE(multi.Matched(q));
+}
+
+// Heap bytes in use (glibc), as perfbench measures them: large blocks are
+// mmapped and counted in hblkhd, not uordblks.
+int64_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<int64_t>(info.uordblks + info.hblkhd);
+}
+
+// A byte-identical repeat of an earlier expression holds no x-trees of its
+// own: 1,000 separately compiled copies of a shared chain and of an
+// engine-backed query, each Query dropped after AddQuery, grow the heap by
+// a slot and a route word apiece, not by a compiled query. Their verdicts
+// still fan out from the canonical copy and equal brute force.
+TEST(MultiQueryEvaluatorTest, AliasesHoldNoTrees) {
+  const std::vector<std::string> expressions = {"/site/people/person/name",
+                                                "//a[b]/c"};
+  constexpr size_t kCopies = 1000;
+  core::MultiQueryEvaluator multi;
+  for (const std::string& expression : expressions) {
+    StatusOr<core::Query> query = core::Query::Compile(expression);
+    ASSERT_TRUE(query.ok()) << query.status();
+    multi.AddQuery(*query);
+  }
+  for (const std::string& expression : expressions) {
+    const int64_t before = HeapInUse();
+    for (size_t i = 0; i < kCopies; ++i) {
+      StatusOr<core::Query> query = core::Query::Compile(expression);
+      ASSERT_TRUE(query.ok()) << query.status();
+      multi.AddQuery(*query);
+    }
+    const int64_t after = HeapInUse();
+    EXPECT_LT(after - before, int64_t{256} * kCopies)
+        << expression << ": " << (after - before) / int64_t{kCopies}
+        << " bytes per alias";
+  }
+  ASSERT_EQ(multi.alias_count(), 2 * kCopies);
+  ASSERT_EQ(multi.shared_subscription_count(), 1 + kCopies);
+
+  for (const char* xml :
+       {"<site><people><person><name/></person></people></site>",
+        "<r><a><b/><c/></a></r>", "<a><c/><b/></a>", "<a><c/></a>"}) {
+    StatusOr<dom::Document> doc = dom::ParseToDocument(xml);
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    std::vector<bool> truth;
+    for (const std::string& expression : expressions) {
+      StatusOr<core::Query> query = core::Query::Compile(expression);
+      ASSERT_TRUE(query.ok());
+      baseline::BruteForceOutcome outcome =
+          baseline::BruteForceMatch(*doc, query->trees().front());
+      ASSERT_TRUE(outcome.complete);
+      truth.push_back(outcome.matched);
+    }
+    ASSERT_TRUE(xml::ParseString(xml, &multi).ok()) << xml;
+    std::vector<size_t> expected;
+    for (size_t q = 0; q < multi.query_count(); ++q) {
+      // The canonical copies come first, then a block of aliases per
+      // expression.
+      const size_t e = q < 2 ? q : (q - 2) / kCopies;
+      EXPECT_EQ(multi.Matched(q), truth[e]) << xml << " q" << q;
+      if (truth[e]) expected.push_back(q);
+    }
+    EXPECT_EQ(multi.MatchedQueries(), expected) << xml;
+  }
 }
 
 // --- the one-query evaluator ------------------------------------------------

@@ -2,6 +2,7 @@
 // derivation (Section 3.2), or-expansion (Section 5.2), re-rooting and
 // intersection (Section 5.4).
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -158,6 +159,28 @@ TEST(NormalizerTest, LimitEnforced) {
   auto paths = ExpandOrs(*parsed, /*max_paths=*/3);
   EXPECT_FALSE(paths.ok());
   EXPECT_EQ(paths.status().code(), StatusCode::kResourceExhausted);
+}
+
+// The limit holds while the expansion runs: `//a` with 40 `[b or c]`
+// predicates would expand to 2^40 paths, and is rejected as soon as an
+// intermediate list passes the limit, well inside a second.
+TEST(NormalizerTest, LimitEnforcedAsTheExpansionRuns) {
+  std::string expression = "//a";
+  for (int k = 0; k < 40; ++k) expression += "[b or c]";
+  const auto start = std::chrono::steady_clock::now();
+  auto trees = CompileToXTrees(expression);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(trees.ok());
+  EXPECT_EQ(trees.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
+  // Six predicates expand to exactly 64 paths, the default limit.
+  expression = "//a";
+  for (int k = 0; k < 6; ++k) expression += "[b or c]";
+  trees = CompileToXTrees(expression);
+  ASSERT_TRUE(trees.ok()) << trees.status();
+  EXPECT_EQ(trees->size(), 64u);
+  EXPECT_EQ(CompileToXTrees(expression + "[d or e]").status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(RerootTest, ChainInversion) {
