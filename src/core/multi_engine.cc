@@ -126,7 +126,7 @@ size_t MultiQueryEvaluator::AddQuery(const Query& query,
   QuerySlot slot;
   slot.begin = engines_.size();
   slot.end = slot.begin;
-  slot.label = label.empty() ? "q" + std::to_string(q) : std::string(label);
+  slot.label = label;
 
   // Byte-identical repeat of an earlier expression: alias its verdicts, add
   // no matching state and hold no trees. Compositions without an expression
@@ -170,6 +170,11 @@ size_t MultiQueryEvaluator::AddQuery(const Query& query,
   queries_.push_back(std::move(slot));
   routes_.push_back(kEngineRoute | q);
   return q;
+}
+
+std::string MultiQueryEvaluator::query_label(size_t q) const {
+  const std::string& label = queries_[q].label;
+  return label.empty() ? "q" + std::to_string(q) : label;
 }
 
 void MultiQueryEvaluator::EnsureSharedIndex() {
@@ -333,7 +338,7 @@ void MultiQueryEvaluator::FinishDocumentObservability() {
       if (!SlotMatched(q, &confirm)) continue;
       if (slot.match_latency == nullptr) {
         std::string labels =
-            "{subscription=\"" + obs::JsonEscape(slot.label) + "\"}";
+            "{subscription=\"" + obs::JsonEscape(query_label(q)) + "\"}";
         slot.match_latency =
             registry.GetHistogram("xaos_sub_match_latency_ns" + labels);
         slot.first_match =

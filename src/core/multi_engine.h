@@ -128,7 +128,7 @@ class MultiQueryEvaluator : public xml::EventBatcher,
   // "q<index>".
   size_t AddQuery(const Query& query, std::string_view label = {});
   size_t query_count() const { return queries_.size(); }
-  const std::string& query_label(size_t q) const { return queries_[q].label; }
+  std::string query_label(size_t q) const;
 
   // Opens a document in the writer after installing what its records
   // carry: when no engine reads character data or end-element names, ends
@@ -260,7 +260,7 @@ class MultiQueryEvaluator : public xml::EventBatcher,
     // Alias chain: a canonical query links its aliases, each alias the
     // next one (the reverse map MatchedQueries fans verdicts out through).
     uint32_t next_alias = kNoQuery;
-    std::string label;
+    std::string label;  // empty: the derived "q<index>"
     // Per-subscription latency series, resolved lazily on first matching
     // document (pointers are stable for the registry's lifetime).
     obs::Histogram* match_latency = nullptr;

@@ -16,10 +16,10 @@ using Dnf = std::vector<Conjunction>;
 
 // The expansion consumes its input: a part is moved to where it lands and
 // copied only where a disjunction makes it land in several alternatives.
-// Every list it builds (a DNF, a step's alternatives, a path's expansions,
-// the union) has at least as many entries as any list it is built from, and
-// the final list is the longest, so failing as soon as any list would exceed
-// `max_paths` rejects exactly the expressions whose full expansion would.
+// Every list it builds (a DNF, a path's expansions, the union) has at least
+// as many entries as any list it is built from, and the final list is the
+// longest, so failing as soon as any list would exceed `max_paths` rejects
+// exactly the expressions whose full expansion would.
 class Expander {
  public:
   explicit Expander(int max_paths)
@@ -35,13 +35,20 @@ class Expander {
   // Replaces the L entries of `items` by the L * R combinations
   // items[i] (+) factors[j], i-major, where `append(item, factor, last)`
   // extends an item by a factor and may move from the factor when `last`
-  // (its final use) is set. An item is moved into its last combination.
+  // (its final use) is set. An item is moved into its last combination, so
+  // a single factor extends every item where it stands.
   template <typename Item, typename Factor, typename Append>
   Status CrossProduct(std::vector<Item>* items, std::vector<Factor>* factors,
                       Append append) const {
     const size_t left = items->size();
     const size_t right = factors->size();
     XAOS_RETURN_IF_ERROR(CheckSize(left * right));
+    if (right == 1) {
+      for (size_t i = 0; i < left; ++i) {
+        append(&(*items)[i], &factors->front(), i + 1 == left);
+      }
+      return Status::Ok();
+    }
     std::vector<Item> next;
     next.reserve(left * right);
     for (size_t i = 0; i < left; ++i) {
@@ -102,47 +109,40 @@ class Expander {
     return InternalError("unknown PredExpr kind");
   }
 
-  // Expands one step into alternatives whose predicates are or-free kPath
-  // conjunctions.
-  StatusOr<std::vector<Step>> ExpandStep(Step step) const {
-    std::vector<PredExpr> predicates = std::move(step.predicates);
-    step.predicates.clear();
-    std::vector<Step> alternatives;
-    alternatives.push_back(std::move(step));
-    for (PredExpr& pred : predicates) {
-      XAOS_ASSIGN_OR_RETURN(Dnf dnf, ExpandPred(std::move(pred)));
-      XAOS_RETURN_IF_ERROR(CrossProduct(
-          &alternatives, &dnf, [](Step* alt, Conjunction* conj, bool last) {
-            for (LocationPath& p : *conj) {
-              PredExpr& leaf = alt->predicates.emplace_back();
-              leaf.kind = PredExpr::Kind::kPath;
-              if (last) {
-                leaf.path = std::move(p);
-              } else {
-                leaf.path = p;
-              }
-            }
-          }));
-    }
-    return alternatives;
-  }
-
+  // Expands a path into or-free paths, step by step: every expansion of
+  // the prefix is extended by the bare step, then multiplied by each
+  // predicate's DNF, whose conjunctions become predicates of that step.
   StatusOr<std::vector<LocationPath>> ExpandPath(LocationPath path) const {
     std::vector<LocationPath> results(1);
     results[0].absolute = path.absolute;
     results[0].steps.reserve(path.steps.size());
     for (Step& step : path.steps) {
-      XAOS_ASSIGN_OR_RETURN(std::vector<Step> alternatives,
-                            ExpandStep(std::move(step)));
-      XAOS_RETURN_IF_ERROR(CrossProduct(
-          &results, &alternatives,
-          [](LocationPath* prefix, Step* alt, bool last) {
-            if (last) {
-              prefix->steps.push_back(std::move(*alt));
-            } else {
-              prefix->steps.push_back(*alt);
-            }
-          }));
+      std::vector<PredExpr> predicates = std::move(step.predicates);
+      step.predicates.clear();
+      for (size_t i = 0; i < results.size(); ++i) {
+        if (i + 1 == results.size()) {
+          results[i].steps.push_back(std::move(step));
+        } else {
+          results[i].steps.push_back(step);
+        }
+      }
+      for (PredExpr& pred : predicates) {
+        XAOS_ASSIGN_OR_RETURN(Dnf dnf, ExpandPred(std::move(pred)));
+        XAOS_RETURN_IF_ERROR(CrossProduct(
+            &results, &dnf,
+            [](LocationPath* prefix, Conjunction* conj, bool last) {
+              Step& tail = prefix->steps.back();
+              for (LocationPath& p : *conj) {
+                PredExpr& leaf = tail.predicates.emplace_back();
+                leaf.kind = PredExpr::Kind::kPath;
+                if (last) {
+                  leaf.path = std::move(p);
+                } else {
+                  leaf.path = p;
+                }
+              }
+            }));
+      }
     }
     return results;
   }

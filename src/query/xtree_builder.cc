@@ -16,14 +16,15 @@ using xpath::NodeTestKind;
 using xpath::PredExpr;
 using xpath::Step;
 
-// Converts a step's node test into a NodeTestSpec.
-StatusOr<NodeTestSpec> SpecForStep(const Step& step) {
+// Converts a step's node test into a NodeTestSpec, taking its name and
+// literal.
+StatusOr<NodeTestSpec> SpecForStep(Step& step) {
   NodeTestSpec spec;
   if (step.axis == Axis::kAttribute) {
     switch (step.test.kind) {
       case NodeTestKind::kName:
         spec.kind = NodeTestSpec::Kind::kAttribute;
-        spec.name = step.test.name;
+        spec.name = std::move(step.test.name);
         break;
       case NodeTestKind::kWildcard:
         spec.kind = NodeTestSpec::Kind::kAnyAttribute;
@@ -35,7 +36,7 @@ StatusOr<NodeTestSpec> SpecForStep(const Step& step) {
     switch (step.test.kind) {
       case NodeTestKind::kName:
         spec.kind = NodeTestSpec::Kind::kElement;
-        spec.name = step.test.name;
+        spec.name = std::move(step.test.name);
         break;
       case NodeTestKind::kWildcard:
         spec.kind = NodeTestSpec::Kind::kAnyElement;
@@ -45,7 +46,7 @@ StatusOr<NodeTestSpec> SpecForStep(const Step& step) {
         break;
     }
   }
-  spec.value = step.compare_literal;
+  spec.value = std::move(step.compare_literal);
   if (!spec.name.empty()) {
     spec.name_symbol = util::SymbolTable::Global().Intern(spec.name);
   }
@@ -63,11 +64,10 @@ class Builder {
   // Appends `path`'s steps under `context`; `in_predicate` suppresses the
   // default output designation. Appendix A: the Step and RelLocPath rules
   // chain node tests; the PredExpr rules branch at the current node;
-  // AbsLocPath anchors at Root.
-  Status BuildPath(const LocationPath& path, XNodeId context,
-                   bool in_predicate) {
+  // AbsLocPath anchors at Root. Names and literals are moved out of `path`.
+  Status BuildPath(LocationPath& path, XNodeId context, bool in_predicate) {
     XNodeId current = path.absolute ? kRootXNode : context;
-    for (const Step& step : path.steps) {
+    for (Step& step : path.steps) {
       if (IsLeafOnlySpec(tree_.node(current).test)) {
         return UnsupportedError(
             "attribute/text() steps must be the last step of a path");
@@ -98,7 +98,7 @@ class Builder {
           IsLeafOnlySpec(tree_.node(current).test)) {
         return UnsupportedError("predicates on attribute/text() steps");
       }
-      for (const PredExpr& pred : step.predicates) {
+      for (PredExpr& pred : step.predicates) {
         XAOS_RETURN_IF_ERROR(BuildPred(pred, current));
       }
     }
@@ -108,12 +108,12 @@ class Builder {
     return Status::Ok();
   }
 
-  Status BuildPred(const PredExpr& pred, XNodeId context) {
+  Status BuildPred(PredExpr& pred, XNodeId context) {
     switch (pred.kind) {
       case PredExpr::Kind::kPath:
         return BuildPath(pred.path, context, /*in_predicate=*/true);
       case PredExpr::Kind::kAnd:
-        for (const PredExpr& child : pred.children) {
+        for (PredExpr& child : pred.children) {
           XAOS_RETURN_IF_ERROR(BuildPred(child, context));
         }
         return Status::Ok();
@@ -143,7 +143,7 @@ class Builder {
 
 }  // namespace
 
-StatusOr<XTree> BuildXTree(const LocationPath& path) {
+StatusOr<XTree> BuildXTree(LocationPath path) {
   if (path.steps.empty()) {
     return UnsupportedError("empty location path");
   }
@@ -163,8 +163,8 @@ StatusOr<std::vector<XTree>> CompileToXTrees(std::string_view expression,
                         ExpandOrs(std::move(parsed), max_paths));
   std::vector<XTree> trees;
   trees.reserve(paths.size());
-  for (const LocationPath& path : paths) {
-    XAOS_ASSIGN_OR_RETURN(XTree tree, BuildXTree(path));
+  for (LocationPath& path : paths) {
+    XAOS_ASSIGN_OR_RETURN(XTree tree, BuildXTree(std::move(path)));
     trees.push_back(std::move(tree));
   }
   if (start != 0) {

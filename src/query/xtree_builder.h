@@ -18,8 +18,9 @@ namespace xaos::query {
 // are outputs (Section 5.3); otherwise the rightmost node test not inside a
 // predicate (Appendix A). Returns Unsupported for constructs the engine
 // cannot evaluate (predicates or child steps under attribute/text nodes,
-// `or` predicates that were not expanded).
-StatusOr<XTree> BuildXTree(const xpath::LocationPath& path);
+// `or` predicates that were not expanded). Consumes `path`: its names and
+// literals move into the tree.
+StatusOr<XTree> BuildXTree(xpath::LocationPath path);
 
 // Parses `expression`, expands `or`s and unions, and builds one x-tree per
 // disjunct. This is the one-stop query-compilation entry point.

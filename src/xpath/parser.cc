@@ -39,18 +39,19 @@ bool LookupAxis(std::string_view name, Axis* axis) {
   return true;
 }
 
+// Parses into the caller's AST nodes in place: each node is built where it
+// ends up, so no step or path is moved between the parsing functions.
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   StatusOr<Expression> ParseFull() {
     Expression expression;
-    XAOS_ASSIGN_OR_RETURN(LocationPath first, ParsePath());
-    expression.union_branches.push_back(std::move(first));
+    XAOS_RETURN_IF_ERROR(ParsePath(&expression.union_branches.emplace_back()));
     while (Peek().kind == TokenKind::kPipe) {
       Advance();
-      XAOS_ASSIGN_OR_RETURN(LocationPath branch, ParsePath());
-      expression.union_branches.push_back(std::move(branch));
+      XAOS_RETURN_IF_ERROR(
+          ParsePath(&expression.union_branches.emplace_back()));
     }
     if (Peek().kind != TokenKind::kEnd) {
       return Error("unexpected trailing tokens");
@@ -69,6 +70,10 @@ class Parser {
     Advance();
     return true;
   }
+  // True when the next token is the name `keyword` (`and`, `or`).
+  bool PeekKeyword(std::string_view keyword) const {
+    return Peek().kind == TokenKind::kName && Peek().text == keyword;
+  }
 
   Status Error(std::string message) const {
     return ParseError(message + " at offset " +
@@ -83,18 +88,17 @@ class Parser {
   // Path := ('/' | '//')? Step (('/' | '//') Step)*
   // A leading '/' or '//' makes the path absolute; '//' inserts a
   // descendant axis (the paper treats '//' as descendant, Section 2.3).
-  StatusOr<LocationPath> ParsePath() {
-    LocationPath path;
+  Status ParsePath(LocationPath* path) {
     bool next_is_descendant = false;
     if (Match(TokenKind::kSlash)) {
-      path.absolute = true;
+      path->absolute = true;
     } else if (Match(TokenKind::kDoubleSlash)) {
-      path.absolute = true;
+      path->absolute = true;
       next_is_descendant = true;
     }
     while (true) {
-      XAOS_ASSIGN_OR_RETURN(Step step, ParseStep(next_is_descendant));
-      path.steps.push_back(std::move(step));
+      XAOS_RETURN_IF_ERROR(
+          ParseStep(next_is_descendant, &path->steps.emplace_back()));
       if (Match(TokenKind::kSlash)) {
         next_is_descendant = false;
       } else if (Match(TokenKind::kDoubleSlash)) {
@@ -103,34 +107,33 @@ class Parser {
         break;
       }
     }
-    return path;
+    return Status::Ok();
   }
 
   // Step := '.' | '..'
   //       | '$'? ('@' | AxisName '::')? '$'? NodeTestCore Predicate*
   // `force_descendant` overrides the default child axis (set after '//').
-  StatusOr<Step> ParseStep(bool force_descendant) {
-    Step step;
+  Status ParseStep(bool force_descendant, Step* step) {
     if (Match(TokenKind::kDot)) {
-      step.axis = Axis::kSelf;
-      step.test.kind = NodeTestKind::kWildcard;
-      if (force_descendant) step.axis = Axis::kDescendantOrSelf;
-      return ParsePredicates(std::move(step));
+      step->axis = Axis::kSelf;
+      step->test.kind = NodeTestKind::kWildcard;
+      if (force_descendant) step->axis = Axis::kDescendantOrSelf;
+      return ParsePredicates(step);
     }
     if (Match(TokenKind::kDotDot)) {
-      step.axis = Axis::kParent;
-      step.test.kind = NodeTestKind::kWildcard;
+      step->axis = Axis::kParent;
+      step->test.kind = NodeTestKind::kWildcard;
       if (force_descendant) {
         return Error("'..' cannot follow '//' in the supported subset");
       }
-      return ParsePredicates(std::move(step));
+      return ParsePredicates(step);
     }
 
-    if (Match(TokenKind::kDollar)) step.output_marked = true;
+    if (Match(TokenKind::kDollar)) step->output_marked = true;
 
     bool axis_explicit = false;
     if (Match(TokenKind::kAt)) {
-      step.axis = Axis::kAttribute;
+      step->axis = Axis::kAttribute;
       axis_explicit = true;
     } else if (Peek().kind == TokenKind::kName &&
                Peek(1).kind == TokenKind::kDoubleColon) {
@@ -138,13 +141,13 @@ class Parser {
       if (!LookupAxis(Peek().text, &axis)) {
         return Error("unknown axis '" + std::string(Peek().text) + "'");
       }
-      step.axis = axis;
+      step->axis = axis;
       Advance();  // axis name
       Advance();  // ::
       axis_explicit = true;
     }
     if (!axis_explicit) {
-      step.axis = force_descendant ? Axis::kDescendant : Axis::kChild;
+      step->axis = force_descendant ? Axis::kDescendant : Axis::kChild;
     } else if (force_descendant) {
       // `//axis::t` means descendant with the named axis applied after; the
       // paper's subset has no such composition, so reject it explicitly.
@@ -153,13 +156,13 @@ class Parser {
     }
 
     if (Match(TokenKind::kDollar)) {
-      if (step.output_marked) return Error("duplicate '$'");
-      step.output_marked = true;
+      if (step->output_marked) return Error("duplicate '$'");
+      step->output_marked = true;
     }
 
     // NodeTestCore := Name | '*' | 'text' '(' ')'
     if (Match(TokenKind::kStar)) {
-      step.test.kind = NodeTestKind::kWildcard;
+      step->test.kind = NodeTestKind::kWildcard;
     } else if (Peek().kind == TokenKind::kName) {
       if (Peek().text == "text" && Peek(1).kind == TokenKind::kLeftParen) {
         Advance();
@@ -167,32 +170,31 @@ class Parser {
         if (!Match(TokenKind::kRightParen)) {
           return Error("expected ')' after 'text('");
         }
-        if (step.axis == Axis::kAttribute) {
+        if (step->axis == Axis::kAttribute) {
           return Error("text() is not valid on the attribute axis");
         }
-        step.test.kind = NodeTestKind::kText;
+        step->test.kind = NodeTestKind::kText;
       } else {
-        step.test.kind = NodeTestKind::kName;
-        step.test.name = Advance().text;
+        step->test.kind = NodeTestKind::kName;
+        step->test.name = Advance().text;
       }
     } else {
       return Error("expected a node test");
     }
-    return ParsePredicates(std::move(step));
+    return ParsePredicates(step);
   }
 
   // Attaches predicates and an optional value comparison to `step`.
-  StatusOr<Step> ParsePredicates(Step step) {
+  Status ParsePredicates(Step* step) {
     while (Match(TokenKind::kLeftBracket)) {
-      XAOS_ASSIGN_OR_RETURN(PredExpr pred, ParsePredExpr());
-      step.predicates.push_back(std::move(pred));
+      XAOS_RETURN_IF_ERROR(ParsePredExpr(&step->predicates.emplace_back()));
       if (!Match(TokenKind::kRightBracket)) {
         return Error("expected ']'");
       }
     }
     if (Peek().kind == TokenKind::kEquals) {
-      if (step.axis != Axis::kAttribute &&
-          step.test.kind != NodeTestKind::kText) {
+      if (step->axis != Axis::kAttribute &&
+          step->test.kind != NodeTestKind::kText) {
         return UnsupportedError(
             "value comparison is only supported on attribute and text() "
             "steps");
@@ -201,58 +203,58 @@ class Parser {
       if (Peek().kind != TokenKind::kLiteral) {
         return Error("expected a string literal after '='");
       }
-      step.compare_literal = Advance().text;
+      step->compare_literal.emplace(Advance().text);
     }
-    return step;
+    return Status::Ok();
   }
 
   // PredExpr := AndExpr ('or' AndExpr)*
-  StatusOr<PredExpr> ParsePredExpr() {
-    XAOS_ASSIGN_OR_RETURN(PredExpr left, ParseAndExpr());
-    if (!(Peek().kind == TokenKind::kName && Peek().text == "or")) {
-      return left;
+  Status ParsePredExpr(PredExpr* pred) {
+    XAOS_RETURN_IF_ERROR(ParseAndExpr(pred));
+    if (PeekKeyword("or")) {
+      XAOS_RETURN_IF_ERROR(ParseOperands(pred, PredExpr::Kind::kOr, "or",
+                                         &Parser::ParseAndExpr));
     }
-    PredExpr result;
-    result.kind = PredExpr::Kind::kOr;
-    result.children.push_back(std::move(left));
-    while (Peek().kind == TokenKind::kName && Peek().text == "or") {
-      Advance();
-      XAOS_ASSIGN_OR_RETURN(PredExpr right, ParseAndExpr());
-      result.children.push_back(std::move(right));
-    }
-    return result;
+    return Status::Ok();
   }
 
   // AndExpr := Primary ('and' Primary)*
-  StatusOr<PredExpr> ParseAndExpr() {
-    XAOS_ASSIGN_OR_RETURN(PredExpr left, ParsePrimary());
-    if (!(Peek().kind == TokenKind::kName && Peek().text == "and")) {
-      return left;
+  Status ParseAndExpr(PredExpr* pred) {
+    XAOS_RETURN_IF_ERROR(ParsePrimary(pred));
+    if (PeekKeyword("and")) {
+      XAOS_RETURN_IF_ERROR(ParseOperands(pred, PredExpr::Kind::kAnd, "and",
+                                         &Parser::ParsePrimary));
     }
-    PredExpr result;
-    result.kind = PredExpr::Kind::kAnd;
-    result.children.push_back(std::move(left));
-    while (Peek().kind == TokenKind::kName && Peek().text == "and") {
+    return Status::Ok();
+  }
+
+  // Turns the operand already parsed into `pred` into the first child of a
+  // `kind` node, then parses the `keyword`-separated operands that follow.
+  Status ParseOperands(PredExpr* pred, PredExpr::Kind kind,
+                       std::string_view keyword,
+                       Status (Parser::*operand)(PredExpr*)) {
+    PredExpr first = std::move(*pred);
+    *pred = PredExpr();
+    pred->kind = kind;
+    pred->children.push_back(std::move(first));
+    while (PeekKeyword(keyword)) {
       Advance();
-      XAOS_ASSIGN_OR_RETURN(PredExpr right, ParsePrimary());
-      result.children.push_back(std::move(right));
+      XAOS_RETURN_IF_ERROR((this->*operand)(&pred->children.emplace_back()));
     }
-    return result;
+    return Status::Ok();
   }
 
   // Primary := '(' PredExpr ')' | LocationPath
-  StatusOr<PredExpr> ParsePrimary() {
+  Status ParsePrimary(PredExpr* pred) {
     if (Match(TokenKind::kLeftParen)) {
-      XAOS_ASSIGN_OR_RETURN(PredExpr inner, ParsePredExpr());
+      XAOS_RETURN_IF_ERROR(ParsePredExpr(pred));
       if (!Match(TokenKind::kRightParen)) {
         return Error("expected ')'");
       }
-      return inner;
+      return Status::Ok();
     }
-    PredExpr pred;
-    pred.kind = PredExpr::Kind::kPath;
-    XAOS_ASSIGN_OR_RETURN(pred.path, ParsePath());
-    return pred;
+    pred->kind = PredExpr::Kind::kPath;
+    return ParsePath(&pred->path);
   }
 
   std::vector<Token> tokens_;
