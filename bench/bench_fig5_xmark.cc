@@ -13,13 +13,25 @@
 // Expected shape: χαoς total time linear in size; baseline slower (DOM
 // build + repeated traversals) with memory growing linearly until the cap
 // kills it.
+//
+// χαoς parses each document kRepeats times through one reused evaluator (the
+// production pattern); the table reports the best pass and the spread of the
+// passes (interquartile range over the median), so one slow pass on a shared
+// host does not set the figure. The baseline runs once per scale.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "xaos.h"
+
+namespace {
+
+constexpr int kRepeats = 11;  // χαoς passes per scale
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace xaos;
@@ -41,10 +53,10 @@ int main(int argc, char** argv) {
               "baseline (Xalan-style)\n");
   std::printf("query: %s   (baseline memory cap: %.0f MB)\n\n",
               gen::kXMarkPaperQuery, mem_cap_mb);
-  std::printf("%-8s %-10s %-10s %-12s %-12s %-12s %-12s %-8s\n", "scale",
-              "size(MB)", "elements", "xaos(s)", "baseline(s)", "dom(MB)",
-              "results", "baseline");
-  bench::Rule(8);
+  std::printf("%-8s %-10s %-10s %-12s %-10s %-12s %-12s %-12s %-8s\n",
+              "scale", "size(MB)", "elements", "xaos(s)", "spread",
+              "baseline(s)", "dom(MB)", "results", "baseline");
+  bench::Rule(9);
 
   for (double scale : scales) {
     gen::XMarkOptions options;
@@ -56,10 +68,18 @@ int main(int argc, char** argv) {
     StatusOr<core::Query> query = core::Query::Compile(gen::kXMarkPaperQuery);
     if (!query.ok()) return 1;
     core::StreamingEvaluator evaluator(*query);
-    double xaos_seconds = bench::TimeSeconds([&] {
-      Status s = xml::ParseString(document, &evaluator);
-      if (!s.ok()) std::abort();
-    });
+    std::vector<double> passes;
+    for (int pass = 0; pass < kRepeats; ++pass) {
+      passes.push_back(bench::TimeSeconds([&] {
+        Status s = xml::ParseString(document, &evaluator);
+        if (!s.ok()) std::abort();
+      }));
+    }
+    std::vector<double> sorted = passes;
+    std::sort(sorted.begin(), sorted.end());
+    const double xaos_seconds = sorted.front();
+    const double spread = (sorted[kRepeats * 3 / 4] - sorted[kRepeats / 4]) /
+                          sorted[kRepeats / 2];
     size_t xaos_results = evaluator.Result().items.size();
     uint64_t elements = evaluator.AggregateStats().elements_total;
 
@@ -97,16 +117,21 @@ int main(int argc, char** argv) {
                   baseline_results);
       return 1;
     }
-    std::printf("%-8.3f %-10.2f %-10llu %-12.4f %-12.4f %-12.1f %-12zu %-8s\n",
-                scale, size_mb, static_cast<unsigned long long>(elements),
-                xaos_seconds,
-                baseline_state == "ok" ? baseline_seconds : 0.0, dom_mb,
-                xaos_results, baseline_state.c_str());
+    char spread_text[16];
+    std::snprintf(spread_text, sizeof(spread_text), "%.1f%%", spread * 100);
+    std::printf(
+        "%-8.3f %-10.2f %-10llu %-12.4f %-10s %-12.4f %-12.1f %-12zu %-8s\n",
+        scale, size_mb, static_cast<unsigned long long>(elements),
+        xaos_seconds, spread_text,
+        baseline_state == "ok" ? baseline_seconds : 0.0, dom_mb, xaos_results,
+        baseline_state.c_str());
 
     char label[32];
     std::snprintf(label, sizeof(label), "scale=%.3f", scale);
-    reporter.AddResult(label, bench::Summarize({xaos_seconds}), size_mb);
+    reporter.AddResult(label, bench::Summarize(passes), size_mb);
     bench::AddEngineStats(&reporter, evaluator.AggregateStats());
+    reporter.AddResultMetric("best_s", xaos_seconds);
+    reporter.AddResultMetric("spread", spread);
     reporter.AddResultMetric("results", static_cast<double>(xaos_results));
     reporter.AddResultMetric("baseline_s", baseline_seconds);
     reporter.AddResultMetric("dom_mb", dom_mb);

@@ -252,8 +252,6 @@ class MultiQueryEvaluator : public xml::EventBatcher,
   // Cold per-query record; verdict reads go through routes_.
   struct QuerySlot {
     // Engine-backed canonical queries only: their engines point into these.
-    // Shared and alias slots hold none, so held memory grows with distinct
-    // engine-backed subscriptions, not with subscriptions.
     std::shared_ptr<const std::vector<query::XTree>> trees;
     size_t begin = 0;  // engine-backed: engines occupy [begin, end)
     size_t end = 0;
