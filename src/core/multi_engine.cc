@@ -1,6 +1,9 @@
 #include "core/multi_engine.h"
 
 #include <algorithm>
+#include <functional>
+#include <mutex>
+#include <new>
 #include <unordered_set>
 #include <utility>
 
@@ -88,23 +91,153 @@ EngineOptions WithoutSharedIndex(EngineOptions options) {
 
 }  // namespace
 
+// The immutable compiled form every handle to one expression shares.
+struct Query::Compiled : std::enable_shared_from_this<Compiled> {
+  Compiled() = default;
+  // The table links each form by address.
+  Compiled(const Compiled&) = delete;
+  Compiled& operator=(const Compiled&) = delete;
+  ~Compiled();  // leaves the compile table (Compile forms only)
+
+  std::string expression;
+  int max_paths = 0;
+  bool in_table = false;  // false: built by FromTrees
+  size_t hash = 0;  // of expression and max_paths
+  Compiled* next = nullptr;  // the compile table's bucket chain
+  // Shared so evaluators can keep the trees alive independently of the
+  // compiled form's lifetime.
+  std::shared_ptr<const std::vector<query::XTree>> trees;
+};
+
+// The process-wide compile table: every live compiled form, chained
+// through `Compiled::next` from a power-of-two bucket array. A form is
+// linked from its compile until its destructor unlinks it, so the table
+// holds no reference: the callers' handles own the forms. One mutex
+// guards it (queries may compile on several threads); no form is ever
+// destroyed while it is held, since a form's destructor takes it.
+struct Query::CompileTable {
+  // The first bucket array: 256 pointers (2 KB), so growth starts at a
+  // useful size and the arrays it frees are too large for glibc's
+  // per-thread cache (1,032 bytes at most), where freed blocks would
+  // still read as in use.
+  static constexpr size_t kMinBuckets = 256;
+
+  // Built in static storage and never destroyed: a handle may outlive
+  // static destruction, and an empty table then holds no heap at all.
+  static CompileTable& Get() {
+    alignas(CompileTable) static unsigned char storage[sizeof(CompileTable)];
+    static CompileTable* table = new (storage) CompileTable();
+    return *table;
+  }
+
+  static size_t Hash(std::string_view expression, int max_paths) {
+    return std::hash<std::string_view>()(expression) ^
+           static_cast<size_t>(max_paths);
+  }
+
+  Compiled** Head(size_t hash) {
+    return &buckets[hash & (buckets.size() - 1)];
+  }
+
+  // A live form of the key, or null. A form whose last handle is gone
+  // (its destructor waits for the lock) is skipped.
+  std::shared_ptr<const Compiled> Find(std::string_view expression,
+                                       int max_paths, size_t hash) {
+    if (buckets.empty()) return nullptr;
+    for (Compiled* c = *Head(hash); c != nullptr; c = c->next) {
+      if (c->hash != hash || c->max_paths != max_paths ||
+          c->expression != expression) {
+        continue;
+      }
+      if (std::shared_ptr<const Compiled> live = c->weak_from_this().lock()) {
+        return live;
+      }
+    }
+    return nullptr;
+  }
+
+  // Links a new form, doubling the bucket array first when the load
+  // would pass one form per bucket.
+  void Link(Compiled* c) {
+    if (size == buckets.size()) {
+      std::vector<Compiled*> old = std::exchange(
+          buckets, std::vector<Compiled*>(std::max(kMinBuckets, 2 * size)));
+      for (Compiled* chain : old) {
+        while (chain != nullptr) {
+          Compiled* next = chain->next;
+          Compiled** head = Head(chain->hash);
+          chain->next = *head;
+          *head = chain;
+          chain = next;
+        }
+      }
+    }
+    Compiled** head = Head(c->hash);
+    c->next = *head;
+    *head = c;
+    ++size;
+  }
+
+  void Unlink(Compiled* c) {
+    Compiled** link = Head(c->hash);
+    while (*link != c) link = &(*link)->next;
+    *link = c->next;
+    // Hand the bucket array back once nothing is compiled.
+    if (--size == 0) std::vector<Compiled*>().swap(buckets);
+  }
+
+  std::mutex mutex;
+  std::vector<Compiled*> buckets;
+  size_t size = 0;
+};
+
 StatusOr<Query> Query::Compile(std::string_view xpath, int max_paths) {
+  // A miss compiles under the lock, so concurrent compiles of one text
+  // build it once.
+  const size_t hash = CompileTable::Hash(xpath, max_paths);
+  CompileTable& table = CompileTable::Get();
+  std::lock_guard<std::mutex> lock(table.mutex);
+  if (std::shared_ptr<const Compiled> live =
+          table.Find(xpath, max_paths, hash)) {
+    return Query(std::move(live));
+  }
   XAOS_ASSIGN_OR_RETURN(std::vector<query::XTree> trees,
                         query::CompileToXTrees(xpath, max_paths));
-  Query query;
-  query.expression_.assign(xpath);
-  query.trees_ = std::make_shared<const std::vector<query::XTree>>(
-      std::move(trees));
-  return query;
+  auto compiled = std::make_shared<Compiled>();
+  compiled->expression.assign(xpath);
+  compiled->max_paths = max_paths;
+  compiled->hash = hash;
+  compiled->trees =
+      std::make_shared<const std::vector<query::XTree>>(std::move(trees));
+  table.Link(compiled.get());
+  // Only now: a form dropped while the lock is held (Link failing to
+  // grow the buckets) must not take the lock again.
+  compiled->in_table = true;
+  return Query(std::move(compiled));
+}
+
+Query::Compiled::~Compiled() {
+  if (!in_table) return;
+  CompileTable& table = CompileTable::Get();
+  std::lock_guard<std::mutex> lock(table.mutex);
+  table.Unlink(this);
+}
+
+const std::string& Query::expression() const {
+  return compiled_->expression;
+}
+
+const std::vector<query::XTree>& Query::trees() const {
+  return *compiled_->trees;
 }
 
 Query Query::FromTrees(std::vector<query::XTree> trees,
                        std::string expression) {
-  Query query;
-  query.expression_ = std::move(expression);
-  query.trees_ =
+  auto compiled = std::make_shared<Compiled>();
+  compiled->expression = std::move(expression);
+  compiled->trees =
       std::make_shared<const std::vector<query::XTree>>(std::move(trees));
-  return query;
+  return Query(std::move(compiled));
 }
 
 MultiQueryEvaluator::MultiQueryEvaluator(EngineOptions options,
@@ -159,7 +292,7 @@ size_t MultiQueryEvaluator::AddQuery(const Query& query,
     return q;
   }
 
-  slot.trees = query.trees_;
+  slot.trees = query.compiled_->trees;
   for (const query::XTree& tree : *slot.trees) {
     engines_.push_back(
         std::make_unique<XaosEngine>(&tree, options_, &arena_));

@@ -63,28 +63,38 @@ struct BatchedDispatchOptions {
   size_t max_batch_text_bytes = 32 * 1024;
 };
 
-// A compiled query: the original expression plus one x-tree per or-free
-// disjunct. Queries are immutable and reusable across documents and
-// evaluators.
+// A compiled query: a cheap handle to an immutable compiled form (the
+// original expression plus one x-tree per or-free disjunct), shared with
+// every other live handle compiled from the same text and `max_paths`.
+// Compile looks the pair up in a process-wide table that tracks compiled
+// forms weakly: while any handle to one is alive, a repeat compile returns
+// another handle to it and builds nothing; once the last handle is dropped
+// the form is freed and leaves the table. Evaluators keep only the x-tree
+// vector, never the handle, so they pin no table entry. Handles are
+// reusable across documents, evaluators and threads.
 class Query {
  public:
-  // Parses and compiles `xpath`. `max_paths` bounds the or-expansion.
+  // Parses and compiles `xpath`, or shares a live compile of the same
+  // text and `max_paths`. `max_paths` bounds the or-expansion. A failed
+  // compile is not remembered: every attempt returns the same Status.
   static StatusOr<Query> Compile(std::string_view xpath, int max_paths = 64);
 
-  // Wraps externally built x-trees (e.g. from query::Intersect).
+  // Wraps externally built x-trees (e.g. from query::Intersect). Such a
+  // query never enters the compile table.
   static Query FromTrees(std::vector<query::XTree> trees,
                          std::string expression = "");
 
-  const std::string& expression() const { return expression_; }
-  const std::vector<query::XTree>& trees() const { return *trees_; }
+  const std::string& expression() const;
+  const std::vector<query::XTree>& trees() const;
 
  private:
-  Query() = default;
+  struct Compiled;  // the shared compiled form (multi_engine.cc)
+  struct CompileTable;
 
-  std::string expression_;
-  // Shared so evaluators can keep the trees alive independently of the
-  // Query object's lifetime.
-  std::shared_ptr<const std::vector<query::XTree>> trees_;
+  explicit Query(std::shared_ptr<const Compiled> compiled)
+      : compiled_(std::move(compiled)) {}
+
+  std::shared_ptr<const Compiled> compiled_;
 
   friend class MultiQueryEvaluator;
 };
@@ -105,7 +115,9 @@ class Query {
 //
 // Only engine-backed queries keep their x-trees (the engines point into
 // them); a shared or alias subscription keeps none once the caller drops
-// its Query, so set-up memory grows with distinct subscriptions.
+// its Query, so set-up memory grows with distinct subscriptions. No slot
+// keeps the Query handle itself, so an evaluator pins no compile-table
+// entry.
 //
 // The evaluator consumes records (see the header comment): hand it to a
 // SaxParser, feed it ContentHandler callbacks, or replay captured batches
