@@ -254,12 +254,9 @@ MultiQueryEvaluator::MultiQueryEvaluator(EngineOptions options,
 
 size_t MultiQueryEvaluator::AddQuery(const Query& query,
                                      std::string_view label) {
-  const uint32_t q = static_cast<uint32_t>(queries_.size());
+  const uint32_t q = static_cast<uint32_t>(routes_.size());
   XAOS_CHECK(q < kEngineRoute) << "too many queries for a route word";
-  QuerySlot slot;
-  slot.begin = engines_.size();
-  slot.end = slot.begin;
-  slot.label = label;
+  if (!label.empty()) labels_.emplace_back(q, label);
 
   // Byte-identical repeat of an earlier expression: alias its verdicts, add
   // no matching state and hold no trees. Compositions without an expression
@@ -268,46 +265,52 @@ size_t MultiQueryEvaluator::AddQuery(const Query& query,
   if (!query.expression().empty()) {
     auto [it, inserted] = by_expression_.try_emplace(query.expression(), q);
     if (!inserted) {
-      QuerySlot& canonical = queries_[it->second];
-      slot.next_alias = canonical.next_alias;
-      canonical.next_alias = q;
-      const uint32_t route = routes_[it->second];
+      const size_t canonical = it->second;
+      const uint32_t route = routes_[canonical];
       ++alias_subscriptions_;
       if ((route & kEngineRoute) == 0) ++shared_subscriptions_;
-      queries_.push_back(std::move(slot));
       routes_.push_back(route);
+      next_alias_.push_back(next_alias_[canonical]);
+      next_alias_[canonical] = q;
       return q;
     }
   }
 
-  // The shared builder copies a chain into its trie, so a shared slot
+  // The shared builder copies a chain into its trie, so a shared query
   // holds no trees either; only engines point into a query's trees.
   const std::vector<query::XTree>& trees = query.trees();
   if (shared_enabled_ && SharedIndexBuilder::Shareable(trees)) {
     const uint32_t shared_id = shared_builder_.AddSubscription(trees);
     shared_queries_.push_back(q);
     ++shared_subscriptions_;
-    queries_.push_back(std::move(slot));
     routes_.push_back(shared_id);
+    next_alias_.push_back(kNoQuery);
     return q;
   }
 
-  slot.trees = query.compiled_->trees;
-  for (const query::XTree& tree : *slot.trees) {
+  const uint32_t begin = static_cast<uint32_t>(engines_.size());
+  for (const query::XTree& tree : trees) {
     engines_.push_back(
         std::make_unique<XaosEngine>(&tree, options_, &arena_));
     fleet_.AddEngine(engines_.back().get());
   }
-  slot.end = engines_.size();
-  engine_queries_.push_back(q);
-  queries_.push_back(std::move(slot));
-  routes_.push_back(kEngineRoute | q);
+  const uint32_t record = static_cast<uint32_t>(engine_records_.size());
+  engine_records_.push_back(EngineRecord{
+      q, begin, static_cast<uint32_t>(engines_.size()),
+      query.compiled_->trees});
+  routes_.push_back(kEngineRoute | record);
+  next_alias_.push_back(kNoQuery);
   return q;
 }
 
 std::string MultiQueryEvaluator::query_label(size_t q) const {
-  const std::string& label = queries_[q].label;
-  return label.empty() ? "q" + std::to_string(q) : label;
+  auto it = std::lower_bound(
+      labels_.begin(), labels_.end(), q,
+      [](const std::pair<uint32_t, std::string>& entry, size_t query) {
+        return entry.first < query;
+      });
+  if (it != labels_.end() && it->first == q) return it->second;
+  return "q" + std::to_string(q);
 }
 
 void MultiQueryEvaluator::EnsureSharedIndex() {
@@ -392,7 +395,7 @@ void MultiQueryEvaluator::BeginDocument() {
     doc_begin_ns_ = obs::NowNs();
   }
   EnsureSharedIndex();
-  live_queries_ = queries_.size();
+  live_queries_ = routes_.size();
   // Before the engines reset: their Root structures count as this
   // document's traffic.
   arena_baseline_ = arena_.bytes_allocated();
@@ -410,7 +413,8 @@ obs::MetricsRegistry& MultiQueryEvaluator::metrics_registry() const {
              : obs::MetricsRegistry::Default();
 }
 
-bool MultiQueryEvaluator::SlotMatched(size_t q, uint64_t* confirm_ns) const {
+bool MultiQueryEvaluator::MatchedWithConfirm(size_t q,
+                                             uint64_t* confirm_ns) const {
   const uint32_t route = routes_[q];
   if ((route & kEngineRoute) == 0) {
     if (!shared_matcher_->Matched(route)) return false;
@@ -419,10 +423,10 @@ bool MultiQueryEvaluator::SlotMatched(size_t q, uint64_t* confirm_ns) const {
   }
   // Earliest confirmation across the query's disjunct engines; a query
   // matched if any healthy engine matched.
-  const QuerySlot& slot = queries_[route & ~kEngineRoute];
+  const EngineRecord& record = engine_records_[route & ~kEngineRoute];
   uint64_t confirm = 0;
   bool matched = false;
-  for (size_t i = slot.begin; i < slot.end; ++i) {
+  for (size_t i = record.begin; i < record.end; ++i) {
     const XaosEngine& engine = *engines_[i];
     if (!engine.status().ok() || !engine.result().matched) continue;
     matched = true;
@@ -466,22 +470,24 @@ void MultiQueryEvaluator::FinishDocumentObservability() {
     obs::MetricsRegistry& registry = metrics_registry();
     ExportSharedMetrics(&registry);
     for (const size_t q : MatchedQueries()) {
-      QuerySlot& slot = queries_[q];
       uint64_t confirm = 0;
-      if (!SlotMatched(q, &confirm)) continue;
-      if (slot.match_latency == nullptr) {
+      if (!MatchedWithConfirm(q, &confirm)) continue;
+      auto [it, inserted] =
+          latency_series_.try_emplace(static_cast<uint32_t>(q));
+      LatencySeries& series = it->second;
+      if (inserted) {
         std::string labels =
             "{subscription=\"" + obs::JsonEscape(query_label(q)) + "\"}";
-        slot.match_latency =
+        series.match_latency =
             registry.GetHistogram("xaos_sub_match_latency_ns" + labels);
-        slot.first_match =
+        series.first_match =
             registry.GetHistogram("xaos_sub_first_match_ns" + labels);
       }
       uint64_t latency = end_ns > doc_begin_ns_ ? end_ns - doc_begin_ns_ : 0;
-      slot.match_latency->Record(latency);
-      slot.first_match->Record(confirm > doc_begin_ns_
-                                   ? confirm - doc_begin_ns_
-                                   : latency);
+      series.match_latency->Record(latency);
+      series.first_match->Record(confirm > doc_begin_ns_
+                                     ? confirm - doc_begin_ns_
+                                     : latency);
     }
     registry.GetGauge("xaos_buffered_candidates_peak")
         ->SetMax(static_cast<int64_t>(stats.structures_live_peak));
@@ -562,21 +568,21 @@ xml::ProjectionFilter* MultiQueryEvaluator::projection_filter() {
 }
 
 const query::ProjectionSpec& MultiQueryEvaluator::projection_spec() const {
-  if (gate_built_for_ != queries_.size()) {
-    gate_built_for_ = queries_.size();
+  if (gate_built_for_ != routes_.size()) {
+    gate_built_for_ = routes_.size();
     query::ProjectionSpec spec;
     if (options_.capture_output_subtrees) {
       spec =
           query::ProjectionSpec::KeepAll("subtree capture needs every event");
     } else {
       // One trie walk covers every shared subscription; aliases need no
-      // projection of their own (their canonical slot contributes it).
+      // projection of their own (their canonical query contributes it).
       if (shared_builder_.subscription_count() > 0) {
         spec.UnionWith(shared_builder_.AnalyzeProjection());
       }
-      for (const uint32_t q : engine_queries_) {
+      for (const EngineRecord& record : engine_records_) {
         if (spec.keep_all) break;
-        spec.UnionWith(query::ProjectionSpec::Analyze(*queries_[q].trees));
+        spec.UnionWith(query::ProjectionSpec::Analyze(*record.trees));
       }
     }
     // Counted per analysis of a query set, so evaluators that adopt the
@@ -593,10 +599,10 @@ const query::ProjectionSpec& MultiQueryEvaluator::projection_spec() const {
 
 void MultiQueryEvaluator::AdoptProjectionSpec(
     const MultiQueryEvaluator& other) {
-  XAOS_CHECK_EQ(other.query_count(), queries_.size())
+  XAOS_CHECK_EQ(other.query_count(), routes_.size())
       << "an adopted projection must cover the same query set";
   gate_.SetSpec(other.projection_spec());
-  gate_built_for_ = queries_.size();
+  gate_built_for_ = routes_.size();
 }
 
 Status MultiQueryEvaluator::status() const {
@@ -604,29 +610,17 @@ Status MultiQueryEvaluator::status() const {
   return FirstError(engines_);
 }
 
-bool MultiQueryEvaluator::EngineMatched(size_t canonical) const {
-  const QuerySlot& slot = queries_[canonical];
-  for (size_t i = slot.begin; i < slot.end; ++i) {
+bool MultiQueryEvaluator::EngineMatched(uint32_t record) const {
+  const EngineRecord& r = engine_records_[record];
+  for (size_t i = r.begin; i < r.end; ++i) {
     if (engines_[i]->result().matched) return true;
   }
   return false;
 }
 
-bool MultiQueryEvaluator::Matched(size_t q) const {
-  if (q >= live_queries_) return false;
-  const uint32_t route = routes_[q];
-  if ((route & kEngineRoute) == 0) return shared_matcher_->Matched(route);
-  return EngineMatched(route & ~kEngineRoute);
-}
-
-bool MultiQueryEvaluator::MatchConfirmed(size_t q) const {
-  if (q >= live_queries_) return false;
-  const uint32_t route = routes_[q];
-  if ((route & kEngineRoute) == 0) {
-    return shared_matcher_->MatchConfirmed(route);
-  }
-  const QuerySlot& slot = queries_[route & ~kEngineRoute];
-  for (size_t i = slot.begin; i < slot.end; ++i) {
+bool MultiQueryEvaluator::EngineConfirmed(uint32_t record) const {
+  const EngineRecord& r = engine_records_[record];
+  for (size_t i = r.begin; i < r.end; ++i) {
     if (engines_[i]->match_confirmed()) return true;
   }
   return false;
@@ -636,13 +630,13 @@ QueryResult MultiQueryEvaluator::Result(size_t q) const {
   if (q >= live_queries_) return QueryResult{};
   const uint32_t route = routes_[q];
   if ((route & kEngineRoute) == 0) return shared_matcher_->Result(route);
-  const QuerySlot& slot = queries_[route & ~kEngineRoute];
-  return MergeResults(engines_, slot.begin, slot.end);
+  const EngineRecord& record = engine_records_[route & ~kEngineRoute];
+  return MergeResults(engines_, record.begin, record.end);
 }
 
 void MultiQueryEvaluator::AppendWithAliases(uint32_t canonical,
                                             std::vector<size_t>* out) const {
-  for (uint32_t q = canonical; q != kNoQuery; q = queries_[q].next_alias) {
+  for (uint32_t q = canonical; q != kNoQuery; q = next_alias_[q]) {
     if (q < live_queries_) out->push_back(q);
   }
 }
@@ -656,8 +650,9 @@ std::vector<size_t> MultiQueryEvaluator::MatchedQueries() const {
       }
     }
   }
-  for (const uint32_t q : engine_queries_) {
-    if (q < live_queries_ && EngineMatched(q)) AppendWithAliases(q, &matched);
+  for (uint32_t r = 0; r < engine_records_.size(); ++r) {
+    const uint32_t q = engine_records_[r].query;
+    if (q < live_queries_ && EngineMatched(r)) AppendWithAliases(q, &matched);
   }
   std::sort(matched.begin(), matched.end());
   return matched;

@@ -38,6 +38,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/engine_fleet.h"
@@ -113,11 +114,14 @@ class Query {
 //   * alias:   a byte-identical repeat of an earlier expression adds no
 //     matching state at all — verdicts fan out from the first copy.
 //
-// Only engine-backed queries keep their x-trees (the engines point into
-// them); a shared or alias subscription keeps none once the caller drops
-// its Query, so set-up memory grows with distinct subscriptions. No slot
-// keeps the Query handle itself, so an evaluator pins no compile-table
-// entry.
+// Per-query state is two dense 4-byte words, a route word and an alias
+// link, so a shared or alias subscription costs 8 bytes here once the
+// caller drops its Query. Everything else lives in side tables that only
+// some queries enter: one record per engine-backed canonical query (its
+// x-trees, which its engines point into, and its engine range), a label
+// per query given one, and the latency series of subscriptions that have
+// matched with obs on. No query keeps its Query handle, so an evaluator
+// pins no compile-table entry.
 //
 // The evaluator consumes records (see the header comment): hand it to a
 // SaxParser, feed it ContentHandler callbacks, or replay captured batches
@@ -139,7 +143,7 @@ class MultiQueryEvaluator : public xml::EventBatcher,
   // (`xaos_sub_match_latency_ns{subscription="<label>"}`); empty derives
   // "q<index>".
   size_t AddQuery(const Query& query, std::string_view label = {});
-  size_t query_count() const { return queries_.size(); }
+  size_t query_count() const { return routes_.size(); }
   std::string query_label(size_t q) const;
 
   // Opens a document in the writer after installing what its records
@@ -208,13 +212,26 @@ class MultiQueryEvaluator : public xml::EventBatcher,
 
   // The abort cause of an abandoned document, else the first engine error.
   Status status() const;
-  // Whether query `q` matched. Valid after EndDocument.
-  bool Matched(size_t q) const;
+  // Whether query `q` matched. Valid after EndDocument. Inline: a router's
+  // read-out calls it once per subscription per document.
+  bool Matched(size_t q) const {
+    if (q >= live_queries_) return false;
+    const uint32_t route = routes_[q];
+    if ((route & kEngineRoute) == 0) return shared_matcher_->Matched(route);
+    return EngineMatched(route & ~kEngineRoute);
+  }
   // True as soon as query `q`'s match is guaranteed (usable mid-stream).
   // Records reach the engines a batch at a time, so the verdict reflects
   // the last replayed batch; a callback feeder that reads it at an exact
   // event calls Flush() first.
-  bool MatchConfirmed(size_t q) const;
+  bool MatchConfirmed(size_t q) const {
+    if (q >= live_queries_) return false;
+    const uint32_t route = routes_[q];
+    if ((route & kEngineRoute) == 0) {
+      return shared_matcher_->MatchConfirmed(route);
+    }
+    return EngineConfirmed(route & ~kEngineRoute);
+  }
   // Query `q`'s result, disjuncts unioned. Valid after EndDocument.
   QueryResult Result(size_t q) const;
   // Indices of the queries that matched, ascending: {q : Matched(q)}.
@@ -256,23 +273,22 @@ class MultiQueryEvaluator : public xml::EventBatcher,
 
  private:
   // Route word of a query: a shared-index subscription id, or kEngineRoute
-  // | the index of the canonical engine-backed query. An alias carries its
-  // canonical query's word.
+  // | the index of its canonical query's engine record. An alias carries
+  // its canonical query's word.
   static constexpr uint32_t kEngineRoute = 0x80000000u;
   static constexpr uint32_t kNoQuery = UINT32_MAX;
 
-  // Cold per-query record; verdict reads go through routes_.
-  struct QuerySlot {
-    // Engine-backed canonical queries only: their engines point into these.
+  // One per engine-backed canonical query, in query order.
+  struct EngineRecord {
+    uint32_t query;  // the canonical query's index
+    uint32_t begin;  // its engines occupy [begin, end)
+    uint32_t end;
+    // The engines point into these.
     std::shared_ptr<const std::vector<query::XTree>> trees;
-    size_t begin = 0;  // engine-backed: engines occupy [begin, end)
-    size_t end = 0;
-    // Alias chain: a canonical query links its aliases, each alias the
-    // next one (the reverse map MatchedQueries fans verdicts out through).
-    uint32_t next_alias = kNoQuery;
-    std::string label;  // empty: the derived "q<index>"
-    // Per-subscription latency series, resolved lazily on first matching
-    // document (pointers are stable for the registry's lifetime).
+  };
+  // A subscription's latency series, resolved on its first matching
+  // document (pointers are stable for the registry's lifetime).
+  struct LatencySeries {
     obs::Histogram* match_latency = nullptr;
     obs::Histogram* first_match = nullptr;
   };
@@ -305,9 +321,11 @@ class MultiQueryEvaluator : public xml::EventBatcher,
   // Whether live query `q` matched this document and when the match was
   // first confirmed (0 = unknown). Unlike Matched, an engine-backed query
   // whose engine failed does not count.
-  bool SlotMatched(size_t q, uint64_t* confirm_ns) const;
-  // Whether any disjunct engine of engine-backed query `canonical` matched.
-  bool EngineMatched(size_t canonical) const;
+  bool MatchedWithConfirm(size_t q, uint64_t* confirm_ns) const;
+  // Whether any disjunct engine of engine record `record` matched, or has
+  // its match guaranteed.
+  bool EngineMatched(uint32_t record) const;
+  bool EngineConfirmed(uint32_t record) const;
   // Appends `canonical` and its aliases that joined by the last
   // StartDocument.
   void AppendWithAliases(uint32_t canonical, std::vector<size_t>* out) const;
@@ -319,15 +337,18 @@ class MultiQueryEvaluator : public xml::EventBatcher,
   void ExportSharedMetrics(obs::MetricsRegistry* registry) const;
 
   EngineOptions options_;
-  std::vector<QuerySlot> queries_;
-  std::vector<uint32_t> routes_;  // route word per query
-  // queries_.size() at the last document start: later queries have seen
-  // no document yet.
+  // Dense per-query words (see the class comment).
+  std::vector<uint32_t> routes_;
+  // Alias chain: a canonical query links its aliases, each alias the next
+  // one (the reverse map MatchedQueries fans verdicts out through).
+  std::vector<uint32_t> next_alias_;
+  // routes_.size() at the last document start: later queries have seen no
+  // document yet.
   size_t live_queries_ = 0;
   // Canonical query of each shared-index subscription id.
   std::vector<uint32_t> shared_queries_;
-  // Canonical engine-backed queries, ascending.
-  std::vector<uint32_t> engine_queries_;
+  // Engine-backed canonical queries, ascending by query index.
+  std::vector<EngineRecord> engine_records_;
   // The one matching arena every per-engine subscription allocates from,
   // confined to this evaluator's thread (each ParallelRouter worker owns
   // its own evaluator); declared before engines_ so it outlives them.
@@ -344,7 +365,7 @@ class MultiQueryEvaluator : public xml::EventBatcher,
   size_t shared_built_for_ = 0;  // builder sub count the index covers
   size_t shared_subscriptions_ = 0;
   size_t alias_subscriptions_ = 0;
-  // expression -> canonical slot index, for byte-identical dedupe.
+  // expression -> canonical query index, for byte-identical dedupe.
   std::unordered_map<std::string, size_t> by_expression_;
   // Last exported cumulative dispatch-saved value (counter delta base).
   mutable uint64_t dispatch_saved_exported_ = 0;
@@ -362,6 +383,12 @@ class MultiQueryEvaluator : public xml::EventBatcher,
   uint64_t sequence_ = 0;
   uint64_t batches_replayed_ = 0;
   uint64_t elided_base_ = 0;  // events_elided() at StartDocument / export
+
+  // Cold side tables, kept last so they do not move the hot members.
+  // (query, label) for each query added with a non-empty label, ascending.
+  std::vector<std::pair<uint32_t, std::string>> labels_;
+  // Latency series of the subscriptions that matched with obs on.
+  std::unordered_map<uint32_t, LatencySeries> latency_series_;
 };
 
 // Evaluates one compiled query: a MultiQueryEvaluator holding exactly that
